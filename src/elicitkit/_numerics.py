@@ -2,16 +2,23 @@
 
 Everything in here is deliberately dependency-light: a pivoted row
 reduction with an explicit relative threshold (so rank decisions are
-reproducible and auditable), a couple of SVD wrappers, and a thin layer
-over ``scipy.optimize.linprog`` for the max-slack feasibility programs
-used by the adjacency and rationalizability tests.
+reproducible and auditable), a couple of SVD wrappers, the unit max-abs
+scaling that gives LP slacks a common gauge, and the max-slack
+feasibility programs used by the adjacency and rationalizability tests.
+Those programs go straight to the HiGHS solver behind scipy's
+``method="highs"`` LP interface, with the model, options and result
+checks that interface uses but without its per-call input parsing,
+option validation and result assembly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linprog
+
+# scipy's private HiGHS bindings (scipy.optimize._highspy._core, shipped
+# since scipy 1.15); scipy's own "highs" LP method solves through them.
+from scipy.optimize._highspy import _core as _highs
 
 FloatArray = NDArray[np.float64]
 
@@ -95,6 +102,30 @@ def orthonormal_complement(rows: object, dim: int, rtol: float = RANK_RTOL) -> F
     return nullspace(arr.reshape(-1, dim), rtol=rtol)
 
 
+def scale_unit_max_abs(utility: FloatArray) -> FloatArray:
+    """Divide ``utility`` by its largest absolute entry, unless that is zero."""
+    max_abs = float(np.max(np.abs(utility)))
+    return utility / max_abs if max_abs > 0 else utility
+
+
+def _scipy_highs_options() -> _highs.HighsOptions:
+    """The options scipy's ``method="highs"`` passes to HiGHS by default."""
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return options
+
+
+_HIGHS_OPTIONS = _scipy_highs_options()
+
+#: scipy's feasibility tolerance on a returned LP solution: ``sqrt(tol) * 10``
+#: with its default ``tol = 1e-9``.
+_RESULT_TOL = float(np.sqrt(1e-9) * 10)
+
+
 def max_slack_lp(
     utility: FloatArray,
     target: int,
@@ -111,39 +142,74 @@ def max_slack_lp(
 
     Callers are expected to pre-scale ``utility`` so the slack lives in
     a known gauge; this routine does no scaling of its own.
+
+    The model, options and feasibility check are those of scipy's
+    ``method="highs"`` LP interface, so the result is bit-identical to
+    solving the same program through it.
     """
     n_actions, n_states = utility.shape
-    competitors = [
-        c for c in range(n_actions) if c != target and c != tie_with
-    ]
-    # Variables: p (n_states) then s.
-    c_vec = np.zeros(n_states + 1)
-    c_vec[-1] = -1.0  # maximize s
-    a_ub = np.zeros((len(competitors), n_states + 1))
-    for row, comp in enumerate(competitors):
-        a_ub[row, :n_states] = utility[comp] - utility[target]
-        a_ub[row, -1] = 1.0
-    b_ub = np.zeros(len(competitors))
-    eq_rows = [np.concatenate([np.ones(n_states), [0.0]])]
-    eq_rhs = [1.0]
+    competitors = [c for c in range(n_actions) if c != target and c != tie_with]
+    n_ub = len(competitors)
+    n_rows = n_ub + (1 if tie_with is None else 2)
+    # Variables: p (n_states) then s.  Rows: competitors (<= 0), then
+    # sum(p) == 1 and, with a tie, the indifference row (== 0).
+    matrix = np.zeros((n_rows, n_states + 1))
+    matrix[:n_ub, :n_states] = utility[competitors] - utility[target]
+    matrix[:n_ub, -1] = 1.0
+    matrix[n_ub, :n_states] = 1.0
     if tie_with is not None:
-        tie = np.concatenate([utility[target] - utility[tie_with], [0.0]])
-        eq_rows.append(tie)
-        eq_rhs.append(0.0)
-    bounds = [(0.0, None)] * n_states + [(None, 2.0)]
-    result = linprog(
-        c_vec,
-        A_ub=a_ub if competitors else None,
-        b_ub=b_ub if competitors else None,
-        A_eq=np.array(eq_rows),
-        b_eq=np.array(eq_rhs),
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:
+        matrix[n_ub + 1, :n_states] = utility[target] - utility[tie_with]
+    row_upper = np.zeros(n_rows)
+    row_upper[n_ub] = 1.0
+    row_lower = row_upper.copy()
+    row_lower[:n_ub] = -np.inf
+    col_lower = np.zeros(n_states + 1)
+    col_lower[-1] = -np.inf
+    col_upper = np.full(n_states + 1, np.inf)
+    col_upper[-1] = 2.0
+    cost = np.zeros(n_states + 1)
+    cost[-1] = -1.0  # maximize s
+
+    # Column-wise sparse storage of the nonzero entries, as csc_array keeps them.
+    by_column = matrix.T
+    nonzero = by_column != 0.0
+    lp = _highs.HighsLp()
+    lp.num_col_ = n_states + 1
+    lp.num_row_ = n_rows
+    lp.a_matrix_.num_col_ = n_states + 1
+    lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.col_cost_ = cost
+    lp.col_lower_ = col_lower
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+    lp.a_matrix_.value_ = by_column[nonzero]
+
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if (
+        highs.passModel(lp) == _highs.HighsStatus.kError
+        or highs.run() == _highs.HighsStatus.kError
+        or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal
+    ):
         return float("-inf"), None
-    belief = np.clip(result.x[:n_states], 0.0, None)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    row_slack = row_upper - np.array(solution.row_value)
+    # scipy's check: NaN-free, within bounds, inequality slack >= -tol
+    # and equality residual <= tol (every comparison fails on NaN).
+    if np.isnan(highs.getInfo().objective_function_value) or not (
+        np.all(x >= col_lower - _RESULT_TOL)
+        and np.all(x <= col_upper + _RESULT_TOL)
+        and np.all(row_slack[:n_ub] >= -_RESULT_TOL)
+        and np.all(np.abs(row_slack[n_ub:]) <= _RESULT_TOL)
+    ):
+        return float("-inf"), None
+    belief = np.clip(x[:n_states], 0.0, None)
     total = float(belief.sum())
     if total <= 0.0:
         return float("-inf"), None
-    return float(result.x[-1]), belief / total
+    return float(x[-1]), belief / total

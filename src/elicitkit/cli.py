@@ -104,11 +104,12 @@ def _config(args: argparse.Namespace) -> _Config:
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
 
 
 def _render(payload: dict[str, Any], fmt: str, md: Callable[[dict[str, Any]], str]) -> str:

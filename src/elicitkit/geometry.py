@@ -23,6 +23,7 @@ from ._numerics import (
     orthonormal_complement,
     project_rows,
     row_reduce_rank,
+    scale_unit_max_abs,
 )
 from .model import DecisionProblem, ProductStructure
 
@@ -126,9 +127,7 @@ def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
     ib = problem.action_index[b]
     if ia == ib:
         raise ValueError("adjacency needs two distinct actions")
-    max_abs = float(np.max(np.abs(problem.utility)))
-    scaled = problem.utility / max_abs if max_abs > 0 else problem.utility
-    slack, raw = max_slack_lp(scaled, ia, tie_with=ib)
+    slack, raw = max_slack_lp(scale_unit_max_abs(problem.utility), ia, tie_with=ib)
     if raw is None:
         return AdjacencyResult(adjacent=False, slack=slack, witness=None)
     return AdjacencyResult(

@@ -20,7 +20,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._numerics import FloatArray, as_float_matrix, max_slack_lp
+from ._numerics import FloatArray, as_float_matrix, max_slack_lp, scale_unit_max_abs
 
 BUNDLE_SCHEMA = "elicitkit-bundle-v1"
 
@@ -419,8 +419,7 @@ def validate_problem(problem: DecisionProblem, tol: float = VALIDATE_RTOL) -> Va
         for j in range(i + 1, problem.n_actions):
             if float(np.max(np.abs(u[i] - u[j]))) <= tol * scale:
                 redundant.append((problem.actions[i], problem.actions[j]))
-    max_abs = float(np.max(np.abs(u)))
-    scaled = u / max_abs if max_abs > 0 else u
+    scaled = scale_unit_max_abs(u)
     weak: list[tuple[str, float]] = []
     for a in range(problem.n_actions):
         slack, _ = max_slack_lp(scaled, a)

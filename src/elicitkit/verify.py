@@ -155,7 +155,13 @@ def boundary_beliefs(
     result = adjacency_test(problem, a, b)
     if not result.adjacent or result.witness is None:
         raise ValueError(f"actions {a!r} and {b!r} are not adjacent")
-    witness = result.witness.probs
+    return _face_beliefs(problem, a, b, result.witness.probs, n, seed)
+
+
+def _face_beliefs(
+    problem: DecisionProblem, a: str, b: str, witness: FloatArray, n: int, seed: int
+) -> FloatArray:
+    """``boundary_beliefs`` from an already known adjacency witness."""
     points = [witness]
     if n > 1:
         rows = np.vstack(
@@ -354,8 +360,13 @@ def _sweep_beliefs(problem: DecisionProblem, spec: GridSpec) -> FloatArray:
         graph = adjacency_graph(problem)
         for index, edge in enumerate(graph.edges):
             blocks.append(
-                boundary_beliefs(
-                    problem, edge.a, edge.b, spec.boundary_per_edge, spec.seed + 1 + index
+                _face_beliefs(
+                    problem,
+                    edge.a,
+                    edge.b,
+                    edge.witness.probs,
+                    spec.boundary_per_edge,
+                    spec.seed + 1 + index,
                 )
             )
     if not blocks:
