@@ -194,9 +194,16 @@ class ProductStructure:
         if len(self.tasks) < 2:
             raise ValueError("a product structure needs at least two tasks")
         for coords, attr in ((self.state_coords, "state"), (self.action_coords, "action")):
+            sizes = [len(getattr(task, f"{attr}s")) for task in self.tasks]
             for row in coords:
                 if len(row) != len(self.tasks):
                     raise ValueError(f"{attr} coordinate arity mismatch")
+                for index, size in zip(row, sizes):
+                    if not 0 <= index < size:
+                        raise ValueError(
+                            f"{attr} coordinate {index} is out of range for a task "
+                            f"with {size} {attr}s"
+                        )
 
     @property
     def n_tasks(self) -> int:

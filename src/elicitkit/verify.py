@@ -7,7 +7,9 @@ optimal action set against the decision problem's, belief by belief.
 Everything is deterministic for fixed inputs: beliefs are generated in
 a fixed order from seeded generators and results are aggregated in that
 order, so reports and witnesses are bit-reproducible regardless of how
-the evaluation is batched internally.
+the evaluation is batched internally.  Grids and face-step candidates
+are built as whole arrays, and one chunked scan serves both the sweep
+and the witness search.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ BOUNDARY_MAX_ACTIONS = 64
 ORACLE_CELL_CAP = 4096
 
 _CHUNK_ROWS = 16384
+
+#: Face-perturbation step lengths, longest first: 1, 1/2, ..., 2**-39.
+_FACE_STEPS = np.ldexp(1.0, -np.arange(40))
 
 #: A candidate witness is confirmed once its gaps exceed the working
 #: tolerances by this factor.
@@ -98,27 +103,42 @@ class GridSpec:
 # Belief generation
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Count vectors summing to ``total``, ascending lexicographically."""
-    counts = [0] * (parts - 1) + [total]
-    while True:
-        yield tuple(counts)
-        j = parts - 1
-        while j >= 0 and counts[j] == 0:
-            j -= 1
-        if j <= 0:
-            return
-        carried = counts[j]
-        counts[j] = 0
-        counts[j - 1] += 1
-        counts[parts - 1] = carried - 1
+def _compositions(total: int, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Integer rows within ``lows``..``highs`` summing to ``total``, ascending.
+
+    Each level fixes one coordinate, keeping per prefix only its parent
+    and appended value; the rows are read back from the last level.
+    """
+    k = lows.shape[0]
+    room_low = np.concatenate([np.cumsum(lows[::-1])[::-1][1:], [0]])
+    room_high = np.concatenate([np.cumsum(highs[::-1])[::-1][1:], [0]])
+    remaining = np.array([total], dtype=np.int64)
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    for coord in range(k):
+        lo = np.maximum(lows[coord], remaining - room_high[coord])
+        hi = np.minimum(highs[coord], remaining - room_low[coord])
+        counts = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(remaining.shape[0]), counts)
+        starts = np.cumsum(counts) - counts
+        value = lo[parent] + (np.arange(parent.shape[0]) - starts[parent])
+        levels.append((parent, value))
+        remaining = remaining[parent] - value
+    rows = np.empty((remaining.shape[0], k), dtype=np.int64)
+    index = np.arange(rows.shape[0])
+    for coord in range(k - 1, -1, -1):
+        parent, value = levels[coord]
+        rows[:, coord] = value[index]
+        index = parent[index]
+    return rows
 
 
 def belief_grid(k: int, m: int, cap: int = GRID_CAP) -> FloatArray:
     """All beliefs with coordinates n/m, in lexicographic order.
 
     The count is C(m + k - 1, k - 1); grids beyond ``cap`` raise
-    ``TooLargeError`` with a pointer at ``dirichlet_sample``.
+    ``TooLargeError`` with a pointer at ``dirichlet_sample``.  The
+    integer counts are enumerated as one array, without per-row Python
+    work, and divided by ``float(m)``.
     """
     if k < 2:
         raise ValueError("a belief needs at least two states")
@@ -130,8 +150,7 @@ def belief_grid(k: int, m: int, cap: int = GRID_CAP) -> FloatArray:
             f"grid would hold {count} beliefs, above the cap of {cap}; "
             "too large to enumerate, use dirichlet_sample instead"
         )
-    grid = np.array(list(_compositions(m, k)), dtype=np.float64)
-    return grid / float(m)
+    return _compositions(m, np.zeros(k, dtype=np.int64), np.full(k, m)) / float(m)
 
 
 def dirichlet_sample(k: int, n: int, seed: int) -> FloatArray:
@@ -149,8 +168,9 @@ def boundary_beliefs(
     """Beliefs on the indifference face between two adjacent actions.
 
     The adjacency witness comes first; further points perturb it inside
-    the face's tangent directions with step halving until both actions
-    stay weakly optimal.  Non-adjacent pairs are rejected.
+    the face's tangent directions by the longest of the steps 1, 1/2,
+    ..., 2**-39 that stays in the simplex and keeps both actions weakly
+    optimal.  Non-adjacent pairs are rejected.
     """
     result = adjacency_test(problem, a, b)
     if not result.adjacent or result.witness is None:
@@ -181,16 +201,13 @@ def _face_beliefs(
             if norm == 0.0:
                 continue
             direction /= norm
-            step = 1.0
-            for _ in range(40):
-                candidate = witness + step * direction
-                if candidate.min() >= 0.0:
-                    candidate = np.clip(candidate, 0.0, None)
-                    candidate /= candidate.sum()
-                    if {a, b} <= set(optimal_actions(problem, candidate)):
-                        points.append(candidate)
-                        break
-                step /= 2.0
+            candidates = witness + _FACE_STEPS[:, None] * direction
+            for row in np.flatnonzero(candidates.min(axis=1) >= 0.0):
+                candidate = np.clip(candidates[row], 0.0, None)
+                candidate /= candidate.sum()
+                if {a, b} <= set(optimal_actions(problem, candidate)):
+                    points.append(candidate)
+                    break
         while len(points) < n:
             points.append(witness)
     return np.asarray(points[:n], dtype=np.float64)
@@ -332,6 +349,21 @@ def _scan_chunk(
     )
 
 
+def _scans(
+    problem: DecisionProblem,
+    x: FloatArray,
+    method: ElicitationMethod,
+    beliefs: FloatArray,
+    spec: GridSpec,
+) -> Iterator[tuple[FloatArray, _ChunkScan]]:
+    """Scan ``beliefs`` in order, one chunk of ``_CHUNK_ROWS`` at a time."""
+    for start in range(0, beliefs.shape[0], _CHUNK_ROWS):
+        chunk = beliefs[start : start + _CHUNK_ROWS]
+        yield chunk, _scan_chunk(
+            chunk, problem.utility, x, method, spec.tol_action, spec.tol_report
+        )
+
+
 def _row_witness(
     problem: DecisionProblem, scan: _ChunkScan, chunk: FloatArray, row: int
 ) -> Witness:
@@ -394,9 +426,7 @@ def verify_incentivizability(
     passes = 0
     ambiguous = 0
     failures: list[Witness] = []
-    for start in range(0, checked, _CHUNK_ROWS):
-        chunk = beliefs[start : start + _CHUNK_ROWS]
-        scan = _scan_chunk(chunk, problem.utility, x, method, spec.tol_action, spec.tol_report)
+    for chunk, scan in _scans(problem, x, method, beliefs, spec):
         fail = (~scan.sets_equal | scan.bad_report) & ~scan.ambiguous
         ambiguous += int(scan.ambiguous.sum())
         passes += int((~fail & ~scan.ambiguous).sum())
@@ -438,9 +468,7 @@ def _scan_for_witness(
     """First confirmed witness, plus the worst suspicion seen."""
     worst_center: FloatArray | None = None
     worst_gap = -np.inf
-    for start in range(0, beliefs.shape[0], _CHUNK_ROWS):
-        chunk = beliefs[start : start + _CHUNK_ROWS]
-        scan = _scan_chunk(chunk, problem.utility, x, method, spec.tol_action, spec.tol_report)
+    for chunk, scan in _scans(problem, x, method, beliefs, spec):
         suspicious = ~scan.sets_equal | scan.bad_report
         for row in np.flatnonzero(suspicious):
             if _confirmed(scan, int(row), spec.tol_action, spec.tol_report):
@@ -454,28 +482,16 @@ def _scan_for_witness(
 
 
 def _box_grid(center: FloatArray, denominator: int, radius: int = 2) -> FloatArray:
-    """Rational beliefs near ``center`` with the given denominator."""
+    """Rational beliefs near ``center`` with the given denominator.
+
+    Each count ``n`` in a row ``n / denominator`` stays within
+    ``radius`` of ``floor(center * denominator)`` and inside
+    ``[0, denominator]``; rows come in ascending lexicographic order.
+    """
     counts = np.floor(center * denominator).astype(int)
     lows = np.maximum(counts - radius, 0)
     highs = np.minimum(counts + radius, denominator)
-    k = center.shape[0]
-    suffix_low = np.concatenate([np.cumsum(lows[::-1])[::-1][1:], [0]])
-    suffix_high = np.concatenate([np.cumsum(highs[::-1])[::-1][1:], [0]])
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, denominator, ())]
-    while stack:
-        coord, remaining, prefix = stack.pop()
-        if coord == k:
-            if remaining == 0:
-                out.append(prefix)
-            continue
-        lo = max(lows[coord], remaining - suffix_high[coord])
-        hi = min(highs[coord], remaining - suffix_low[coord])
-        for value in range(lo, hi + 1):
-            stack.append((coord + 1, remaining - value, prefix + (value,)))
-    if not out:
-        return np.zeros((0, k))
-    return np.array(sorted(out), dtype=np.float64) / float(denominator)
+    return _compositions(denominator, lows, highs) / float(denominator)
 
 
 def find_distortion_witness(

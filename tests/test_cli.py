@@ -276,6 +276,20 @@ def test_corrupt_bundle(tmp_path, capsys):
     assert stderr != ""
 
 
+def test_out_of_range_product_coordinate(tmp_path, capsys):
+    problem, product = ek.make_mc_test(2, 2)
+    data = json.loads(ek.dumps_bundle(ek.ProblemBundle(problem=problem, product=product)))
+    data["product"]["state_coords"][0][0] = 9
+    path = tmp_path / "bad-product.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, stdout, stderr = run(capsys, "check", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert "out of range" in stderr
+    assert len(stderr.strip().splitlines()) == 1
+    assert "Traceback" not in stderr
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -317,6 +317,16 @@ def test_bundle_round_trip_keeps_product_structure():
     assert ek.dumps_bundle(reloaded) == ek.dumps_bundle(bundle)
 
 
+@pytest.mark.parametrize("table", ["state_coords", "action_coords"])
+@pytest.mark.parametrize("index", [9, -1])
+def test_out_of_range_product_coordinates_are_a_format_error(table, index):
+    problem, product = ek.make_mc_test(2, 2)
+    data = json.loads(ek.dumps_bundle(ek.ProblemBundle(problem=problem, product=product)))
+    data["product"][table][0][0] = index
+    with pytest.raises(ek.BundleFormatError, match="out of range"):
+        ek.loads_bundle(json.dumps(data))
+
+
 def test_bundle_schema_is_enforced():
     problem = ek.make_state_matching([1.0, 2.0])
     data = ek.bundle_to_dict(ek.ProblemBundle(problem=problem))

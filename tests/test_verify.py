@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import elicitkit as ek
-from conftest import decide_and_synthesize
+from conftest import decide_and_synthesize, random_validated_problems
+from elicitkit._numerics import nullspace
+from elicitkit.verify import _box_grid, _face_beliefs
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +54,150 @@ def test_boundary_beliefs_sit_on_the_indifference_face(ql4):
         assert {"0", "0.25"} <= set(ek.optimal_actions(ql4, ek.Belief(p)))
     with pytest.raises(ValueError):
         ek.boundary_beliefs(ql4, "0", "1", 4, seed=0)
+
+
+def test_belief_grid_pins_the_large_pairwise_grid():
+    # the mc-test(4, 4) coarse grid of the witness search: 256 states, m = 2
+    counts = np.rint(ek.belief_grid(256, 2) * 2).astype(np.int8)
+    assert counts.shape == (math.comb(2 + 255, 255), 256)
+    assert (counts.sum(axis=1) == 2).all()
+    steps = np.diff(counts, axis=0)
+    first_change = steps[np.arange(steps.shape[0]), np.argmax(steps != 0, axis=1)]
+    assert (first_change > 0).all()  # strictly ascending, so no row repeats
+
+
+# ---------------------------------------------------------------------------
+# Bitwise agreement with the loop implementations the vectorized code replaced
+
+
+def _reference_compositions(total: int, parts: int):
+    counts = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(counts)
+        j = parts - 1
+        while j >= 0 and counts[j] == 0:
+            j -= 1
+        if j <= 0:
+            return
+        carried = counts[j]
+        counts[j] = 0
+        counts[j - 1] += 1
+        counts[parts - 1] = carried - 1
+
+
+def _reference_box_grid(center, denominator, radius=2):
+    counts = np.floor(center * denominator).astype(int)
+    lows = np.maximum(counts - radius, 0)
+    highs = np.minimum(counts + radius, denominator)
+    k = center.shape[0]
+    suffix_low = np.concatenate([np.cumsum(lows[::-1])[::-1][1:], [0]])
+    suffix_high = np.concatenate([np.cumsum(highs[::-1])[::-1][1:], [0]])
+    out = []
+    stack = [(0, denominator, ())]
+    while stack:
+        coord, remaining, prefix = stack.pop()
+        if coord == k:
+            if remaining == 0:
+                out.append(prefix)
+            continue
+        lo = max(lows[coord], remaining - suffix_high[coord])
+        hi = min(highs[coord], remaining - suffix_low[coord])
+        for value in range(lo, hi + 1):
+            stack.append((coord + 1, remaining - value, prefix + (value,)))
+    if not out:
+        return np.zeros((0, k))
+    return np.array(sorted(out), dtype=np.float64) / float(denominator)
+
+
+def _reference_face_beliefs(problem, a, b, witness, n, seed):
+    points = [witness]
+    if n > 1:
+        rows = np.vstack(
+            [np.ones(problem.n_states), problem.utility_of(a) - problem.utility_of(b)]
+        )
+        directions = nullspace(rows)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        attempts = 0
+        while len(points) < n and attempts < 50 * n:
+            attempts += 1
+            if directions.shape[0] == 0:
+                points.append(witness)
+                continue
+            coeffs = rng.normal(size=directions.shape[0])
+            direction = coeffs @ directions
+            norm = float(np.linalg.norm(direction))
+            if norm == 0.0:
+                continue
+            direction /= norm
+            step = 1.0
+            for _ in range(40):
+                candidate = witness + step * direction
+                if candidate.min() >= 0.0:
+                    candidate = np.clip(candidate, 0.0, None)
+                    candidate /= candidate.sum()
+                    if {a, b} <= set(ek.optimal_actions(problem, candidate)):
+                        points.append(candidate)
+                        break
+                step /= 2.0
+        while len(points) < n:
+            points.append(witness)
+    return np.asarray(points[:n], dtype=np.float64)
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_belief_grid_matches_the_loop_bitwise(k):
+    for m in range(1, 13):
+        want = np.array(list(_reference_compositions(m, k)), dtype=np.float64) / float(m)
+        _assert_same_bits(ek.belief_grid(k, m), want)
+
+
+def test_box_grid_matches_the_loop_bitwise():
+    rng = np.random.default_rng(20)
+    for _ in range(250):
+        k = int(rng.integers(2, 9))
+        denominator = int(rng.integers(1, 65))
+        radius = int(rng.integers(0, 4))
+        center = rng.dirichlet(np.ones(k))
+        center[rng.random(k) < 0.3] = 0.0
+        if center.sum() == 0.0:
+            center[rng.integers(k)] = 1.0
+        center /= center.sum()
+        _assert_same_bits(
+            _box_grid(center, denominator, radius),
+            _reference_box_grid(center, denominator, radius),
+        )
+
+
+_FACE_PROBLEMS = [
+    pytest.param(ek.make_quadratic_loss(5), id="quadratic-loss"),
+    pytest.param(ek.make_star(4, 0.3), id="star"),
+    pytest.param(ek.make_state_matching([1.0, 2.0, 3.0]), id="state-matching"),
+    pytest.param(ek.make_close_guess([1.0, 2.0, 3.0, 4.0]), id="close-guess"),
+    pytest.param(ek.make_mc_test(2, 3)[0], id="mc-test"),
+    pytest.param(ek.make_cycle_rich_safe(), id="cycle-rich-safe"),
+    *(
+        pytest.param(problem, id=f"random-{i}")
+        for i, problem in enumerate(
+            random_validated_problems(12, seed=21, max_states=7, max_actions=8)
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("problem", _FACE_PROBLEMS)
+def test_face_beliefs_match_the_step_halving_loop_bitwise(problem):
+    for index, edge in enumerate(ek.adjacency_graph(problem).edges):
+        for n in (1, 3, 6):
+            witness = edge.witness.probs
+            _assert_same_bits(
+                _face_beliefs(problem, edge.a, edge.b, witness, n, 5 + index),
+                _reference_face_beliefs(problem, edge.a, edge.b, witness, n, 5 + index),
+            )
 
 
 # ---------------------------------------------------------------------------
