@@ -126,6 +126,11 @@ _HIGHS_OPTIONS = _scipy_highs_options()
 _RESULT_TOL = float(np.sqrt(1e-9) * 10)
 
 
+#: Minimum ``max_slack_lp`` slack, on utilities scaled to unit max-abs,
+#: for an action to count as rationalizable or a pair as adjacent.
+MIN_SLACK = 1e-7
+
+
 def max_slack_lp(
     utility: FloatArray,
     target: int,

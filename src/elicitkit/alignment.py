@@ -9,6 +9,11 @@ shared vector).  This module recovers such representations when they
 exist, refutes them when they provably cannot, and combines the two
 into a verdict keyed to whichever characterization theorem the
 adjacency graph supports.
+
+Global, per-part and task-weighted alignment are one linear question:
+is ``Xbar(a)`` affine in a utility basis, ``[ubar]`` for the first two
+and the per-task tables ``[Ubar_1 ... Ubar_I]`` for the third?  One
+pinned least-squares solver answers it for all three.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ._numerics import FloatArray, project_rows, project_vec, row_reduce_rank
 from .model import DecisionProblem, ProblemBundle, ProductStructure, QuestionProfile
@@ -278,6 +284,39 @@ class PiecewiseCertificate:
 # Alignment on a set
 
 
+def _pinned_alignment(
+    xs: FloatArray,
+    bases: Sequence[FloatArray],
+    nonzero: NDArray[np.bool_],
+    anchor: int,
+) -> tuple[FloatArray, FloatArray, FloatArray, float]:
+    """Least-squares solve of ``g(a) * xs(a) - sum_i c_i * B_i(a) - D = 0``.
+
+    ``xs`` and each basis table ``B_i`` hold one mean-free row per action.
+    ``g`` is pinned to 1 at ``anchor`` and is no unknown on rows outside
+    ``nonzero`` (reported as 1 there); one more row makes ``D`` mean-free.
+    Returns ``(g, c, D, residual)``, the residual being the system's
+    max-abs misfit.
+    """
+    n_rows, n_states = xs.shape
+    free = [k for k in range(n_rows) if nonzero[k] and k != anchor]
+    n_g, n_c = len(free), len(bases)
+    system = np.zeros((n_rows * n_states + 1, n_g + n_c + n_states))
+    blocks = system[:-1].reshape(n_rows, n_states, -1)
+    blocks[free, :, range(n_g)] = xs[free]
+    for i, basis in enumerate(bases):
+        blocks[:, :, n_g + i] = -basis
+    blocks[:, :, n_g + n_c :] = -np.eye(n_states)
+    system[-1, n_g + n_c :] = 1.0
+    target = np.zeros(system.shape[0])
+    target[anchor * n_states : (anchor + 1) * n_states] = -xs[anchor]
+    solution, *_ = np.linalg.lstsq(system, target, rcond=None)
+    g = np.ones(n_rows)
+    g[free] = solution[:n_g]
+    residual = float(np.max(np.abs(system @ solution - target)))
+    return g, solution[n_g : n_g + n_c], solution[n_g + n_c :], residual
+
+
 def _solve_alignment(
     problem: DecisionProblem,
     question: QuestionProfile,
@@ -346,11 +385,9 @@ def _solve_alignment(
             return accepted, residual
         best_residual = min(best_residual, residual)
 
-    # Nontrivial branch: solve the homogeneous system
-    #   g(a) * Xbar(a) - h * ubar(a) - D = 0        (nonzero rows)
-    #           - h * ubar(a) - D = 0               (zero rows)
-    # pinned at g(anchor) = 1, with D constrained mean-free.  A valid
-    # nontrivial representation then has gamma(a) = h / g(a), d = D / h.
+    # Nontrivial branch: g(a) * Xbar(a) = h * ubar(a) + D with g pinned
+    # at an anchor row.  A valid nontrivial representation then has
+    # gamma(a) = h / g(a), d = D / h.
     s_x = float(np.max(row_norms))
     s_u = max(float(np.max(np.abs(ubar))), 1e-30)
     xs = xbar / s_x
@@ -358,50 +395,17 @@ def _solve_alignment(
     nz_list = [k for k in range(len(scope)) if nonzero[k]]
     anchors = sorted(nz_list, key=lambda k: -row_norms[k])
     for anchor in anchors[:2]:
-        g_slots = {k: pos for pos, k in enumerate(k2 for k2 in nz_list if k2 != anchor)}
-        n_g = len(g_slots)
-        n_unknowns = n_g + 1 + n_states  # g's, h, D
-        rows: list[FloatArray] = []
-        rhs: list[float] = []
-        for k in range(len(scope)):
-            block = np.zeros((n_states, n_unknowns))
-            target = np.zeros(n_states)
-            if k == anchor:
-                target = -xs[k]
-            elif nonzero[k]:
-                block[:, g_slots[k]] = xs[k]
-            block[:, n_g] = -us[k]
-            block[:, n_g + 1 :] = -np.eye(n_states)
-            rows.append(block)
-            rhs.append(target)
-        mean_row = np.zeros((1, n_unknowns))
-        mean_row[0, n_g + 1 :] = 1.0
-        rows.append(mean_row)
-        rhs.append(np.zeros(1))
-        system = np.vstack(rows)
-        target_vec = np.concatenate([np.atleast_1d(r) for r in rhs])
-        solution, *_ = np.linalg.lstsq(system, target_vec, rcond=None)
-        h = float(solution[n_g])
+        g, (h,), d_scaled, system_residual = _pinned_alignment(xs, [us], nonzero, anchor)
         if abs(h) <= 1e-12:
-            best_residual = min(
-                best_residual,
-                float(np.max(np.abs(system @ solution - target_vec))) * q_scale,
-            )
+            best_residual = min(best_residual, system_residual * q_scale)
             continue
-        g = np.ones(len(scope))
-        for k, pos in g_slots.items():
-            g[k] = solution[pos]
         if np.any(np.abs(g[nonzero]) <= 1e-12):
             continue
-        d_scaled = solution[n_g + 1 :] / h
         # Undo the row scalings: gamma maps utility units to question units.
-        gamma = np.empty(len(scope))
+        gamma = np.ones(len(scope))
         gamma[nonzero] = (h / g[nonzero]) * (s_x / s_u)
-        d = d_scaled * s_u
+        d = d_scaled / h * s_u
         d = d - d.mean()
-        for k in range(len(scope)):
-            if not nonzero[k]:
-                gamma[k] = 1.0
         kappa = x_means - gamma * u_means
         cert = AlignmentCertificate(
             trivial=False,
@@ -480,6 +484,64 @@ def trivial_dependence(
     return True
 
 
+def _solve_weighted(
+    problem: DecisionProblem,
+    question: QuestionProfile,
+    product: ProductStructure,
+    tol: float,
+) -> tuple[WeightedAlignmentCertificate | None, float]:
+    """Best task-weighted certificate plus the achieved residual."""
+    x = question.values
+    xbar = project_rows(x)
+    x_means = x.mean(axis=1)
+    n_actions, n_states = x.shape
+    q_scale = 1.0 + float(np.max(np.abs(x)))
+    eps = tol * q_scale
+    row_norms = np.max(np.abs(xbar), axis=1)
+    nonzero = row_norms > eps
+    tables = product.task_utility_tables()
+    n_tasks = product.n_tasks
+
+    def finish(
+        v: FloatArray, tau: FloatArray, d: FloatArray
+    ) -> tuple[WeightedAlignmentCertificate | None, float]:
+        base = sum(tau[i] * tables[i] for i in range(n_tasks))
+        kappa = x_means - v * (d.mean() + np.asarray([row.mean() for row in base]))
+        rebuilt = kappa[:, None] + v[:, None] * (d[None, :] + base)
+        residual = float(np.max(np.abs(rebuilt - x)))
+        if residual > ARBITER_FACTOR * eps:
+            return None, residual
+        return (
+            WeightedAlignmentCertificate(
+                actions=problem.actions,
+                v=tuple(float(t) for t in v),
+                kappa=tuple(float(t) for t in kappa),
+                tau=tuple(float(t) for t in tau),
+                d=tuple(float(t) for t in d),
+                residual=residual,
+            ),
+            residual,
+        )
+
+    if not nonzero.any():
+        return finish(np.ones(n_actions), np.zeros(n_tasks), np.zeros(n_states))
+
+    # g(a) * Xbar(a) = sum_i tau_i * Ubar_i(a_i) + D, pinned at g = 1 on
+    # the largest question row; then v(a) = 1 / g(a) in scaled units.
+    tables_bar = [project_rows(t) for t in tables]
+    s_x = float(np.max(row_norms))
+    s_u = max(float(max(np.max(np.abs(t)) for t in tables_bar)), 1e-30)
+    g, tau_scaled, d, _ = _pinned_alignment(
+        xbar / s_x, [t / s_u for t in tables_bar], nonzero, int(np.argmax(row_norms))
+    )
+    if np.any(np.abs(g[nonzero]) <= 1e-12):
+        # No usable solve: report the mean-free spread, as _solve_alignment does.
+        return None, s_x
+    v = np.ones(n_actions)
+    v[nonzero] = (1.0 / g[nonzero]) * s_x
+    return finish(v, tau_scaled / s_u, d - d.mean())
+
+
 def weighted_alignment(
     problem: DecisionProblem,
     question: QuestionProfile,
@@ -492,85 +554,8 @@ def weighted_alignment(
     ``g = 1`` on the largest question row, then re-verifies the implied
     ``(v, kappa, tau, d)`` by substitution.
     """
-    x = question.values
-    xbar = project_rows(x)
-    x_means = x.mean(axis=1)
-    n_actions, n_states = x.shape
-    q_scale = 1.0 + float(np.max(np.abs(x)))
-    eps = tol * q_scale
-    row_norms = np.max(np.abs(xbar), axis=1)
-    nonzero = row_norms > eps
-    tables = product.task_utility_tables()
-    tables_bar = [project_rows(t) for t in tables]
-    table_means = [t.mean(axis=1) for t in tables]
-    n_tasks = product.n_tasks
-
-    def finish(v: FloatArray, tau: FloatArray, d: FloatArray) -> WeightedAlignmentCertificate | None:
-        base = sum(tau[i] * tables[i] for i in range(n_tasks))
-        kappa = x_means - v * (d.mean() + np.asarray([row.mean() for row in base]))
-        rebuilt = kappa[:, None] + v[:, None] * (d[None, :] + base)
-        residual = float(np.max(np.abs(rebuilt - x)))
-        if residual > ARBITER_FACTOR * eps:
-            return None
-        return WeightedAlignmentCertificate(
-            actions=problem.actions,
-            v=tuple(float(t) for t in v),
-            kappa=tuple(float(t) for t in kappa),
-            tau=tuple(float(t) for t in tau),
-            d=tuple(float(t) for t in d),
-            residual=residual,
-        )
-
-    if not nonzero.any():
-        return finish(np.ones(n_actions), np.zeros(n_tasks), np.zeros(n_states))
-
-    s_x = float(np.max(row_norms))
-    u_all = float(max(np.max(np.abs(t)) for t in tables_bar))
-    s_u = max(u_all, 1e-30)
-    xs = xbar / s_x
-    us = [t / s_u for t in tables_bar]
-
-    nz_list = [k for k in range(n_actions) if nonzero[k]]
-    anchor = max(nz_list, key=lambda k: row_norms[k])
-    g_slots = {k: pos for pos, k in enumerate(k2 for k2 in nz_list if k2 != anchor)}
-    n_g = len(g_slots)
-    n_unknowns = n_g + n_tasks + n_states
-    blocks: list[FloatArray] = []
-    rhs: list[FloatArray] = []
-    for k in range(n_actions):
-        block = np.zeros((n_states, n_unknowns))
-        target = np.zeros(n_states)
-        if k == anchor:
-            target = xs[k]
-        elif nonzero[k]:
-            block[:, g_slots[k]] = -xs[k]
-        for i in range(n_tasks):
-            block[:, n_g + i] = us[i][k]
-        block[:, n_g + n_tasks :] = np.eye(n_states)
-        blocks.append(block)
-        rhs.append(target)
-    mean_row = np.zeros((1, n_unknowns))
-    mean_row[0, n_g + n_tasks :] = 1.0
-    blocks.append(mean_row)
-    rhs.append(np.zeros(1))
-    system = np.vstack(blocks)
-    target_vec = np.concatenate(rhs)
-    solution, *_ = np.linalg.lstsq(system, target_vec, rcond=None)
-    g = np.ones(n_actions)
-    for k, pos in g_slots.items():
-        g[k] = solution[pos]
-    if np.any(np.abs(g[nonzero]) <= 1e-12):
-        return None
-    tau_scaled = solution[n_g : n_g + n_tasks]
-    d_scaled = solution[n_g + n_tasks :]
-    # v(anchor) = 1 in scaled coordinates; translate back to raw units.
-    v = np.empty(n_actions)
-    v[nonzero] = (1.0 / g[nonzero]) * s_x
-    v[~nonzero] = 1.0
-    tau = tau_scaled / s_u
-    d = d_scaled.copy()
-    d -= d.mean()
-    return finish(v, tau, d)
+    cert, _ = _solve_weighted(problem, question, product, tol)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +632,47 @@ def _task_hypotheses(task: DecisionProblem) -> bool:
     return True
 
 
-def _borderline(residual: float, eps: float) -> bool:
-    return residual <= VIOLATION_FACTOR * eps
+def _refutation(
+    theorem: str,
+    residual: float,
+    eps: float,
+    kind: str,
+    actions: tuple[str, ...],
+    detail: str,
+    note: str,
+) -> Verdict:
+    """A negative verdict, or an inconclusive one when the residual is borderline."""
+    if residual <= VIOLATION_FACTOR * eps:
+        return Verdict(status="inconclusive", theorem=theorem, note=note)
+    return Verdict(
+        status="not_incentivizable",
+        theorem=theorem,
+        violation=Violation(kind=kind, actions=actions, residual=residual, detail=detail),
+    )
+
+
+def _pairwise_refutation(
+    theorem: str,
+    problem: DecisionProblem,
+    question: QuestionProfile,
+    graph: AdjacencyGraph,
+    tol: float,
+    eps: float,
+) -> Verdict | None:
+    """Refute through the worst misaligned adjacent pair, if any pair misaligns."""
+    worst: tuple[str, str, float] | None = None
+    for edge in graph.edges:
+        pair = pairwise_alignment(problem, question, edge.a, edge.b, tol=tol)
+        if not pair.aligned and (worst is None or pair.residual > worst[2]):
+            worst = (edge.a, edge.b, pair.residual)
+    if worst is None:
+        return None
+    a, b, residual = worst
+    return _refutation(
+        theorem, residual, eps, "pairwise-misalignment", (a, b),
+        "adjacent pair admits no alignment coefficients",
+        f"borderline misalignment on edge ({a}, {b})",
+    )
 
 
 def decide_incentivizable(
@@ -685,7 +709,6 @@ def decide_incentivizable(
         graph = adjacency_graph(problem)
     classification = classify_graph(graph, bundle.product)
 
-    piecewise = None
     if classification.connected:
         parts = splitting_collection(graph).parts
         if len(parts) > 1:
@@ -707,30 +730,11 @@ def decide_incentivizable(
         )
 
     if classification.tree:
-        worst: tuple[str, str, float] | None = None
-        for edge in graph.edges:
-            pair = pairwise_alignment(problem, question, edge.a, edge.b, tol=tol)
-            if not pair.aligned:
-                if worst is None or pair.residual > worst[2]:
-                    worst = (edge.a, edge.b, pair.residual)
-        if worst is not None:
-            a, b, residual = worst
-            if _borderline(residual, eps):
-                return Verdict(
-                    status="inconclusive",
-                    theorem="tree-characterization",
-                    note=f"borderline misalignment on edge ({a}, {b})",
-                )
-            return Verdict(
-                status="not_incentivizable",
-                theorem="tree-characterization",
-                violation=Violation(
-                    kind="pairwise-misalignment",
-                    actions=(a, b),
-                    residual=residual,
-                    detail="adjacent pair admits no alignment coefficients",
-                ),
-            )
+        refuted = _pairwise_refutation(
+            "tree-characterization", problem, question, graph, tol, eps
+        )
+        if refuted is not None:
+            return refuted
         return Verdict(
             status="inconclusive",
             theorem="tree-characterization",
@@ -741,21 +745,11 @@ def decide_incentivizable(
         )
 
     if classification.complete and _complete_hypotheses(problem):
-        if _borderline(global_residual, eps):
-            return Verdict(
-                status="inconclusive",
-                theorem="complete-graph-characterization",
-                note="global alignment fails only at borderline residual",
-            )
-        return Verdict(
-            status="not_incentivizable",
-            theorem="complete-graph-characterization",
-            violation=Violation(
-                kind="global-misalignment",
-                actions=problem.actions,
-                residual=global_residual,
-                detail="complete adjacency with independent payoffs forces alignment",
-            ),
+        return _refutation(
+            "complete-graph-characterization", global_residual, eps,
+            "global-misalignment", problem.actions,
+            "complete adjacency with independent payoffs forces alignment",
+            "global alignment fails only at borderline residual",
         )
 
     if bundle.product is not None and classification.product_consistent:
@@ -766,71 +760,34 @@ def decide_incentivizable(
                 for i in range(product.n_tasks)
             )
             if nontrivial >= 3:
-                weighted = weighted_alignment(problem, question, product, tol=tol)
+                weighted, residual = _solve_weighted(problem, question, product, tol)
                 if weighted is not None:
                     return Verdict(
                         status="incentivizable",
                         theorem="product-characterization",
                         certificate=weighted,
                     )
-                return Verdict(
-                    status="not_incentivizable",
-                    theorem="product-characterization",
-                    violation=Violation(
-                        kind="weighted-misalignment",
-                        actions=problem.actions,
-                        residual=float("nan"),
-                        detail=(
-                            "no task-weighted affine representation exists for "
-                            f"{nontrivial} nontrivially answered tasks"
-                        ),
-                    ),
+                return _refutation(
+                    "product-characterization", residual, eps,
+                    "weighted-misalignment", problem.actions,
+                    "no task-weighted affine representation exists for "
+                    f"{nontrivial} nontrivially answered tasks",
+                    "task-weighted alignment fails only at borderline residual",
                 )
 
     if 4 <= problem.n_actions <= 8:
         rich = cycle_rich(problem, problem.actions, graph=graph)
         if rich.rich:
-            if _borderline(global_residual, eps):
-                return Verdict(
-                    status="inconclusive",
-                    theorem="cycle-rich-necessity",
-                    note="cycle-rich action set but misalignment is borderline",
-                )
-            return Verdict(
-                status="not_incentivizable",
-                theorem="cycle-rich-necessity",
-                violation=Violation(
-                    kind="global-misalignment",
-                    actions=problem.actions,
-                    residual=global_residual,
-                    detail="cycle-rich action set forces alignment on it",
-                ),
+            return _refutation(
+                "cycle-rich-necessity", global_residual, eps,
+                "global-misalignment", problem.actions,
+                "cycle-rich action set forces alignment on it",
+                "cycle-rich action set but misalignment is borderline",
             )
 
-    worst = None
-    for edge in graph.edges:
-        pair = pairwise_alignment(problem, question, edge.a, edge.b, tol=tol)
-        if not pair.aligned:
-            if worst is None or pair.residual > worst[2]:
-                worst = (edge.a, edge.b, pair.residual)
-    if worst is not None:
-        a, b, residual = worst
-        if _borderline(residual, eps):
-            return Verdict(
-                status="inconclusive",
-                theorem="pairwise-necessity",
-                note=f"borderline misalignment on edge ({a}, {b})",
-            )
-        return Verdict(
-            status="not_incentivizable",
-            theorem="pairwise-necessity",
-            violation=Violation(
-                kind="pairwise-misalignment",
-                actions=(a, b),
-                residual=residual,
-                detail="adjacent pair admits no alignment coefficients",
-            ),
-        )
+    refuted = _pairwise_refutation("pairwise-necessity", problem, question, graph, tol, eps)
+    if refuted is not None:
+        return refuted
 
     return Verdict(
         status="inconclusive",

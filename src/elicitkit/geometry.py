@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._numerics import (
+    MIN_SLACK,
     FloatArray,
     max_slack_lp,
     orthonormal_complement,
@@ -26,10 +27,6 @@ from ._numerics import (
     scale_unit_max_abs,
 )
 from .model import DecisionProblem, ProductStructure
-
-#: Minimum optimality slack (utilities scaled to unit max-abs) for a
-#: pair of actions to count as adjacent.
-ADJACENCY_SLACK = 1e-7
 
 #: Default relative tolerance when collecting optimal actions.
 OPTIMAL_ACTIONS_RTOL = 1e-7
@@ -131,7 +128,7 @@ def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
     if raw is None:
         return AdjacencyResult(adjacent=False, slack=slack, witness=None)
     return AdjacencyResult(
-        adjacent=slack > ADJACENCY_SLACK, slack=slack, witness=Belief.from_array(raw)
+        adjacent=slack > MIN_SLACK, slack=slack, witness=Belief.from_array(raw)
     )
 
 
@@ -161,6 +158,14 @@ class AdjacencyGraph:
             adj[i].add(j)
             adj[j].add(i)
         return tuple(tuple(sorted(s)) for s in adj)
+
+    def induced(self, actions: Sequence[str]) -> "AdjacencyGraph":
+        """The subgraph on ``actions`` (in that order), keeping the original edges."""
+        keep = set(actions)
+        return AdjacencyGraph(
+            actions=tuple(actions),
+            edges=tuple(e for e in self.edges if e.a in keep and e.b in keep),
+        )
 
     def has_edge(self, a: str, b: str) -> bool:
         i, j = self.index[a], self.index[b]
@@ -492,20 +497,7 @@ def cycle_rich(
     if graph is None:
         graph = adjacency_graph(problem)
 
-    member_ids = {m: k for k, m in enumerate(members)}
-    sub_adj: list[list[int]] = [[] for _ in members]
-    for i, a in enumerate(members):
-        for b in graph.neighbors(a):
-            if b in member_ids:
-                sub_adj[i].append(member_ids[b])
-    sub_edges = []
-    for i in range(len(members)):
-        for j in sub_adj[i]:
-            if j > i:
-                sub_edges.append(
-                    AdjacencyEdge(a=members[i], b=members[j], slack=1.0, witness=Belief.from_array(np.ones(problem.n_states)))
-                )
-    induced = AdjacencyGraph(actions=members, edges=tuple(sub_edges))
+    induced = graph.induced(members)
 
     max_len = min(problem.n_states, len(members))
     cycle_set = enumerate_cycles(induced, max_len=max_len, cap=cap)

@@ -20,7 +20,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._numerics import FloatArray, as_float_matrix, max_slack_lp, scale_unit_max_abs
+from ._numerics import MIN_SLACK, FloatArray, as_float_matrix, max_slack_lp, scale_unit_max_abs
 
 BUNDLE_SCHEMA = "elicitkit-bundle-v1"
 
@@ -30,10 +30,6 @@ PRODUCT_EXPANSION_CAP = 4096
 
 #: Default relative tolerance for validation checks.
 VALIDATE_RTOL = 1e-9
-
-#: Minimum optimality slack (on utilities scaled to unit max-abs) for an
-#: action to count as rationalizable.
-RATIONALIZABLE_SLACK = 1e-7
 
 
 class ElicitkitError(Exception):
@@ -430,7 +426,7 @@ def validate_problem(problem: DecisionProblem, tol: float = VALIDATE_RTOL) -> Va
     weak: list[tuple[str, float]] = []
     for a in range(problem.n_actions):
         slack, _ = max_slack_lp(scaled, a)
-        if not slack > RATIONALIZABLE_SLACK:
+        if not slack > MIN_SLACK:
             weak.append((problem.actions[a], slack))
     return ValidationReport(
         redundant_pairs=tuple(redundant),

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import elicitkit as ek
+from elicitkit import alignment
+from elicitkit._numerics import project_rows, row_reduce_rank
 
 
 # ---------------------------------------------------------------------------
@@ -275,3 +279,315 @@ def test_verdict_serialization(within_bundle):
     assert sorted(data) == ["certificate", "note", "status", "theorem", "violation"]
     assert data["violation"]["kind"] == "pairwise-misalignment"
     assert data["certificate"] is None
+
+
+@pytest.mark.parametrize(
+    "n_tasks, z", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
+)
+def test_decide_product_refutation_reports_a_finite_residual(n_tasks, z):
+    problem, product = ek.make_mc_test(n_tasks, 2)
+    bundle = ek.ProblemBundle(
+        problem=problem,
+        question=ek.build_question("threshold", problem, product, z=float(z)),
+        product=product,
+    )
+    verdict = ek.decide_incentivizable(bundle)
+    assert verdict.status == "not_incentivizable"
+    assert verdict.theorem == "product-characterization"
+    assert math.isfinite(verdict.violation.residual)
+    eps = ek.ALIGN_RTOL * (1.0 + float(np.abs(bundle.question.values).max()))
+    assert verdict.violation.residual > alignment.VIOLATION_FACTOR * eps
+    assert '"weighted-misalignment"' in ek.canonical_dumps(verdict.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# The shared pinned solver against the two block systems it replaced
+
+
+def _reference_solve_alignment(problem, question, scope, tol):
+    idx = [problem.action_index[a] for a in scope]
+    x = question.values[idx]
+    u = problem.utility[idx]
+    n_states = problem.n_states
+    xbar = project_rows(x)
+    ubar = project_rows(u)
+    x_means = x.mean(axis=1)
+    u_means = u.mean(axis=1)
+    q_scale = 1.0 + float(np.max(np.abs(x)))
+    eps = tol * q_scale
+    row_norms = np.max(np.abs(xbar), axis=1)
+    nonzero = row_norms > eps
+
+    def check(cert):
+        rebuilt = ek.reconstruct_question(problem, cert)
+        residual = float(np.max(np.abs(rebuilt - x)))
+        if residual <= alignment.ARBITER_FACTOR * eps:
+            return (
+                ek.AlignmentCertificate(
+                    trivial=cert.trivial, scope=cert.scope, gamma=cert.gamma,
+                    kappa=cert.kappa, d=cert.d, residual=residual,
+                ),
+                residual,
+            )
+        return None, residual
+
+    if not nonzero.any():
+        return check(ek.AlignmentCertificate(
+            trivial=True, scope=scope, gamma=tuple(1.0 for _ in scope),
+            kappa=tuple(float(m) for m in x_means),
+            d=tuple(0.0 for _ in range(n_states)), residual=0.0,
+        ))
+    best_residual = float("inf")
+    if nonzero.all() and row_reduce_rank(xbar) <= 1:
+        anchor = int(np.argmax(row_norms))
+        d = xbar[anchor]
+        gammas = xbar @ d / float(d @ d)
+        accepted, residual = check(ek.AlignmentCertificate(
+            trivial=True, scope=scope, gamma=tuple(float(g) for g in gammas),
+            kappa=tuple(float(m) for m in x_means), d=tuple(float(v) for v in d),
+            residual=0.0,
+        ))
+        if accepted is not None:
+            return accepted, residual
+        best_residual = min(best_residual, residual)
+
+    s_x = float(np.max(row_norms))
+    s_u = max(float(np.max(np.abs(ubar))), 1e-30)
+    xs = xbar / s_x
+    us = ubar / s_u
+    nz_list = [k for k in range(len(scope)) if nonzero[k]]
+    anchors = sorted(nz_list, key=lambda k: -row_norms[k])
+    for anchor in anchors[:2]:
+        g_slots = {k: pos for pos, k in enumerate(k2 for k2 in nz_list if k2 != anchor)}
+        n_g = len(g_slots)
+        n_unknowns = n_g + 1 + n_states
+        rows, rhs = [], []
+        for k in range(len(scope)):
+            block = np.zeros((n_states, n_unknowns))
+            target = np.zeros(n_states)
+            if k == anchor:
+                target = -xs[k]
+            elif nonzero[k]:
+                block[:, g_slots[k]] = xs[k]
+            block[:, n_g] = -us[k]
+            block[:, n_g + 1 :] = -np.eye(n_states)
+            rows.append(block)
+            rhs.append(target)
+        mean_row = np.zeros((1, n_unknowns))
+        mean_row[0, n_g + 1 :] = 1.0
+        rows.append(mean_row)
+        rhs.append(np.zeros(1))
+        system = np.vstack(rows)
+        target_vec = np.concatenate([np.atleast_1d(r) for r in rhs])
+        solution, *_ = np.linalg.lstsq(system, target_vec, rcond=None)
+        h = float(solution[n_g])
+        if abs(h) <= 1e-12:
+            best_residual = min(
+                best_residual,
+                float(np.max(np.abs(system @ solution - target_vec))) * q_scale,
+            )
+            continue
+        g = np.ones(len(scope))
+        for k, pos in g_slots.items():
+            g[k] = solution[pos]
+        if np.any(np.abs(g[nonzero]) <= 1e-12):
+            continue
+        d_scaled = solution[n_g + 1 :] / h
+        gamma = np.empty(len(scope))
+        gamma[nonzero] = (h / g[nonzero]) * (s_x / s_u)
+        d = d_scaled * s_u
+        d = d - d.mean()
+        for k in range(len(scope)):
+            if not nonzero[k]:
+                gamma[k] = 1.0
+        kappa = x_means - gamma * u_means
+        accepted, residual = check(ek.AlignmentCertificate(
+            trivial=False, scope=scope, gamma=tuple(float(v) for v in gamma),
+            kappa=tuple(float(v) for v in kappa), d=tuple(float(v) for v in d),
+            residual=0.0,
+        ))
+        if accepted is not None:
+            return accepted, residual
+        best_residual = min(best_residual, residual)
+    if not np.isfinite(best_residual):
+        best_residual = float(np.max(np.abs(xbar)))
+    return None, best_residual
+
+
+def _reference_weighted_alignment(problem, question, product, tol=ek.ALIGN_RTOL):
+    x = question.values
+    xbar = project_rows(x)
+    x_means = x.mean(axis=1)
+    n_actions, n_states = x.shape
+    eps = tol * (1.0 + float(np.max(np.abs(x))))
+    row_norms = np.max(np.abs(xbar), axis=1)
+    nonzero = row_norms > eps
+    tables = product.task_utility_tables()
+    tables_bar = [project_rows(t) for t in tables]
+    n_tasks = product.n_tasks
+
+    def finish(v, tau, d):
+        base = sum(tau[i] * tables[i] for i in range(n_tasks))
+        kappa = x_means - v * (d.mean() + np.asarray([row.mean() for row in base]))
+        rebuilt = kappa[:, None] + v[:, None] * (d[None, :] + base)
+        residual = float(np.max(np.abs(rebuilt - x)))
+        if residual > alignment.ARBITER_FACTOR * eps:
+            return None
+        return ek.WeightedAlignmentCertificate(
+            actions=problem.actions, v=tuple(float(t) for t in v),
+            kappa=tuple(float(t) for t in kappa), tau=tuple(float(t) for t in tau),
+            d=tuple(float(t) for t in d), residual=residual,
+        )
+
+    if not nonzero.any():
+        return finish(np.ones(n_actions), np.zeros(n_tasks), np.zeros(n_states))
+    s_x = float(np.max(row_norms))
+    s_u = max(float(max(np.max(np.abs(t)) for t in tables_bar)), 1e-30)
+    xs = xbar / s_x
+    us = [t / s_u for t in tables_bar]
+    nz_list = [k for k in range(n_actions) if nonzero[k]]
+    anchor = max(nz_list, key=lambda k: row_norms[k])
+    g_slots = {k: pos for pos, k in enumerate(k2 for k2 in nz_list if k2 != anchor)}
+    n_g = len(g_slots)
+    n_unknowns = n_g + n_tasks + n_states
+    blocks, rhs = [], []
+    for k in range(n_actions):
+        block = np.zeros((n_states, n_unknowns))
+        target = np.zeros(n_states)
+        if k == anchor:
+            target = xs[k]
+        elif nonzero[k]:
+            block[:, g_slots[k]] = -xs[k]
+        for i in range(n_tasks):
+            block[:, n_g + i] = us[i][k]
+        block[:, n_g + n_tasks :] = np.eye(n_states)
+        blocks.append(block)
+        rhs.append(target)
+    mean_row = np.zeros((1, n_unknowns))
+    mean_row[0, n_g + n_tasks :] = 1.0
+    blocks.append(mean_row)
+    rhs.append(np.zeros(1))
+    solution, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(rhs), rcond=None)
+    g = np.ones(n_actions)
+    for k, pos in g_slots.items():
+        g[k] = solution[pos]
+    if np.any(np.abs(g[nonzero]) <= 1e-12):
+        return None
+    v = np.empty(n_actions)
+    v[nonzero] = (1.0 / g[nonzero]) * s_x
+    v[~nonzero] = 1.0
+    d = solution[n_g + n_tasks :].copy()
+    d -= d.mean()
+    return finish(v, solution[n_g : n_g + n_tasks] / s_u, d)
+
+
+def _shape_question(rng, x, u):
+    """Zero, duplicated or collinear rows planted in a question matrix."""
+    x = x.copy()
+    n_actions = x.shape[0]
+    kind = int(rng.integers(4))
+    k = int(rng.integers(n_actions))
+    if kind == 0:  # a zero (constant) row
+        x[k] = float(rng.integers(-2, 3))
+    elif kind == 1:  # a duplicated row
+        x[k] = x[int(rng.integers(n_actions))]
+    elif kind == 2:  # rank one: every row a multiple of one direction
+        x = rng.integers(-2, 3, size=(n_actions, 1)) * (u[k] - u[k].mean()) + rng.integers(
+            -2, 3, size=(n_actions, 1)
+        )
+    return x
+
+
+def _flat_cases(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_states, n_actions = int(rng.integers(2, 7)), int(rng.integers(2, 8))
+        u = rng.integers(-3, 4, size=(n_actions, n_states)).astype(float)
+        if rng.random() < 0.2:  # payoff-duplicate actions: rank-deficient utility rows
+            u[int(rng.integers(n_actions))] = u[0] + float(rng.integers(-1, 2))
+        gamma = rng.choice([-2.0, -0.5, 0.0, 1.0, 1.5, 3.0], size=(n_actions, 1))
+        d = rng.integers(-2, 3, size=n_states)
+        x = gamma * (u + d) + rng.integers(-2, 3, size=(n_actions, 1))
+        if rng.random() < 0.3:
+            x[int(rng.integers(n_actions))] += rng.integers(-1, 2, size=n_states)
+        if rng.random() < 0.2:
+            x = rng.integers(-3, 4, size=x.shape).astype(float)
+        problem = ek.DecisionProblem(
+            states=tuple(f"s{i}" for i in range(n_states)),
+            actions=tuple(f"a{i}" for i in range(n_actions)),
+            utility=u,
+        )
+        yield problem, ek.QuestionProfile(values=_shape_question(rng, x, u))
+
+
+def _product_cases(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        tasks = []
+        for _ in range(int(rng.integers(2, 4))):
+            n_states, n_actions = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            tasks.append(ek.DecisionProblem(
+                states=tuple(f"s{i}" for i in range(n_states)),
+                actions=tuple(f"a{i}" for i in range(n_actions)),
+                utility=rng.integers(-3, 4, size=(n_actions, n_states)).astype(float),
+            ))
+        problem, product = ek.expand_product(tasks)
+        tables = product.task_utility_tables()
+        tau = rng.integers(-2, 3, size=len(tasks))
+        v = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=(problem.n_actions, 1))
+        core = rng.integers(-2, 3, size=problem.n_states) + sum(
+            t * table for t, table in zip(tau, tables)
+        )
+        x = rng.integers(-2, 3, size=(problem.n_actions, 1)) + v * core
+        if rng.random() < 0.3:
+            x[int(rng.integers(problem.n_actions))] += rng.integers(-1, 2, size=problem.n_states)
+        if rng.random() < 0.5:
+            x = _shape_question(rng, x, problem.utility)
+        yield problem, product, ek.QuestionProfile(values=x)
+
+
+def test_global_alignment_matches_the_old_block_system_bitwise(monkeypatch):
+    calls = []
+    solver = alignment._pinned_alignment
+
+    def counted(*args):
+        calls.append(args[3])
+        return solver(*args)
+
+    monkeypatch.setattr(alignment, "_pinned_alignment", counted)
+    found = second_anchor = 0
+    for problem, question in _flat_cases(400, seed=61):
+        calls.clear()
+        got, got_residual = alignment._solve_alignment(
+            problem, question, problem.actions, ek.ALIGN_RTOL
+        )
+        want, want_residual = _reference_solve_alignment(
+            problem, question, problem.actions, ek.ALIGN_RTOL
+        )
+        assert (got is None) == (want is None)
+        if got is not None:
+            found += 1
+            assert ek.canonical_dumps(got.to_dict()) == ek.canonical_dumps(want.to_dict())
+        assert np.float64(got_residual).tobytes() == np.float64(want_residual).tobytes()
+        second_anchor += len(calls) == 2
+    # both outcomes, and the second anchor, are exercised
+    assert 100 < found < 400
+    assert second_anchor > 50
+
+
+def test_weighted_alignment_matches_the_old_block_system():
+    found = 0
+    for problem, product, question in _product_cases(200, seed=62):
+        got = ek.weighted_alignment(problem, question, product)
+        want = _reference_weighted_alignment(problem, question, product)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        found += 1
+        bound = 1e-12 * (1.0 + float(np.abs(question.values).max()))
+        for field in ("v", "kappa", "tau", "d"):
+            np.testing.assert_allclose(
+                getattr(got, field), getattr(want, field), rtol=0, atol=bound
+            )
+        assert abs(got.residual - want.residual) <= bound
+    assert 50 < found < 200

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -167,6 +168,24 @@ def test_check_markdown(bundle_path, capsys):
     assert code == 3
     assert stdout.startswith("# elicitkit check")
     assert "- verdict: not_incentivizable" in stdout
+
+
+def test_check_product_refutation_in_both_formats(tmp_path, capsys):
+    path = str(tmp_path / "mc-threshold.json")
+    code, _, _ = run(
+        capsys, "gen", "mc-test", "--i", "3", "--omega", "2",
+        "--question", "threshold", "--z", "2", "--out", path,
+    )
+    assert code == 0
+    code, stdout, _ = run(capsys, "check", path, "--format", "json")
+    assert code == 3
+    payload = json.loads(stdout)
+    assert payload["theorem"] == "product-characterization"
+    assert math.isfinite(payload["violation"]["residual"])
+    code, stdout, _ = run(capsys, "check", path, "--format", "md")
+    assert code == 3
+    assert "product-characterization" in stdout
+    assert "nan" not in stdout
 
 
 # ---------------------------------------------------------------------------

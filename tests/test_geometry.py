@@ -127,6 +127,27 @@ def test_graph_to_dict_shape(ql4):
     assert abs(sum(first["witness"]) - 1.0) < 1e-9
 
 
+def test_induced_subgraph_keeps_the_real_edges():
+    problem = ek.make_cycle_rich_safe()
+    graph = ek.adjacency_graph(problem)
+    members = ("safe", "theta1", "theta0", "theta3")
+    sub = graph.induced(members)
+    assert sub.actions == members
+    assert {frozenset((e.a, e.b)) for e in sub.edges} == {
+        frozenset(pair)
+        for pair in [
+            ("theta0", "theta3"), ("theta0", "safe"), ("theta1", "theta3"),
+            ("theta1", "safe"), ("theta3", "safe"),
+        ]
+    }
+    # the very edge objects of the full graph, witnesses and slacks included
+    assert all(any(e is f for f in graph.edges) for e in sub.edges)
+    for edge in sub.edges:
+        assert set(ek.optimal_actions(problem, edge.witness.probs)) == {edge.a, edge.b}
+    assert not sub.has_edge("theta0", "theta1")
+    assert sub.neighbors("safe") == ("theta1", "theta0", "theta3")
+
+
 # ---------------------------------------------------------------------------
 # Classification and splitting
 
