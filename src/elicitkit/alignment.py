@@ -19,6 +19,7 @@ pinned least-squares solver answers it for all three.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -692,6 +693,8 @@ def decide_incentivizable(
     """
     if bundle.question is None:
         raise ValueError("the bundle has no question to decide")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     problem = bundle.problem
     question = bundle.question
     q_scale = 1.0 + float(np.max(np.abs(question.values)))

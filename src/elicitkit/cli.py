@@ -3,8 +3,10 @@
 One binary, subcommand style.  Exit codes are a stable contract:
 0 success of purpose, 2 input error, 3 negative verdict or failed
 verification, 4 inconclusive, 5 nothing found.  Reports go to stdout,
-diagnostics to stderr.  ``--tol`` and ``--seed`` may also come from the
-environment (ELICITKIT_TOL, ELICITKIT_SEED); explicit flags win.
+diagnostics to stderr.  Each subcommand takes only the flags it reads.
+``--tol`` may also come from ELICITKIT_TOL (read by check, synthesize,
+verify and witness) and ``--seed`` from ELICITKIT_SEED (read only by
+verify and witness); explicit flags win.
 """
 
 from __future__ import annotations
@@ -12,16 +14,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .alignment import ALIGN_RTOL, Verdict, decide_incentivizable
 from .geometry import adjacency_graph, classify_graph, enumerate_cycles, splitting_collection
 from .model import (
     GENERATORS,
+    QUESTIONS,
+    Builder,
     ElicitkitError,
+    Param,
     ProblemBundle,
-    build_question,
     canonical_dumps,
     dumps_bundle,
     load_bundle,
@@ -39,46 +42,6 @@ EXIT_NEGATIVE = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_NOT_FOUND = 5
 
-_GENERATOR_PARAMS: dict[str, tuple[str, ...]] = {
-    "quadratic-loss": ("n",),
-    "star": ("theta", "s"),
-    "state-matching": ("r",),
-    "close-guess": ("r",),
-    "mc-test": ("i", "omega"),
-    "cycle-rich-safe": (),
-}
-
-_QUESTION_PARAM: dict[str, str] = {
-    "within-x": "x",
-    "threshold": "z",
-    "improvement": "split",
-}
-
-
-@dataclass(frozen=True)
-class _Config:
-    tol: float | None
-    grid: int
-    samples: int
-    seed: int
-    fmt: str
-    out: str | None
-
-    @property
-    def check_tol(self) -> float:
-        return self.tol if self.tol is not None else ALIGN_RTOL
-
-    def grid_spec(self) -> GridSpec:
-        if self.tol is None:
-            return GridSpec(denominator=self.grid, samples=self.samples, seed=self.seed)
-        return GridSpec(
-            denominator=self.grid,
-            samples=self.samples,
-            seed=self.seed,
-            tol_action=self.tol,
-            tol_report=10.0 * self.tol,
-        )
-
 
 def _env_value(name: str, cast: Callable[[str], Any]) -> Any | None:
     raw = os.environ.get(name)
@@ -90,17 +53,19 @@ def _env_value(name: str, cast: Callable[[str], Any]) -> Any | None:
         raise ElicitkitError(f"bad {name} value {raw!r}: {exc}") from exc
 
 
-def _config(args: argparse.Namespace) -> _Config:
+def _tol(args: argparse.Namespace, default: float | None = None) -> float | None:
     tol = args.tol if args.tol is not None else _env_value("ELICITKIT_TOL", float)
+    return default if tol is None else tol
+
+
+def _grid_spec(args: argparse.Namespace) -> GridSpec:
+    """The sweep settings from the flags; unset ones keep the ``GridSpec`` defaults."""
+    tol = _tol(args)
     seed = args.seed if args.seed is not None else _env_value("ELICITKIT_SEED", int)
-    return _Config(
-        tol=tol,
-        grid=args.grid if args.grid is not None else 10,
-        samples=args.samples if args.samples is not None else 500,
-        seed=seed if seed is not None else 0,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    settings = {"denominator": args.grid, "samples": args.samples, "seed": seed}
+    if tol is not None:
+        settings.update(tol_action=tol, tol_report=10.0 * tol)
+    return GridSpec(**{key: value for key, value in settings.items() if value is not None})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -128,30 +93,24 @@ def _md_lines(title: str, items: Sequence[tuple[str, Any]]) -> str:
 # Subcommands
 
 
+def _values(what: str, name: str, entry: Builder, args: argparse.Namespace) -> list[Any]:
+    """The entry's parameter values from the flags, in call order."""
+    values = [getattr(args, param.name) for param in entry.params]
+    for param, value in zip(entry.params, values):
+        if value is None:
+            raise ElicitkitError(f"{what} {name!r} requires --{param.name}")
+    return values
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     name = args.generator
     if name not in GENERATORS:
-        print(f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}", file=sys.stderr)
-        return EXIT_INPUT
-    values = []
-    for param in _GENERATOR_PARAMS[name]:
-        value = getattr(args, param)
-        if value is None:
-            print(f"generator {name!r} requires --{param}", file=sys.stderr)
-            return EXIT_INPUT
-        values.append(value)
-    problem, product = GENERATORS[name](*values)
+        raise ElicitkitError(f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}")
+    problem, product = GENERATORS[name](*_values("generator", name, GENERATORS[name], args))
     question = None
     if args.question is not None:
-        params: dict[str, Any] = {}
-        needed = _QUESTION_PARAM.get(args.question)
-        if needed is not None:
-            value = getattr(args, needed.replace("-", "_"))
-            if value is None:
-                print(f"question {args.question!r} requires --{needed}", file=sys.stderr)
-                return EXIT_INPUT
-            params[needed] = value
-        question = build_question(args.question, problem, product, **params)
+        entry = QUESTIONS[args.question]
+        question = entry(problem, product, *_values("question", args.question, entry, args))
     bundle = ProblemBundle(
         problem=problem, question=question, product=product, alpha=args.alpha
     )
@@ -184,7 +143,6 @@ def _md_classify(payload: dict[str, Any]) -> str:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     bundle = load_bundle(args.bundle)
     graph = adjacency_graph(bundle.problem)
     classification = classify_graph(graph, bundle.product)
@@ -203,10 +161,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "tree": classification.tree,
         "complete": classification.complete,
         "product_consistent": classification.product_consistent,
-        "edges": [
-            {"a": e.a, "b": e.b, "slack": e.slack, "witness": list(e.witness.probs)}
-            for e in graph.edges
-        ],
+        "edges": graph.to_dict()["edges"],
         "splitting": splitting,
         "cycles": {
             "count": len(cycles.cycles),
@@ -214,7 +169,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "max_len": max_len,
         },
     }
-    _emit(_render(payload, cfg.fmt, _md_classify), cfg.out)
+    _emit(_render(payload, args.fmt, _md_classify), args.out)
     return EXIT_OK
 
 
@@ -247,40 +202,36 @@ def _md_check(payload: dict[str, Any]) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    tol = _tol(args, ALIGN_RTOL)
     bundle = load_bundle(args.bundle)
     if bundle.question is None:
-        print("bundle has no question; nothing to check", file=sys.stderr)
-        return EXIT_INPUT
-    verdict = decide_incentivizable(bundle, tol=cfg.check_tol)
-    _emit(_render(verdict.to_dict(), cfg.fmt, _md_check), cfg.out)
+        raise ElicitkitError("bundle has no question; nothing to check")
+    verdict = decide_incentivizable(bundle, tol=tol)
+    _emit(_render(verdict.to_dict(), args.fmt, _md_check), args.out)
     return _verdict_exit(verdict)
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    tol = _tol(args, ALIGN_RTOL)
     bundle = load_bundle(args.bundle)
     if bundle.question is None:
-        print("bundle has no question; nothing to synthesize", file=sys.stderr)
-        return EXIT_INPUT
-    verdict = decide_incentivizable(bundle, tol=cfg.check_tol)
+        raise ElicitkitError("bundle has no question; nothing to synthesize")
+    verdict = decide_incentivizable(bundle, tol=tol)
     if verdict.status != "incentivizable":
-        _emit(_render(verdict.to_dict(), cfg.fmt, _md_check), None)
+        _emit(_render(verdict.to_dict(), args.fmt, _md_check), None)
         return _verdict_exit(verdict)
     method = synthesize(bundle, verdict)
-    if cfg.out is None:
-        _emit(dumps_method(method), None)
-    else:
-        _emit(dumps_method(method), cfg.out)
+    _emit(dumps_method(method), args.out)
+    if args.out is not None:
         summary = {
-            "written": cfg.out,
+            "written": args.out,
             "provenance": method.provenance,
             "theorem": verdict.theorem,
         }
         _emit(
             _render(
                 summary,
-                cfg.fmt,
+                args.fmt,
                 lambda p: _md_lines("synthesize", list(p.items())),
             ),
             None,
@@ -308,11 +259,11 @@ def _md_verify(payload: dict[str, Any]) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    spec = _grid_spec(args)
     bundle = load_bundle(args.bundle)
     method = load_method(args.mechanism)
-    report = verify_incentivizability(bundle, method, cfg.grid_spec())
-    _emit(_render(report.to_dict(), cfg.fmt, _md_verify), cfg.out)
+    report = verify_incentivizability(bundle, method, spec)
+    _emit(_render(report.to_dict(), args.fmt, _md_verify), args.out)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
@@ -333,12 +284,12 @@ def _md_witness(payload: dict[str, Any]) -> str:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    spec = _grid_spec(args)
     bundle = load_bundle(args.bundle)
     method = load_method(args.mechanism)
-    witness = find_distortion_witness(bundle, method, cfg.grid_spec())
+    witness = find_distortion_witness(bundle, method, spec)
     payload = {"witness": witness.to_dict() if witness is not None else None}
-    _emit(_render(payload, cfg.fmt, _md_witness), cfg.out)
+    _emit(_render(payload, args.fmt, _md_witness), args.out)
     return EXIT_OK if witness is not None else EXIT_NOT_FOUND
 
 
@@ -346,28 +297,50 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="action-set tolerance (env ELICITKIT_TOL); report tolerance is ten times this",
-    )
-    parser.add_argument("--grid", type=int, default=None, help="rational grid denominator")
-    parser.add_argument("--samples", type=int, default=None, help="Dirichlet sample count")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (env ELICITKIT_SEED)")
-    parser.add_argument("--format", dest="fmt", choices=("json", "md"), default="json")
-    parser.add_argument("--out", default=None, help="write the output here instead of stdout")
+#: The settings flags: ``--<name>`` -> ``add_argument`` options.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "tol": {
+        "type": float,
+        "help": "action-set tolerance (env ELICITKIT_TOL); report tolerance is ten times this",
+    },
+    "grid": {"type": int, "help": "rational grid denominator"},
+    "samples": {"type": int, "help": "Dirichlet sample count"},
+    "seed": {"type": int, "help": "RNG seed (env ELICITKIT_SEED)"},
+    "format": {"dest": "fmt", "choices": ("json", "md"), "default": "json"},
+    "out": {"help": "write the output here instead of stdout"},
+}
+
+_SWEEP = ("tol", "grid", "samples", "seed", "format", "out")
+
+#: The bundle subcommands: name -> (help, positionals, flags read, handler).
+_COMMANDS: dict[
+    str, tuple[str, tuple[str, ...], tuple[str, ...], Callable[[argparse.Namespace], int]]
+] = {
+    "classify": ("adjacency structure of a bundle", ("bundle",), ("format", "out"), _cmd_classify),
+    "check": ("incentivizability verdict", ("bundle",), ("tol", "format", "out"), _cmd_check),
+    "synthesize": ("build a mechanism", ("bundle",), ("tol", "format", "out"), _cmd_synthesize),
+    "verify": ("sweep beliefs against a mechanism", ("bundle", "mechanism"), _SWEEP, _cmd_verify),
+    "witness": ("search for a distortion witness", ("bundle", "mechanism"), _SWEEP, _cmd_witness),
+}
 
 
-def _parse_reward_list(raw: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad reward list {raw!r}: {exc}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("reward list is empty")
-    return values
+def _add_flags(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_FLAGS[name])
+
+
+def _add_registry_flags(parser: argparse.ArgumentParser, registry: dict[str, Builder]) -> None:
+    """One flag per registry parameter, its help naming every entry that takes it."""
+    owners: dict[str, list[str]] = {}
+    params: dict[str, Param] = {}
+    for name, entry in registry.items():
+        for param in entry.params:
+            params[param.name] = param
+            owners.setdefault(param.name, []).append(name)
+    for key, param in params.items():
+        parser.add_argument(
+            f"--{key}", type=param.parse, help=f"{param.help} ({', '.join(owners[key])})"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,62 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subparsers.add_parser("gen", help="write a canonical problem bundle")
     gen.add_argument("generator", help=", ".join(sorted(GENERATORS)))
-    gen.add_argument("--n", type=int, default=None, help="grid resolution (quadratic-loss)")
-    gen.add_argument("--theta", type=int, default=None, help="state count (star)")
-    gen.add_argument("--s", type=float, default=None, help="safe payoff (star)")
-    gen.add_argument(
-        "--r",
-        type=_parse_reward_list,
-        default=None,
-        help="comma-separated rewards (state-matching, close-guess)",
-    )
-    gen.add_argument("--i", type=int, default=None, help="task count (mc-test)")
-    gen.add_argument("--omega", type=int, default=None, help="answers per task (mc-test)")
-    gen.add_argument(
-        "--question",
-        default=None,
-        choices=(
-            "expected-payoff",
-            "regret",
-            "ex-post-optimality",
-            "within-x",
-            "threshold",
-            "improvement",
-        ),
-    )
-    gen.add_argument("--x", type=float, default=None, help="distance bound (within-x)")
-    gen.add_argument("--z", type=float, default=None, help="score threshold (threshold)")
-    gen.add_argument("--split", type=int, default=None, help="early-block size (improvement)")
+    _add_registry_flags(gen, GENERATORS)
+    gen.add_argument("--question", choices=tuple(QUESTIONS))
+    _add_registry_flags(gen, QUESTIONS)
     gen.add_argument("--alpha", type=float, default=0.5, help="decision-payoff mixing weight")
-    _add_config_flags(gen)
+    _add_flags(gen, ("out",))
     gen.set_defaults(func=_cmd_gen)
 
-    classify = subparsers.add_parser("classify", help="adjacency structure of a bundle")
-    classify.add_argument("bundle")
-    _add_config_flags(classify)
-    classify.set_defaults(func=_cmd_classify)
-
-    check = subparsers.add_parser("check", help="incentivizability verdict")
-    check.add_argument("bundle")
-    _add_config_flags(check)
-    check.set_defaults(func=_cmd_check)
-
-    synthesize_cmd = subparsers.add_parser("synthesize", help="build a mechanism")
-    synthesize_cmd.add_argument("bundle")
-    _add_config_flags(synthesize_cmd)
-    synthesize_cmd.set_defaults(func=_cmd_synthesize)
-
-    verify_cmd = subparsers.add_parser("verify", help="sweep beliefs against a mechanism")
-    verify_cmd.add_argument("bundle")
-    verify_cmd.add_argument("mechanism")
-    _add_config_flags(verify_cmd)
-    verify_cmd.set_defaults(func=_cmd_verify)
-
-    witness = subparsers.add_parser("witness", help="search for a distortion witness")
-    witness.add_argument("bundle")
-    witness.add_argument("mechanism")
-    _add_config_flags(witness)
-    witness.set_defaults(func=_cmd_witness)
+    for name, (help_text, positionals, flags, handler) in _COMMANDS.items():
+        command = subparsers.add_parser(name, help=help_text)
+        for positional in positionals:
+            command.add_argument(positional)
+        _add_flags(command, flags)
+        command.set_defaults(func=handler)
 
     return parser
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from argparse import ArgumentTypeError
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
@@ -367,7 +368,7 @@ def bundle_from_dict(data: Mapping[str, Any]) -> ProblemBundle:
             alpha=alpha,
             metadata=metadata,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleFormatError(f"malformed bundle: {exc}") from exc
 
 
@@ -378,7 +379,7 @@ def dumps_bundle(bundle: ProblemBundle) -> str:
 def loads_bundle(text: str) -> ProblemBundle:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise BundleFormatError(f"bundle is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise BundleFormatError("bundle must be a JSON object")
@@ -526,16 +527,6 @@ def make_cycle_rich_safe() -> DecisionProblem:
     return DecisionProblem(states=states, actions=actions, utility=utility)
 
 
-GENERATORS: dict[str, Callable[..., tuple[DecisionProblem, ProductStructure | None]]] = {
-    "quadratic-loss": lambda n: (make_quadratic_loss(n), None),
-    "star": lambda theta, s: (make_star(theta, s), None),
-    "state-matching": lambda r: (make_state_matching(r), None),
-    "close-guess": lambda r: (make_close_guess(r), None),
-    "mc-test": lambda i, omega: make_mc_test(i, omega),
-    "cycle-rich-safe": lambda: (make_cycle_rich_safe(), None),
-}
-
-
 # ---------------------------------------------------------------------------
 # Built-in question profiles
 
@@ -604,28 +595,88 @@ def question_improvement(
     return QuestionProfile(late - early)
 
 
+# ---------------------------------------------------------------------------
+# Registry: every named generator and question, with its parameters
+
+
+@dataclass(frozen=True)
+class Param:
+    """A named parameter: ``parse`` turns the flag's string into the parameter's value."""
+
+    name: str
+    parse: Callable[[str], Any]
+    help: str
+
+
+@dataclass(frozen=True)
+class Builder:
+    """A registry entry: ``build`` takes the parameter values in ``params`` order."""
+
+    build: Callable[..., Any]
+    params: tuple[Param, ...] = ()
+
+    def __call__(self, *values: Any) -> Any:
+        return self.build(*values)
+
+
+def _parse_reward_list(raw: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in raw.split(",") if part.strip())
+    except ValueError as exc:
+        raise ArgumentTypeError(f"bad reward list {raw!r}: {exc}") from exc
+    if not values:
+        raise ArgumentTypeError("reward list is empty")
+    return values
+
+
+_REWARDS = Param("r", _parse_reward_list, "comma-separated rewards")
+
+#: Named problem generators.  Each returns ``(problem, product-or-None)``.
+GENERATORS: dict[str, Builder] = {
+    "quadratic-loss": Builder(
+        lambda n: (make_quadratic_loss(n), None), (Param("n", int, "grid resolution"),)
+    ),
+    "star": Builder(
+        lambda theta, s: (make_star(theta, s), None),
+        (Param("theta", int, "state count"), Param("s", float, "safe payoff")),
+    ),
+    "state-matching": Builder(lambda r: (make_state_matching(r), None), (_REWARDS,)),
+    "close-guess": Builder(lambda r: (make_close_guess(r), None), (_REWARDS,)),
+    "mc-test": Builder(
+        make_mc_test, (Param("i", int, "task count"), Param("omega", int, "answers per task"))
+    ),
+    "cycle-rich-safe": Builder(lambda: (make_cycle_rich_safe(), None)),
+}
+
+#: Named questions.  Each takes ``(problem, product-or-None)`` and then its parameters.
+QUESTIONS: dict[str, Builder] = {
+    "expected-payoff": Builder(lambda problem, product: question_expected_payoff(problem)),
+    "regret": Builder(lambda problem, product: question_regret(problem)),
+    "ex-post-optimality": Builder(
+        lambda problem, product: question_ex_post_optimality(problem)
+    ),
+    "within-x": Builder(
+        lambda problem, product, x: question_within(problem, x),
+        (Param("x", float, "distance bound"),),
+    ),
+    "threshold": Builder(question_threshold, (Param("z", float, "score threshold"),)),
+    "improvement": Builder(question_improvement, (Param("split", int, "early-block size"),)),
+}
+
+
 def build_question(
     kind: str,
     problem: DecisionProblem,
     product: ProductStructure | None = None,
     **params: Any,
 ) -> QuestionProfile:
-    """Build one of the named question profiles.
+    """Build the question registered in :data:`QUESTIONS` under ``kind``.
 
-    Recognized kinds: ``expected-payoff``, ``regret``,
-    ``ex-post-optimality``, ``within-x`` (param ``x``), ``threshold``
-    (param ``z``), ``improvement`` (param ``split``).
+    ``params`` holds the entry's parameters by name; each value goes
+    through its parameter's parser (``float`` or ``int``), and a missing
+    one raises ``KeyError``.
     """
-    if kind == "expected-payoff":
-        return question_expected_payoff(problem)
-    if kind == "regret":
-        return question_regret(problem)
-    if kind == "ex-post-optimality":
-        return question_ex_post_optimality(problem)
-    if kind == "within-x":
-        return question_within(problem, float(params["x"]))
-    if kind == "threshold":
-        return question_threshold(problem, product, float(params["z"]))
-    if kind == "improvement":
-        return question_improvement(problem, product, int(params["split"]))
-    raise ValueError(f"unknown question kind: {kind!r}")
+    if kind not in QUESTIONS:
+        raise ValueError(f"unknown question kind: {kind!r}")
+    entry = QUESTIONS[kind]
+    return entry(problem, product, *(p.parse(params[p.name]) for p in entry.params))

@@ -619,7 +619,7 @@ def method_from_dict(data: Mapping[str, Any]) -> ElicitationMethod:
             alpha=float(data["alpha"]),
             stitch_discrepancy=float(data.get("stitch_discrepancy", 0.0)),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise MechanismFormatError(f"invalid mechanism payload: {exc}") from exc
 
 
@@ -630,7 +630,7 @@ def dumps_method(method: ElicitationMethod) -> str:
 def loads_method(text: str) -> ElicitationMethod:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MechanismFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, Mapping):
         raise MechanismFormatError("mechanism payload must be a JSON object")

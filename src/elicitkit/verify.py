@@ -81,8 +81,9 @@ class GridSpec:
             raise ValueError("denominator must be at least 1")
         if self.samples < 0 or self.boundary_per_edge < 0:
             raise ValueError("sample counts must be nonnegative")
-        if not (self.tol_action > 0.0 and self.tol_report > 0.0):
-            raise ValueError("tolerances must be positive")
+        for tol in (self.tol_action, self.tol_report):
+            if not (math.isfinite(tol) and tol > 0.0):
+                raise ValueError(f"tolerances must be finite and positive, got {tol}")
         if self.refine_rounds < 0 or self.max_denominator < 1:
             raise ValueError("refinement caps must be positive")
 

@@ -591,3 +591,9 @@ def test_weighted_alignment_matches_the_old_block_system():
             )
         assert abs(got.residual - want.residual) <= bound
     assert 50 < found < 200
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_decide_rejects_tolerances_that_are_not_finite_and_positive(within_bundle, tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        ek.decide_incentivizable(within_bundle, tol=tol)

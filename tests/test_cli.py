@@ -309,6 +309,96 @@ def test_out_of_range_product_coordinate(tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
+def assert_one_line_error(code: int, stdout: str, stderr: str, says: str = "") -> None:
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.strip().splitlines()) == 1
+    assert "Traceback" not in stderr
+    assert says in stderr
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_check_rejects_a_tolerance_that_is_not_finite_and_positive(bundle_path, capsys, tol):
+    assert_one_line_error(*run(capsys, "check", bundle_path, "--tol", tol), "finite and positive")
+
+
+def test_check_rejects_a_nan_tolerance_from_the_environment(bundle_path, capsys, monkeypatch):
+    monkeypatch.setenv("ELICITKIT_TOL", "nan")
+    assert_one_line_error(*run(capsys, "check", bundle_path), "finite and positive")
+
+
+def test_verify_rejects_an_infinite_tolerance(aligned_path, tmp_path, capsys):
+    mech = tmp_path / "mech.json"
+    assert run(capsys, "synthesize", aligned_path, "--out", str(mech))[0] == 0
+    code, stdout, stderr = run(capsys, "verify", aligned_path, str(mech), "--tol", "inf")
+    assert_one_line_error(code, stdout, stderr, "finite and positive")
+
+
+@pytest.fixture()
+def deep_path(tmp_path) -> str:
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    return str(path)
+
+
+def test_check_on_deeply_nested_json(deep_path, capsys):
+    assert_one_line_error(*run(capsys, "check", deep_path), "not valid JSON")
+
+
+def test_verify_on_a_deeply_nested_mechanism(aligned_path, deep_path, capsys):
+    assert_one_line_error(*run(capsys, "verify", aligned_path, deep_path), "not valid JSON")
+
+
+# ---------------------------------------------------------------------------
+# The parser: each subcommand takes only the flags it reads
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ["gen", "quadratic-loss", "--n", "4", flag, "1"]
+            for flag in ("--tol", "--grid", "--samples", "--seed")
+        ),
+        ["gen", "quadratic-loss", "--n", "4", "--format", "md"],
+        *(["classify", "b.json", flag, "1"] for flag in ("--tol", "--grid", "--samples", "--seed")),
+        *(["check", "b.json", flag, "6"] for flag in ("--grid", "--samples", "--seed")),
+        *(["synthesize", "b.json", flag, "6"] for flag in ("--grid", "--samples", "--seed")),
+    ],
+    ids=" ".join,
+)
+def test_a_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_check_does_not_read_the_seed(bundle_path, capsys, monkeypatch):
+    monkeypatch.setenv("ELICITKIT_SEED", "not-a-number")
+    code, stdout, _ = run(capsys, "check", bundle_path)
+    assert code == 3
+    assert json.loads(stdout)["status"] == "not_incentivizable"
+
+
+def test_gen_help_lists_every_registry_parameter_once(capsys):
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    names = {
+        param.name
+        for registry in (ek.GENERATORS, ek.QUESTIONS)
+        for entry in registry.values()
+        for param in entry.params
+    }
+    assert names == {"n", "theta", "s", "r", "i", "omega", "x", "z", "split"}
+    for name in names:
+        assert sum(line.lstrip().startswith(f"--{name} ") for line in lines) == 1, name
+    text = " ".join(" ".join(lines).split())
+    assert "grid resolution (quadratic-loss)" in text
+    assert "comma-separated rewards (state-matching, close-guess)" in text
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -345,3 +345,11 @@ def test_grid_spec_validation():
         ek.GridSpec(max_denominator=0)
     spec = ek.GridSpec()
     assert spec.to_dict()["denominator"] == 10
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_grid_spec_rejects_tolerances_that_are_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        ek.GridSpec(tol_action=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        ek.GridSpec(tol_report=tol)
