@@ -9,16 +9,53 @@ Those programs go straight to the HiGHS solver behind scipy's
 ``method="highs"`` LP interface, with the model, options and result
 checks that interface uses but without its per-call input parsing,
 option validation and result assembly.
+
+That solver is scipy's private binding ``scipy.optimize._highspy._core``
+(shipped since scipy 1.15), and it is loaded on its own.  Importing it
+the dotted way runs ``scipy/optimize/__init__.py``, which pulls in
+``scipy.sparse``, ``scipy.linalg`` and the rest of ``scipy.optimize``:
+about 0.3 s and 45 MB for every process, which is most of the start-up
+of one ``elicitkit`` command.  The binding is registered in
+``sys.modules`` under its dotted name, so a later ``import
+scipy.optimize`` reuses the same module object.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from types import ModuleType
+
 import numpy as np
 from numpy.typing import NDArray
 
-# scipy's private HiGHS bindings (scipy.optimize._highspy._core, shipped
-# since scipy 1.15); scipy's own "highs" LP method solves through them.
-from scipy.optimize._highspy import _core as _highs
+
+def _load_highs() -> ModuleType:
+    """Load ``scipy.optimize._highspy._core`` without running ``scipy.optimize``."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")  # locates scipy, runs none of it
+    dirs = scipy_spec.submodule_search_locations if scipy_spec is not None else None
+    found = importlib.machinery.PathFinder.find_spec(
+        "_core", [os.path.join(d, "optimize", "_highspy") for d in dirs or ()]
+    )
+    if found is None or found.origin is None:
+        raise ImportError(f"No module named {name!r}", name=name)
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_highs = _load_highs()
 
 FloatArray = NDArray[np.float64]
 

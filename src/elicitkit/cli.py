@@ -357,21 +357,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_registry_flags(gen, QUESTIONS)
     gen.add_argument("--alpha", type=float, default=0.5, help="decision-payoff mixing weight")
     _add_flags(gen, ("out",))
-    gen.set_defaults(func=_cmd_gen)
+    gen.set_defaults(func=_cmd_gen, subparser=gen)
 
     for name, (help_text, positionals, flags, handler) in _COMMANDS.items():
         command = subparsers.add_parser(name, help=help_text)
         for positional in positionals:
             command.add_argument(positional)
         _add_flags(command, flags)
-        command.set_defaults(func=handler)
+        command.set_defaults(func=handler, subparser=command)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse would report a flag the subcommand does not take with the
+    # top-level usage line; report it with the subcommand's own.
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return int(args.func(args))
     except FileNotFoundError as exc:

@@ -180,7 +180,9 @@ class ProductStructure:
 
     ``state_coords[g]`` gives, for global state index ``g``, the state
     index within each task; likewise ``action_coords``.  The first task
-    is the most significant coordinate in enumeration order.
+    is the most significant coordinate in enumeration order.  Indices
+    are plain ``int``s, and each table lists every combination of task
+    indices exactly once, in any order.
     """
 
     tasks: tuple[DecisionProblem, ...]
@@ -196,11 +198,17 @@ class ProductStructure:
                 if len(row) != len(self.tasks):
                     raise ValueError(f"{attr} coordinate arity mismatch")
                 for index, size in zip(row, sizes):
+                    if type(index) is not int:
+                        raise ValueError(f"{attr} coordinate {index!r} is not an integer")
                     if not 0 <= index < size:
                         raise ValueError(
                             f"{attr} coordinate {index} is out of range for a task "
                             f"with {size} {attr}s"
                         )
+            if len(coords) != math.prod(sizes) or len(set(coords)) != len(coords):
+                raise ValueError(
+                    f"{attr} coordinates do not list each combination of task {attr}s once"
+                )
 
     @property
     def n_tasks(self) -> int:
@@ -356,8 +364,8 @@ def bundle_from_dict(data: Mapping[str, Any]) -> ProblemBundle:
             raw = data["product"]
             product = ProductStructure(
                 tasks=tuple(_problem_from_dict(t) for t in raw["tasks"]),
-                state_coords=tuple(tuple(int(i) for i in c) for c in raw["state_coords"]),
-                action_coords=tuple(tuple(int(i) for i in c) for c in raw["action_coords"]),
+                state_coords=tuple(tuple(c) for c in raw["state_coords"]),
+                action_coords=tuple(tuple(c) for c in raw["action_coords"]),
             )
         metadata = dict(data.get("metadata", {}))
         alpha = float(data.get("alpha", 0.5))
@@ -376,10 +384,15 @@ def dumps_bundle(bundle: ProblemBundle) -> str:
     return canonical_dumps(bundle_to_dict(bundle))
 
 
+def _reject_json_constant(name: str) -> Any:
+    """``json.loads`` hook: ``NaN`` and ``Infinity`` are not JSON numbers."""
+    raise ValueError(f"{name} is not a finite number")
+
+
 def loads_bundle(text: str) -> ProblemBundle:
     try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        data = json.loads(text, parse_constant=_reject_json_constant)
+    except (ValueError, RecursionError) as exc:
         raise BundleFormatError(f"bundle is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise BundleFormatError("bundle must be a JSON object")

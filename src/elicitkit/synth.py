@@ -38,6 +38,7 @@ from .model import (
     ProblemBundle,
     ProductStructure,
     QuestionProfile,
+    _reject_json_constant,
     canonical_dumps,
 )
 
@@ -629,8 +630,8 @@ def dumps_method(method: ElicitationMethod) -> str:
 
 def loads_method(text: str) -> ElicitationMethod:
     try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        data = json.loads(text, parse_constant=_reject_json_constant)
+    except (ValueError, RecursionError) as exc:
         raise MechanismFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, Mapping):
         raise MechanismFormatError("mechanism payload must be a JSON object")

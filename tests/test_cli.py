@@ -309,6 +309,33 @@ def test_out_of_range_product_coordinate(tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize(
+    "coords, says",
+    [
+        ([[0, 0], [0, 0], [1, 0], [1, 1]], "each combination of task actions once"),
+        ([[0, 0], [0, 1.5], [1, 0], [1, 1]], "not an integer"),
+    ],
+    ids=["repeated", "non-integer"],
+)
+def test_malformed_product_coordinates(tmp_path, capsys, coords, says):
+    problem, product = ek.make_mc_test(2, 2)
+    bundle = ek.ProblemBundle(
+        problem=problem,
+        question=ek.build_question("threshold", problem, product, z=1),
+        product=product,
+    )
+    data = json.loads(ek.dumps_bundle(bundle))
+    data["product"]["action_coords"] = coords
+    # The utility is the sum of the task tables at these coordinates, so
+    # only the coordinates themselves are wrong.
+    data["utility"] = [
+        [float(a[0] == s[0]) + float(a[1] == s[1]) for s in product.state_coords] for a in coords
+    ]
+    path = tmp_path / "bad-coords.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert_one_line_error(*run(capsys, "check", str(path)), says)
+
+
 def assert_one_line_error(code: int, stdout: str, stderr: str, says: str = "") -> None:
     assert code == 2
     assert stdout == ""
@@ -372,6 +399,15 @@ def test_a_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
         main(argv)
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_a_flag_the_subcommand_does_not_read_is_reported_with_its_usage(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", "b.json", "--grid", "6"])
+    assert excinfo.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: elicitkit check ")
+    assert stderr.splitlines()[-1] == "elicitkit check: error: unrecognized arguments: --grid 6"
 
 
 def test_check_does_not_read_the_seed(bundle_path, capsys, monkeypatch):

@@ -327,6 +327,51 @@ def test_out_of_range_product_coordinates_are_a_format_error(table, index):
         ek.loads_bundle(json.dumps(data))
 
 
+def _mc_test_payload() -> dict:
+    problem, product = ek.make_mc_test(2, 2)
+    return json.loads(ek.dumps_bundle(ek.ProblemBundle(problem=problem, product=product)))
+
+
+def _with_action_coords(data: dict, coords: list[list[int]]) -> dict:
+    """``data`` with new action coordinates and the utility they add up to."""
+    tasks = [np.asarray(task["utility"], dtype=float) for task in data["product"]["tasks"]]
+    states = data["product"]["state_coords"]
+    data["product"]["action_coords"] = coords
+    data["utility"] = [
+        [float(sum(u[a[t], s[t]] for t, u in enumerate(tasks))) for s in states] for a in coords
+    ]
+    return data
+
+
+@pytest.mark.parametrize("table", ["state_coords", "action_coords"])
+@pytest.mark.parametrize("value", [1.5, 1.0, True])
+def test_product_coordinates_must_be_integers(table, value):
+    data = _mc_test_payload()
+    data["product"][table][1][1] = value
+    with pytest.raises(ek.BundleFormatError, match="not an integer"):
+        ek.loads_bundle(json.dumps(data))
+
+
+def test_product_coordinates_must_not_repeat():
+    data = _with_action_coords(_mc_test_payload(), [[0, 0], [0, 0], [1, 0], [1, 1]])
+    with pytest.raises(ek.BundleFormatError, match="each combination of task actions once"):
+        ek.loads_bundle(json.dumps(data))
+
+
+def test_product_coordinates_may_come_in_any_order():
+    data = _with_action_coords(_mc_test_payload(), [[1, 1], [0, 0], [1, 0], [0, 1]])
+    bundle = ek.loads_bundle(json.dumps(data))
+    assert bundle.product.action_coords == ((1, 1), (0, 0), (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_bundle_loader_rejects_non_finite_json_constants(constant):
+    problem = ek.make_state_matching([1.0, 2.0])
+    text = ek.dumps_bundle(ek.ProblemBundle(problem=problem, metadata={"a": 1}))
+    with pytest.raises(ek.BundleFormatError, match=f"{constant} is not a finite number"):
+        ek.loads_bundle(text.replace('"a":1', f'"a":{constant}'))
+
+
 def test_bundle_schema_is_enforced():
     problem = ek.make_state_matching([1.0, 2.0])
     data = ek.bundle_to_dict(ek.ProblemBundle(problem=problem))

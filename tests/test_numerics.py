@@ -9,9 +9,16 @@ The two must agree bit for bit: on the slack, on the belief, and on
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
+import elicitkit
 from elicitkit._numerics import max_slack_lp, scale_unit_max_abs
 
 
@@ -128,3 +135,39 @@ def test_tie_with_a_dominated_action_is_infeasible():
     utility = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.5]])
     assert not assert_matches_reference(utility, 0, 1)
     assert max_slack_lp(utility, 0, 1) == (float("-inf"), None)
+
+
+# ---------------------------------------------------------------------------
+# Cold start: the HiGHS binding is loaded without running scipy.optimize
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's elicitkit."""
+    src = str(Path(elicitkit.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_importing_elicitkit_loads_the_binding_but_not_scipy_optimize():
+    code = (
+        "import sys, elicitkit\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.optimize._highspy._core' in sys.modules)"
+    )
+    assert run_fresh(code) == "False True"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import elicitkit._numerics as n\nfrom scipy.optimize._highspy import _core",
+        "from scipy.optimize._highspy import _core\nimport elicitkit._numerics as n",
+    ],
+    ids=["elicitkit-first", "scipy-first"],
+)
+def test_the_binding_is_one_module_whichever_is_imported_first(code):
+    assert run_fresh(code + "\nprint(_core is n._highs)") == "True"

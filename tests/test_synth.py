@@ -257,6 +257,13 @@ def test_method_schema_is_enforced(aligned_method):
         ek.loads_method("not json at all")
 
 
+def test_method_loader_rejects_non_finite_json_constants(aligned_method):
+    data = json.loads(ek.dumps_method(aligned_method))
+    data["lottery"]["alpha"] = float("nan")
+    with pytest.raises(ek.MechanismFormatError, match="NaN is not a finite number"):
+        ek.loads_method(json.dumps(data))
+
+
 def test_save_and_load_method(tmp_path, aligned_method):
     path = tmp_path / "mechanism.json"
     ek.save_method(aligned_method, str(path))
