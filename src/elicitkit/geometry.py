@@ -6,6 +6,13 @@ resulting adjacency graph drives everything downstream: its shape picks
 the characterization theorem to apply, its biconnected blocks form the
 splitting collection for piecewise constructions, and its cycles feed
 the cycle-based necessity test.
+
+Building the graph takes one max-slack LP per action pair, except for
+pairs a cheap certificate proves non-adjacent: either no belief comes
+close to tying the two actions, or a single third action beats the
+first of them by a fixed margin near every tie.  Such a pair's LP could
+only have confirmed the non-edge, so the graph is the one the LPs alone
+would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -206,11 +213,79 @@ class AdjacencyGraph:
         }
 
 
+#: Half-width of the tie slab ``|(u_i - u_j) . p| <= SCREEN_TIE`` that the
+#: non-adjacency screen covers, in the unit max-abs gauge.  It is ten times
+#: HiGHS's 1e-7 feasibility tolerance, so every belief the LP could return
+#: as tying the pair lies inside the slab.
+SCREEN_TIE = 1e-6
+
+#: How far a competitor must beat the first action of a pair at every slab
+#: vertex before the pair's LP is skipped.  The LP optimum is then at most
+#: ``-SCREEN_MARGIN``, while an edge needs more than ``MIN_SLACK`` = 1e-7,
+#: so rounding in the LP or in the vertices cannot make the pair an edge.
+SCREEN_MARGIN = 1e-5
+
+
+def _screened_pairs(utility: FloatArray, i: int) -> np.ndarray:
+    """Which pairs ``(i, j)``, ``j > i``, are provably not adjacent.
+
+    ``utility`` is scaled to unit max-abs.  With ``d = u_i - u_j`` the tie
+    slab is ``{p in simplex : |d . p| <= SCREEN_TIE}``.  A pair is screened
+    when the slab is empty, or when one competitor ``c`` beats ``i`` by
+    ``SCREEN_MARGIN`` at every vertex of the slab, and so, by convexity,
+    on the whole slab and on the face the LP searches.  The vertices are
+    the simplex corners inside the slab and the points of simplex edges
+    where ``d . p = +-SCREEN_TIE``.  The competitor tried is the one best
+    at the centroid of those vertices; any choice is sound, because the
+    certificate is checked at every vertex.  Memory is O(n k^2).
+    """
+    n, k = utility.shape
+    gain = utility - utility[i]  # gain[c] . p: how far c beats i at p
+    d = -gain[i + 1 :]
+    corner = np.abs(d) <= SCREEN_TIE
+    # Edge points lam * e_s + (1 - lam) * e_t where d . p = h, one layer per
+    # side h of the slab: lam = (h - d_t) / (d_s - d_t), kept if in (0, 1).
+    # Both orders (s, t) and (t, s) give the same point, with lam and
+    # 1 - lam, so summing lam over t alone adds each point once.
+    h = np.array([SCREEN_TIE, -SCREEN_TIE]).reshape(2, 1, 1, 1)
+    ds, dt = d[:, :, None], d[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (h - dt) / (ds - dt)
+    outside = ~((lam > 0.0) & (lam < 1.0))
+    np.copyto(lam, 0.0, where=outside)
+    total = corner + lam.sum(axis=(0, 3))  # the vertex sum, a centroid up to scale
+    score = total @ gain.T
+    score[:, i] = -np.inf
+    score[np.arange(n - i - 1), np.arange(i + 1, n)] = -np.inf
+    best = gain[np.argmax(score, axis=1)]
+    # best . p at each edge point, best_t + lam * (best_s - best_t), in lam's place.
+    at_edges = lam
+    at_edges *= best[:, :, None] - best[:, None, :]
+    at_edges += best[:, None, :]
+    np.copyto(at_edges, np.inf, where=outside)
+    at_corners = np.where(corner, best, np.inf)
+    worst = np.minimum(at_corners.min(axis=1), at_edges.min(axis=(0, 2, 3)))
+    empty = (d.min(axis=1) > SCREEN_TIE) | (d.max(axis=1) < -SCREEN_TIE)
+    return empty | (np.isfinite(worst) & (worst >= SCREEN_MARGIN))
+
+
 def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
-    """Run the pairwise adjacency test over every action pair."""
+    """Run the pairwise adjacency test over every action pair.
+
+    Pairs that :func:`_screened_pairs` proves non-adjacent are skipped;
+    every other pair goes through :func:`adjacency_test` in ``(i, j)``
+    order.  A skipped pair's LP is infeasible or its optimum is at most
+    ``-SCREEN_MARGIN``, so it could never have been an edge, and the
+    edges, their order, slacks and witnesses are exactly those of testing
+    every pair.
+    """
+    scaled = scale_unit_max_abs(problem.utility)
     edges = []
     for i in range(problem.n_actions):
+        screened = _screened_pairs(scaled, i)
         for j in range(i + 1, problem.n_actions):
+            if screened[j - i - 1]:
+                continue
             result = adjacency_test(problem, problem.actions[i], problem.actions[j])
             if result.adjacent:
                 assert result.witness is not None

@@ -22,7 +22,14 @@ import numpy as np
 
 from ._numerics import FloatArray, nullspace
 from .alignment import ALIGN_RTOL, Verdict, decide_incentivizable
-from .geometry import Belief, _belief_array, adjacency_graph, adjacency_test, optimal_actions
+from .geometry import (
+    AdjacencyGraph,
+    Belief,
+    _belief_array,
+    adjacency_graph,
+    adjacency_test,
+    optimal_actions,
+)
 from .model import (
     DecisionProblem,
     ProblemBundle,
@@ -382,15 +389,23 @@ def _row_witness(
     )
 
 
-def _sweep_beliefs(problem: DecisionProblem, spec: GridSpec) -> FloatArray:
+def _sweeps_boundaries(problem: DecisionProblem, spec: GridSpec) -> bool:
+    """Whether a sweep adds indifference-face beliefs, and so needs the graph."""
+    return spec.boundary_per_edge > 0 and problem.n_actions <= BOUNDARY_MAX_ACTIONS
+
+
+def _sweep_beliefs(
+    problem: DecisionProblem, spec: GridSpec, graph: AdjacencyGraph | None
+) -> FloatArray:
     blocks: list[FloatArray] = []
     k = problem.n_states
     if k <= GRID_MAX_STATES:
         blocks.append(belief_grid(k, spec.denominator))
     if spec.samples > 0:
         blocks.append(dirichlet_sample(k, spec.samples, spec.seed))
-    if spec.boundary_per_edge > 0 and problem.n_actions <= BOUNDARY_MAX_ACTIONS:
-        graph = adjacency_graph(problem)
+    if _sweeps_boundaries(problem, spec):
+        if graph is None:
+            graph = adjacency_graph(problem)
         for index, edge in enumerate(graph.edges):
             blocks.append(
                 _face_beliefs(
@@ -411,6 +426,7 @@ def verify_incentivizability(
     bundle: ProblemBundle,
     method: ElicitationMethod,
     spec: GridSpec = GridSpec(),
+    graph: AdjacencyGraph | None = None,
 ) -> VerificationReport:
     """Sweep beliefs and require exact optimal-action agreement.
 
@@ -419,10 +435,12 @@ def verify_incentivizability(
     payment-optimal action's report must match the transform image of
     the truthful question expectation.  Beliefs whose action sets sit
     on the tolerance razor's edge are counted ambiguous, not failed.
+    ``graph`` is the problem's adjacency graph, if already built; it
+    places the indifference-face beliefs.
     """
     x = _require_bound(bundle, method)
     problem = bundle.problem
-    beliefs = _sweep_beliefs(problem, spec)
+    beliefs = _sweep_beliefs(problem, spec, graph)
     checked = beliefs.shape[0]
     passes = 0
     ambiguous = 0
@@ -654,10 +672,13 @@ def oracle_cross_check(
         )
     if bundle.question is None:
         raise ValueError("bundle has no question to cross-check")
-    verdict = decide_incentivizable(bundle, tol=tol)
+    # Every verdict but global alignment needs the graph, and so does the
+    # sweep of an incentivizable one: build it once for both.
+    graph = adjacency_graph(problem) if _sweeps_boundaries(problem, spec) else None
+    verdict = decide_incentivizable(bundle, tol=tol, graph=graph)
     if verdict.status == "incentivizable":
         method = synthesize(bundle, verdict)
-        report = verify_incentivizability(bundle, method, spec)
+        report = verify_incentivizability(bundle, method, spec, graph)
         detail = (
             f"synthesized {method.provenance}: {report.passes}/{report.checked} "
             f"beliefs pass, {report.boundary_ambiguous} ambiguous, "

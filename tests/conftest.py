@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import elicitkit as ek
+from elicitkit import geometry
 
 
 def build_chained_gauge_bundle() -> ek.ProblemBundle:
@@ -91,3 +92,17 @@ def aligned_method(ql4: ek.DecisionProblem) -> ek.ElicitationMethod:
         problem=ql4, question=ek.build_question("expected-payoff", ql4)
     )
     return decide_and_synthesize(bundle)
+
+
+@pytest.fixture
+def geometry_lps(monkeypatch: pytest.MonkeyPatch) -> list[tuple]:
+    """Record the ``(target, tie_with)`` of every LP the geometry layer solves."""
+    calls: list[tuple] = []
+    real_lp = geometry.max_slack_lp
+
+    def counting(utility, target, tie_with=None):
+        calls.append((target, tie_with))
+        return real_lp(utility, target, tie_with=tie_with)
+
+    monkeypatch.setattr(geometry, "max_slack_lp", counting)
+    return calls

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import elicitkit as ek
+from elicitkit import geometry
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +147,128 @@ def test_induced_subgraph_keeps_the_real_edges():
         assert set(ek.optimal_actions(problem, edge.witness.probs)) == {edge.a, edge.b}
     assert not sub.has_edge("theta0", "theta1")
     assert sub.neighbors("safe") == ("theta1", "theta0", "theta3")
+
+
+# ---------------------------------------------------------------------------
+# The non-adjacency screen
+
+
+def _every_pair(problem):
+    """Brute force: every pair through ``adjacency_test``, in ``(i, j)`` order."""
+    return {
+        (a, b): ek.adjacency_test(problem, a, b)
+        for i, a in enumerate(problem.actions)
+        for b in problem.actions[i + 1 :]
+    }
+
+
+def _screened_exactly(problem, monkeypatch):
+    """Check ``adjacency_graph`` against brute force; return the pairs it skipped.
+
+    The graph must carry the same edges in the same order with the same
+    slack and witness bits, the pairs it tests must come in ``(i, j)``
+    order, and every skipped pair must be infeasible or at least half the
+    screen margin short of a tie.
+    """
+    reference = _every_pair(problem)
+    tested = []
+    real_test = geometry.adjacency_test
+
+    def recording(problem_, a, b):
+        tested.append((a, b))
+        return real_test(problem_, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "adjacency_test", recording)
+        graph = geometry.adjacency_graph(problem)
+    assert [(e.a, e.b, e.slack.hex(), e.witness.probs.tobytes()) for e in graph.edges] == [
+        (a, b, r.slack.hex(), r.witness.probs.tobytes())
+        for (a, b), r in reference.items()
+        if r.adjacent
+    ]
+    assert tested == [pair for pair in reference if pair in tested]
+    skipped = [pair for pair in reference if pair not in tested]
+    for pair in skipped:
+        result = reference[pair]
+        assert result.witness is None or result.slack <= -geometry.SCREEN_MARGIN / 2, (
+            pair,
+            result.slack,
+        )
+    return skipped
+
+
+_NAMED_SCREEN_PROBLEMS = [
+    *[ek.make_quadratic_loss(n) for n in (*range(1, 17), 40)],
+    ek.make_star(5, 0.3),
+    ek.make_star(7, 0.7),
+    ek.make_state_matching([0.7, 1.0, 1.3, 1.6]),
+    ek.make_close_guess([0.7, 1.0, 1.3, 1.6, 1.2]),
+    ek.make_cycle_rich_safe(),
+    *[ek.make_mc_test(i, w)[0] for i, w in ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (3, 3))],
+]
+
+
+def test_adjacency_screen_is_exact_on_the_named_problems(monkeypatch):
+    for problem in _NAMED_SCREEN_PROBLEMS:
+        _screened_exactly(problem, monkeypatch)
+
+
+_SCREEN_KINDS = ("integer", "decimal", "duplicate", "offset", "dominated", "shift")
+
+
+def _random_screen_problem(rng, kind):
+    n_states = int(rng.integers(2, 9))
+    n_actions = int(rng.integers(2, 11))
+    shape = (n_actions, n_states)
+    if kind in ("integer", "shift"):
+        utility = rng.integers(-3, 4, size=shape).astype(np.float64)
+    else:
+        utility = np.round(rng.uniform(-1.0, 1.0, size=shape), 1)
+    row, other = rng.choice(n_actions, size=2, replace=False)
+    if kind == "duplicate":
+        utility[row] = utility[other]
+    elif kind == "offset":
+        utility[row] = utility[other] + 1e-9
+    elif kind == "dominated":
+        utility[row] = utility[other] - np.round(rng.uniform(0.0, 0.5, size=n_states), 1)
+    elif kind == "shift":
+        utility += 1e7
+    return ek.DecisionProblem(
+        states=tuple(f"s{i}" for i in range(n_states)),
+        actions=tuple(f"a{i}" for i in range(n_actions)),
+        utility=utility,
+    )
+
+
+def test_adjacency_screen_is_exact_on_random_problems(monkeypatch):
+    rng = np.random.default_rng(2024)
+    skipped = 0
+    for index in range(300):
+        kind = _SCREEN_KINDS[index % len(_SCREEN_KINDS)]
+        problem = _random_screen_problem(rng, kind)
+        pruned = _screened_exactly(problem, monkeypatch)
+        if kind == "shift":
+            # Scaled, the payoff gaps fall below the tie width: nothing to prove.
+            assert pruned == [], (index, pruned)
+        skipped += len(pruned)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize(
+    "problem, lps",
+    [
+        (ek.make_quadratic_loss(4), 4),
+        (ek.make_quadratic_loss(15), 15),
+        (ek.make_quadratic_loss(40), 40),
+        (ek.make_star(7, 0.7), 7),
+        # Cross-task pairs of a product are left to product-aware adjacency.
+        (ek.make_mc_test(3, 3)[0], 351),
+    ],
+    ids=["quadratic-loss-4", "quadratic-loss-15", "quadratic-loss-40", "star-7", "mc-test-3-3"],
+)
+def test_adjacency_graph_lp_counts(problem, lps, geometry_lps):
+    geometry.adjacency_graph(problem)
+    assert len(geometry_lps) == lps
 
 
 # ---------------------------------------------------------------------------

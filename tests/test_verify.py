@@ -334,6 +334,22 @@ def test_oracle_cross_check_consistency(within_bundle, mc32_bundle):
     assert record.verdict.status == "incentivizable"
 
 
+def test_oracle_cross_check_builds_one_graph(geometry_lps):
+    # decide_incentivizable and the boundary sweep share one graph: its
+    # 120 LPs are solved once, not twice, and the record does not change.
+    problem, product = ek.make_mc_test(4, 2)
+    question = ek.build_question("improvement", problem, product, split=2)
+    bundle = ek.ProblemBundle(problem=problem, question=question, product=product)
+    record = ek.oracle_cross_check(bundle)
+    assert len(geometry_lps) == 120
+    assert record.consistent
+    assert record.detail == (
+        "synthesized product-bdm: 596/596 beliefs pass, 0 ambiguous, 0 failures"
+    )
+    alone = ek.decide_incentivizable(bundle)
+    assert ek.canonical_dumps(record.verdict.to_dict()) == ek.canonical_dumps(alone.to_dict())
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         ek.GridSpec(denominator=0)
