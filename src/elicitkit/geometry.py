@@ -12,7 +12,8 @@ pairs a cheap certificate proves non-adjacent: either no belief comes
 close to tying the two actions, or a single third action beats the
 first of them by a fixed margin near every tie.  Such a pair's LP could
 only have confirmed the non-edge, so the graph is the one the LPs alone
-would give, bit for bit.
+would give, bit for bit.  The certificate's working set is bounded, and
+problems with too many states for it skip it.
 """
 
 from __future__ import annotations
@@ -215,8 +216,11 @@ class AdjacencyGraph:
 
 #: Half-width of the tie slab ``|(u_i - u_j) . p| <= SCREEN_TIE`` that the
 #: non-adjacency screen covers, in the unit max-abs gauge.  It is ten times
-#: HiGHS's 1e-7 feasibility tolerance, so every belief the LP could return
-#: as tying the pair lies inside the slab.
+#: HiGHS's 1e-7 primal feasibility tolerance, so every belief the LP returns
+#: as tying the pair lies inside the slab.  That rests on HiGHS meeting its
+#: own tolerance, not on ``max_slack_lp``'s result check, which accepts tie
+#: residuals up to about 3e-4; a tie point further out would be an LP answer
+#: outside its tolerance, and the tests check the slab against every pair's LP.
 SCREEN_TIE = 1e-6
 
 #: How far a competitor must beat the first action of a pair at every slab
@@ -224,6 +228,13 @@ SCREEN_TIE = 1e-6
 #: ``-SCREEN_MARGIN``, while an edge needs more than ``MIN_SLACK`` = 1e-7,
 #: so rounding in the LP or in the vertices cannot make the pair an edge.
 SCREEN_MARGIN = 1e-5
+
+#: Most slab edge points (two per pair of states, per pair screened) the
+#: screen holds at once: a few float64 arrays of this size, about 2 MB
+#: each.  Pairs are screened in chunks that fit; when one pair's ``2 k^2``
+#: points do not fit (more than 362 states), nothing is screened and every
+#: pair goes to its LP, as it would without the screen.
+SCREEN_MAX_POINTS = 1 << 18
 
 
 def _screened_pairs(utility: FloatArray, i: int) -> np.ndarray:
@@ -237,11 +248,25 @@ def _screened_pairs(utility: FloatArray, i: int) -> np.ndarray:
     the simplex corners inside the slab and the points of simplex edges
     where ``d . p = +-SCREEN_TIE``.  The competitor tried is the one best
     at the centroid of those vertices; any choice is sound, because the
-    certificate is checked at every vertex.  Memory is O(n k^2).
+    certificate is checked at every vertex.  Each chunk of pairs holds at
+    most ``SCREEN_MAX_POINTS`` edge points.
     """
     n, k = utility.shape
+    screened = np.zeros(n - i - 1, dtype=bool)
+    per_pair = 2 * k * k
+    if per_pair > SCREEN_MAX_POINTS:
+        return screened
     gain = utility - utility[i]  # gain[c] . p: how far c beats i at p
-    d = -gain[i + 1 :]
+    step = SCREEN_MAX_POINTS // per_pair
+    for start in range(i + 1, n, step):
+        stop = min(start + step, n)
+        screened[start - i - 1 : stop - i - 1] = _screen_chunk(gain, i, start, stop)
+    return screened
+
+
+def _screen_chunk(gain: FloatArray, i: int, start: int, stop: int) -> np.ndarray:
+    """:func:`_screened_pairs` for the pairs ``(i, j)``, ``start <= j < stop``."""
+    d = -gain[start:stop]
     corner = np.abs(d) <= SCREEN_TIE
     # Edge points lam * e_s + (1 - lam) * e_t where d . p = h, one layer per
     # side h of the slab: lam = (h - d_t) / (d_s - d_t), kept if in (0, 1).
@@ -256,7 +281,7 @@ def _screened_pairs(utility: FloatArray, i: int) -> np.ndarray:
     total = corner + lam.sum(axis=(0, 3))  # the vertex sum, a centroid up to scale
     score = total @ gain.T
     score[:, i] = -np.inf
-    score[np.arange(n - i - 1), np.arange(i + 1, n)] = -np.inf
+    score[np.arange(stop - start), np.arange(start, stop)] = -np.inf
     best = gain[np.argmax(score, axis=1)]
     # best . p at each edge point, best_t + lam * (best_s - best_t), in lam's place.
     at_edges = lam

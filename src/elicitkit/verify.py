@@ -69,9 +69,11 @@ class GridSpec:
     taken on each adjacency face.  ``tol_action`` separates optimal
     from suboptimal actions, ``tol_report`` bounds report mismatches,
     and beliefs whose action sets sit within a tenth of ``tol_action``
-    of the inclusion cutoff are reported as ambiguous rather than
-    judged.  ``refine_rounds`` and ``max_denominator`` cap the witness
-    search's multi-resolution refinement.
+    of the inclusion cutoff, or differ only by actions within
+    ``CONFIRM_FACTOR`` cutoffs of optimal on both sides, are reported
+    as ambiguous rather than judged.  ``refine_rounds`` and
+    ``max_denominator`` cap the witness search's multi-resolution
+    refinement.
     """
 
     denominator: int = 10
@@ -345,13 +347,23 @@ def _scan_chunk(
 
     sets_equal = (mask_u == mask_v).all(axis=1)
     bad_report = ((gaps > tol_report) & mask_v).any(axis=1)
+    # Values and utilities differ in scale, so one near tie can fall inside
+    # one cut and outside the other with neither near its cutoff.  Sets that
+    # differ only by actions within CONFIRM_FACTOR cuts of optimal on both
+    # sides are such a tie: the witness search confirms no gap that small.
+    near_both = np.where(
+        mask_u,
+        deficit_v <= CONFIRM_FACTOR * cut_v[:, None],
+        deficit_u <= CONFIRM_FACTOR * cut_u[:, None],
+    )
+    split_tie = ~sets_equal & ~bad_report & ((mask_u == mask_v) | near_both).all(axis=1)
     return _ChunkScan(
         mask_u=mask_u,
         mask_v=mask_v,
         values=values,
         best_v=best_v,
         report_gaps=gaps,
-        ambiguous=near_u | near_v,
+        ambiguous=near_u | near_v | split_tie,
         sets_equal=sets_equal,
         bad_report=bad_report,
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,9 +170,16 @@ def _screened_exactly(problem, monkeypatch):
     The graph must carry the same edges in the same order with the same
     slack and witness bits, the pairs it tests must come in ``(i, j)``
     order, and every skipped pair must be infeasible or at least half the
-    screen margin short of a tie.
+    screen margin short of a tie.  Every tie the LPs return must also lie
+    in the screen's tie slab, which the screen's soundness assumes.
     """
     reference = _every_pair(problem)
+    scaled = geometry.scale_unit_max_abs(problem.utility)
+    index = problem.action_index
+    for (a, b), result in reference.items():
+        if result.witness is not None:
+            tie = (scaled[index[a]] - scaled[index[b]]) @ result.witness.probs
+            assert abs(tie) <= geometry.SCREEN_TIE, (a, b, tie)
     tested = []
     real_test = geometry.adjacency_test
 
@@ -252,6 +261,41 @@ def test_adjacency_screen_is_exact_on_random_problems(monkeypatch):
             assert pruned == [], (index, pruned)
         skipped += len(pruned)
     assert skipped > 0
+
+
+def test_adjacency_screen_chunks_give_the_same_pairs(monkeypatch):
+    rng = np.random.default_rng(77)
+    for index in range(60):
+        problem = _random_screen_problem(rng, _SCREEN_KINDS[index % len(_SCREEN_KINDS)])
+        scaled = geometry.scale_unit_max_abs(problem.utility)
+        per_pair = 2 * problem.n_states**2
+        whole = [geometry._screened_pairs(scaled, i) for i in range(problem.n_actions)]
+        for pairs_per_chunk in (1, 2, 3):
+            monkeypatch.setattr(geometry, "SCREEN_MAX_POINTS", pairs_per_chunk * per_pair)
+            for i, expected in enumerate(whole):
+                np.testing.assert_array_equal(geometry._screened_pairs(scaled, i), expected)
+        monkeypatch.setattr(geometry, "SCREEN_MAX_POINTS", per_pair - 1)
+        assert not any(geometry._screened_pairs(scaled, i).any() for i in range(problem.n_actions))
+        monkeypatch.undo()
+
+
+def test_adjacency_screen_skips_problems_with_many_states(geometry_lps):
+    # One pair's slab edge points would take 2 * 3000**2 floats (144 MB).
+    n_states = 3000
+    utility = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, n_states))
+    problem = ek.DecisionProblem(
+        states=tuple(f"s{i}" for i in range(n_states)),
+        actions=("a0", "a1", "a2"),
+        utility=utility,
+    )
+    tracemalloc.start()
+    try:
+        geometry.adjacency_graph(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(geometry_lps) == 3
+    assert peak < 8 * n_states**2 / 100, peak
 
 
 @pytest.mark.parametrize(

@@ -350,6 +350,49 @@ def test_oracle_cross_check_builds_one_graph(geometry_lps):
     assert ek.canonical_dumps(record.verdict.to_dict()) == ek.canonical_dumps(alone.to_dict())
 
 
+def _split_tie_bundles() -> list[ek.ProblemBundle]:
+    matching = ek.make_state_matching([1.101, 1.681, 0.838, 1.571, 1.35])
+    random = ek.DecisionProblem(
+        states=("s0", "s1", "s2", "s3"),
+        actions=("a0", "a1", "a2", "a3", "a4"),
+        utility=np.array(
+            [
+                [0.264988, 0.615077, 0.237005, 0.727032],
+                [0.245719, 0.533149, 0.561222, 0.897472],
+                [0.493291, 0.163159, 0.313814, 0.296167],
+                [0.313279, 0.144596, 0.054486, 0.132003],
+                [0.083981, 0.024007, 0.791382, 0.868048],
+            ]
+        ),
+    )
+    return [
+        ek.ProblemBundle(
+            problem=matching, question=ek.build_question("regret", matching), alpha=0.725
+        ),
+        ek.ProblemBundle(
+            problem=random, question=ek.build_question("expected-payoff", random), alpha=0.474
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "bundle, checked", zip(_split_tie_bundles(), (1531, 801)), ids=["state-matching", "random"]
+)
+def test_a_near_tie_split_by_the_two_scales_is_ambiguous(bundle, checked):
+    # One sweep belief of each is a three-way (two-way) near tie whose last
+    # action falls inside the utility cut and just outside the value cut,
+    # with neither deficit within a tenth of its cut: a tie, not a failure.
+    method = ek.synthesize(bundle, ek.decide_incentivizable(bundle))
+    report = ek.verify_incentivizability(bundle, method)
+    assert (report.checked, report.passes, report.boundary_ambiguous) == (
+        checked,
+        checked - 1,
+        1,
+    )
+    assert report.failures == ()
+    assert ek.oracle_cross_check(bundle).consistent
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         ek.GridSpec(denominator=0)
