@@ -8,7 +8,10 @@ feasibility programs used by the adjacency and rationalizability tests.
 Those programs go straight to the HiGHS solver behind scipy's
 ``method="highs"`` LP interface, with the model, options and result
 checks that interface uses but without its per-call input parsing,
-option validation and result assembly.
+option validation and result assembly.  Each thread keeps one solver,
+given those options once when it is created; every program is handed
+to it as bare arrays, which replaces the previous model, so a solve
+costs HiGHS's own ``run()`` and little else.
 
 That solver is scipy's private binding ``scipy.optimize._highspy._core``
 (shipped since scipy 1.15), and it is loaded on its own.  Importing it
@@ -24,8 +27,10 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
+import threading
 from types import ModuleType
 
 import numpy as np
@@ -157,15 +162,33 @@ def _scipy_highs_options() -> _highs.HighsOptions:
 
 
 _HIGHS_OPTIONS = _scipy_highs_options()
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+
+#: One HiGHS solver per thread (see ``_solver``).
+_thread = threading.local()
 
 #: scipy's feasibility tolerance on a returned LP solution: ``sqrt(tol) * 10``
 #: with its default ``tol = 1e-9``.
 _RESULT_TOL = float(np.sqrt(1e-9) * 10)
 
 
+#: Upper bound on the slack variable ``s``.
+_SLACK_CAP = 2.0
+
 #: Minimum ``max_slack_lp`` slack, on utilities scaled to unit max-abs,
 #: for an action to count as rationalizable or a pair as adjacent.
 MIN_SLACK = 1e-7
+
+
+def _solver() -> _highs._Highs:
+    """This thread's HiGHS solver, created with ``_HIGHS_OPTIONS`` on first use."""
+    try:
+        return _thread.highs
+    except AttributeError:
+        highs = _thread.highs = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+        return highs
 
 
 def max_slack_lp(
@@ -187,20 +210,27 @@ def max_slack_lp(
 
     The model, options and feasibility check are those of scipy's
     ``method="highs"`` LP interface, so the result is bit-identical to
-    solving the same program through it.
+    solving the same program through it.  Each thread keeps one solver,
+    configured once; passing a model to it discards the previous model
+    together with its solution and basis, so every solve starts cold.
     """
     n_actions, n_states = utility.shape
     competitors = [c for c in range(n_actions) if c != target and c != tie_with]
     n_ub = len(competitors)
     n_rows = n_ub + (1 if tie_with is None else 2)
     # Variables: p (n_states) then s.  Rows: competitors (<= 0), then
-    # sum(p) == 1 and, with a tie, the indifference row (== 0).
-    matrix = np.zeros((n_rows, n_states + 1))
-    matrix[:n_ub, :n_states] = utility[competitors] - utility[target]
-    matrix[:n_ub, -1] = 1.0
-    matrix[n_ub, :n_states] = 1.0
+    # sum(p) == 1 and, with a tie, the indifference row (== 0).  Row j of
+    # ``by_column`` is column j of the constraint matrix, so its flat
+    # nonzero positions list the entries column by column, as csc_array
+    # keeps them.
+    by_column = np.zeros((n_states + 1, n_rows))
+    np.subtract(utility[competitors], utility[target], out=by_column[:n_states, :n_ub].T)
+    by_column[:n_states, n_ub] = 1.0
+    by_column[n_states, :n_ub] = 1.0
     if tie_with is not None:
-        matrix[n_ub + 1, :n_states] = utility[target] - utility[tie_with]
+        np.subtract(utility[target], utility[tie_with], out=by_column[:n_states, -1])
+    flat = np.flatnonzero(by_column)
+    start = np.searchsorted(flat, np.arange(0, (n_states + 2) * n_rows, n_rows)).astype(np.int32)
     row_upper = np.zeros(n_rows)
     row_upper[n_ub] = 1.0
     row_lower = row_upper.copy()
@@ -208,46 +238,34 @@ def max_slack_lp(
     col_lower = np.zeros(n_states + 1)
     col_lower[-1] = -np.inf
     col_upper = np.full(n_states + 1, np.inf)
-    col_upper[-1] = 2.0
+    col_upper[-1] = _SLACK_CAP
     cost = np.zeros(n_states + 1)
     cost[-1] = -1.0  # maximize s
 
-    # Column-wise sparse storage of the nonzero entries, as csc_array keeps them.
-    by_column = matrix.T
-    nonzero = by_column != 0.0
-    lp = _highs.HighsLp()
-    lp.num_col_ = n_states + 1
-    lp.num_row_ = n_rows
-    lp.a_matrix_.num_col_ = n_states + 1
-    lp.a_matrix_.num_row_ = n_rows
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.col_cost_ = cost
-    lp.col_lower_ = col_lower
-    lp.col_upper_ = col_upper
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
-    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
-    lp.a_matrix_.value_ = by_column[nonzero]
-
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = _solver()
     if (
-        highs.passModel(lp) == _highs.HighsStatus.kError
+        highs.passModel(
+            n_states + 1, n_rows, len(flat), _COLWISE, _MINIMIZE, 0.0,
+            cost, col_lower, col_upper, row_lower, row_upper,
+            start, (flat % n_rows).astype(np.int32), by_column.take(flat),
+            np.zeros(n_states + 1, dtype=np.int32),  # every column continuous
+        ) == _highs.HighsStatus.kError
         or highs.run() == _highs.HighsStatus.kError
         or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal
     ):
         return float("-inf"), None
     solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    row_slack = row_upper - np.array(solution.row_value)
+    x = solution.col_value
+    row_value = solution.row_value
     # scipy's check: NaN-free, within bounds, inequality slack >= -tol
-    # and equality residual <= tol (every comparison fails on NaN).
-    if np.isnan(highs.getInfo().objective_function_value) or not (
-        np.all(x >= col_lower - _RESULT_TOL)
-        and np.all(x <= col_upper + _RESULT_TOL)
-        and np.all(row_slack[:n_ub] >= -_RESULT_TOL)
-        and np.all(np.abs(row_slack[n_ub:]) <= _RESULT_TOL)
+    # and equality residual <= tol (every comparison fails on NaN).  With
+    # these bounds and right-hand sides it reduces to the lines below.
+    if math.isnan(highs.getObjectiveValue()) or not (
+        all(v >= -_RESULT_TOL for v in x[:n_states])
+        and x[-1] <= _SLACK_CAP + _RESULT_TOL
+        and all(v <= _RESULT_TOL for v in row_value[:n_ub])
+        and abs(1.0 - row_value[n_ub]) <= _RESULT_TOL
+        and (tie_with is None or abs(row_value[-1]) <= _RESULT_TOL)
     ):
         return float("-inf"), None
     belief = np.clip(x[:n_states], 0.0, None)

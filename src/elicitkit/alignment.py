@@ -757,7 +757,8 @@ def decide_incentivizable(
 
     if bundle.product is not None and classification.product_consistent:
         product = bundle.product
-        if product.n_tasks >= 3 and all(_task_hypotheses(t) for t in product.tasks):
+        # An mc-test repeats one task object: test each distinct task once.
+        if product.n_tasks >= 3 and all(map(_task_hypotheses, dict.fromkeys(product.tasks))):
             nontrivial = sum(
                 0 if trivial_dependence(question, product, i, tol=tol) else 1
                 for i in range(product.n_tasks)

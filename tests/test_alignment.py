@@ -223,6 +223,19 @@ def test_decide_product_routes(mc32_bundle):
     assert verdict.violation.kind == "weighted-misalignment"
 
 
+def test_repeated_task_object_is_tested_once(geometry_lps):
+    # mc-test uses one task object for all three tasks: 351 LPs for the
+    # global graph plus 3 for that task's graph, not 3 for each task
+    problem, product = ek.make_mc_test(3, 3)
+    assert len(set(map(id, product.tasks))) == 1
+    question = ek.build_question("improvement", problem, product, split=1)
+    bundle = ek.ProblemBundle(problem=problem, question=question, product=product)
+    verdict = ek.decide_incentivizable(bundle)
+    assert verdict.status == "incentivizable"
+    assert verdict.theorem == "product-characterization"
+    assert len(geometry_lps) == 354
+
+
 def test_decide_cycle_rich_necessity():
     problem = ek.make_cycle_rich_safe()
     values = problem.utility.copy()

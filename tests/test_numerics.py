@@ -5,6 +5,12 @@ below builds that program the documented way, through
 ``linprog(method="highs")``, and applies the same clip and normalize.
 The two must agree bit for bit: on the slack, on the belief, and on
 ``(-inf, None)`` for infeasible programs.
+
+``max_slack_lp`` also keeps one HiGHS solver per thread.  A second
+reference builds a fresh solver and a ``HighsLp`` for every program, as
+the function once did; the reused solver must give the same bits in any
+order of programs, after a solve that stopped early, and in two threads
+at once.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +26,7 @@ import pytest
 from scipy.optimize import linprog
 
 import elicitkit
+from elicitkit import _numerics
 from elicitkit._numerics import max_slack_lp, scale_unit_max_abs
 
 
@@ -135,6 +143,159 @@ def test_tie_with_a_dominated_action_is_infeasible():
     utility = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.5]])
     assert not assert_matches_reference(utility, 0, 1)
     assert max_slack_lp(utility, 0, 1) == (float("-inf"), None)
+
+
+# ---------------------------------------------------------------------------
+# One solver per thread: the same bits as a fresh solver for every program
+
+
+def fresh_solver_max_slack_lp(
+    utility: np.ndarray, target: int, tie_with: int | None = None
+) -> tuple[float, np.ndarray | None]:
+    """``max_slack_lp`` as it was with a new solver and ``HighsLp`` per program."""
+    highspy = _numerics._highs
+    n_actions, n_states = utility.shape
+    competitors = [c for c in range(n_actions) if c != target and c != tie_with]
+    n_ub = len(competitors)
+    n_rows = n_ub + (1 if tie_with is None else 2)
+    matrix = np.zeros((n_rows, n_states + 1))
+    matrix[:n_ub, :n_states] = utility[competitors] - utility[target]
+    matrix[:n_ub, -1] = 1.0
+    matrix[n_ub, :n_states] = 1.0
+    if tie_with is not None:
+        matrix[n_ub + 1, :n_states] = utility[target] - utility[tie_with]
+    row_upper = np.zeros(n_rows)
+    row_upper[n_ub] = 1.0
+    row_lower = row_upper.copy()
+    row_lower[:n_ub] = -np.inf
+    col_lower = np.zeros(n_states + 1)
+    col_lower[-1] = -np.inf
+    col_upper = np.full(n_states + 1, np.inf)
+    col_upper[-1] = 2.0
+    cost = np.zeros(n_states + 1)
+    cost[-1] = -1.0
+
+    by_column = matrix.T
+    nonzero = by_column != 0.0
+    lp = highspy.HighsLp()
+    lp.num_col_ = n_states + 1
+    lp.num_row_ = n_rows
+    lp.a_matrix_.num_col_ = n_states + 1
+    lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+    lp.col_cost_ = cost
+    lp.col_lower_ = col_lower
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+    lp.a_matrix_.value_ = by_column[nonzero]
+
+    highs = highspy._Highs()
+    highs.passOptions(_numerics._scipy_highs_options())
+    if (
+        highs.passModel(lp) == highspy.HighsStatus.kError
+        or highs.run() == highspy.HighsStatus.kError
+        or highs.getModelStatus() != highspy.HighsModelStatus.kOptimal
+    ):
+        return float("-inf"), None
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    row_slack = row_upper - np.array(solution.row_value)
+    tol = float(np.sqrt(1e-9) * 10)
+    if np.isnan(highs.getInfo().objective_function_value) or not (
+        np.all(x >= col_lower - tol)
+        and np.all(x <= col_upper + tol)
+        and np.all(row_slack[:n_ub] >= -tol)
+        and np.all(np.abs(row_slack[n_ub:]) <= tol)
+    ):
+        return float("-inf"), None
+    belief = np.clip(x[:n_states], 0.0, None)
+    total = float(belief.sum())
+    if total <= 0.0:
+        return float("-inf"), None
+    return float(x[-1]), belief / total
+
+
+def same_bits(got: tuple, want: tuple) -> bool:
+    (slack, belief), (want_slack, want_belief) = got, want
+    if np.float64(slack).tobytes() != np.float64(want_slack).tobytes():
+        return False
+    if belief is None or want_belief is None:
+        return belief is None and want_belief is None
+    return belief.dtype == want_belief.dtype and belief.tobytes() == want_belief.tobytes()
+
+
+def mixed_programs(seed: int) -> list[tuple[np.ndarray, int, int | None]]:
+    """Programs of many shapes in one shuffled order, infeasible ties included."""
+    rng = np.random.default_rng(seed)
+    utilities = [
+        np.array([[0.5, -1.0, 0.25, 1.0]]),  # one action
+        np.zeros((3, 4)),
+        np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.5]]),  # action 1 dominated
+    ]
+    for _ in range(12):
+        raw = rng.normal(size=(int(rng.integers(2, 8)), int(rng.integers(2, 7))))
+        duplicated = raw.copy()
+        duplicated[-1] = duplicated[0]
+        utilities += [raw, duplicated, np.round(raw, 1)]
+    programs = []
+    for utility in map(scale_unit_max_abs, utilities):
+        n_actions = utility.shape[0]
+        for target in range(n_actions):
+            programs.append((utility, target, None))
+            programs += [(utility, target, tie) for tie in range(n_actions) if tie != target]
+    order = rng.permutation(len(programs))
+    return [programs[i] for i in order]
+
+
+def test_reused_solver_matches_a_fresh_solver_for_every_program():
+    programs = mixed_programs(11)
+    stop_early = len(programs) // 2
+    feasible = []
+    for k, program in enumerate(programs):
+        if k == stop_early:
+            # End one solve at its iteration limit on the very solver
+            # max_slack_lp uses; the programs after it must not notice.
+            limited = _numerics._scipy_highs_options()
+            limited.simplex_iteration_limit = 0
+            solver = _numerics._solver()
+            solver.passOptions(limited)
+            try:
+                assert max_slack_lp(*program) == (float("-inf"), None)
+                assert solver.getModelStatus() == _numerics._highs.HighsModelStatus.kIterationLimit
+            finally:
+                solver.passOptions(_numerics._HIGHS_OPTIONS)
+        want = fresh_solver_max_slack_lp(*program)
+        assert same_bits(max_slack_lp(*program), want), (k, program)
+        feasible.append(want[1] is not None)
+    assert any(feasible) and not all(feasible)
+
+
+def test_two_threads_get_their_single_threaded_bits():
+    workloads = [mixed_programs(21), mixed_programs(22)]
+    alone = [[max_slack_lp(*p) for p in programs] for programs in workloads]
+    together: list[list[tuple] | None] = [None, None]
+    solvers: list[object] = [None, None]
+    barrier = threading.Barrier(2)
+
+    def solve(i: int) -> None:
+        solvers[i] = _numerics._solver()
+        barrier.wait()
+        together[i] = [max_slack_lp(*p) for p in workloads[i]]
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert solvers[0] is not solvers[1]
+    assert solvers[0] is not _numerics._solver()
+    for i in range(2):
+        assert together[i] is not None, f"thread {i} did not finish"
+        assert len(together[i]) == len(alone[i])
+        assert all(map(same_bits, together[i], alone[i])), f"thread {i}"
 
 
 # ---------------------------------------------------------------------------
