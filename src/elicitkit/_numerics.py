@@ -231,6 +231,7 @@ def max_slack_lp(
         np.subtract(utility[target], utility[tie_with], out=by_column[:n_states, -1])
     flat = np.flatnonzero(by_column)
     start = np.searchsorted(flat, np.arange(0, (n_states + 2) * n_rows, n_rows)).astype(np.int32)
+    index = (flat % n_rows).astype(np.int32)
     row_upper = np.zeros(n_rows)
     row_upper[n_ub] = 1.0
     row_lower = row_upper.copy()
@@ -247,7 +248,7 @@ def max_slack_lp(
         highs.passModel(
             n_states + 1, n_rows, len(flat), _COLWISE, _MINIMIZE, 0.0,
             cost, col_lower, col_upper, row_lower, row_upper,
-            start, (flat % n_rows).astype(np.int32), by_column.take(flat),
+            start, index, by_column.take(flat),
             np.zeros(n_states + 1, dtype=np.int32),  # every column continuous
         ) == _highs.HighsStatus.kError
         or highs.run() == _highs.HighsStatus.kError

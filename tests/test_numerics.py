@@ -286,10 +286,16 @@ def test_two_threads_get_their_single_threaded_bits():
         together[i] = [max_slack_lp(*p) for p in workloads[i]]
 
     threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two threads' Python steps often
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert solvers[0] is not solvers[1]
     assert solvers[0] is not _numerics._solver()
     for i in range(2):
