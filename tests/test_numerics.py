@@ -244,8 +244,7 @@ def mixed_programs(seed: int) -> list[tuple[np.ndarray, int, int | None]]:
     for utility in map(scale_unit_max_abs, utilities):
         n_actions = utility.shape[0]
         for target in range(n_actions):
-            programs.append((utility, target, None))
-            programs += [(utility, target, tie) for tie in range(n_actions) if tie != target]
+            programs += [(utility, target, tie) for tie in (None, *range(n_actions)) if tie != target]
     order = rng.permutation(len(programs))
     return [programs[i] for i in order]
 
@@ -282,10 +281,10 @@ def test_two_threads_get_their_single_threaded_bits():
 
     def solve(i: int) -> None:
         solvers[i] = _numerics._solver()
-        barrier.wait()
+        barrier.wait(timeout=60)
         together[i] = [max_slack_lp(*p) for p in workloads[i]]
 
-    threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+    threads = [threading.Thread(target=solve, args=(i,), daemon=True) for i in range(2)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the two threads' Python steps often
     try:
