@@ -9,7 +9,11 @@ a fixed order from seeded generators and results are aggregated in that
 order, so reports and witnesses are bit-reproducible regardless of how
 the evaluation is batched internally.  Grids and face-step candidates
 are built as whole arrays, and one chunked scan serves both the sweep
-and the witness search.
+and the witness search; only the sweep judges which beliefs are
+ambiguous.  Face beliefs draw their random directions in batches from
+the same seeded stream, one attempt after another as before, and one
+batched sign test discards the directions that leave the simplex at
+every step; those still count toward the same ``50·n`` attempt cap.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ import numpy as np
 from ._numerics import FloatArray, nullspace
 from .alignment import ALIGN_RTOL, Verdict, decide_incentivizable
 from .geometry import (
+    OPTIMAL_ACTIONS_RTOL,
     AdjacencyGraph,
     Belief,
     _belief_array,
     adjacency_graph,
     adjacency_test,
-    optimal_actions,
 )
 from .model import (
     DecisionProblem,
@@ -177,11 +181,20 @@ def boundary_beliefs(
 ) -> FloatArray:
     """Beliefs on the indifference face between two adjacent actions.
 
-    The adjacency witness comes first; further points perturb it inside
-    the face's tangent directions by the longest of the steps 1, 1/2,
-    ..., 2**-39 that stays in the simplex and keeps both actions weakly
-    optimal.  Non-adjacent pairs are rejected.
+    Returns ``n`` rows, ``(0, n_states)`` for ``n = 0``.  The adjacency
+    witness comes first; further points perturb it inside the face's
+    tangent directions by the longest of the steps 1, 1/2, ..., 2**-39
+    that stays in the simplex and keeps both actions weakly optimal.  At
+    most ``50·n`` random directions are tried, and rows left over repeat
+    the witness.  Directions are drawn in batches from one seeded
+    stream, in attempt order, so the stream and the cap are those of one
+    draw per attempt.  A direction surely negative (beyond the rounding
+    error of its product) at a coordinate where the witness is zero
+    leaves the simplex at every step: one batched sign test discards it,
+    and it still counts as an attempt.  Non-adjacent pairs are rejected.
     """
+    if n < 0:
+        raise ValueError(f"the number of beliefs must be nonnegative, got {n}")
     result = adjacency_test(problem, a, b)
     if not result.adjacent or result.witness is None:
         raise ValueError(f"actions {a!r} and {b!r} are not adjacent")
@@ -198,29 +211,46 @@ def _face_beliefs(
             [np.ones(problem.n_states), problem.utility_of(a) - problem.utility_of(b)]
         )
         directions = nullspace(rows)
+        dim = directions.shape[0]
+        # Without tangent directions every attempt repeats the witness.
+        cap = 50 * n if dim else 0
+        ia, ib = problem.action_index[a], problem.action_index[b]
+        # The batched and the per-row product of one row each lie within
+        # about dim·eps/2·Σ|c·d| of the exact dot product, so a batched
+        # entry below -2·dim·eps·Σ|c·d|, less ``tiny`` for underflow, is
+        # negative in the per-row product too.
+        at_zero = directions[:, witness <= 0.0]
+        finfo = np.finfo(np.float64)
+        batch = max(1, _CHUNK_ROWS // problem.n_states)
         rng = np.random.Generator(np.random.PCG64(seed))
         attempts = 0
-        while len(points) < n and attempts < 50 * n:
-            attempts += 1
-            if directions.shape[0] == 0:
-                points.append(witness)
-                continue
-            coeffs = rng.normal(size=directions.shape[0])
-            direction = coeffs @ directions
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                continue
-            direction /= norm
-            candidates = witness + _FACE_STEPS[:, None] * direction
-            for row in np.flatnonzero(candidates.min(axis=1) >= 0.0):
-                candidate = np.clip(candidates[row], 0.0, None)
-                candidate /= candidate.sum()
-                if {a, b} <= set(optimal_actions(problem, candidate)):
-                    points.append(candidate)
+        while len(points) < n and attempts < cap:
+            coeffs = rng.normal(size=(min(batch, cap - attempts), dim))
+            attempts += coeffs.shape[0]
+            bound = 2.0 * dim * finfo.eps * (np.abs(coeffs) @ np.abs(at_zero)) + finfo.tiny
+            leaves = (coeffs @ at_zero < -bound).any(axis=1)
+            for i in np.flatnonzero(~leaves):
+                if len(points) == n:
                     break
+                direction = coeffs[i] @ directions
+                norm = float(np.linalg.norm(direction))
+                if norm == 0.0:
+                    continue
+                direction /= norm
+                candidates = witness + _FACE_STEPS[:, None] * direction
+                for row in np.flatnonzero(candidates.min(axis=1) >= 0.0):
+                    candidate = np.clip(candidates[row], 0.0, None)
+                    candidate /= candidate.sum()
+                    # optimal_actions' band, read at the two actions only
+                    values = problem.utility @ candidate
+                    best = float(values.max())
+                    floor = best - OPTIMAL_ACTIONS_RTOL * (1.0 + abs(best))
+                    if values[ia] >= floor and values[ib] >= floor:
+                        points.append(candidate)
+                        break
         while len(points) < n:
             points.append(witness)
-    return np.asarray(points[:n], dtype=np.float64)
+    return np.asarray(points[:n], dtype=np.float64).reshape(-1, problem.n_states)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +343,12 @@ class _ChunkScan:
     values: FloatArray
     best_v: FloatArray
     report_gaps: FloatArray
-    ambiguous: np.ndarray
     sets_equal: np.ndarray
     bad_report: np.ndarray
+    deficit_u: FloatArray
+    cut_u: FloatArray
+    deficit_v: FloatArray
+    cut_v: FloatArray
 
 
 def _scan_chunk(
@@ -341,32 +374,44 @@ def _scan_chunk(
 
     expected = (chunk @ x.T) * method.slope[None, :] + method.intercept[None, :]
     gaps = np.abs(reports - expected)
-
-    near_u = (np.abs(deficit_u - cut_u[:, None]) <= cut_u[:, None] / 10.0).any(axis=1)
-    near_v = (np.abs(deficit_v - cut_v[:, None]) <= cut_v[:, None] / 10.0).any(axis=1)
-
-    sets_equal = (mask_u == mask_v).all(axis=1)
-    bad_report = ((gaps > tol_report) & mask_v).any(axis=1)
-    # Values and utilities differ in scale, so one near tie can fall inside
-    # one cut and outside the other with neither near its cutoff.  Sets that
-    # differ only by actions within CONFIRM_FACTOR cuts of optimal on both
-    # sides are such a tie: the witness search confirms no gap that small.
-    near_both = np.where(
-        mask_u,
-        deficit_v <= CONFIRM_FACTOR * cut_v[:, None],
-        deficit_u <= CONFIRM_FACTOR * cut_u[:, None],
-    )
-    split_tie = ~sets_equal & ~bad_report & ((mask_u == mask_v) | near_both).all(axis=1)
     return _ChunkScan(
         mask_u=mask_u,
         mask_v=mask_v,
         values=values,
         best_v=best_v,
         report_gaps=gaps,
-        ambiguous=near_u | near_v | split_tie,
-        sets_equal=sets_equal,
-        bad_report=bad_report,
+        sets_equal=(mask_u == mask_v).all(axis=1),
+        bad_report=((gaps > tol_report) & mask_v).any(axis=1),
+        deficit_u=deficit_u,
+        cut_u=cut_u,
+        deficit_v=deficit_v,
+        cut_v=cut_v,
     )
+
+
+def _ambiguous(scan: _ChunkScan) -> np.ndarray:
+    """Rows whose action sets sit on the tolerance razor's edge.
+
+    Only the sweep reads this.  A row is ambiguous when some deficit lies
+    within a tenth of its cut, on either scale, or when it is a split tie.
+    """
+    near_u = np.abs(scan.deficit_u - scan.cut_u[:, None]) <= scan.cut_u[:, None] / 10.0
+    near_v = np.abs(scan.deficit_v - scan.cut_v[:, None]) <= scan.cut_v[:, None] / 10.0
+    ambiguous = near_u.any(axis=1) | near_v.any(axis=1)
+    # Values and utilities differ in scale, so one near tie can fall inside
+    # one cut and outside the other with neither near its cutoff.  Sets that
+    # differ only by actions within CONFIRM_FACTOR cuts of optimal on both
+    # sides are such a tie: the witness search confirms no gap that small.
+    # Only rows whose sets differ with every report in range can be one.
+    rows = np.flatnonzero(~scan.sets_equal & ~scan.bad_report)
+    mask_u = scan.mask_u[rows]
+    near_both = np.where(
+        mask_u,
+        scan.deficit_v[rows] <= CONFIRM_FACTOR * scan.cut_v[rows, None],
+        scan.deficit_u[rows] <= CONFIRM_FACTOR * scan.cut_u[rows, None],
+    )
+    ambiguous[rows] |= ((mask_u == scan.mask_v[rows]) | near_both).all(axis=1)
+    return ambiguous
 
 
 def _scans(
@@ -458,9 +503,10 @@ def verify_incentivizability(
     ambiguous = 0
     failures: list[Witness] = []
     for chunk, scan in _scans(problem, x, method, beliefs, spec):
-        fail = (~scan.sets_equal | scan.bad_report) & ~scan.ambiguous
-        ambiguous += int(scan.ambiguous.sum())
-        passes += int((~fail & ~scan.ambiguous).sum())
+        razor = _ambiguous(scan)
+        fail = (~scan.sets_equal | scan.bad_report) & ~razor
+        ambiguous += int(razor.sum())
+        passes += int((~fail & ~razor).sum())
         for row in np.flatnonzero(fail):
             failures.append(_row_witness(problem, scan, chunk, int(row)))
     return VerificationReport(

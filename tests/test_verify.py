@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import elicitkit as ek
 from conftest import decide_and_synthesize, random_validated_problems
+from elicitkit import verify
 from elicitkit._numerics import nullspace
 from elicitkit.verify import _box_grid, _face_beliefs
 
@@ -54,6 +58,13 @@ def test_boundary_beliefs_sit_on_the_indifference_face(ql4):
         assert {"0", "0.25"} <= set(ek.optimal_actions(ql4, ek.Belief(p)))
     with pytest.raises(ValueError):
         ek.boundary_beliefs(ql4, "0", "1", 4, seed=0)
+
+
+def test_boundary_beliefs_count_is_checked(ql4):
+    none = ek.boundary_beliefs(ql4, "0", "0.25", 0, seed=0)
+    assert none.shape == (0, ql4.n_states) and none.dtype == np.float64
+    with pytest.raises(ValueError, match="nonnegative"):
+        ek.boundary_beliefs(ql4, "0", "0.25", -1, seed=0)
 
 
 def test_belief_grid_pins_the_large_pairwise_grid():
@@ -189,15 +200,62 @@ _FACE_PROBLEMS = [
 ]
 
 
+def test_face_problems_have_witnesses_on_and_off_the_simplex_boundary():
+    # The screen rejects directions only where the witness has a zero
+    # coordinate, so the bitwise test below needs both kinds of witness.
+    on_boundary = [
+        bool((edge.witness.probs <= 0.0).any())
+        for param in _FACE_PROBLEMS
+        for edge in ek.adjacency_graph(param.values[0]).edges
+    ]
+    assert any(on_boundary) and not all(on_boundary)
+
+
 @pytest.mark.parametrize("problem", _FACE_PROBLEMS)
 def test_face_beliefs_match_the_step_halving_loop_bitwise(problem):
     for index, edge in enumerate(ek.adjacency_graph(problem).edges):
-        for n in (1, 3, 6):
+        for n in (1, 2, 3, 6, 20):
             witness = edge.witness.probs
             _assert_same_bits(
                 _face_beliefs(problem, edge.a, edge.b, witness, n, 5 + index),
                 _reference_face_beliefs(problem, edge.a, edge.b, witness, n, 5 + index),
             )
+
+
+def _vertex_face_problem() -> ek.DecisionProblem:
+    # a and b tie only at the vertex s0, and the face's one tangent
+    # direction lowers s1 or s2 there: every attempt leaves the simplex.
+    return ek.DecisionProblem(
+        states=("s0", "s1", "s2"),
+        actions=("a", "b", "c"),
+        utility=np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, a, b",
+    [
+        pytest.param(_vertex_face_problem(), "a", "b", id="every-step-leaves"),
+        pytest.param(ek.make_state_matching([1.0, 2.0]), "1", "2", id="no-tangent-space"),
+    ],
+)
+def test_face_beliefs_repeat_the_witness_when_no_step_stays_on_the_face(problem, a, b):
+    witness = ek.adjacency_test(problem, a, b).witness.probs
+    got = _face_beliefs(problem, a, b, witness, 5, 3)
+    _assert_same_bits(got, _reference_face_beliefs(problem, a, b, witness, 5, 3))
+    _assert_same_bits(got, np.tile(witness, (5, 1)))
+
+
+def test_face_beliefs_match_the_reference_over_several_batches():
+    # About a quarter of the directions stay in the simplex at this witness,
+    # (1/2, 1/2, 0, 0), so 2000 points take more than one batch of draws.
+    problem = ek.make_star(4, 0.3)
+    witness = ek.adjacency_test(problem, "theta0", "theta1").witness.probs
+    got = _face_beliefs(problem, "theta0", "theta1", witness, 2000, 11)
+    assert got.shape == (2000, problem.n_states)
+    _assert_same_bits(
+        got, _reference_face_beliefs(problem, "theta0", "theta1", witness, 2000, 11)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +449,130 @@ def test_a_near_tie_split_by_the_two_scales_is_ambiguous(bundle, checked):
     )
     assert report.failures == ()
     assert ek.oracle_cross_check(bundle).consistent
+
+
+
+def _reference_scan_chunk(chunk, utility, x, method, tol_action, tol_report):
+    """The one-pass scan that judged ambiguity on every row of every scan."""
+    eu = chunk @ utility.T
+    best_u = eu.max(axis=1)
+    cut_u = tol_action * (1.0 + np.abs(best_u))
+    deficit_u = best_u[:, None] - eu
+    mask_u = deficit_u <= cut_u[:, None]
+
+    reports = chunk @ method.c1.T
+    values = chunk @ method.c0.T + 0.5 * reports * reports
+    best_v = values.max(axis=1)
+    cut_v = tol_action * (1.0 + np.abs(best_v))
+    deficit_v = best_v[:, None] - values
+    mask_v = deficit_v <= cut_v[:, None]
+
+    expected = (chunk @ x.T) * method.slope[None, :] + method.intercept[None, :]
+    gaps = np.abs(reports - expected)
+
+    near_u = (np.abs(deficit_u - cut_u[:, None]) <= cut_u[:, None] / 10.0).any(axis=1)
+    near_v = (np.abs(deficit_v - cut_v[:, None]) <= cut_v[:, None] / 10.0).any(axis=1)
+
+    sets_equal = (mask_u == mask_v).all(axis=1)
+    bad_report = ((gaps > tol_report) & mask_v).any(axis=1)
+    near_both = np.where(
+        mask_u,
+        deficit_v <= verify.CONFIRM_FACTOR * cut_v[:, None],
+        deficit_u <= verify.CONFIRM_FACTOR * cut_u[:, None],
+    )
+    split_tie = ~sets_equal & ~bad_report & ((mask_u == mask_v) | near_both).all(axis=1)
+    return SimpleNamespace(
+        mask_u=mask_u,
+        mask_v=mask_v,
+        values=values,
+        best_v=best_v,
+        report_gaps=gaps,
+        ambiguous=near_u | near_v | split_tie,
+        sets_equal=sets_equal,
+        bad_report=bad_report,
+    )
+
+
+def _scan_split_bundles() -> list[ek.ProblemBundle]:
+    ql4 = ek.make_quadratic_loss(4)
+    named = [
+        (ql4, ek.build_question("within-x", ql4, x=0.25)),
+        (ql4, ek.build_question("expected-payoff", ql4)),
+    ]
+    for problem, kind in (
+        (ek.make_star(4, 0.3), "regret"),
+        (ek.make_state_matching([1.0, 1.5, 0.8]), "ex-post-optimality"),
+        (ek.make_close_guess([1.0, 2.0, 3.0, 4.0]), "ex-post-optimality"),
+        (ek.make_cycle_rich_safe(), "expected-payoff"),
+    ):
+        named.append((problem, ek.build_question(kind, problem)))
+    # Registered questions, and a question drawn at random for every fourth.
+    rng = np.random.default_rng(23)
+    kinds = ("expected-payoff", "regret", "ex-post-optimality")
+    random = [
+        (
+            problem,
+            ek.build_question(kinds[i % 4], problem)
+            if i % 4 < 3
+            else ek.QuestionProfile(values=rng.uniform(0.0, 1.0, size=problem.utility.shape)),
+        )
+        for i, problem in enumerate(
+            random_validated_problems(30, seed=23, max_states=5, max_actions=6)
+        )
+    ]
+    return _split_tie_bundles() + [
+        ek.ProblemBundle(problem=problem, question=question)
+        for problem, question in named + random
+    ]
+
+
+#: The default tolerances, and coarse ones under which many deficits sit
+#: within a tenth of their cut on either scale.
+_SCAN_SPECS = (
+    ek.GridSpec(),
+    ek.GridSpec(denominator=6, samples=100, tol_action=0.05, tol_report=0.05),
+)
+
+
+def _sweep_and_search(bundle: ek.ProblemBundle) -> list[str]:
+    verdict = ek.decide_incentivizable(bundle)
+    naive = ek.make_naive_bdm(bundle.problem, bundle.question, bundle.alpha)
+    # the naive control's reports, moved off the transform for the first action
+    shifted = np.zeros(bundle.problem.n_actions)
+    shifted[0] = 0.1
+    methods = [
+        naive,
+        replace(naive, intercept=naive.intercept + shifted),
+        ek.make_quadratic_control(bundle.problem, bundle.question, bundle.alpha),
+    ]
+    if verdict.status == "incentivizable":
+        methods.append(ek.synthesize(bundle, verdict))
+    out = []
+    for method in methods:
+        for spec in _SCAN_SPECS:
+            report = ek.verify_incentivizability(bundle, method, spec)
+            witness = ek.find_distortion_witness(bundle, method, spec)
+            out.append(ek.canonical_dumps(report.to_dict()))
+            out.append(ek.canonical_dumps(None if witness is None else witness.to_dict()))
+    return out
+
+
+def test_scans_match_the_one_pass_reference_bitwise(monkeypatch):
+    # The sweep judges ambiguity itself, and near_both only on rows whose sets
+    # differ with no bad report; reports and witnesses keep every byte.
+    bundles = _scan_split_bundles()
+    got = [_sweep_and_search(bundle) for bundle in bundles]
+    monkeypatch.setattr(verify, "_scan_chunk", _reference_scan_chunk)
+    monkeypatch.setattr(verify, "_ambiguous", lambda scan: scan.ambiguous)
+    want = [_sweep_and_search(bundle) for bundle in bundles]
+    assert got == want
+    # the sweeps include failures, bad reports, passes and ambiguous beliefs
+    reports = [json.loads(text) for texts in got for text in texts[::2]]
+    failures = [w for r in reports for w in r["failures"]]
+    assert sum(r["boundary_ambiguous"] > 0 for r in reports) >= 2
+    assert any(r["passed"] for r in reports)
+    assert any(w["report_gap"] > 0.05 for w in failures)
+    assert any(w["u_optimal"] != w["v_optimal"] for w in failures)
 
 
 def test_grid_spec_validation():
