@@ -451,7 +451,6 @@ def test_a_near_tie_split_by_the_two_scales_is_ambiguous(bundle, checked):
     assert ek.oracle_cross_check(bundle).consistent
 
 
-
 def _reference_scan_chunk(chunk, utility, x, method, tol_action, tol_report):
     """The one-pass scan that judged ambiguity on every row of every scan."""
     eu = chunk @ utility.T
