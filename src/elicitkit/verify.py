@@ -8,16 +8,22 @@ Everything is deterministic for fixed inputs: beliefs are generated in
 a fixed order from seeded generators and results are aggregated in that
 order, so reports and witnesses are bit-reproducible regardless of how
 the evaluation is batched internally.  Grids and face-step candidates
-are built as whole arrays, and one chunked scan serves both the sweep
-and the witness search; only the sweep judges which beliefs are
-ambiguous.  Face beliefs draw their random directions in batches from
-the same seeded stream, one attempt after another as before, and one
-batched sign test discards the directions that leave the simplex at
-every step; those still count toward the same ``50·n`` attempt cap.
+are built as whole arrays, and grids of at most 2 MB are kept between
+calls.  One chunked scan serves both the sweep and the witness search;
+only the sweep judges which beliefs are ambiguous.  A scan takes about
+a thousand beliefs at a time, small enough to stay in cache and for the
+witness search to stop after the first chunk that holds a witness, and
+lays each result out one action per row, so that every reduction over
+actions runs along the first axis.  Face beliefs draw their random
+directions in batches from the same seeded stream, one attempt after
+another as before, and one batched sign test discards the directions
+that leave the simplex at every step; those still count toward the same
+``50·n`` attempt cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
@@ -54,7 +60,15 @@ BOUNDARY_MAX_ACTIONS = 64
 #: Oracle guard: the behavioral cross-check refuses larger problems.
 ORACLE_CELL_CAP = 4096
 
-_CHUNK_ROWS = 16384
+#: Beliefs per scan chunk: small enough for a chunk's products and masks
+#: to stay in cache, and for the witness search, whose first confirmed
+#: witness usually lies among the first few hundred beliefs, to read one.
+_CHUNK_ROWS = 1024
+
+#: ``belief_grid`` keeps grids of at most this many bytes, the last
+#: ``GRID_MAX_STATES`` of them used: one denominator's grid for every
+#: state count it enumerates.  The 8-state grid at m = 10 takes 1.2 MB.
+_GRID_MEMO_BYTES = 2 << 20
 
 #: Face-perturbation step lengths, longest first: 1, 1/2, ..., 2**-39.
 _FACE_STEPS = np.ldexp(1.0, -np.arange(40))
@@ -75,9 +89,10 @@ class GridSpec:
     and beliefs whose action sets sit within a tenth of ``tol_action``
     of the inclusion cutoff, or differ only by actions within
     ``CONFIRM_FACTOR`` cutoffs of optimal on both sides, are reported
-    as ambiguous rather than judged.  ``refine_rounds`` and
-    ``max_denominator`` cap the witness search's multi-resolution
-    refinement.
+    as ambiguous rather than judged.  ``refine_rounds`` caps the witness
+    search's multi-resolution refinement, and ``max_denominator`` caps
+    the doubling of its grid denominator, which never drops below
+    ``denominator``.
     """
 
     denominator: int = 10
@@ -152,7 +167,9 @@ def belief_grid(k: int, m: int, cap: int = GRID_CAP) -> FloatArray:
     The count is C(m + k - 1, k - 1); grids beyond ``cap`` raise
     ``TooLargeError`` with a pointer at ``dirichlet_sample``.  The
     integer counts are enumerated as one array, without per-row Python
-    work, and divided by ``float(m)``.
+    work, and divided by ``float(m)``.  The returned array is read-only:
+    grids of at most 2 MB are built once and shared between calls, larger
+    ones are built on every call and not kept.
     """
     if k < 2:
         raise ValueError("a belief needs at least two states")
@@ -164,7 +181,18 @@ def belief_grid(k: int, m: int, cap: int = GRID_CAP) -> FloatArray:
             f"grid would hold {count} beliefs, above the cap of {cap}; "
             "too large to enumerate, use dirichlet_sample instead"
         )
-    return _compositions(m, np.zeros(k, dtype=np.int64), np.full(k, m)) / float(m)
+    if count * k * 8 <= _GRID_MEMO_BYTES:
+        return _kept_grid(k, m)
+    return _read_only_grid(k, m)
+
+
+def _read_only_grid(k: int, m: int) -> FloatArray:
+    grid = _compositions(m, np.zeros(k, dtype=np.int64), np.full(k, m)) / float(m)
+    grid.setflags(write=False)
+    return grid
+
+
+_kept_grid = functools.lru_cache(maxsize=GRID_MAX_STATES)(_read_only_grid)
 
 
 def dirichlet_sample(k: int, n: int, seed: int) -> FloatArray:
@@ -338,6 +366,17 @@ def _require_bound(bundle: ProblemBundle, method: ElicitationMethod) -> FloatArr
 
 @dataclass(frozen=True)
 class _ChunkScan:
+    """One chunk's scan, per action and belief, or per belief.
+
+    Per-action fields hold one action per row and one belief per column,
+    so that reductions over the few actions run along axis 0, over
+    contiguous rows; along axis 1 of the row-major products they cost
+    many times more.  The products themselves stay row-major,
+    ``chunk @ M.T``, and are transposed after, which keeps every bit of
+    the row-major scan.  Chunks are about a thousand beliefs: the arrays
+    stay in cache, and the witness search reads no more than it needs.
+    """
+
     mask_u: np.ndarray
     mask_v: np.ndarray
     values: FloatArray
@@ -351,6 +390,11 @@ class _ChunkScan:
     cut_v: FloatArray
 
 
+def _by_action(product: FloatArray) -> FloatArray:
+    """A row-major ``(beliefs, actions)`` product as a contiguous transpose."""
+    return np.ascontiguousarray(product.T)
+
+
 def _scan_chunk(
     chunk: FloatArray,
     utility: FloatArray,
@@ -359,20 +403,20 @@ def _scan_chunk(
     tol_action: float,
     tol_report: float,
 ) -> _ChunkScan:
-    eu = chunk @ utility.T
-    best_u = eu.max(axis=1)
+    eu = _by_action(chunk @ utility.T)
+    best_u = eu.max(axis=0)
     cut_u = tol_action * (1.0 + np.abs(best_u))
-    deficit_u = best_u[:, None] - eu
-    mask_u = deficit_u <= cut_u[:, None]
+    deficit_u = best_u - eu
+    mask_u = deficit_u <= cut_u
 
-    reports = chunk @ method.c1.T
-    values = chunk @ method.c0.T + 0.5 * reports * reports
-    best_v = values.max(axis=1)
+    reports = _by_action(chunk @ method.c1.T)
+    values = _by_action(chunk @ method.c0.T) + 0.5 * reports * reports
+    best_v = values.max(axis=0)
     cut_v = tol_action * (1.0 + np.abs(best_v))
-    deficit_v = best_v[:, None] - values
-    mask_v = deficit_v <= cut_v[:, None]
+    deficit_v = best_v - values
+    mask_v = deficit_v <= cut_v
 
-    expected = (chunk @ x.T) * method.slope[None, :] + method.intercept[None, :]
+    expected = _by_action(chunk @ x.T) * method.slope[:, None] + method.intercept[:, None]
     gaps = np.abs(reports - expected)
     return _ChunkScan(
         mask_u=mask_u,
@@ -380,8 +424,8 @@ def _scan_chunk(
         values=values,
         best_v=best_v,
         report_gaps=gaps,
-        sets_equal=(mask_u == mask_v).all(axis=1),
-        bad_report=((gaps > tol_report) & mask_v).any(axis=1),
+        sets_equal=(mask_u == mask_v).all(axis=0),
+        bad_report=((gaps > tol_report) & mask_v).any(axis=0),
         deficit_u=deficit_u,
         cut_u=cut_u,
         deficit_v=deficit_v,
@@ -395,22 +439,22 @@ def _ambiguous(scan: _ChunkScan) -> np.ndarray:
     Only the sweep reads this.  A row is ambiguous when some deficit lies
     within a tenth of its cut, on either scale, or when it is a split tie.
     """
-    near_u = np.abs(scan.deficit_u - scan.cut_u[:, None]) <= scan.cut_u[:, None] / 10.0
-    near_v = np.abs(scan.deficit_v - scan.cut_v[:, None]) <= scan.cut_v[:, None] / 10.0
-    ambiguous = near_u.any(axis=1) | near_v.any(axis=1)
+    near_u = np.abs(scan.deficit_u - scan.cut_u) <= scan.cut_u / 10.0
+    near_v = np.abs(scan.deficit_v - scan.cut_v) <= scan.cut_v / 10.0
+    ambiguous = near_u.any(axis=0) | near_v.any(axis=0)
     # Values and utilities differ in scale, so one near tie can fall inside
     # one cut and outside the other with neither near its cutoff.  Sets that
     # differ only by actions within CONFIRM_FACTOR cuts of optimal on both
     # sides are such a tie: the witness search confirms no gap that small.
     # Only rows whose sets differ with every report in range can be one.
     rows = np.flatnonzero(~scan.sets_equal & ~scan.bad_report)
-    mask_u = scan.mask_u[rows]
+    mask_u = scan.mask_u[:, rows]
     near_both = np.where(
         mask_u,
-        scan.deficit_v[rows] <= CONFIRM_FACTOR * scan.cut_v[rows, None],
-        scan.deficit_u[rows] <= CONFIRM_FACTOR * scan.cut_u[rows, None],
+        scan.deficit_v[:, rows] <= CONFIRM_FACTOR * scan.cut_v[rows],
+        scan.deficit_u[:, rows] <= CONFIRM_FACTOR * scan.cut_u[rows],
     )
-    ambiguous[rows] |= ((mask_u == scan.mask_v[rows]) | near_both).all(axis=1)
+    ambiguous[rows] |= ((mask_u == scan.mask_v[:, rows]) | near_both).all(axis=0)
     return ambiguous
 
 
@@ -421,28 +465,37 @@ def _scans(
     beliefs: FloatArray,
     spec: GridSpec,
 ) -> Iterator[tuple[FloatArray, _ChunkScan]]:
-    """Scan ``beliefs`` in order, one chunk of ``_CHUNK_ROWS`` at a time."""
-    for start in range(0, beliefs.shape[0], _CHUNK_ROWS):
-        chunk = beliefs[start : start + _CHUNK_ROWS]
+    """Scan ``beliefs`` in order, about ``_CHUNK_ROWS`` at a time.
+
+    A one-row product takes BLAS's matrix-vector path, whose last bits
+    can differ from those of the same row in a larger product, so a last
+    lone row joins the chunk before it: each row's scan has the bits of
+    one scan of the whole array, unless that array is a single row.
+    """
+    total = beliefs.shape[0]
+    start = 0
+    while start < total:
+        stop = start + _CHUNK_ROWS
+        if stop + 1 == total:
+            stop = total
+        chunk = beliefs[start:stop]
         yield chunk, _scan_chunk(
             chunk, problem.utility, x, method, spec.tol_action, spec.tol_report
         )
+        start = stop
 
 
 def _row_witness(
     problem: DecisionProblem, scan: _ChunkScan, chunk: FloatArray, row: int
 ) -> Witness:
     labels = problem.actions
-    u_opt = tuple(labels[j] for j in np.flatnonzero(scan.mask_u[row]))
-    v_opt = tuple(labels[j] for j in np.flatnonzero(scan.mask_v[row]))
-    report_gap = float(scan.report_gaps[row][scan.mask_v[row]].max())
-    value_gap = float(scan.best_v[row] - scan.values[row][scan.mask_u[row]].min())
+    mask_u, mask_v = scan.mask_u[:, row], scan.mask_v[:, row]
     return Witness(
         belief=tuple(float(v) for v in chunk[row]),
-        u_optimal=u_opt,
-        v_optimal=v_opt,
-        report_gap=report_gap,
-        value_gap=value_gap,
+        u_optimal=tuple(labels[j] for j in np.flatnonzero(mask_u)),
+        v_optimal=tuple(labels[j] for j in np.flatnonzero(mask_v)),
+        report_gap=float(scan.report_gaps[mask_v, row].max()),
+        value_gap=float(scan.best_v[row] - scan.values[mask_u, row].min()),
     )
 
 
@@ -527,10 +580,10 @@ def _confirmed(
     scan: _ChunkScan, row: int, tol_action: float, tol_report: float
 ) -> bool:
     if not scan.sets_equal[row]:
-        gap = scan.best_v[row] - scan.values[row][scan.mask_u[row]].min()
+        gap = scan.best_v[row] - scan.values[scan.mask_u[:, row], row].min()
         if gap > CONFIRM_FACTOR * tol_action * (1.0 + abs(scan.best_v[row])):
             return True
-    if scan.report_gaps[row][scan.mask_v[row]].max() > CONFIRM_FACTOR * tol_report:
+    if scan.report_gaps[scan.mask_v[:, row], row].max() > CONFIRM_FACTOR * tol_report:
         return True
     return False
 
@@ -550,7 +603,7 @@ def _scan_for_witness(
         for row in np.flatnonzero(suspicious):
             if _confirmed(scan, int(row), spec.tol_action, spec.tol_report):
                 return _row_witness(problem, scan, chunk, int(row)), None, worst_gap
-        value_gaps = scan.best_v - np.where(scan.mask_u, scan.values, np.inf).min(axis=1)
+        value_gaps = scan.best_v - np.where(scan.mask_u, scan.values, np.inf).min(axis=0)
         row = int(np.argmax(value_gaps))
         if value_gaps[row] > worst_gap:
             worst_gap = float(value_gaps[row])
@@ -580,10 +633,12 @@ def find_distortion_witness(
 
     A coarse pass scans the rational grid (or, for many states, the
     pairwise grid) plus Dirichlet samples; refinement rounds then zoom
-    in around the worst value gap, doubling the grid denominator or
-    concentrating samples near the suspect belief.  The first witness
-    whose gaps exceed ten times the working tolerances is returned;
-    the search is deterministic for fixed inputs.
+    in around the worst value gap, doubling the grid denominator up to
+    ``max_denominator`` (but never below the last one) or concentrating
+    samples near the suspect belief.  Grid refinement ends early once a
+    round would rescan the last round's box.  The first witness whose
+    gaps exceed ten times the working tolerances is returned; the search
+    is deterministic for fixed inputs.
     """
     x = _require_bound(bundle, method)
     problem = bundle.problem
@@ -601,11 +656,17 @@ def find_distortion_witness(
     if witness is not None:
         return witness
     denominator = spec.denominator
+    box_denominator, box_center = 0, None
     for round_index in range(1, spec.refine_rounds + 1):
         if center is None:
             break
         if k <= GRID_MAX_STATES:
-            denominator = min(denominator * 2, spec.max_denominator)
+            denominator = max(denominator, min(denominator * 2, spec.max_denominator))
+            # The centre moves only to a larger gap, so the same denominator
+            # and centre would rescan the last box and find nothing new.
+            if denominator == box_denominator and center is box_center:
+                break
+            box_denominator, box_center = denominator, center
             candidates = _box_grid(center, denominator)
         else:
             draws = dirichlet_sample(k, 2000, spec.seed + round_index)

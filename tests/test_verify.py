@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +39,32 @@ def test_belief_grid_guards():
         ek.belief_grid(1, 4)
     with pytest.raises(ValueError):
         ek.belief_grid(3, 0)
+
+
+def test_belief_grid_keeps_small_grids_read_only():
+    grid = ek.belief_grid(8, 10)
+    assert grid.nbytes <= verify._GRID_MEMO_BYTES
+    assert ek.belief_grid(8, 10) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1.0
+    fresh = verify._compositions(10, np.zeros(8, dtype=np.int64), np.full(8, 10)) / 10.0
+    _assert_same_bits(grid, fresh)
+
+
+def test_belief_grid_builds_large_grids_per_call():
+    # 3-state grids above the memo bound: rebuilt on every call, not kept
+    m = 600
+    grid = ek.belief_grid(3, m)
+    assert grid.nbytes > verify._GRID_MEMO_BYTES
+    assert not grid.flags.writeable
+    again = ek.belief_grid(3, m)
+    assert again is not grid
+    _assert_same_bits(again, grid)
+    kept = weakref.ref(grid)
+    del grid, again
+    gc.collect()
+    assert kept() is None
 
 
 def test_dirichlet_sample_is_deterministic():
@@ -346,6 +374,110 @@ def test_no_witness_for_the_aligned_mechanism(ql4, aligned_method):
     assert ek.find_distortion_witness(bundle, aligned_method, spec=spec) is None
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to ``verify.<name>``."""
+    calls = []
+    original = getattr(verify, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify, name, spy)
+    return calls
+
+
+def test_witness_search_on_the_naive_control_scans_one_chunk(within_bundle, monkeypatch):
+    scans = _spy(monkeypatch, "_scan_chunk")
+    control = ek.make_naive_bdm(within_bundle.problem, within_bundle.question)
+    assert ek.find_distortion_witness(within_bundle, control) is not None
+    assert len(scans) == 1
+
+
+def _aligned_bundle(problem: ek.DecisionProblem):
+    bundle = ek.ProblemBundle(
+        problem=problem, question=ek.build_question("expected-payoff", problem)
+    )
+    return bundle, decide_and_synthesize(bundle)
+
+
+def test_refinement_ends_when_it_would_rescan_the_last_box(ql4, monkeypatch):
+    # 20, 40, 64 and 64 again: the centre never moves, so the fourth round
+    # would rescan the third round's box.
+    boxes = _spy(monkeypatch, "_box_grid")
+    bundle, method = _aligned_bundle(ql4)
+    assert ek.find_distortion_witness(bundle, method) is None
+    assert [denominator for _, denominator in boxes] == [20, 40, 64]
+    assert all(center is boxes[0][0] for center, _ in boxes)
+
+
+def test_refinement_is_never_coarser_than_the_coarse_pass(monkeypatch):
+    # A denominator above max_denominator is kept, not lowered to it.
+    boxes = _spy(monkeypatch, "_box_grid")
+    bundle, method = _aligned_bundle(ek.make_state_matching([1.0, 2.0, 3.0]))
+    spec = ek.GridSpec(denominator=100, max_denominator=64)
+    assert ek.find_distortion_witness(bundle, method, spec) is None
+    assert [denominator for _, denominator in boxes] == [100]
+
+
+def _scan_outputs(bundle, method, total):
+    """Sweep and witness-search bytes, each scanning ``total`` beliefs."""
+    k = bundle.problem.n_states
+    grid = math.comb(10 + k - 1, k - 1)
+    faces = ek.verify_incentivizability(bundle, method, ek.GridSpec(samples=0)).checked - grid
+    report = ek.verify_incentivizability(
+        bundle, method, ek.GridSpec(samples=total - grid - faces)
+    )
+    witness = ek.find_distortion_witness(bundle, method, ek.GridSpec(samples=total - grid))
+    assert report.checked == total
+    return [
+        ek.canonical_dumps(report.to_dict()),
+        ek.canonical_dumps(None if witness is None else witness.to_dict()),
+    ]
+
+
+@pytest.mark.parametrize("total", [1025, 2049])
+def test_chunk_scans_keep_the_bits_of_one_whole_array_scan(within_bundle, monkeypatch, total):
+    problem, x = within_bundle.problem, within_bundle.question.values
+    method = ek.make_naive_bdm(problem, within_bundle.question)
+    beliefs = ek.dirichlet_sample(problem.n_states, total, seed=7)
+
+    def scan_fields():
+        scans = [scan for _, scan in verify._scans(problem, x, method, beliefs, ek.GridSpec())]
+        names = [field.name for field in fields(verify._ChunkScan)]
+        return len(scans), [np.concatenate([getattr(s, n) for s in scans], axis=-1) for n in names]
+
+    chunks, got = scan_fields()
+    assert chunks == total // 1024
+    monkeypatch.setattr(verify, "_CHUNK_ROWS", 1 << 30)
+    for got_field, want_field in zip(got, scan_fields()[1]):
+        _assert_same_bits(got_field, want_field)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 1024])
+def test_chunked_scans_match_one_whole_array_scan(ql4, within_bundle, monkeypatch, rows):
+    # 1024·j + 1 beliefs leave one row after the last full chunk of 1024: it
+    # joins that chunk, because a one-row product can round differently.
+    payoff, aligned = _aligned_bundle(ql4)
+    cases = [
+        (within_bundle, ek.make_naive_bdm(ql4, within_bundle.question)),
+        (payoff, ek.make_quadratic_control(ql4, payoff.question)),
+        (payoff, aligned),  # no witness: the search runs its refinement rounds
+    ]
+    totals = (1025, 2049, 2050)
+    monkeypatch.setattr(verify, "_CHUNK_ROWS", 1 << 30)
+    want = [_scan_outputs(b, m, total) for b, m in cases for total in totals]
+    monkeypatch.setattr(verify, "_CHUNK_ROWS", rows)
+    scans = _spy(monkeypatch, "_scan_chunk")
+    boxes = _spy(monkeypatch, "_box_grid")
+    got = [_scan_outputs(b, m, total) for b, m in cases for total in totals]
+    assert got == want
+    sizes = [args[0].shape[0] for args in scans]
+    assert min(sizes) >= 2
+    assert rows + 1 in sizes
+    assert boxes
+
+
 # ---------------------------------------------------------------------------
 # Negative controls
 
@@ -480,16 +612,26 @@ def _reference_scan_chunk(chunk, utility, x, method, tol_action, tol_report):
         deficit_u <= verify.CONFIRM_FACTOR * cut_u[:, None],
     )
     split_tie = ~sets_equal & ~bad_report & ((mask_u == mask_v) | near_both).all(axis=1)
+    # per-action fields in the scan's layout: one action per row
     return SimpleNamespace(
-        mask_u=mask_u,
-        mask_v=mask_v,
-        values=values,
+        mask_u=mask_u.T,
+        mask_v=mask_v.T,
+        values=values.T,
         best_v=best_v,
-        report_gaps=gaps,
+        report_gaps=gaps.T,
         ambiguous=near_u | near_v | split_tie,
         sets_equal=sets_equal,
         bad_report=bad_report,
     )
+
+
+def _reference_scans(problem, x, method, beliefs, spec):
+    """The scan in chunks of 16384 rows, each scanned in one pass."""
+    for start in range(0, beliefs.shape[0], 16384):
+        chunk = beliefs[start : start + 16384]
+        yield chunk, _reference_scan_chunk(
+            chunk, problem.utility, x, method, spec.tol_action, spec.tol_report
+        )
 
 
 def _scan_split_bundles() -> list[ek.ProblemBundle]:
@@ -558,10 +700,11 @@ def _sweep_and_search(bundle: ek.ProblemBundle) -> list[str]:
 
 def test_scans_match_the_one_pass_reference_bitwise(monkeypatch):
     # The sweep judges ambiguity itself, and near_both only on rows whose sets
-    # differ with no bad report; reports and witnesses keep every byte.
+    # differ with no bad report; the scan runs action-major in small chunks.
+    # Reports and witnesses keep every byte.
     bundles = _scan_split_bundles()
     got = [_sweep_and_search(bundle) for bundle in bundles]
-    monkeypatch.setattr(verify, "_scan_chunk", _reference_scan_chunk)
+    monkeypatch.setattr(verify, "_scans", _reference_scans)
     monkeypatch.setattr(verify, "_ambiguous", lambda scan: scan.ambiguous)
     want = [_sweep_and_search(bundle) for bundle in bundles]
     assert got == want
