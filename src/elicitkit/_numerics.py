@@ -2,7 +2,8 @@
 
 Everything in here is deliberately dependency-light: a pivoted row
 reduction with an explicit relative threshold (so rank decisions are
-reproducible and auditable), a couple of SVD wrappers, the unit max-abs
+reproducible and auditable), which reduces a whole stack of matrices in
+one pass, SVD nullspaces of one matrix or of a stack, the unit max-abs
 scaling that gives LP slacks a common gauge, and the max-slack
 feasibility programs used by the adjacency and rationalizability tests.
 Those programs go straight to the HiGHS solver behind scipy's
@@ -69,6 +70,10 @@ FloatArray = NDArray[np.float64]
 #: where ``max_abs`` is taken over the original matrix.
 RANK_RTOL = 1e-9
 
+#: Most floats (512 KB) the callers of ``row_reduce_rank`` put in one
+#: stack; larger batches of matrices are split into several stacks.
+RANK_STACK_FLOATS = 1 << 16
+
 
 def project_vec(vector: FloatArray) -> FloatArray:
     """Remove the mean from a vector (orthogonal projection onto sum-zero)."""
@@ -77,9 +82,9 @@ def project_vec(vector: FloatArray) -> FloatArray:
 
 
 def project_rows(matrix: FloatArray) -> FloatArray:
-    """Remove each row's mean."""
+    """Remove each row's mean (of every matrix, for a stack)."""
     arr = np.asarray(matrix, dtype=np.float64)
-    return arr - arr.mean(axis=1, keepdims=True)
+    return arr - arr.mean(axis=-1, keepdims=True)
 
 
 def as_float_matrix(values: object) -> FloatArray:
@@ -92,56 +97,77 @@ def as_float_matrix(values: object) -> FloatArray:
     return arr
 
 
-def row_reduce_rank(matrix: object, rtol: float = RANK_RTOL) -> int:
+def row_reduce_rank(matrix: object, rtol: float = RANK_RTOL) -> int | np.ndarray:
     """Numerical rank via Gaussian elimination with partial pivoting.
 
     A pivot counts as zero when ``abs(pivot) <= rtol * (1 + max_abs)``,
     with ``max_abs`` the largest absolute entry of the input matrix.
     The same threshold is applied at every elimination step, which keeps
     the decision boundary easy to reason about in tests.
+
+    ``matrix`` may also be a stack of equally shaped matrices, shape
+    ``(count, rows, cols)``; then every matrix is reduced in the same
+    pass, each with its own threshold and pivot sequence, and the ranks
+    come back as an integer array.  Each matrix sees exactly the
+    arithmetic it would see alone, so its rank does not depend on the
+    stack.  Zero rows change no rank, so matrices with fewer rows can
+    be padded with zeros to share a stack.
     """
-    work = as_float_matrix(matrix).copy()
-    if work.size == 0:
-        return 0
-    threshold = rtol * (1.0 + float(np.max(np.abs(work))))
-    rows, cols = work.shape
-    rank = 0
-    pivot_row = 0
-    for col in range(cols):
-        if pivot_row >= rows:
-            break
-        candidates = np.abs(work[pivot_row:, col])
-        best = int(np.argmax(candidates)) + pivot_row
-        if abs(work[best, col]) <= threshold:
-            continue
-        if best != pivot_row:
-            work[[pivot_row, best]] = work[[best, pivot_row]]
-        pivot = work[pivot_row, col]
-        below = work[pivot_row + 1 :, col] / pivot
-        work[pivot_row + 1 :, :] -= np.outer(below, work[pivot_row, :])
-        work[pivot_row + 1 :, col] = 0.0
-        rank += 1
-        pivot_row += 1
-    return rank
+    work = np.array(matrix, dtype=np.float64)
+    stacked = work.ndim == 3
+    if not stacked:
+        work = as_float_matrix(work)[None]
+    elif not np.all(np.isfinite(work)):
+        raise ValueError("matrix contains non-finite entries")
+    count, rows, cols = work.shape
+    rank = np.zeros(count, dtype=np.int64)  # also each matrix's next pivot row
+    if work.size:
+        threshold = rtol * (1.0 + np.abs(work).max(axis=(1, 2)))
+        row = np.arange(rows)
+        which = np.arange(count)
+        for col in range(cols):
+            magnitude = np.abs(work[:, :, col])
+            magnitude[row < rank[:, None]] = -1.0  # rows that already hold a pivot
+            best = magnitude.argmax(axis=1)
+            ok = ~(magnitude[which, best] <= threshold)
+            top = np.where(ok, rank, rows)  # the pivot row, or past the end
+            swap = np.flatnonzero(ok & (best != top))
+            if swap.size:
+                pair = np.stack([top[swap], best[swap]], axis=1)
+                work[swap[:, None], pair] = work[swap[:, None], pair[:, ::-1]]
+            pivot = work[which, np.minimum(top, rows - 1)]
+            below = row > top[:, None]
+            factor = np.divide(
+                work[:, :, col], pivot[:, col, None], out=np.zeros((count, rows)), where=below
+            )
+            np.subtract(
+                work, factor[:, :, None] * pivot[:, None, :], out=work, where=below[:, :, None]
+            )
+            work[:, :, col][below] = 0.0
+            rank += ok
+            if rank.min() == rows:
+                break
+    return rank if stacked else int(rank[0])
+
+
+def nullspaces(stack: np.ndarray, rtol: float = RANK_RTOL) -> list[FloatArray]:
+    """:func:`nullspace` of each matrix of a ``(count, rows, cols)`` stack, from one SVD call.
+
+    The SVD treats each matrix on its own, so each basis has the bits
+    :func:`nullspace` gives that matrix alone.
+    """
+    count, rows, cols = stack.shape
+    if rows == 0 or cols == 0:
+        return [np.eye(cols) for _ in range(count)]
+    _, s, vt = np.linalg.svd(stack, full_matrices=True)
+    cutoff = rtol * (1.0 + np.abs(stack).max(axis=(1, 2)))
+    keep = (s > cutoff[:, None]).sum(axis=1)
+    return [vt[i, keep[i] :] for i in range(count)]
 
 
 def nullspace(matrix: object, rtol: float = RANK_RTOL) -> FloatArray:
     """Orthonormal basis (rows) of the right nullspace of ``matrix``."""
-    arr = as_float_matrix(matrix)
-    if arr.size == 0:
-        return np.eye(arr.shape[1] if arr.ndim == 2 else 0)
-    _, s, vt = np.linalg.svd(arr, full_matrices=True)
-    cutoff = rtol * (1.0 + float(np.max(np.abs(arr))))
-    keep = int(np.sum(s > cutoff))
-    return vt[keep:]
-
-
-def orthonormal_complement(rows: object, dim: int, rtol: float = RANK_RTOL) -> FloatArray:
-    """Orthonormal basis (rows) of the orthogonal complement of ``span(rows)`` in R^dim."""
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.size == 0:
-        return np.eye(dim)
-    return nullspace(arr.reshape(-1, dim), rtol=rtol)
+    return nullspaces(as_float_matrix(matrix)[None], rtol=rtol)[0]
 
 
 def scale_unit_max_abs(utility: FloatArray) -> FloatArray:
@@ -181,6 +207,10 @@ _SLACK_CAP = 2.0
 MIN_SLACK = 1e-7
 
 
+class LPFailure(RuntimeError):
+    """A max-slack LP that HiGHS neither solved nor proved infeasible."""
+
+
 def _solver() -> _highs._Highs:
     """This thread's HiGHS solver, created with ``_HIGHS_OPTIONS`` on first use."""
     try:
@@ -202,8 +232,13 @@ def max_slack_lp(
     ``E_p[u(target)] >= E_p[u(c)] + s`` for every competitor ``c``.
     When ``tie_with`` is given, the program additionally forces
     ``E_p[u(target)] == E_p[u(tie_with)]`` and the tied action is not a
-    competitor.  Returns ``(slack, belief)``; an infeasible program
-    yields ``(-inf, None)``.
+    competitor.  Returns ``(slack, belief)``.  Only a program HiGHS proves
+    infeasible (model status ``kInfeasible``) yields ``(-inf, None)``: no
+    belief has that optimal set.  Any other status than ``kOptimal``
+    (an iteration or time limit, a numerical or solve error), and an
+    optimal solution that fails scipy's feasibility check, raise
+    :class:`LPFailure` naming the status, since the program's answer is
+    then unknown rather than negative.
 
     Callers are expected to pre-scale ``utility`` so the slack lives in
     a known gauge; this routine does no scaling of its own.
@@ -244,17 +279,21 @@ def max_slack_lp(
     cost[-1] = -1.0  # maximize s
 
     highs = _solver()
-    if (
-        highs.passModel(
-            n_states + 1, n_rows, len(flat), _COLWISE, _MINIMIZE, 0.0,
-            cost, col_lower, col_upper, row_lower, row_upper,
-            start, index, by_column.take(flat),
-            np.zeros(n_states + 1, dtype=np.int32),  # every column continuous
-        ) == _highs.HighsStatus.kError
-        or highs.run() == _highs.HighsStatus.kError
-        or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal
-    ):
+    if highs.passModel(
+        n_states + 1, n_rows, len(flat), _COLWISE, _MINIMIZE, 0.0,
+        cost, col_lower, col_upper, row_lower, row_upper,
+        start, index, by_column.take(flat),
+        np.zeros(n_states + 1, dtype=np.int32),  # every column continuous
+    ) == _highs.HighsStatus.kError:
+        raise LPFailure("HiGHS rejected the model")
+    ran = highs.run()
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kInfeasible:
         return float("-inf"), None
+    if ran == _highs.HighsStatus.kError or status != _highs.HighsModelStatus.kOptimal:
+        raise LPFailure(
+            f"HiGHS ended with run status {ran.name} and model status {status.name}"
+        )
     solution = highs.getSolution()
     x = solution.col_value
     row_value = solution.row_value
@@ -268,9 +307,10 @@ def max_slack_lp(
         and abs(1.0 - row_value[n_ub]) <= _RESULT_TOL
         and (tie_with is None or abs(row_value[-1]) <= _RESULT_TOL)
     ):
-        return float("-inf"), None
+        raise LPFailure(
+            f"HiGHS ended with model status {status.name}, "
+            "but its solution fails scipy's feasibility check"
+        )
+    # The checked solution sums to 1 within the tolerance, so this is positive.
     belief = np.clip(x[:n_states], 0.0, None)
-    total = float(belief.sum())
-    if total <= 0.0:
-        return float("-inf"), None
-    return float(x[-1]), belief / total
+    return float(x[-1]), belief / float(belief.sum())

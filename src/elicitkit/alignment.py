@@ -26,7 +26,14 @@ from typing import Any, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ._numerics import FloatArray, project_rows, project_vec, row_reduce_rank
+from ._numerics import (
+    RANK_STACK_FLOATS,
+    FloatArray,
+    LPFailure,
+    project_rows,
+    project_vec,
+    row_reduce_rank,
+)
 from .model import DecisionProblem, ProblemBundle, ProductStructure, QuestionProfile
 from .geometry import (
     AdjacencyGraph,
@@ -473,16 +480,13 @@ def trivial_dependence(
     task's action keeps the mean-removed question rows inside a single
     line through the origin.
     """
-    coords = product.action_coord_array
-    xbar = project_rows(question.values)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for g in range(coords.shape[0]):
-        key = tuple(np.delete(coords[g], task))
-        groups.setdefault(key, []).append(g)
-    for indices in groups.values():
-        if row_reduce_rank(xbar[indices]) > 1:
-            return False
-    return True
+    others = np.delete(product.action_coord_array, task, axis=1)
+    _, group = np.unique(others, axis=0, return_inverse=True)
+    group = group.ravel()
+    # One row of actions per choice in the other tasks, in action order;
+    # the coordinates are a bijection, so every row has the same length.
+    members = np.argsort(group, kind="stable").reshape(group.max() + 1, -1)
+    return bool((row_reduce_rank(project_rows(question.values)[members]) <= 1).all())
 
 
 def _solve_weighted(
@@ -599,25 +603,24 @@ class Verdict:
         }
 
 
-def _affinely_independent(
-    problem: DecisionProblem, labels: Sequence[str], rank_needed: int
-) -> bool:
-    base = problem.action_index[labels[0]]
-    rows = [
-        problem.utility[problem.action_index[l]] - problem.utility[base]
-        for l in labels[1:]
-    ]
-    return row_reduce_rank(project_rows(np.asarray(rows))) == rank_needed
+def _affinely_independent(problem: DecisionProblem, size: int) -> bool:
+    """Every ``size`` actions affinely independent (payoff differences of full rank).
+
+    The subsets are tested in stacked rank passes of ``RANK_STACK_FLOATS``.
+    """
+    subsets = itertools.combinations(range(problem.n_actions), size)
+    per_pass = max(1, RANK_STACK_FLOATS // ((size - 1) * problem.n_states))
+    while chunk := list(itertools.islice(subsets, per_pass)):
+        index = np.array(chunk)
+        rows = problem.utility[index[:, 1:]] - problem.utility[index[:, :1]]
+        if (row_reduce_rank(project_rows(rows)) != size - 1).any():
+            return False
+    return True
 
 
 def _complete_hypotheses(problem: DecisionProblem) -> bool:
     """Every four actions affinely independent (payoff difference triples)."""
-    if problem.n_actions < 4:
-        return False
-    for combo in itertools.combinations(problem.actions, 4):
-        if not _affinely_independent(problem, combo, 3):
-            return False
-    return True
+    return problem.n_actions >= 4 and _affinely_independent(problem, 4)
 
 
 def _task_hypotheses(task: DecisionProblem) -> bool:
@@ -627,10 +630,7 @@ def _task_hypotheses(task: DecisionProblem) -> bool:
     graph = adjacency_graph(task)
     if graph.n_edges != task.n_actions * (task.n_actions - 1) // 2:
         return False
-    for combo in itertools.combinations(task.actions, 3):
-        if not _affinely_independent(task, combo, 2):
-            return False
-    return True
+    return _affinely_independent(task, 3)
 
 
 def _refutation(
@@ -689,7 +689,9 @@ def decide_incentivizable(
     trees, complete graphs with independent payoffs, product problems,
     cycle-rich action sets, and finally plain per-edge alignment.  A
     refutation whose residual is within :data:`VIOLATION_FACTOR` of the
-    tolerance is reported as inconclusive rather than negative.
+    tolerance is reported as inconclusive rather than negative, and so is
+    a verdict that needs a graph one of whose LPs did not finish: its note
+    names the pair and the solver status.
     """
     if bundle.question is None:
         raise ValueError("the bundle has no question to decide")
@@ -709,7 +711,10 @@ def decide_incentivizable(
         )
 
     if graph is None:
-        graph = adjacency_graph(problem)
+        try:
+            graph = adjacency_graph(problem)
+        except LPFailure as exc:
+            return Verdict(status="inconclusive", note=str(exc))
     classification = classify_graph(graph, bundle.product)
 
     if classification.connected:
@@ -758,7 +763,13 @@ def decide_incentivizable(
     if bundle.product is not None and classification.product_consistent:
         product = bundle.product
         # An mc-test repeats one task object: test each distinct task once.
-        if product.n_tasks >= 3 and all(map(_task_hypotheses, dict.fromkeys(product.tasks))):
+        try:
+            hypotheses = product.n_tasks >= 3 and all(
+                map(_task_hypotheses, dict.fromkeys(product.tasks))
+            )
+        except LPFailure as exc:
+            return Verdict(status="inconclusive", note=str(exc))
+        if hypotheses:
             nontrivial = sum(
                 0 if trivial_dependence(question, product, i, tol=tol) else 1
                 for i in range(product.n_tasks)

@@ -2,8 +2,9 @@
 
 One binary, subcommand style.  Exit codes are a stable contract:
 0 success of purpose, 2 input error, 3 negative verdict or failed
-verification, 4 inconclusive, 5 nothing found.  Reports go to stdout,
-diagnostics to stderr.  Each subcommand takes only the flags it reads.
+verification, 4 inconclusive (also when an LP does not finish), 5
+nothing found.  Reports go to stdout, diagnostics to stderr.  Each
+subcommand takes only the flags it reads.
 ``--tol`` may also come from ELICITKIT_TOL (read by check, synthesize,
 verify and witness) and ``--seed`` from ELICITKIT_SEED (read only by
 verify and witness); explicit flags win.
@@ -16,6 +17,7 @@ import os
 import sys
 from typing import Any, Callable, Sequence
 
+from ._numerics import LPFailure
 from .alignment import ALIGN_RTOL, Verdict, decide_incentivizable
 from .geometry import adjacency_graph, classify_graph, enumerate_cycles, splitting_collection
 from .model import (
@@ -378,6 +380,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return int(args.func(args))
+    except LPFailure as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT

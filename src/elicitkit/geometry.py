@@ -12,8 +12,10 @@ pairs a cheap certificate proves non-adjacent: either no belief comes
 close to tying the two actions, or a single third action beats the
 first of them by a fixed margin near every tie.  Such a pair's LP could
 only have confirmed the non-edge, so the graph is the one the LPs alone
-would give, bit for bit.  The certificate's working set is bounded, and
-problems with too many states for it skip it.
+would give, bit for bit.  One array pass screens all pairs of a graph;
+its working set is bounded, and problems with too many states for it
+skip it.  The cycle-richness test checks the independence of all its
+cycles, and the spans of each batch of subsets, in stacked rank passes.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ import numpy as np
 
 from ._numerics import (
     MIN_SLACK,
+    RANK_STACK_FLOATS,
     FloatArray,
+    LPFailure,
     max_slack_lp,
-    orthonormal_complement,
+    nullspaces,
     project_rows,
     row_reduce_rank,
     scale_unit_max_abs,
@@ -126,13 +130,17 @@ def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
 
     The reported slack is measured on utilities scaled to unit max-abs,
     so the adjacency threshold has the same meaning across problems.  In
-    a two-action problem the slack is vacuous and capped at 2.
+    a two-action problem the slack is vacuous and capped at 2.  An LP
+    that does not finish raises :class:`LPFailure` naming the pair.
     """
     ia = problem.action_index[a]
     ib = problem.action_index[b]
     if ia == ib:
         raise ValueError("adjacency needs two distinct actions")
-    slack, raw = max_slack_lp(scale_unit_max_abs(problem.utility), ia, tie_with=ib)
+    try:
+        slack, raw = max_slack_lp(scale_unit_max_abs(problem.utility), ia, tie_with=ib)
+    except LPFailure as exc:
+        raise LPFailure(f"the adjacency LP of ({a}, {b}) did not finish: {exc}") from exc
     if raw is None:
         return AdjacencyResult(adjacent=False, slack=slack, witness=None)
     return AdjacencyResult(
@@ -229,17 +237,29 @@ SCREEN_TIE = 1e-6
 #: so rounding in the LP or in the vertices cannot make the pair an edge.
 SCREEN_MARGIN = 1e-5
 
-#: Most slab edge points (two per pair of states, per pair screened) the
-#: screen holds at once: a few float64 arrays of this size, about 2 MB
-#: each.  Pairs are screened in chunks that fit; when one pair's ``2 k^2``
-#: points do not fit (more than 362 states), nothing is screened and every
-#: pair goes to its LP, as it would without the screen.
+#: Most slab edge points (two per pair of states) one pair may need: a
+#: few float64 arrays of this size, about 2 MB each.  When one pair's
+#: ``2 k^2`` points do not fit (more than 362 states), nothing is screened
+#: and every pair goes to its LP, as it would without the screen.
 SCREEN_MAX_POINTS = 1 << 18
 
+#: Slab edge points one pass of the screen holds: as many whole pairs as
+#: fit, and at least one.  The arrays of a pass stay near 256 KB, so the
+#: screen adds little to peak memory, and every pair of a graph with at
+#: most 8 states and 256 pairs fits in one pass.
+SCREEN_CHUNK_POINTS = 1 << 15
 
-def _screened_pairs(utility: FloatArray, i: int) -> np.ndarray:
-    """Which pairs ``(i, j)``, ``j > i``, are provably not adjacent.
 
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` for every pair ``i < j`` of ``n`` actions, in ``(i, j)`` order."""
+    index = np.arange(n)
+    return np.nonzero(index[:, None] < index)
+
+
+def _screened_pairs(utility: FloatArray) -> np.ndarray:
+    """Which pairs ``(i, j)``, ``i < j``, are provably not adjacent.
+
+    The answer lists the pairs in :func:`_pair_indices` order.
     ``utility`` is scaled to unit max-abs.  With ``d = u_i - u_j`` the tie
     slab is ``{p in simplex : |d . p| <= SCREEN_TIE}``.  A pair is screened
     when the slab is empty, or when one competitor ``c`` beats ``i`` by
@@ -248,25 +268,26 @@ def _screened_pairs(utility: FloatArray, i: int) -> np.ndarray:
     the simplex corners inside the slab and the points of simplex edges
     where ``d . p = +-SCREEN_TIE``.  The competitor tried is the one best
     at the centroid of those vertices; any choice is sound, because the
-    certificate is checked at every vertex.  Each chunk of pairs holds at
-    most ``SCREEN_MAX_POINTS`` edge points.
+    certificate is checked at every vertex.  All pairs of the graph go
+    through one array pass, in chunks of ``SCREEN_CHUNK_POINTS`` edge
+    points.
     """
     n, k = utility.shape
-    screened = np.zeros(n - i - 1, dtype=bool)
+    first, second = _pair_indices(n)
+    screened = np.zeros(first.size, dtype=bool)
     per_pair = 2 * k * k
     if per_pair > SCREEN_MAX_POINTS:
         return screened
-    gain = utility - utility[i]  # gain[c] . p: how far c beats i at p
-    step = SCREEN_MAX_POINTS // per_pair
-    for start in range(i + 1, n, step):
-        stop = min(start + step, n)
-        screened[start - i - 1 : stop - i - 1] = _screen_chunk(gain, i, start, stop)
+    step = max(1, SCREEN_CHUNK_POINTS // per_pair)
+    for start in range(0, first.size, step):
+        chunk = slice(start, start + step)
+        screened[chunk] = _screen_chunk(utility, first[chunk], second[chunk])
     return screened
 
 
-def _screen_chunk(gain: FloatArray, i: int, start: int, stop: int) -> np.ndarray:
-    """:func:`_screened_pairs` for the pairs ``(i, j)``, ``start <= j < stop``."""
-    d = -gain[start:stop]
+def _screen_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """:func:`_screened_pairs` for the pairs ``(i[m], j[m])``."""
+    d = -(utility[j] - utility[i])
     corner = np.abs(d) <= SCREEN_TIE
     # Edge points lam * e_s + (1 - lam) * e_t where d . p = h, one layer per
     # side h of the slab: lam = (h - d_t) / (d_s - d_t), kept if in (0, 1).
@@ -277,17 +298,23 @@ def _screen_chunk(gain: FloatArray, i: int, start: int, stop: int) -> np.ndarray
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = (h - dt) / (ds - dt)
     outside = ~((lam > 0.0) & (lam < 1.0))
-    np.copyto(lam, 0.0, where=outside)
+    lam[outside] = 0.0
     total = corner + lam.sum(axis=(0, 3))  # the vertex sum, a centroid up to scale
-    score = total @ gain.T
-    score[:, i] = -np.inf
-    score[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-    best = gain[np.argmax(score, axis=1)]
+    # gain[c] . total, how far each c beats i at the centroid, as one product
+    # per first action: the same product, bit for bit, as screening i alone.
+    score = np.empty((i.size, utility.shape[0]))
+    bounds = [0, *(np.flatnonzero(np.diff(i)) + 1).tolist(), i.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        score[start:stop] = total[start:stop] @ (utility - utility[i[start]]).T
+    pairs = np.arange(i.size)
+    score[pairs, i] = -np.inf
+    score[pairs, j] = -np.inf
+    best = utility[np.argmax(score, axis=1)] - utility[i]  # how far it beats i
     # best . p at each edge point, best_t + lam * (best_s - best_t), in lam's place.
     at_edges = lam
     at_edges *= best[:, :, None] - best[:, None, :]
     at_edges += best[:, None, :]
-    np.copyto(at_edges, np.inf, where=outside)
+    at_edges[outside] = np.inf
     at_corners = np.where(corner, best, np.inf)
     worst = np.minimum(at_corners.min(axis=1), at_edges.min(axis=(0, 2, 3)))
     empty = (d.min(axis=1) > SCREEN_TIE) | (d.max(axis=1) < -SCREEN_TIE)
@@ -297,31 +324,28 @@ def _screen_chunk(gain: FloatArray, i: int, start: int, stop: int) -> np.ndarray
 def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
     """Run the pairwise adjacency test over every action pair.
 
-    Pairs that :func:`_screened_pairs` proves non-adjacent are skipped;
-    every other pair goes through :func:`adjacency_test` in ``(i, j)``
-    order.  A skipped pair's LP is infeasible or its optimum is at most
-    ``-SCREEN_MARGIN``, so it could never have been an edge, and the
-    edges, their order, slacks and witnesses are exactly those of testing
-    every pair.
+    One pass of :func:`_screened_pairs` over all pairs proves some of them
+    non-adjacent, and they are skipped; every other pair goes through
+    :func:`adjacency_test` in ``(i, j)`` order.  A skipped pair's LP is
+    infeasible or its optimum is at most ``-SCREEN_MARGIN``, so it could
+    never have been an edge, and the edges, their order, slacks and
+    witnesses are exactly those of testing every pair.
     """
-    scaled = scale_unit_max_abs(problem.utility)
+    first, second = _pair_indices(problem.n_actions)
+    tested = ~_screened_pairs(scale_unit_max_abs(problem.utility))
     edges = []
-    for i in range(problem.n_actions):
-        screened = _screened_pairs(scaled, i)
-        for j in range(i + 1, problem.n_actions):
-            if screened[j - i - 1]:
-                continue
-            result = adjacency_test(problem, problem.actions[i], problem.actions[j])
-            if result.adjacent:
-                assert result.witness is not None
-                edges.append(
-                    AdjacencyEdge(
-                        a=problem.actions[i],
-                        b=problem.actions[j],
-                        slack=result.slack,
-                        witness=result.witness,
-                    )
+    for i, j in zip(first[tested].tolist(), second[tested].tolist()):
+        result = adjacency_test(problem, problem.actions[i], problem.actions[j])
+        if result.adjacent:
+            assert result.witness is not None
+            edges.append(
+                AdjacencyEdge(
+                    a=problem.actions[i],
+                    b=problem.actions[j],
+                    slack=result.slack,
+                    witness=result.witness,
                 )
+            )
     return AdjacencyGraph(actions=problem.actions, edges=tuple(edges))
 
 
@@ -600,50 +624,106 @@ def cycle_rich(
     induced = graph.induced(members)
 
     max_len = min(problem.n_states, len(members))
-    cycle_set = enumerate_cycles(induced, max_len=max_len, cap=cap)
-    independent: list[tuple[frozenset[str], FloatArray]] = []
-    for cycle in cycle_set.cycles:
-        if internal_independence(problem, cycle):
-            deltas = _cycle_deltas(problem, cycle)
-            complement = orthonormal_complement(deltas, problem.n_states)
-            independent.append((frozenset(cycle), complement))
+    cycles = enumerate_cycles(induced, max_len=max_len, cap=cap).cycles
+    k = problem.n_states
+    deltas = [_cycle_deltas(problem, cycle) for cycle in cycles]
+    independent = [
+        c for c, rank in enumerate(_stacked_ranks(deltas)) if rank == len(cycles[c]) - 1
+    ]
+    # The complement of each independent cycle's span, one SVD per cycle length.
+    by_cycle: dict[int, FloatArray] = {}
+    for length in {len(cycles[c]) for c in independent}:
+        same = [c for c in independent if len(cycles[c]) == length]
+        by_cycle.update(zip(same, nullspaces(np.stack([deltas[c] for c in same]))))
+    complements = [by_cycle[c] for c in independent]
+    on_cycle = np.array(
+        [[a in cycles[c] for a in members] for c in independent], dtype=bool
+    ).reshape(-1, len(members))
 
-    witnesses: list[tuple[tuple[str, ...], str]] = []
     n = len(members)
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if size < 3 or size >= n:
-            continue
-        chosen = frozenset(members[k] for k in range(n) if mask >> k & 1)
-        found = None
-        pooled: list[FloatArray] = []
-        for a in members:
-            if a in chosen:
-                continue
-            stacked = [
-                comp
-                for verts, comp in independent
-                if a in verts and len(verts & chosen) >= 2
-            ]
-            pooled.extend(stacked)
-            if not stacked:
-                continue
-            if row_reduce_rank(np.vstack(stacked)) == problem.n_states:
-                found = a
-                break
-        if found is None:
-            # Pool the cycles of every outside action.  Single outside
-            # actions can fall short when the subset misses an internal
-            # edge, yet the combined cycle family still pins the spans
-            # down to the origin.
-            if pooled and row_reduce_rank(np.vstack(pooled)) == problem.n_states:
-                found = ""
-            else:
+    masks = [mask for mask in range(1, 1 << n) if 3 <= mask.bit_count() < n]
+    witnesses: list[tuple[tuple[str, ...], str]] = []
+    # Subsets go through stacked rank passes of 1, 2, 4, ... subsets: most
+    # sets that fail do so at one of their first subsets.
+    start, size = 0, 1
+    while start < len(masks):
+        chunk = masks[start : start + size]
+        for mask, found in zip(chunk, _rich_witnesses(chunk, on_cycle, complements, k)):
+            chosen = tuple(sorted(members[b] for b in range(n) if mask >> b & 1))
+            if found is None:
                 return CycleRichResult(
                     status="not-rich",
                     rich=False,
                     witnesses=tuple(witnesses),
-                    failing_subset=tuple(sorted(chosen)),
+                    failing_subset=chosen,
                 )
-        witnesses.append((tuple(sorted(chosen)), found))
+            witnesses.append((chosen, "" if found < 0 else members[found]))
+        start, size = start + size, 2 * size
     return CycleRichResult(status="cycle-rich", rich=True, witnesses=tuple(witnesses))
+
+
+def _rich_witnesses(
+    masks: Sequence[int], on_cycle: np.ndarray, complements: Sequence[FloatArray], k: int
+) -> list[int | None]:
+    """For each subset mask, the first outside action certifying it, or -1 or None.
+
+    ``on_cycle[c, a]`` says whether action ``a`` lies on independent cycle
+    ``c``, whose span's complement is ``complements[c]``.  An outside
+    action certifies the subset when the complements of its cycles that
+    meet the subset in two or more actions stack to rank ``k``.  When none
+    does, the stacks of every outside action, pooled in action order, may
+    still reach rank ``k`` (-1): single outside actions can fall short
+    when the subset misses an internal edge, yet the combined cycle family
+    still pins the spans down to the origin.  Otherwise the subset fails
+    (None).  The stacks of all the masks take one stacked rank pass, and
+    the pooled stacks a second.
+    """
+    stacks: list[FloatArray] = []
+    owners: list[tuple[int, int]] = []
+    for m, mask in enumerate(masks):
+        inside = (mask >> np.arange(on_cycle.shape[1])) & 1 == 1
+        meets = on_cycle[:, inside].sum(axis=1) >= 2
+        for a in np.flatnonzero(~inside):
+            chosen = np.flatnonzero(meets & on_cycle[:, a])
+            if chosen.size:
+                stacks.append(np.concatenate([complements[c] for c in chosen]))
+                owners.append((m, int(a)))
+    found: list[int | None] = [None] * len(masks)
+    for (m, a), rank in zip(owners, _stacked_ranks(stacks)):
+        if rank == k and found[m] is None:
+            found[m] = a
+    unsettled = sorted({m for m, _ in owners if found[m] is None})
+    pooled = [
+        np.concatenate([stack for stack, (m, _) in zip(stacks, owners) if m == target])
+        for target in unsettled
+    ]
+    for m, rank in zip(unsettled, _stacked_ranks(pooled)):
+        if rank == k:
+            found[m] = -1
+    return found
+
+
+def _stacked_ranks(matrices: Sequence[FloatArray]) -> np.ndarray:
+    """``row_reduce_rank`` of each matrix, all of ``k`` columns, in stacked passes.
+
+    Matrices go shortest first into stacks of at most ``RANK_STACK_FLOATS``
+    floats (or one matrix), each zero-padded to the tallest of its stack;
+    zero rows change no rank.
+    """
+    ranks = np.zeros(len(matrices), dtype=np.int64)
+    order = sorted(range(len(matrices)), key=lambda i: matrices[i].shape[0])
+    start = 0
+    while start < len(order):
+        width = matrices[order[start]].shape[1]
+        stop = start + 1
+        while stop < len(order) and (
+            (stop + 1 - start) * matrices[order[stop]].shape[0] * width <= RANK_STACK_FLOATS
+        ):
+            stop += 1
+        chosen = order[start:stop]
+        stack = np.zeros((len(chosen), matrices[chosen[-1]].shape[0], width))
+        for slot, i in enumerate(chosen):
+            stack[slot, : matrices[i].shape[0]] = matrices[i]
+        ranks[chosen] = row_reduce_rank(stack)
+        start = stop
+    return ranks

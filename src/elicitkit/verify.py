@@ -14,23 +14,26 @@ only the sweep judges which beliefs are ambiguous.  A scan takes about
 a thousand beliefs at a time, small enough to stay in cache and for the
 witness search to stop after the first chunk that holds a witness, and
 lays each result out one action per row, so that every reduction over
-actions runs along the first axis.  Face beliefs draw their random
-directions in batches from the same seeded stream, one attempt after
-another as before, and one batched sign test discards the directions
-that leave the simplex at every step; those still count toward the same
-``50·n`` attempt cap.
+actions runs along the first axis.  The face beliefs of a whole graph
+come from one pass: one stacked SVD gives every face's tangent basis,
+each face draws from its own seeded stream only about as many random
+directions as it needs, one batched sign test drops those that leave
+the simplex at every step (they still count toward the ``50·n`` attempt
+cap), and the step search runs over all remaining directions at once,
+with the per-direction arithmetic of one face alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._numerics import FloatArray, nullspace
+from ._numerics import FloatArray, LPFailure, nullspaces
 from .alignment import ALIGN_RTOL, Verdict, decide_incentivizable
 from .geometry import (
     OPTIMAL_ACTIONS_RTOL,
@@ -213,72 +216,131 @@ def boundary_beliefs(
     witness comes first; further points perturb it inside the face's
     tangent directions by the longest of the steps 1, 1/2, ..., 2**-39
     that stays in the simplex and keeps both actions weakly optimal.  At
-    most ``50·n`` random directions are tried, and rows left over repeat
-    the witness.  Directions are drawn in batches from one seeded
-    stream, in attempt order, so the stream and the cap are those of one
-    draw per attempt.  A direction surely negative (beyond the rounding
-    error of its product) at a coordinate where the witness is zero
-    leaves the simplex at every step: one batched sign test discards it,
-    and it still counts as an attempt.  Non-adjacent pairs are rejected.
+    most ``50·n`` random directions are tried, one seeded stream drawn in
+    attempt order, and rows left over repeat the witness.  The sweep
+    computes the beliefs of every face of a graph in one pass, with the
+    same bits as this one face.  Non-adjacent pairs are rejected.
     """
     if n < 0:
         raise ValueError(f"the number of beliefs must be nonnegative, got {n}")
     result = adjacency_test(problem, a, b)
     if not result.adjacent or result.witness is None:
         raise ValueError(f"actions {a!r} and {b!r} are not adjacent")
-    return _face_beliefs(problem, a, b, result.witness.probs, n, seed)
+    return _face_beliefs(problem, [(a, b, result.witness.probs)], n, seed)
 
 
 def _face_beliefs(
-    problem: DecisionProblem, a: str, b: str, witness: FloatArray, n: int, seed: int
+    problem: DecisionProblem,
+    faces: Sequence[tuple[str, str, FloatArray]],
+    n: int,
+    seed: int,
 ) -> FloatArray:
-    """``boundary_beliefs`` from an already known adjacency witness."""
-    points = [witness]
-    if n > 1:
-        rows = np.vstack(
-            [np.ones(problem.n_states), problem.utility_of(a) - problem.utility_of(b)]
-        )
-        directions = nullspace(rows)
-        dim = directions.shape[0]
-        # Without tangent directions every attempt repeats the witness.
-        cap = 50 * n if dim else 0
-        ia, ib = problem.action_index[a], problem.action_index[b]
-        # The batched and the per-row product of one row each lie within
-        # about dim·eps/2·Σ|c·d| of the exact dot product, so a batched
-        # entry below -2·dim·eps·Σ|c·d|, less ``tiny`` for underflow, is
-        # negative in the per-row product too.
-        at_zero = directions[:, witness <= 0.0]
-        finfo = np.finfo(np.float64)
-        batch = max(1, _CHUNK_ROWS // problem.n_states)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        attempts = 0
-        while len(points) < n and attempts < cap:
-            coeffs = rng.normal(size=(min(batch, cap - attempts), dim))
-            attempts += coeffs.shape[0]
-            bound = 2.0 * dim * finfo.eps * (np.abs(coeffs) @ np.abs(at_zero)) + finfo.tiny
-            leaves = (coeffs @ at_zero < -bound).any(axis=1)
-            for i in np.flatnonzero(~leaves):
-                if len(points) == n:
-                    break
-                direction = coeffs[i] @ directions
-                norm = float(np.linalg.norm(direction))
-                if norm == 0.0:
-                    continue
-                direction /= norm
-                candidates = witness + _FACE_STEPS[:, None] * direction
-                for row in np.flatnonzero(candidates.min(axis=1) >= 0.0):
-                    candidate = np.clip(candidates[row], 0.0, None)
-                    candidate /= candidate.sum()
-                    # optimal_actions' band, read at the two actions only
-                    values = problem.utility @ candidate
-                    best = float(values.max())
-                    floor = best - OPTIMAL_ACTIONS_RTOL * (1.0 + abs(best))
-                    if values[ia] >= floor and values[ib] >= floor:
-                        points.append(candidate)
-                        break
-        while len(points) < n:
-            points.append(witness)
-    return np.asarray(points[:n], dtype=np.float64).reshape(-1, problem.n_states)
+    """``boundary_beliefs`` for every face ``(a, b, witness)`` at once.
+
+    Face ``f`` draws from the stream seeded ``seed + f``, and its ``n`` rows
+    follow those of face ``f - 1``.  Every step is one array operation
+    over all faces: one stacked SVD gives the tangent bases, and each
+    round draws for every face short of points about as many directions
+    as it should need (more when its witness has zero coordinates, where
+    most directions leave the simplex), computes them one per row with
+    the products the face alone would use, and drops in one sign test
+    those negative, even after the shortest step, where the witness is
+    zero: they leave the simplex at every step.  The step search then
+    reads, for all remaining directions at once, each one's next step
+    inside the simplex.  A face keeps its first accepted directions in
+    attempt order, so the rows are those of one direction at a time.
+    """
+    k = problem.n_states
+    witnesses = np.array([w for _, _, w in faces], dtype=np.float64).reshape(-1, k)
+    points = np.repeat(witnesses, n, axis=0)
+    if n <= 1 or not faces:
+        return points
+    first = np.array([problem.action_index[a] for a, _, _ in faces])
+    second = np.array([problem.action_index[b] for _, b, _ in faces])
+    ties = problem.utility[first] - problem.utility[second]
+    bases = nullspaces(np.stack([np.ones_like(ties), ties], axis=1))
+    dims = np.array([basis.shape[0] for basis in bases])
+    # Without tangent directions every attempt repeats the witness.
+    caps = np.where(dims > 0, 50 * n, 0)
+    zero = witnesses <= 0.0
+    # Each zero coordinate of the witness about halves the share of
+    # directions that stay in the simplex.  A first round draws twice the
+    # number that share should need, and each later round twice as many.
+    boost = zero.sum(axis=1)
+    rngs = [np.random.Generator(np.random.PCG64(seed + f)) for f in range(len(faces))]
+    attempts = np.zeros(len(faces), dtype=np.int64)
+    found = np.zeros(len(faces), dtype=np.int64)
+    for round_index in itertools.count():
+        drawing = np.flatnonzero((found < n - 1) & (attempts < caps))
+        if not drawing.size:
+            break
+        wanted = (n - 1 - found[drawing]) << np.minimum(boost[drawing] + round_index + 1, 10)
+        draws = np.minimum(wanted, caps[drawing] - attempts[drawing])
+        # At most _CHUNK_ROWS directions a round; later faces draw in later rounds.
+        draws = np.minimum(draws, np.maximum(_CHUNK_ROWS - (np.cumsum(draws) - draws), 0))
+        drawing, draws = drawing[draws > 0], draws[draws > 0]
+        attempts[drawing] += draws
+        # one product per direction, as coeffs[i] @ basis computes it
+        direction = np.concatenate([
+            np.matmul(rngs[f].normal(size=(m, dims[f]))[:, None, :], bases[f])[:, 0]
+            for f, m in zip(drawing.tolist(), draws.tolist())
+        ])
+        owner = np.repeat(drawing, draws)
+        norm = np.sqrt(np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0])
+        keep = norm != 0.0
+        owner, direction = owner[keep], direction[keep] / norm[keep, None]
+        stays = ~((direction * _FACE_STEPS[-1] < 0.0) & zero[owner]).any(axis=1)
+        owner, direction = owner[stays], direction[stays]
+        candidates = witnesses[owner, None, :] + _FACE_STEPS[:, None] * direction[:, None, :]
+        inside = candidates.min(axis=2) >= 0.0
+        ok, accepted = _first_on_face(problem, candidates, inside, first[owner], second[owner])
+        # Each face keeps its first accepted directions, in attempt order.
+        kept = np.flatnonzero(ok)
+        face = owner[kept]
+        rank = np.arange(kept.size) - np.searchsorted(face, face)
+        use = rank < n - 1 - found[face]
+        points[face[use] * n + 1 + found[face[use]] + rank[use]] = accepted[kept[use]]
+        found += np.bincount(face[use], minlength=len(faces))
+    return points
+
+
+def _first_on_face(
+    problem: DecisionProblem,
+    candidates: FloatArray,
+    inside: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+) -> tuple[np.ndarray, FloatArray]:
+    """Each direction's first candidate inside the simplex keeping its pair optimal.
+
+    ``candidates`` holds one row of steps per direction, longest first.
+    A candidate is clipped and normalized, and both actions must be
+    within ``optimal_actions``' band of the best expected payoff.
+    Returns which directions have such a step, and the clipped and
+    normalized candidate of each that has.
+    """
+    found = np.zeros(candidates.shape[0], dtype=bool)
+    accepted = np.empty(candidates[:, 0].shape)
+    step = inside.argmax(axis=1)
+    todo = np.flatnonzero(inside.any(axis=1))
+    later = np.arange(len(_FACE_STEPS))
+    while todo.size:
+        candidate = np.clip(candidates[todo, step[todo]], 0.0, None)
+        candidate /= candidate.sum(axis=1, keepdims=True)
+        # one product per candidate, as utility @ candidate computes it
+        values = np.matmul(problem.utility, candidate[:, :, None])[:, :, 0]
+        best = values.max(axis=1)
+        floor = best - OPTIMAL_ACTIONS_RTOL * (1.0 + np.abs(best))
+        rows = np.arange(todo.size)
+        ok = (values[rows, first[todo]] >= floor) & (values[rows, second[todo]] >= floor)
+        found[todo[ok]] = True
+        accepted[todo[ok]] = candidate[ok]
+        todo = todo[~ok]
+        remaining = inside[todo] & (later > step[todo, None])
+        more = remaining.any(axis=1)
+        todo = todo[more]
+        step[todo] = remaining[more].argmax(axis=1)
+    return found, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +578,9 @@ def _sweep_beliefs(
     if _sweeps_boundaries(problem, spec):
         if graph is None:
             graph = adjacency_graph(problem)
-        for index, edge in enumerate(graph.edges):
-            blocks.append(
-                _face_beliefs(
-                    problem,
-                    edge.a,
-                    edge.b,
-                    edge.witness.probs,
-                    spec.boundary_per_edge,
-                    spec.seed + 1 + index,
-                )
-            )
+        if graph.edges:
+            faces = [(edge.a, edge.b, edge.witness.probs) for edge in graph.edges]
+            blocks.append(_face_beliefs(problem, faces, spec.boundary_per_edge, spec.seed + 1))
     if not blocks:
         raise ValueError("spec produced an empty belief set")
     return np.vstack(blocks)
@@ -792,9 +846,14 @@ def oracle_cross_check(
     if bundle.question is None:
         raise ValueError("bundle has no question to cross-check")
     # Every verdict but global alignment needs the graph, and so does the
-    # sweep of an incentivizable one: build it once for both.
-    graph = adjacency_graph(problem) if _sweeps_boundaries(problem, spec) else None
-    verdict = decide_incentivizable(bundle, tol=tol, graph=graph)
+    # sweep of an incentivizable one: build it once for both.  A graph
+    # whose LP did not finish leaves the verdict inconclusive.
+    try:
+        graph = adjacency_graph(problem) if _sweeps_boundaries(problem, spec) else None
+    except LPFailure as exc:
+        verdict = Verdict(status="inconclusive", note=str(exc))
+    else:
+        verdict = decide_incentivizable(bundle, tol=tol, graph=graph)
     if verdict.status == "incentivizable":
         method = synthesize(bundle, verdict)
         report = verify_incentivizability(bundle, method, spec, graph)

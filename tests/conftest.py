@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import elicitkit as ek
-from elicitkit import geometry
+from elicitkit import _numerics, geometry
 
 
 def build_chained_gauge_bundle() -> ek.ProblemBundle:
@@ -106,3 +106,20 @@ def geometry_lps(monkeypatch: pytest.MonkeyPatch) -> list[tuple]:
 
     monkeypatch.setattr(geometry, "max_slack_lp", counting)
     return calls
+
+
+@pytest.fixture
+def stalled_lps():
+    """Stop every LP of this thread's solver at its iteration limit of 0.
+
+    HiGHS then ends each LP that presolve does not settle with model
+    status ``kIterationLimit``.
+    """
+    limited = _numerics._scipy_highs_options()
+    limited.simplex_iteration_limit = 0
+    solver = _numerics._solver()
+    solver.passOptions(limited)
+    try:
+        yield
+    finally:
+        solver.passOptions(_numerics._HIGHS_OPTIONS)

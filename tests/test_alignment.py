@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -610,3 +611,30 @@ def test_weighted_alignment_matches_the_old_block_system():
 def test_decide_rejects_tolerances_that_are_not_finite_and_positive(within_bundle, tol):
     with pytest.raises(ValueError, match="finite and positive"):
         ek.decide_incentivizable(within_bundle, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# An LP that does not finish
+
+
+def test_a_graph_lp_that_does_not_finish_leaves_the_verdict_inconclusive(
+    within_bundle, stalled_lps
+):
+    named = r"the adjacency LP of \([\d.]+, [\d.]+\) did not finish: .*kIterationLimit"
+    verdict = ek.decide_incentivizable(within_bundle)
+    assert verdict.status == "inconclusive"
+    assert re.fullmatch(named, verdict.note), verdict.note
+    record = ek.oracle_cross_check(within_bundle)
+    assert record.verdict.to_dict() == verdict.to_dict()
+    assert record.consistent
+    with pytest.raises(ek.LPFailure, match=named):
+        ek.adjacency_graph(within_bundle.problem)
+
+
+def test_a_verdict_without_the_graph_ignores_a_stalled_solver(stalled_lps):
+    problem = ek.make_quadratic_loss(4)
+    bundle = ek.ProblemBundle(
+        problem=problem, question=ek.build_question("expected-payoff", problem)
+    )
+    verdict = ek.decide_incentivizable(bundle)
+    assert (verdict.status, verdict.theorem) == ("incentivizable", "global-alignment-sufficiency")

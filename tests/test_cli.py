@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -153,6 +154,20 @@ def test_check_inconclusive(tmp_path, capsys):
     code, stdout, _ = run(capsys, "check", str(path))
     assert code == 4
     assert json.loads(stdout)["status"] == "inconclusive"
+
+
+@pytest.mark.parametrize("command", ["classify", "check", "synthesize"])
+def test_an_lp_that_does_not_finish_exits_inconclusive(bundle_path, capsys, stalled_lps, command):
+    code, stdout, stderr = run(capsys, command, bundle_path)
+    assert code == 4
+    if command == "classify":
+        assert stdout == ""
+        assert stderr.count("\n") == 1 and stderr.startswith("inconclusive: ")
+    else:
+        assert stderr == ""
+        assert json.loads(stdout)["status"] == "inconclusive"
+    assert re.search(r"\([\d.]+, [\d.]+\) did not finish: .*kIterationLimit", stderr + stdout)
+    assert "Traceback" not in stderr
 
 
 def test_check_requires_a_question(tmp_path, ql4, capsys):

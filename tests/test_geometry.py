@@ -156,12 +156,18 @@ def test_induced_subgraph_keeps_the_real_edges():
 
 
 def _every_pair(problem):
-    """Brute force: every pair through ``adjacency_test``, in ``(i, j)`` order."""
-    return {
-        (a, b): ek.adjacency_test(problem, a, b)
-        for i, a in enumerate(problem.actions)
-        for b in problem.actions[i + 1 :]
-    }
+    """Brute force: every pair through ``adjacency_test``, in ``(i, j)`` order.
+
+    A pair whose LP does not finish maps to the ``LPFailure`` it raised.
+    """
+    results = {}
+    for i, a in enumerate(problem.actions):
+        for b in problem.actions[i + 1 :]:
+            try:
+                results[(a, b)] = ek.adjacency_test(problem, a, b)
+            except ek.LPFailure as exc:
+                results[(a, b)] = exc
+    return results
 
 
 def _screened_exactly(problem, monkeypatch):
@@ -171,13 +177,16 @@ def _screened_exactly(problem, monkeypatch):
     slack and witness bits, the pairs it tests must come in ``(i, j)``
     order, and every skipped pair must be infeasible or at least half the
     screen margin short of a tie.  Every tie the LPs return must also lie
-    in the screen's tie slab, which the screen's soundness assumes.
+    in the screen's tie slab, which the screen's soundness assumes.  When
+    a pair's LP does not finish, the graph must stop at the first such
+    pair it tests with the same failure, or screen every such pair.
     """
     reference = _every_pair(problem)
+    failed = [pair for pair, result in reference.items() if isinstance(result, ek.LPFailure)]
     scaled = geometry.scale_unit_max_abs(problem.utility)
     index = problem.action_index
     for (a, b), result in reference.items():
-        if result.witness is not None:
+        if (a, b) not in failed and result.witness is not None:
             tie = (scaled[index[a]] - scaled[index[b]]) @ result.witness.probs
             assert abs(tie) <= geometry.SCREEN_TIE, (a, b, tie)
     tested = []
@@ -189,14 +198,23 @@ def _screened_exactly(problem, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(geometry, "adjacency_test", recording)
-        graph = geometry.adjacency_graph(problem)
-    assert [(e.a, e.b, e.slack.hex(), e.witness.probs.tobytes()) for e in graph.edges] == [
-        (a, b, r.slack.hex(), r.witness.probs.tobytes())
-        for (a, b), r in reference.items()
-        if r.adjacent
-    ]
+        try:
+            graph = geometry.adjacency_graph(problem)
+        except ek.LPFailure as exc:
+            assert tested[-1] in failed and str(exc) == str(reference[tested[-1]]), tested
+            graph = None
     assert tested == [pair for pair in reference if pair in tested]
-    skipped = [pair for pair in reference if pair not in tested]
+    if graph is None:
+        last = list(reference).index(tested[-1])
+        skipped = [pair for pair in list(reference)[:last] if pair not in tested]
+    else:
+        assert not set(failed) & set(tested), failed
+        assert [(e.a, e.b, e.slack.hex(), e.witness.probs.tobytes()) for e in graph.edges] == [
+            (a, b, r.slack.hex(), r.witness.probs.tobytes())
+            for (a, b), r in reference.items()
+            if (a, b) not in failed and r.adjacent
+        ]
+        skipped = [pair for pair in reference if pair not in tested and pair not in failed]
     for pair in skipped:
         result = reference[pair]
         assert result.witness is None or result.slack <= -geometry.SCREEN_MARGIN / 2, (
@@ -269,14 +287,71 @@ def test_adjacency_screen_chunks_give_the_same_pairs(monkeypatch):
         problem = _random_screen_problem(rng, _SCREEN_KINDS[index % len(_SCREEN_KINDS)])
         scaled = geometry.scale_unit_max_abs(problem.utility)
         per_pair = 2 * problem.n_states**2
-        whole = [geometry._screened_pairs(scaled, i) for i in range(problem.n_actions)]
+        whole = geometry._screened_pairs(scaled)
         for pairs_per_chunk in (1, 2, 3):
-            monkeypatch.setattr(geometry, "SCREEN_MAX_POINTS", pairs_per_chunk * per_pair)
-            for i, expected in enumerate(whole):
-                np.testing.assert_array_equal(geometry._screened_pairs(scaled, i), expected)
+            monkeypatch.setattr(geometry, "SCREEN_CHUNK_POINTS", pairs_per_chunk * per_pair)
+            np.testing.assert_array_equal(geometry._screened_pairs(scaled), whole)
         monkeypatch.setattr(geometry, "SCREEN_MAX_POINTS", per_pair - 1)
-        assert not any(geometry._screened_pairs(scaled, i).any() for i in range(problem.n_actions))
+        assert not geometry._screened_pairs(scaled).any()
         monkeypatch.undo()
+
+
+def _reference_screened_pairs(utility, i):
+    """The screen one first action at a time, as ``_screened_pairs`` once ran."""
+    n, k = utility.shape
+    screened = np.zeros(n - i - 1, dtype=bool)
+    per_pair = 2 * k * k
+    if per_pair > geometry.SCREEN_MAX_POINTS:
+        return screened
+    gain = utility - utility[i]
+    step = geometry.SCREEN_MAX_POINTS // per_pair
+    for start in range(i + 1, n, step):
+        stop = min(start + step, n)
+        d = -gain[start:stop]
+        corner = np.abs(d) <= geometry.SCREEN_TIE
+        h = np.array([geometry.SCREEN_TIE, -geometry.SCREEN_TIE]).reshape(2, 1, 1, 1)
+        ds, dt = d[:, :, None], d[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = (h - dt) / (ds - dt)
+        outside = ~((lam > 0.0) & (lam < 1.0))
+        np.copyto(lam, 0.0, where=outside)
+        total = corner + lam.sum(axis=(0, 3))
+        score = total @ gain.T
+        score[:, i] = -np.inf
+        score[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        best = gain[np.argmax(score, axis=1)]
+        at_edges = lam
+        at_edges *= best[:, :, None] - best[:, None, :]
+        at_edges += best[:, None, :]
+        np.copyto(at_edges, np.inf, where=outside)
+        at_corners = np.where(corner, best, np.inf)
+        worst = np.minimum(at_corners.min(axis=1), at_edges.min(axis=(0, 2, 3)))
+        empty = (d.min(axis=1) > geometry.SCREEN_TIE) | (d.max(axis=1) < -geometry.SCREEN_TIE)
+        screened[start - i - 1 : stop - i - 1] = empty | (
+            np.isfinite(worst) & (worst >= geometry.SCREEN_MARGIN)
+        )
+    return screened
+
+
+def _assert_screen_matches_the_reference(problem):
+    scaled = geometry.scale_unit_max_abs(problem.utility)
+    want = [_reference_screened_pairs(scaled, i) for i in range(problem.n_actions)]
+    got = geometry._screened_pairs(scaled)
+    np.testing.assert_array_equal(got, np.concatenate([np.zeros(0, dtype=bool), *want]))
+    return int(got.sum())
+
+
+def test_one_screen_pass_matches_the_per_action_screen(monkeypatch):
+    screened = sum(map(_assert_screen_matches_the_reference, _NAMED_SCREEN_PROBLEMS))
+    rng = np.random.default_rng(2024)
+    for index in range(300):
+        problem = _random_screen_problem(rng, _SCREEN_KINDS[index % len(_SCREEN_KINDS)])
+        screened += _assert_screen_matches_the_reference(problem)
+    assert screened > 0
+    # One problem whose pairs span several chunks, split mid-row.
+    problem = ek.make_quadratic_loss(12)
+    monkeypatch.setattr(geometry, "SCREEN_CHUNK_POINTS", 5 * 2 * problem.n_states**2)
+    assert _assert_screen_matches_the_reference(problem) > 0
 
 
 def test_adjacency_screen_skips_problems_with_many_states(geometry_lps):

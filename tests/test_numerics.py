@@ -11,6 +11,9 @@ reference builds a fresh solver and a ``HighsLp`` for every program, as
 the function once did; the reused solver must give the same bits in any
 order of programs, after a solve that stopped early, and in two threads
 at once.
+
+``row_reduce_rank`` reduces a whole stack of matrices in one pass; each
+rank must be the one a matrix-at-a-time elimination gives.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from scipy.optimize import linprog
 
 import elicitkit
 from elicitkit import _numerics
-from elicitkit._numerics import max_slack_lp, scale_unit_max_abs
+from elicitkit._numerics import RANK_RTOL, max_slack_lp, row_reduce_rank, scale_unit_max_abs
 
 
 def reference_max_slack_lp(
@@ -262,7 +265,8 @@ def test_reused_solver_matches_a_fresh_solver_for_every_program():
             solver = _numerics._solver()
             solver.passOptions(limited)
             try:
-                assert max_slack_lp(*program) == (float("-inf"), None)
+                with pytest.raises(_numerics.LPFailure, match="kIterationLimit"):
+                    max_slack_lp(*program)
                 assert solver.getModelStatus() == _numerics._highs.HighsModelStatus.kIterationLimit
             finally:
                 solver.passOptions(_numerics._HIGHS_OPTIONS)
@@ -301,6 +305,96 @@ def test_two_threads_get_their_single_threaded_bits():
         assert together[i] is not None, f"thread {i} did not finish"
         assert len(together[i]) == len(alone[i])
         assert all(map(same_bits, together[i], alone[i])), f"thread {i}"
+
+
+# ---------------------------------------------------------------------------
+# Stacked row reduction: the ranks of one matrix at a time
+
+
+def reference_row_reduce_rank(matrix: np.ndarray, rtol: float = RANK_RTOL) -> int:
+    """``row_reduce_rank`` as it was, one matrix at a time."""
+    work = np.asarray(matrix, dtype=np.float64).copy()
+    if work.size == 0:
+        return 0
+    threshold = rtol * (1.0 + float(np.max(np.abs(work))))
+    rows, cols = work.shape
+    rank = 0
+    pivot_row = 0
+    for col in range(cols):
+        if pivot_row >= rows:
+            break
+        candidates = np.abs(work[pivot_row:, col])
+        best = int(np.argmax(candidates)) + pivot_row
+        if abs(work[best, col]) <= threshold:
+            continue
+        if best != pivot_row:
+            work[[pivot_row, best]] = work[[best, pivot_row]]
+        pivot = work[pivot_row, col]
+        below = work[pivot_row + 1 :, col] / pivot
+        work[pivot_row + 1 :, :] -= np.outer(below, work[pivot_row, :])
+        work[pivot_row + 1 :, col] = 0.0
+        rank += 1
+        pivot_row += 1
+    return rank
+
+
+def rank_test_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A random matrix, often rank-deficient, duplicated or near the pivot threshold."""
+    kind = int(rng.integers(0, 6))
+    if kind == 0:  # low rank
+        inner = int(rng.integers(1, min(rows, cols) + 1))
+        return rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
+    matrix = rng.integers(-2, 3, size=(rows, cols)).astype(np.float64)
+    if kind == 1 and rows > 1:  # duplicated and scaled rows
+        matrix[rng.integers(1, rows)] = matrix[0] * float(rng.choice([1.0, -2.0, 0.5]))
+    elif kind == 2:  # a perturbation at the threshold's scale
+        scale = RANK_RTOL * (1.0 + np.abs(matrix).max())
+        matrix[-1] = matrix[0] + scale * float(rng.choice([0.5, 0.999, 1.001, 2.0]))
+    elif kind == 3:  # an entry at the threshold's scale
+        matrix[rng.integers(0, rows), rng.integers(0, cols)] = RANK_RTOL * float(
+            rng.choice([0.5, 1.0, 1.5, 2.0])
+        )
+    elif kind == 4:
+        matrix = rng.normal(size=(rows, cols))
+    return matrix
+
+
+def test_stacked_ranks_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(31)
+    ranks = []
+    for _ in range(200):
+        count = int(rng.integers(1, 30))
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        stack = np.array([rank_test_matrix(rng, rows, cols) for _ in range(count)])
+        want = [reference_row_reduce_rank(matrix) for matrix in stack]
+        got = row_reduce_rank(stack)
+        assert got.dtype.kind == "i" and got.shape == (count,)
+        assert got.tolist() == want
+        assert [row_reduce_rank(matrix) for matrix in stack] == want
+        ranks += want
+    assert {0, 1, 2, 3} <= set(ranks)
+
+
+def test_zero_rows_pad_a_stack_without_changing_any_rank():
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        cols = int(rng.integers(1, 9))
+        matrices = [rank_test_matrix(rng, int(rng.integers(1, 9)), cols) for _ in range(12)]
+        height = max(matrix.shape[0] for matrix in matrices) + int(rng.integers(0, 3))
+        stack = np.zeros((len(matrices), height, cols))
+        for slot, matrix in enumerate(matrices):
+            stack[slot, : matrix.shape[0]] = matrix
+        assert row_reduce_rank(stack).tolist() == list(map(reference_row_reduce_rank, matrices))
+
+
+def test_row_reduce_rank_edge_cases():
+    assert row_reduce_rank(np.zeros((0, 3))) == 0
+    assert row_reduce_rank(np.zeros((3, 4, 0))).tolist() == [0, 0, 0]
+    assert row_reduce_rank(np.zeros((2, 3))) == 0
+    with pytest.raises(ValueError):
+        row_reduce_rank(np.array([[1.0, np.nan]]))
+    with pytest.raises(ValueError):
+        row_reduce_rank(np.array([[[1.0, np.inf]]]))
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_face_beliefs_match_the_step_halving_loop_bitwise(problem):
         for n in (1, 2, 3, 6, 20):
             witness = edge.witness.probs
             _assert_same_bits(
-                _face_beliefs(problem, edge.a, edge.b, witness, n, 5 + index),
+                _face_beliefs(problem, [(edge.a, edge.b, witness)], n, 5 + index),
                 _reference_face_beliefs(problem, edge.a, edge.b, witness, n, 5 + index),
             )
 
@@ -269,9 +269,43 @@ def _vertex_face_problem() -> ek.DecisionProblem:
 )
 def test_face_beliefs_repeat_the_witness_when_no_step_stays_on_the_face(problem, a, b):
     witness = ek.adjacency_test(problem, a, b).witness.probs
-    got = _face_beliefs(problem, a, b, witness, 5, 3)
+    got = _face_beliefs(problem, [(a, b, witness)], 5, 3)
     _assert_same_bits(got, _reference_face_beliefs(problem, a, b, witness, 5, 3))
     _assert_same_bits(got, np.tile(witness, (5, 1)))
+
+
+_GRAPH_FACE_PROBLEMS = [
+    _vertex_face_problem(),
+    ek.make_star(4, 0.3),
+    ek.make_close_guess([1.0, 2.0, 3.0, 4.0]),
+    ek.make_mc_test(2, 3)[0],
+    *random_validated_problems(3, seed=8, max_states=6, max_actions=7),
+]
+
+
+def test_graph_face_problems_have_several_edges_and_a_vertex_witness():
+    graphs = [ek.adjacency_graph(problem) for problem in _GRAPH_FACE_PROBLEMS]
+    assert all(len(graph.edges) > 1 for graph in graphs)
+    assert any(
+        (edge.witness.probs <= 0.0).sum() == edge.witness.probs.size - 1
+        for graph in graphs
+        for edge in graph.edges
+    )
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 6, 20))
+def test_face_beliefs_of_a_whole_graph_match_the_loop_bitwise(n):
+    for problem in _GRAPH_FACE_PROBLEMS:
+        edges = ek.adjacency_graph(problem).edges
+        faces = [(edge.a, edge.b, edge.witness.probs) for edge in edges]
+        want = [
+            _reference_face_beliefs(problem, edge.a, edge.b, edge.witness.probs, n, 9 + index)
+            for index, edge in enumerate(edges)
+        ]
+        _assert_same_bits(
+            _face_beliefs(problem, faces, n, 9),
+            np.vstack(want).reshape(-1, problem.n_states),
+        )
 
 
 def test_face_beliefs_match_the_reference_over_several_batches():
@@ -279,7 +313,7 @@ def test_face_beliefs_match_the_reference_over_several_batches():
     # (1/2, 1/2, 0, 0), so 2000 points take more than one batch of draws.
     problem = ek.make_star(4, 0.3)
     witness = ek.adjacency_test(problem, "theta0", "theta1").witness.probs
-    got = _face_beliefs(problem, "theta0", "theta1", witness, 2000, 11)
+    got = _face_beliefs(problem, [("theta0", "theta1", witness)], 2000, 11)
     assert got.shape == (2000, problem.n_states)
     _assert_same_bits(
         got, _reference_face_beliefs(problem, "theta0", "theta1", witness, 2000, 11)
