@@ -111,7 +111,10 @@ def row_reduce_rank(matrix: object, rtol: float = RANK_RTOL) -> int | np.ndarray
     come back as an integer array.  Each matrix sees exactly the
     arithmetic it would see alone, so its rank does not depend on the
     stack.  Zero rows change no rank, so matrices with fewer rows can
-    be padded with zeros to share a stack.
+    be padded with zeros to share a stack.  While every matrix finds a
+    pivot in every column, and so in the same row, each step updates
+    the rows below that row as one slice; once some matrix finds none,
+    masks pick each matrix's own rows.
     """
     work = np.array(matrix, dtype=np.float64)
     stacked = work.ndim == 3
@@ -125,18 +128,38 @@ def row_reduce_rank(matrix: object, rtol: float = RANK_RTOL) -> int | np.ndarray
         threshold = rtol * (1.0 + np.abs(work).max(axis=(1, 2)))
         row = np.arange(rows)
         which = np.arange(count)
+        shared = 0  # the rank of every matrix, until the ranks differ
         for col in range(cols):
-            magnitude = np.abs(work[:, :, col])
-            magnitude[row < rank[:, None]] = -1.0  # rows that already hold a pivot
-            best = magnitude.argmax(axis=1)
-            ok = ~(magnitude[which, best] <= threshold)
-            top = np.where(ok, rank, rows)  # the pivot row, or past the end
-            swap = np.flatnonzero(ok & (best != top))
-            if swap.size:
-                pair = np.stack([top[swap], best[swap]], axis=1)
-                work[swap[:, None], pair] = work[swap[:, None], pair[:, ::-1]]
-            pivot = work[which, np.minimum(top, rows - 1)]
-            below = row > top[:, None]
+            top = shared if shared >= 0 else int(rank.min())
+            magnitude = np.abs(work[:, top:, col])
+            if shared < 0:
+                magnitude[row[top:] < rank[:, None]] = -1.0  # rows that hold a pivot
+            ok = magnitude.max(axis=1) > threshold
+            pivots = np.count_nonzero(ok)
+            if not pivots:
+                continue
+            best = magnitude.argmax(axis=1) + top
+            if shared >= 0 and pivots == count:
+                # Every matrix pivots in row ``shared``: the rows below it are a slice.
+                pivot = work[which, best]
+                work[which, best] = work[:, shared]
+                work[:, shared] = pivot
+                factor = work[:, shared + 1 :, col] / pivot[:, col, None]
+                work[:, shared + 1 :] -= factor[:, :, None] * pivot[:, None, :]
+                work[:, shared + 1 :, col] = 0.0
+                shared += 1
+                if shared == rows:
+                    break
+                continue
+            if shared >= 0:
+                rank[:] = shared
+                shared = -1
+            # A matrix without a pivot here swaps row ``best`` with itself.
+            target = np.where(ok, rank, best)
+            pivot = work[which, best]
+            work[which, best] = work[which, target]
+            work[which, target] = pivot
+            below = row > np.where(ok, rank, rows)[:, None]
             factor = np.divide(
                 work[:, :, col], pivot[:, col, None], out=np.zeros((count, rows)), where=below
             )
@@ -147,6 +170,8 @@ def row_reduce_rank(matrix: object, rtol: float = RANK_RTOL) -> int | np.ndarray
             rank += ok
             if rank.min() == rows:
                 break
+        if shared >= 0:
+            rank[:] = shared
     return rank if stacked else int(rank[0])
 
 
