@@ -123,7 +123,7 @@ def row_reduce_rank(matrix: object, rtol: float = RANK_RTOL) -> int | np.ndarray
     elif not np.all(np.isfinite(work)):
         raise ValueError("matrix contains non-finite entries")
     count, rows, cols = work.shape
-    rank = np.zeros(count, dtype=np.int64)  # also each matrix's next pivot row
+    rank = np.zeros(count, dtype=np.int64)  # and next pivot row, once ranks differ
     if work.size:
         threshold = rtol * (1.0 + np.abs(work).max(axis=(1, 2)))
         row = np.arange(rows)

@@ -238,11 +238,12 @@ def _face_beliefs(
     """``boundary_beliefs`` for every face ``(a, b, witness)`` at once.
 
     Face ``f`` draws from the stream seeded ``seed + f``, and its ``n`` rows
-    follow those of face ``f - 1``.  Every step is one array operation
-    over all faces: one stacked SVD gives the tangent bases, and each
-    round draws for every face short of points about as many directions
-    as it should need (more when its witness has zero coordinates, where
-    most directions leave the simplex), computes them one per row with
+    follow those of face ``f - 1``.  Apart from each face's own draws,
+    every step is one array operation over all faces: one stacked SVD
+    gives the tangent bases, and each round draws for every face short
+    of points about as many directions as it should need (more when its
+    witness has zero coordinates, where most directions leave the
+    simplex), computes them one per row with
     the products the face alone would use, and drops in one sign test
     those negative, even after the shortest step, where the witness is
     zero: they leave the simplex at every step.  The step search then
@@ -286,6 +287,7 @@ def _face_beliefs(
             for f, m in zip(drawing.tolist(), draws.tolist())
         ])
         owner = np.repeat(drawing, draws)
+        # np.linalg.norm of each row, through the same dot product
         norm = np.sqrt(np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0])
         keep = norm != 0.0
         owner, direction = owner[keep], direction[keep] / norm[keep, None]

@@ -387,6 +387,18 @@ def test_zero_rows_pad_a_stack_without_changing_any_rank():
         assert row_reduce_rank(stack).tolist() == list(map(reference_row_reduce_rank, matrices))
 
 
+def test_stacked_nullspaces_match_one_svd_per_matrix_bitwise():
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        count = int(rng.integers(1, 12))
+        stack = np.array([rank_test_matrix(rng, rows, cols) for _ in range(count)])
+        for matrix, basis in zip(stack, _numerics.nullspaces(stack)):
+            _, s, vt = np.linalg.svd(matrix, full_matrices=True)
+            want = vt[int(np.sum(s > RANK_RTOL * (1.0 + float(np.max(np.abs(matrix)))))) :]
+            assert basis.shape == want.shape and basis.tobytes() == want.tobytes()
+
+
 def test_row_reduce_rank_edge_cases():
     assert row_reduce_rank(np.zeros((0, 3))) == 0
     assert row_reduce_rank(np.zeros((3, 4, 0))).tolist() == [0, 0, 0]
