@@ -110,13 +110,14 @@ def geometry_lps(monkeypatch: pytest.MonkeyPatch) -> list[tuple]:
 
 @pytest.fixture
 def stalled_lps():
-    """Stop every LP of this thread's solver at its iteration limit of 0.
+    """Stop every LP of this thread's solver at an iteration limit of 0.
 
-    HiGHS then ends each LP that presolve does not settle with model
-    status ``kIterationLimit``.
+    Presolve is off too, so that no LP is settled before its first
+    simplex iteration: each one ends with model status ``kIterationLimit``.
     """
     limited = _numerics._scipy_highs_options()
     limited.simplex_iteration_limit = 0
+    limited.presolve = "off"
     solver = _numerics._solver()
     solver.passOptions(limited)
     try:
