@@ -643,29 +643,24 @@ def cycle_rich(
     n = len(members)
     masks = [mask for mask in range(1, 1 << n) if 3 <= mask.bit_count() < n]
     witnesses: list[tuple[tuple[str, ...], str]] = []
-    # Subsets go through stacked rank passes of 1, 2, 4, ... subsets: most
-    # sets that fail do so at one of their first subsets.
-    start, size = 0, 1
-    while start < len(masks):
-        chunk = masks[start : start + size]
-        for mask, found in zip(chunk, _rich_witnesses(chunk, on_cycle, complements, k)):
-            chosen = tuple(sorted(members[b] for b in range(n) if mask >> b & 1))
-            if found is None:
-                return CycleRichResult(
-                    status="not-rich",
-                    rich=False,
-                    witnesses=tuple(witnesses),
-                    failing_subset=chosen,
-                )
-            witnesses.append((chosen, "" if found < 0 else members[found]))
-        start, size = start + size, 2 * size
+    for mask in masks:
+        found = _rich_witness(mask, on_cycle, complements, k)
+        chosen = tuple(sorted(members[b] for b in range(n) if mask >> b & 1))
+        if found is None:
+            return CycleRichResult(
+                status="not-rich",
+                rich=False,
+                witnesses=tuple(witnesses),
+                failing_subset=chosen,
+            )
+        witnesses.append((chosen, "" if found < 0 else members[found]))
     return CycleRichResult(status="cycle-rich", rich=True, witnesses=tuple(witnesses))
 
 
-def _rich_witnesses(
-    masks: Sequence[int], on_cycle: np.ndarray, complements: Sequence[FloatArray], k: int
-) -> list[int | None]:
-    """For each subset mask, the first outside action certifying it, or -1 or None.
+def _rich_witness(
+    mask: int, on_cycle: np.ndarray, complements: Sequence[FloatArray], k: int
+) -> int | None:
+    """The first outside action certifying the subset ``mask``, or -1 or None.
 
     ``on_cycle[c, a]`` says whether action ``a`` lies on independent cycle
     ``c``, whose span's complement is ``complements[c]``.  An outside
@@ -675,32 +670,23 @@ def _rich_witnesses(
     still reach rank ``k`` (-1): single outside actions can fall short
     when the subset misses an internal edge, yet the combined cycle family
     still pins the spans down to the origin.  Otherwise the subset fails
-    (None).  The stacks of all the masks take one stacked rank pass, and
-    the pooled stacks a second.
+    (None).  The outside actions' stacks take one stacked rank pass.
     """
+    inside = (mask >> np.arange(on_cycle.shape[1])) & 1 == 1
+    meets = on_cycle[:, inside].sum(axis=1) >= 2
     stacks: list[FloatArray] = []
-    owners: list[tuple[int, int]] = []
-    for m, mask in enumerate(masks):
-        inside = (mask >> np.arange(on_cycle.shape[1])) & 1 == 1
-        meets = on_cycle[:, inside].sum(axis=1) >= 2
-        for a in np.flatnonzero(~inside):
-            chosen = np.flatnonzero(meets & on_cycle[:, a])
-            if chosen.size:
-                stacks.append(np.concatenate([complements[c] for c in chosen]))
-                owners.append((m, int(a)))
-    found: list[int | None] = [None] * len(masks)
-    for (m, a), rank in zip(owners, _stacked_ranks(stacks)):
-        if rank == k and found[m] is None:
-            found[m] = a
-    unsettled = sorted({m for m, _ in owners if found[m] is None})
-    pooled = [
-        np.concatenate([stack for stack, (m, _) in zip(stacks, owners) if m == target])
-        for target in unsettled
-    ]
-    for m, rank in zip(unsettled, _stacked_ranks(pooled)):
+    owners: list[int] = []
+    for a in np.flatnonzero(~inside):
+        chosen = np.flatnonzero(meets & on_cycle[:, a])
+        if chosen.size:
+            stacks.append(np.concatenate([complements[c] for c in chosen]))
+            owners.append(int(a))
+    for a, rank in zip(owners, _stacked_ranks(stacks)):
         if rank == k:
-            found[m] = -1
-    return found
+            return a
+    if stacks and row_reduce_rank(np.concatenate(stacks)) == k:
+        return -1
+    return None
 
 
 def _stacked_ranks(matrices: Sequence[FloatArray]) -> np.ndarray:

@@ -21,7 +21,14 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._numerics import MIN_SLACK, FloatArray, as_float_matrix, max_slack_lp, scale_unit_max_abs
+from ._numerics import (
+    MIN_SLACK,
+    FloatArray,
+    LPFailure,
+    as_float_matrix,
+    max_slack_lp,
+    scale_unit_max_abs,
+)
 
 BUNDLE_SCHEMA = "elicitkit-bundle-v1"
 
@@ -428,7 +435,12 @@ class ValidationReport:
 
 
 def validate_problem(problem: DecisionProblem, tol: float = VALIDATE_RTOL) -> ValidationReport:
-    """Check for duplicate actions and actions no belief makes strictly best."""
+    """Check for duplicate actions and actions no belief makes strictly best.
+
+    An action's max-slack LP that HiGHS neither solves nor proves
+    infeasible raises :class:`LPFailure` naming the action, rather than
+    reporting the action as non-rationalizable.
+    """
     u = problem.utility
     scale = 1.0 + float(np.max(np.abs(u)))
     redundant: list[tuple[str, str]] = []
@@ -439,7 +451,12 @@ def validate_problem(problem: DecisionProblem, tol: float = VALIDATE_RTOL) -> Va
     scaled = scale_unit_max_abs(u)
     weak: list[tuple[str, float]] = []
     for a in range(problem.n_actions):
-        slack, _ = max_slack_lp(scaled, a)
+        try:
+            slack, _ = max_slack_lp(scaled, a)
+        except LPFailure as exc:
+            raise LPFailure(
+                f"the max-slack LP of {problem.actions[a]} did not finish: {exc}"
+            ) from exc
         if not slack > MIN_SLACK:
             weak.append((problem.actions[a], slack))
     return ValidationReport(

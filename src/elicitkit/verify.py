@@ -837,7 +837,9 @@ def oracle_cross_check(
     Incentivizable verdicts must synthesize into a mechanism that
     passes verification; negative verdicts must be demonstrable through
     a distortion witness against the naive lottery control.
-    Inconclusive verdicts carry no behavioral obligation.
+    Inconclusive verdicts carry no behavioral obligation, and neither
+    does an incentivizable verdict whose sweep needs an adjacency graph
+    with an LP that did not finish: the record then names that LP.
     """
     problem = bundle.problem
     if problem.n_actions * problem.n_states > ORACLE_CELL_CAP:
@@ -848,17 +850,22 @@ def oracle_cross_check(
     if bundle.question is None:
         raise ValueError("bundle has no question to cross-check")
     # Every verdict but global alignment needs the graph, and so does the
-    # sweep of an incentivizable one: build it once for both.  A graph
-    # whose LP did not finish leaves the verdict inconclusive.
+    # sweep of an incentivizable one: build it once for both.  When one of
+    # its LPs does not finish, the verdict is decided without it, as
+    # ``decide_incentivizable`` alone would decide it.
     try:
         graph = adjacency_graph(problem) if _sweeps_boundaries(problem, spec) else None
-    except LPFailure as exc:
-        verdict = Verdict(status="inconclusive", note=str(exc))
-    else:
-        verdict = decide_incentivizable(bundle, tol=tol, graph=graph)
+    except LPFailure:
+        graph = None
+    verdict = decide_incentivizable(bundle, tol=tol, graph=graph)
     if verdict.status == "incentivizable":
         method = synthesize(bundle, verdict)
-        report = verify_incentivizability(bundle, method, spec, graph)
+        try:
+            report = verify_incentivizability(bundle, method, spec, graph)
+        except LPFailure as exc:
+            return CrossCheckRecord(
+                verdict=verdict, consistent=True, detail=f"sweep inconclusive: {exc}"
+            )
         detail = (
             f"synthesized {method.provenance}: {report.passes}/{report.checked} "
             f"beliefs pass, {report.boundary_ambiguous} ambiguous, "

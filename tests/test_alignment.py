@@ -638,3 +638,13 @@ def test_a_verdict_without_the_graph_ignores_a_stalled_solver(stalled_lps):
     )
     verdict = ek.decide_incentivizable(bundle)
     assert (verdict.status, verdict.theorem) == ("incentivizable", "global-alignment-sufficiency")
+    # The oracle agrees with that verdict, and only its sweep, which needs
+    # the graph, is left undone.
+    record = ek.oracle_cross_check(bundle)
+    assert record.verdict.to_dict() == verdict.to_dict()
+    assert record.consistent
+    assert re.fullmatch(
+        r"sweep inconclusive: the adjacency LP of \([\d.]+, [\d.]+\) did not finish: "
+        r".*kIterationLimit.*",
+        record.detail,
+    ), record.detail

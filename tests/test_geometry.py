@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import elicitkit as ek
-from elicitkit import geometry
+from elicitkit import _numerics, geometry
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +171,8 @@ def _every_pair(problem):
     return results
 
 
-def _screened_exactly(problem, monkeypatch):
-    """Check ``adjacency_graph`` against brute force; return the pairs it skipped.
-
-    The graph must carry the same edges in the same order with the same
-    slack and witness bits, the pairs it tests must come in ``(i, j)``
-    order, and every skipped pair must be infeasible or at least half the
-    screen margin short of a tie.  Every tie the LPs return must also lie
-    in the screen's tie slab, which the screen's soundness assumes.  When
-    a pair's LP does not finish, the graph must stop at the first such
-    pair it tests with the same failure, or screen every such pair.
-    """
-    reference = _every_pair(problem)
-    failed = [pair for pair, result in reference.items() if isinstance(result, ek.LPFailure)]
-    scaled = geometry.scale_unit_max_abs(problem.utility)
-    index = problem.action_index
-    for (a, b), result in reference.items():
-        if (a, b) not in failed and result.witness is not None:
-            tie = (scaled[index[a]] - scaled[index[b]]) @ result.witness.probs
-            assert abs(tie) <= geometry.SCREEN_TIE, (a, b, tie)
+def _tested_pairs(problem, monkeypatch):
+    """``adjacency_graph(problem)``, or the ``LPFailure`` it raised, and the pairs it tested."""
     tested = []
     real_test = geometry.adjacency_test
 
@@ -199,22 +183,69 @@ def _screened_exactly(problem, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(geometry, "adjacency_test", recording)
         try:
-            graph = geometry.adjacency_graph(problem)
+            return geometry.adjacency_graph(problem), tested
         except ek.LPFailure as exc:
-            assert tested[-1] in failed and str(exc) == str(reference[tested[-1]]), tested
-            graph = None
+            return exc, tested
+
+
+@contextlib.contextmanager
+def _presolve_off():
+    """Solve this thread's LPs without presolve."""
+    options = _numerics._scipy_highs_options()
+    options.presolve = "off"
+    solver = _numerics._solver()
+    solver.passOptions(options)
+    try:
+        yield
+    finally:
+        solver.passOptions(_numerics._HIGHS_OPTIONS)
+
+
+def _screened_exactly(problem, monkeypatch):
+    """Check ``adjacency_graph`` against brute force; return the pairs it skipped.
+
+    The graph must carry the same edges in the same order with the same
+    slack and witness bits, the pairs it tests must come in ``(i, j)``
+    order, and every skipped pair must be infeasible or at least half the
+    screen margin short of a tie.  Every tie the LPs return must also lie
+    in the screen's tie slab, which the screen's soundness assumes.
+
+    When some pair's LP does not finish, the graph must raise that
+    failure at the first such pair it tests, or screen every such pair;
+    then the whole check runs again without presolve, which settles
+    those LPs.
+    """
+    reference = _every_pair(problem)
+    failed = [pair for pair, result in reference.items() if isinstance(result, ek.LPFailure)]
+    if failed:
+        graph, tested = _tested_pairs(problem, monkeypatch)
+        assert tested == [pair for pair in reference if pair in tested]
+        if isinstance(graph, ek.LPFailure):
+            assert tested[-1] in failed and str(graph) == str(reference[tested[-1]]), tested
+        else:
+            assert not set(failed) & set(tested), failed
+        with _presolve_off():
+            reference = _every_pair(problem)
+            assert not any(isinstance(r, ek.LPFailure) for r in reference.values()), failed
+            return _screen_matches(problem, reference, monkeypatch)
+    return _screen_matches(problem, reference, monkeypatch)
+
+
+def _screen_matches(problem, reference, monkeypatch):
+    scaled = geometry.scale_unit_max_abs(problem.utility)
+    index = problem.action_index
+    for (a, b), result in reference.items():
+        if result.witness is not None:
+            tie = (scaled[index[a]] - scaled[index[b]]) @ result.witness.probs
+            assert abs(tie) <= geometry.SCREEN_TIE, (a, b, tie)
+    graph, tested = _tested_pairs(problem, monkeypatch)
+    assert [(e.a, e.b, e.slack.hex(), e.witness.probs.tobytes()) for e in graph.edges] == [
+        (a, b, r.slack.hex(), r.witness.probs.tobytes())
+        for (a, b), r in reference.items()
+        if r.adjacent
+    ]
     assert tested == [pair for pair in reference if pair in tested]
-    if graph is None:
-        last = list(reference).index(tested[-1])
-        skipped = [pair for pair in list(reference)[:last] if pair not in tested]
-    else:
-        assert not set(failed) & set(tested), failed
-        assert [(e.a, e.b, e.slack.hex(), e.witness.probs.tobytes()) for e in graph.edges] == [
-            (a, b, r.slack.hex(), r.witness.probs.tobytes())
-            for (a, b), r in reference.items()
-            if (a, b) not in failed and r.adjacent
-        ]
-        skipped = [pair for pair in reference if pair not in tested and pair not in failed]
+    skipped = [pair for pair in reference if pair not in tested]
     for pair in skipped:
         result = reference[pair]
         assert result.witness is None or result.slack <= -geometry.SCREEN_MARGIN / 2, (

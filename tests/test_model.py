@@ -286,6 +286,13 @@ def test_validate_problem_accepts_generators():
         assert ek.validate_problem(problem).passed, problem.actions
 
 
+def test_validate_problem_names_an_lp_that_does_not_finish(stalled_lps):
+    with pytest.raises(
+        ek.LPFailure, match=r"the max-slack LP of 0 did not finish: .*kIterationLimit"
+    ):
+        ek.validate_problem(ek.make_quadratic_loss(4))
+
+
 # ---------------------------------------------------------------------------
 # Bundle serialization
 
