@@ -11,8 +11,12 @@ Those programs go straight to the HiGHS solver behind scipy's
 checks that interface uses but without its per-call input parsing,
 option validation and result assembly.  Each thread keeps one solver,
 given those options once when it is created; every program is handed
-to it as bare arrays, which replaces the previous model, so a solve
-costs HiGHS's own ``run()`` and little else.
+to it as bare arrays, which replaces the previous model.  What depends
+only on a program's shape (bounds, costs, column offsets, the bounds of
+the result check) is built once per shape, and the result check is one
+array comparison, so a solve costs HiGHS's own ``run()`` and little
+else.  A program HiGHS neither solves nor proves infeasible is solved
+once more, cold and without presolve, before it counts as a failure.
 
 That solver is scipy's private binding ``scipy.optimize._highspy._core``
 (shipped since scipy 1.15), and it is loaded on its own.  Importing it
@@ -26,6 +30,7 @@ scipy.optimize`` reuses the same module object.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -33,6 +38,7 @@ import os
 import sys
 import threading
 from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -232,6 +238,10 @@ _SLACK_CAP = 2.0
 MIN_SLACK = 1e-7
 
 
+#: Model statuses that answer a max-slack program; any other is solved again.
+_SETTLED = (_highs.HighsModelStatus.kOptimal, _highs.HighsModelStatus.kInfeasible)
+
+
 class LPFailure(RuntimeError):
     """A max-slack LP that HiGHS neither solved nor proved infeasible."""
 
@@ -244,6 +254,108 @@ def _solver() -> _highs._Highs:
         highs = _thread.highs = _highs._Highs()
         highs.passOptions(_HIGHS_OPTIONS)
         return highs
+
+
+class _Shape(NamedTuple):
+    """The parts of a max-slack program fixed by its shape, all read-only."""
+
+    cost: FloatArray
+    col_lower: FloatArray
+    col_upper: FloatArray
+    row_lower: FloatArray
+    row_upper: FloatArray
+    integrality: np.ndarray
+    #: ``by_column`` with every entry that does not depend on the utility.
+    template: FloatArray
+    #: The flat ``by_column`` positions where each column starts, and one past the end.
+    column_offsets: np.ndarray
+    #: The row (constraint) of each flat ``by_column`` position.
+    row_of: np.ndarray
+    #: scipy's feasibility check on the columns' and then the rows' values
+    #: ``v`` (see ``_passes_check``): ``floor <= v - shift <= ceiling``.
+    check_shift: FloatArray
+    check_floor: FloatArray
+    check_ceiling: FloatArray
+
+
+@functools.lru_cache(maxsize=128)
+def _shape(n_states: int, n_ub: int, tied: bool) -> _Shape:
+    """The constant parts of a program with ``n_ub`` competitor rows."""
+    n_cols = n_states + 1
+    n_rows = n_ub + (2 if tied else 1)
+    cost = np.zeros(n_cols)
+    cost[-1] = -1.0  # maximize s
+    col_lower = np.zeros(n_cols)
+    col_lower[-1] = -np.inf
+    col_upper = np.full(n_cols, np.inf)
+    col_upper[-1] = _SLACK_CAP
+    row_upper = np.zeros(n_rows)
+    row_upper[n_ub] = 1.0
+    row_lower = row_upper.copy()
+    row_lower[:n_ub] = -np.inf
+    template = np.zeros((n_cols, n_rows))
+    template[:n_states, n_ub] = 1.0
+    template[n_states, :n_ub] = 1.0
+    # p >= -tol, s <= cap + tol, competitor rows <= tol, and the equality
+    # rows within tol of their right-hand sides.
+    check_shift = np.concatenate((np.zeros(n_cols), row_upper))
+    check_floor = np.full(n_cols + n_rows, -_RESULT_TOL)
+    check_floor[n_states : n_cols + n_ub] = -np.inf
+    check_ceiling = np.full(n_cols + n_rows, _RESULT_TOL)
+    check_ceiling[:n_states] = np.inf
+    check_ceiling[n_states] = _SLACK_CAP + _RESULT_TOL
+    shape = _Shape(
+        cost=cost,
+        col_lower=col_lower,
+        col_upper=col_upper,
+        row_lower=row_lower,
+        row_upper=row_upper,
+        integrality=np.zeros(n_cols, dtype=np.int32),  # every column continuous
+        template=template,
+        column_offsets=np.arange(0, (n_cols + 1) * n_rows, n_rows),
+        row_of=(np.arange(n_cols * n_rows) % n_rows).astype(np.int32),
+        check_shift=check_shift,
+        check_floor=check_floor,
+        check_ceiling=check_ceiling,
+    )
+    for array in shape:
+        array.setflags(write=False)
+    return shape
+
+
+def _passes_check(shape: _Shape, values: FloatArray) -> bool:
+    """scipy's feasibility check on a solution's column values, then row values.
+
+    scipy requires a NaN-free solution within its bounds, inequality
+    slack ``>= -tol`` and equality residual ``<= tol``.  With these bounds
+    and right-hand sides that is ``p >= -tol``, ``s <= cap + tol``, every
+    competitor row ``<= tol`` and ``|row - rhs| <= tol`` for the equality
+    rows.  Subtracting a zero shift is exact, so each bound is compared
+    with the very value or residual scipy compares, and every comparison
+    fails on NaN.
+    """
+    deviation = values - shape.check_shift
+    return bool(((deviation >= shape.check_floor) & (deviation <= shape.check_ceiling)).all())
+
+
+def _run(highs: _highs._Highs) -> tuple[object, object]:
+    """Run the passed model; re-solve once, cold and without presolve, if it does not finish.
+
+    Returns the run status and model status of the last attempt.  The
+    solver's own ``presolve`` value is restored after a re-solve.
+    """
+    ran = highs.run()
+    status = highs.getModelStatus()
+    if status in _SETTLED:
+        return ran, status
+    presolve = highs.getOptions().presolve
+    highs.clearSolver()
+    highs.setOptionValue("presolve", "off")
+    try:
+        ran = highs.run()
+    finally:
+        highs.setOptionValue("presolve", presolve)
+    return ran, highs.getModelStatus()
 
 
 def max_slack_lp(
@@ -259,60 +371,56 @@ def max_slack_lp(
     ``E_p[u(target)] == E_p[u(tie_with)]`` and the tied action is not a
     competitor.  Returns ``(slack, belief)``.  Only a program HiGHS proves
     infeasible (model status ``kInfeasible``) yields ``(-inf, None)``: no
-    belief has that optimal set.  Any other status than ``kOptimal``
-    (an iteration or time limit, a numerical or solve error), and an
-    optimal solution that fails scipy's feasibility check, raise
-    :class:`LPFailure` naming the status, since the program's answer is
-    then unknown rather than negative.
+    belief has that optimal set.
+
+    When HiGHS ends with any other status than ``kOptimal`` or
+    ``kInfeasible`` (an iteration or time limit, a numerical or solve
+    error, or presolve giving up on near-duplicate rows), the same model
+    is solved once more from scratch with presolve off, and the solver's
+    own ``presolve`` value is restored afterwards.  If that attempt does
+    not finish either, and also when an optimal solution fails scipy's
+    feasibility check, :class:`LPFailure` names the status, since the
+    program's answer is then unknown rather than negative.  A model
+    HiGHS rejects raises at once.
 
     Callers are expected to pre-scale ``utility`` so the slack lives in
     a known gauge; this routine does no scaling of its own.
 
     The model, options and feasibility check are those of scipy's
     ``method="highs"`` LP interface, so the result is bit-identical to
-    solving the same program through it.  Each thread keeps one solver,
-    configured once; passing a model to it discards the previous model
-    together with its solution and basis, so every solve starts cold.
+    solving the same program through it.  The bounds, costs, column
+    offsets and check bounds depend only on the program's shape and are
+    built once per shape, as read-only arrays.  Each thread keeps one
+    solver, configured once; passing a model to it discards the previous
+    model together with its solution and basis, so every solve starts
+    cold.
     """
     n_actions, n_states = utility.shape
     competitors = [c for c in range(n_actions) if c != target and c != tie_with]
     n_ub = len(competitors)
-    n_rows = n_ub + (1 if tie_with is None else 2)
+    shape = _shape(n_states, n_ub, tie_with is not None)
     # Variables: p (n_states) then s.  Rows: competitors (<= 0), then
     # sum(p) == 1 and, with a tie, the indifference row (== 0).  Row j of
     # ``by_column`` is column j of the constraint matrix, so its flat
     # nonzero positions list the entries column by column, as csc_array
     # keeps them.
-    by_column = np.zeros((n_states + 1, n_rows))
-    np.subtract(utility[competitors], utility[target], out=by_column[:n_states, :n_ub].T)
-    by_column[:n_states, n_ub] = 1.0
-    by_column[n_states, :n_ub] = 1.0
+    by_column = shape.template.copy()
+    np.subtract(
+        utility.take(competitors, axis=0), utility[target], out=by_column[:n_states, :n_ub].T
+    )
     if tie_with is not None:
         np.subtract(utility[target], utility[tie_with], out=by_column[:n_states, -1])
-    flat = np.flatnonzero(by_column)
-    start = np.searchsorted(flat, np.arange(0, (n_states + 2) * n_rows, n_rows)).astype(np.int32)
-    index = (flat % n_rows).astype(np.int32)
-    row_upper = np.zeros(n_rows)
-    row_upper[n_ub] = 1.0
-    row_lower = row_upper.copy()
-    row_lower[:n_ub] = -np.inf
-    col_lower = np.zeros(n_states + 1)
-    col_lower[-1] = -np.inf
-    col_upper = np.full(n_states + 1, np.inf)
-    col_upper[-1] = _SLACK_CAP
-    cost = np.zeros(n_states + 1)
-    cost[-1] = -1.0  # maximize s
+    flat = by_column.ravel().nonzero()[0]
 
     highs = _solver()
     if highs.passModel(
-        n_states + 1, n_rows, len(flat), _COLWISE, _MINIMIZE, 0.0,
-        cost, col_lower, col_upper, row_lower, row_upper,
-        start, index, by_column.take(flat),
-        np.zeros(n_states + 1, dtype=np.int32),  # every column continuous
+        n_states + 1, by_column.shape[1], len(flat), _COLWISE, _MINIMIZE, 0.0,
+        shape.cost, shape.col_lower, shape.col_upper, shape.row_lower, shape.row_upper,
+        flat.searchsorted(shape.column_offsets).astype(np.int32),
+        shape.row_of.take(flat), by_column.take(flat), shape.integrality,
     ) == _highs.HighsStatus.kError:
         raise LPFailure("HiGHS rejected the model")
-    ran = highs.run()
-    status = highs.getModelStatus()
+    ran, status = _run(highs)
     if status == _highs.HighsModelStatus.kInfeasible:
         return float("-inf"), None
     if ran == _highs.HighsStatus.kError or status != _highs.HighsModelStatus.kOptimal:
@@ -320,22 +428,13 @@ def max_slack_lp(
             f"HiGHS ended with run status {ran.name} and model status {status.name}"
         )
     solution = highs.getSolution()
-    x = solution.col_value
-    row_value = solution.row_value
-    # scipy's check: NaN-free, within bounds, inequality slack >= -tol
-    # and equality residual <= tol (every comparison fails on NaN).  With
-    # these bounds and right-hand sides it reduces to the lines below.
-    if math.isnan(highs.getObjectiveValue()) or not (
-        all(v >= -_RESULT_TOL for v in x[:n_states])
-        and x[-1] <= _SLACK_CAP + _RESULT_TOL
-        and all(v <= _RESULT_TOL for v in row_value[:n_ub])
-        and abs(1.0 - row_value[n_ub]) <= _RESULT_TOL
-        and (tie_with is None or abs(row_value[-1]) <= _RESULT_TOL)
-    ):
+    values = np.array(solution.col_value + solution.row_value)
+    if math.isnan(highs.getObjectiveValue()) or not _passes_check(shape, values):
         raise LPFailure(
             f"HiGHS ended with model status {status.name}, "
             "but its solution fails scipy's feasibility check"
         )
     # The checked solution sums to 1 within the tolerance, so this is positive.
-    belief = np.clip(x[:n_states], 0.0, None)
-    return float(x[-1]), belief / float(belief.sum())
+    belief = np.clip(values[:n_states], 0.0, None)
+    belief /= belief.sum()
+    return float(values[n_states]), belief

@@ -7,15 +7,17 @@ the characterization theorem to apply, its biconnected blocks form the
 splitting collection for piecewise constructions, and its cycles feed
 the cycle-based necessity test.
 
-Building the graph takes one max-slack LP per action pair, except for
-pairs a cheap certificate proves non-adjacent: either no belief comes
-close to tying the two actions, or a single third action beats the
-first of them by a fixed margin near every tie.  Such a pair's LP could
-only have confirmed the non-edge, so the graph is the one the LPs alone
-would give, bit for bit.  One array pass screens all pairs of a graph;
-its working set is bounded, and problems with too many states for it
-skip it.  The cycle-richness test checks the independence of all its
-cycles, and the spans of each batch of subsets, in stacked rank passes.
+Building the graph scales the utility to unit max-abs once and solves
+one max-slack LP on that matrix per action pair, except for pairs a
+cheap certificate proves non-adjacent: either no belief comes close to
+tying the two actions, or a single third action beats the first of them
+by a fixed margin near every tie.  Such a pair's LP could only have
+confirmed the non-edge, so the graph is the one the LPs alone would
+give, bit for bit.  One array pass screens all pairs of a graph; its
+working set is bounded, and problems with too many states for it skip
+it.  The witnesses of all edges are normalized in one stacked pass.  The
+cycle-richness test checks the independence of all its cycles, and the
+spans of each subset, in stacked rank passes.
 """
 
 from __future__ import annotations
@@ -125,6 +127,17 @@ class AdjacencyEdge:
     witness: Belief
 
 
+def _pair_lp(
+    problem: DecisionProblem, scaled: FloatArray, i: int, j: int
+) -> tuple[float, FloatArray | None]:
+    """``max_slack_lp(scaled, i, tie_with=j)``, naming the pair if its LP does not finish."""
+    try:
+        return max_slack_lp(scaled, i, tie_with=j)
+    except LPFailure as exc:
+        a, b = problem.actions[i], problem.actions[j]
+        raise LPFailure(f"the adjacency LP of ({a}, {b}) did not finish: {exc}") from exc
+
+
 def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
     """Decide whether some belief makes exactly ``{a, b}`` the optimal set.
 
@@ -137,15 +150,27 @@ def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
     ib = problem.action_index[b]
     if ia == ib:
         raise ValueError("adjacency needs two distinct actions")
-    try:
-        slack, raw = max_slack_lp(scale_unit_max_abs(problem.utility), ia, tie_with=ib)
-    except LPFailure as exc:
-        raise LPFailure(f"the adjacency LP of ({a}, {b}) did not finish: {exc}") from exc
+    slack, raw = _pair_lp(problem, scale_unit_max_abs(problem.utility), ia, ib)
     if raw is None:
         return AdjacencyResult(adjacent=False, slack=slack, witness=None)
     return AdjacencyResult(
         adjacent=slack > MIN_SLACK, slack=slack, witness=Belief.from_array(raw)
     )
+
+
+def _witness_beliefs(raws: Sequence[FloatArray]) -> list[Belief]:
+    """``Belief.from_array`` of each LP solution, from one stacked pass.
+
+    Each row takes ``from_array``'s steps, ``np.clip`` at zero and a
+    division by its own sum, so each belief has the bits ``from_array``
+    gives it.  ``np.maximum`` would not do: ``np.maximum(0.0, -0.0)`` keeps
+    the sign of zero that ``np.clip`` drops.
+    """
+    if not raws:
+        return []
+    stacked = np.clip(np.stack(raws), 0.0, None)
+    stacked /= stacked.sum(axis=1, keepdims=True)
+    return [Belief(row) for row in stacked]
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,29 +349,30 @@ def _screen_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndarr
 def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
     """Run the pairwise adjacency test over every action pair.
 
-    One pass of :func:`_screened_pairs` over all pairs proves some of them
-    non-adjacent, and they are skipped; every other pair goes through
-    :func:`adjacency_test` in ``(i, j)`` order.  A skipped pair's LP is
+    The utility is scaled to unit max-abs once.  One pass of
+    :func:`_screened_pairs` over all pairs proves some of them
+    non-adjacent, and they are skipped; every other pair goes to
+    :func:`max_slack_lp` on that scaled matrix, in ``(i, j)`` order, as
+    :func:`adjacency_test` would send it, and an LP that does not finish
+    raises :class:`LPFailure` naming its pair.  A skipped pair's LP is
     infeasible or its optimum is at most ``-SCREEN_MARGIN``, so it could
     never have been an edge, and the edges, their order, slacks and
     witnesses are exactly those of testing every pair.
     """
+    scaled = scale_unit_max_abs(problem.utility)
     first, second = _pair_indices(problem.n_actions)
-    tested = ~_screened_pairs(scale_unit_max_abs(problem.utility))
-    edges = []
+    tested = ~_screened_pairs(scaled)
+    found = []
     for i, j in zip(first[tested].tolist(), second[tested].tolist()):
-        result = adjacency_test(problem, problem.actions[i], problem.actions[j])
-        if result.adjacent:
-            assert result.witness is not None
-            edges.append(
-                AdjacencyEdge(
-                    a=problem.actions[i],
-                    b=problem.actions[j],
-                    slack=result.slack,
-                    witness=result.witness,
-                )
-            )
-    return AdjacencyGraph(actions=problem.actions, edges=tuple(edges))
+        slack, raw = _pair_lp(problem, scaled, i, j)
+        if slack > MIN_SLACK:  # an infeasible pair has slack -inf and no solution
+            found.append((i, j, slack, raw))
+    witnesses = _witness_beliefs([raw for *_, raw in found])
+    edges = tuple(
+        AdjacencyEdge(a=problem.actions[i], b=problem.actions[j], slack=slack, witness=witness)
+        for (i, j, slack, _), witness in zip(found, witnesses)
+    )
+    return AdjacencyGraph(actions=problem.actions, edges=edges)
 
 
 # ---------------------------------------------------------------------------

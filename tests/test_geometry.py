@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import contextlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import elicitkit as ek
-from elicitkit import _numerics, geometry
+from elicitkit import geometry
 
 
 # ---------------------------------------------------------------------------
@@ -152,53 +152,58 @@ def test_induced_subgraph_keeps_the_real_edges():
     assert sub.neighbors("safe") == ("theta1", "theta0", "theta3")
 
 
+def test_stacked_witnesses_have_the_bits_of_from_array():
+    zeros = [
+        np.array([0.25, 0.0, -0.0, 0.75]),
+        np.array([-0.0, 1.0, 0.0, 0.0]),
+        np.array([1 / 3, -0.0, 1 / 3, 1 / 3 + 1e-12]),
+    ]
+    assert np.signbit(zeros[1][0])
+    cases = [zeros]
+    rng = np.random.default_rng(9)
+    for k in (2, 3, 7, 8, 9, 16, 17, 130, 300):
+        rows = rng.dirichlet(np.ones(k), size=6) * rng.uniform(0.9999, 1.0001, size=(6, 1))
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[:, 0] = -0.0
+        rows[:, -1] += 0.1  # a vector that sums to zero is no belief
+        cases.append(list(rows))
+    for raws in cases:
+        got = geometry._witness_beliefs(raws)
+        assert len(got) == len(raws)
+        for belief, raw in zip(got, raws):
+            assert belief.probs.tobytes() == ek.Belief.from_array(raw).probs.tobytes()
+    assert geometry._witness_beliefs([]) == []
+
+
 # ---------------------------------------------------------------------------
 # The non-adjacency screen
 
 
 def _every_pair(problem):
-    """Brute force: every pair through ``adjacency_test``, in ``(i, j)`` order.
-
-    A pair whose LP does not finish maps to the ``LPFailure`` it raised.
-    """
-    results = {}
-    for i, a in enumerate(problem.actions):
-        for b in problem.actions[i + 1 :]:
-            try:
-                results[(a, b)] = ek.adjacency_test(problem, a, b)
-            except ek.LPFailure as exc:
-                results[(a, b)] = exc
-    return results
+    """Brute force: every pair through ``adjacency_test``, in ``(i, j)`` order."""
+    return {
+        (a, b): ek.adjacency_test(problem, a, b)
+        for i, a in enumerate(problem.actions)
+        for b in problem.actions[i + 1 :]
+    }
 
 
 def _tested_pairs(problem, monkeypatch):
-    """``adjacency_graph(problem)``, or the ``LPFailure`` it raised, and the pairs it tested."""
-    tested = []
-    real_test = geometry.adjacency_test
+    """``adjacency_graph(problem)`` and the pairs it tested.
 
-    def recording(problem_, a, b):
-        tested.append((a, b))
-        return real_test(problem_, a, b)
+    The graph's LPs are recorded where it calls ``max_slack_lp``, as the
+    ``geometry_lps`` fixture records them.
+    """
+    tested = []
+    real_lp = geometry.max_slack_lp
+
+    def recording(utility, target, tie_with=None):
+        tested.append((problem.actions[target], problem.actions[tie_with]))
+        return real_lp(utility, target, tie_with=tie_with)
 
     with monkeypatch.context() as patch:
-        patch.setattr(geometry, "adjacency_test", recording)
-        try:
-            return geometry.adjacency_graph(problem), tested
-        except ek.LPFailure as exc:
-            return exc, tested
-
-
-@contextlib.contextmanager
-def _presolve_off():
-    """Solve this thread's LPs without presolve."""
-    options = _numerics._scipy_highs_options()
-    options.presolve = "off"
-    solver = _numerics._solver()
-    solver.passOptions(options)
-    try:
-        yield
-    finally:
-        solver.passOptions(_numerics._HIGHS_OPTIONS)
+        patch.setattr(geometry, "max_slack_lp", recording)
+        return geometry.adjacency_graph(problem), tested
 
 
 def _screened_exactly(problem, monkeypatch):
@@ -209,29 +214,8 @@ def _screened_exactly(problem, monkeypatch):
     order, and every skipped pair must be infeasible or at least half the
     screen margin short of a tie.  Every tie the LPs return must also lie
     in the screen's tie slab, which the screen's soundness assumes.
-
-    When some pair's LP does not finish, the graph must raise that
-    failure at the first such pair it tests, or screen every such pair;
-    then the whole check runs again without presolve, which settles
-    those LPs.
     """
     reference = _every_pair(problem)
-    failed = [pair for pair, result in reference.items() if isinstance(result, ek.LPFailure)]
-    if failed:
-        graph, tested = _tested_pairs(problem, monkeypatch)
-        assert tested == [pair for pair in reference if pair in tested]
-        if isinstance(graph, ek.LPFailure):
-            assert tested[-1] in failed and str(graph) == str(reference[tested[-1]]), tested
-        else:
-            assert not set(failed) & set(tested), failed
-        with _presolve_off():
-            reference = _every_pair(problem)
-            assert not any(isinstance(r, ek.LPFailure) for r in reference.values()), failed
-            return _screen_matches(problem, reference, monkeypatch)
-    return _screen_matches(problem, reference, monkeypatch)
-
-
-def _screen_matches(problem, reference, monkeypatch):
     scaled = geometry.scale_unit_max_abs(problem.utility)
     index = problem.action_index
     for (a, b), result in reference.items():
@@ -253,6 +237,20 @@ def _screen_matches(problem, reference, monkeypatch):
             result.slack,
         )
     return skipped
+
+
+def test_a_stalled_graph_lp_raises_at_the_first_pair_it_tests(geometry_lps, stalled_lps):
+    problem = ek.make_quadratic_loss(4)
+    with pytest.raises(ek.LPFailure) as graph_failure:
+        geometry.adjacency_graph(problem)
+    assert geometry_lps == [(0, 1)]  # the re-solve is part of the one call
+    with pytest.raises(ek.LPFailure) as pair_failure:
+        ek.adjacency_test(problem, "0", "0.25")
+    assert str(graph_failure.value) == str(pair_failure.value)
+    assert re.fullmatch(
+        r"the adjacency LP of \(0, 0\.25\) did not finish: .*kIterationLimit",
+        str(graph_failure.value),
+    )
 
 
 _NAMED_SCREEN_PROBLEMS = [
@@ -298,18 +296,37 @@ def _random_screen_problem(rng, kind):
     )
 
 
-def test_adjacency_screen_is_exact_on_random_problems(monkeypatch):
+def _seeded_screen_problems():
+    """The 300 seeded problems of the random screen tests, with their kinds."""
     rng = np.random.default_rng(2024)
+    kinds = [_SCREEN_KINDS[index % len(_SCREEN_KINDS)] for index in range(300)]
+    return [(kind, _random_screen_problem(rng, kind)) for kind in kinds]
+
+
+def test_adjacency_screen_is_exact_on_random_problems(monkeypatch):
     skipped = 0
-    for index in range(300):
-        kind = _SCREEN_KINDS[index % len(_SCREEN_KINDS)]
-        problem = _random_screen_problem(rng, kind)
+    for index, (kind, problem) in enumerate(_seeded_screen_problems()):
         pruned = _screened_exactly(problem, monkeypatch)
         if kind == "shift":
             # Scaled, the payoff gaps fall below the tie width: nothing to prove.
             assert pruned == [], (index, pruned)
         skipped += len(pruned)
     assert skipped > 0
+
+
+def test_lps_that_presolve_leaves_unfinished_are_solved_again(monkeypatch):
+    # Problems 141 and 177 hold near-duplicate actions, rows 1e-9 apart.
+    # With presolve, HiGHS 1.12 leaves the LPs of (a0, a1) and (a2, a3)
+    # without an answer (model status kNotset and kUnknown); solved again
+    # without presolve they are infeasible, so neither pair is an edge.
+    problems = _seeded_screen_problems()
+    for index, pair in ((141, ("a0", "a1")), (177, ("a2", "a3"))):
+        kind, problem = problems[index]
+        assert kind == "offset"
+        assert not ek.adjacency_test(problem, *pair).adjacent
+        graph, tested = _tested_pairs(problem, monkeypatch)
+        assert pair in tested and not graph.has_edge(*pair)
+        _screened_exactly(problem, monkeypatch)
 
 
 def test_adjacency_screen_chunks_give_the_same_pairs(monkeypatch):
@@ -374,9 +391,7 @@ def _assert_screen_matches_the_reference(problem):
 
 def test_one_screen_pass_matches_the_per_action_screen(monkeypatch):
     screened = sum(map(_assert_screen_matches_the_reference, _NAMED_SCREEN_PROBLEMS))
-    rng = np.random.default_rng(2024)
-    for index in range(300):
-        problem = _random_screen_problem(rng, _SCREEN_KINDS[index % len(_SCREEN_KINDS)])
+    for _, problem in _seeded_screen_problems():
         screened += _assert_screen_matches_the_reference(problem)
     assert screened > 0
     # One problem whose pairs span several chunks, split mid-row.

@@ -10,7 +10,10 @@ The two must agree bit for bit: on the slack, on the belief, and on
 reference builds a fresh solver and a ``HighsLp`` for every program, as
 the function once did; the reused solver must give the same bits in any
 order of programs, after a solve that stopped early, and in two threads
-at once.
+at once.  scipy's feasibility check, now one array comparison, must give
+the verdicts of the generator form it replaced, NaN included.  A program
+that does not finish is solved once more without presolve, and the
+solver keeps its own options.
 
 ``row_reduce_rank`` reduces a whole stack of matrices in one pass; each
 rank must be the one a matrix-at-a-time elimination gives.
@@ -305,6 +308,147 @@ def test_two_threads_get_their_single_threaded_bits():
         assert together[i] is not None, f"thread {i} did not finish"
         assert len(together[i]) == len(alone[i])
         assert all(map(same_bits, together[i], alone[i])), f"thread {i}"
+
+
+# ---------------------------------------------------------------------------
+# scipy's feasibility check, as one array comparison
+
+
+def reference_passes_check(x, row_value, n_states, n_ub, tied) -> bool:
+    """The check as ``max_slack_lp`` once ran it, one Python comparison at a time."""
+    tol = _numerics._RESULT_TOL
+    return (
+        all(v >= -tol for v in x[:n_states])
+        and x[-1] <= _numerics._SLACK_CAP + tol
+        and all(v <= tol for v in row_value[:n_ub])
+        and abs(1.0 - row_value[n_ub]) <= tol
+        and (not tied or abs(row_value[-1]) <= tol)
+    )
+
+
+def test_the_array_check_matches_the_generator_check():
+    tol = _numerics._RESULT_TOL
+    cap = _numerics._SLACK_CAP
+    edges = [tol, 1.0 + tol, 1.0 - tol, cap + tol]
+    special = np.array(
+        [0.0, -0.0, 1.0, 0.5, 2.0, np.nan, np.inf, -np.inf]
+        + [f(v) for v in edges for f in (lambda v: v, np.negative)]
+        + [np.nextafter(v, t) for v in edges + [-tol] for t in (-np.inf, np.inf)]
+    )
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for _ in range(4000):
+        n_states = int(rng.integers(1, 5))
+        n_ub = int(rng.integers(0, 4))
+        tied = bool(rng.integers(0, 2))
+        n_rows = n_ub + 1 + tied
+        x = rng.choice(special, size=n_states + 1)
+        row_value = rng.choice(special, size=n_rows)
+        if rng.random() < 0.5:  # mostly feasible, so both outcomes are common
+            x[:n_states] = np.abs(x[:n_states])
+            row_value[:n_ub] = -np.abs(row_value[:n_ub])
+            row_value[n_ub] = rng.choice([1.0, 1.0 + tol, 1.0 - tol, np.nextafter(1.0 + tol, 2.0)])
+            if tied:
+                row_value[-1] = rng.choice([0.0, -0.0, tol, -tol, np.nextafter(tol, 1.0)])
+        want = reference_passes_check(x.tolist(), row_value.tolist(), n_states, n_ub, tied)
+        shape = _numerics._shape(n_states, n_ub, tied)
+        got = _numerics._passes_check(shape, np.concatenate((x, row_value)))
+        assert got == want, (x.tolist(), row_value.tolist(), n_ub, tied)
+        verdicts.append(want)
+    assert 0.05 < np.mean(verdicts) < 0.95, np.mean(verdicts)
+
+
+def test_shape_constants_are_read_only():
+    shape = _numerics._shape(3, 2, True)
+    assert shape is _numerics._shape(3, 2, True)
+    for array in shape:
+        assert not array.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# A program that does not finish is solved once more, without presolve
+
+
+class RecordingSolver:
+    """This thread's solver, recording each run, clear and option change."""
+
+    def __init__(self, highs) -> None:
+        self.highs = highs
+        self.calls: list[tuple] = []
+
+    def __getattr__(self, name: str):
+        method = getattr(self.highs, name)
+        if name not in ("run", "clearSolver", "setOptionValue"):
+            return method
+
+        def recording(*args):
+            self.calls.append((name, *args))
+            return method(*args)
+
+        return recording
+
+
+def solver_options(highs) -> dict:
+    options = highs.getOptions()
+    return {name: getattr(options, name) for name in dir(options) if not name.startswith("_")}
+
+
+@pytest.fixture
+def recording_solver(monkeypatch):
+    solver = RecordingSolver(_numerics._solver())
+    monkeypatch.setattr(_numerics, "_solver", lambda: solver)
+    return solver
+
+
+#: A program that needs simplex iterations, also after presolve.
+STALLING = (scale_unit_max_abs(elicitkit.make_quadratic_loss(7).utility), 3, 4)
+
+RESOLVE = [
+    ("run",),
+    ("clearSolver",),
+    ("setOptionValue", "presolve", "off"),
+    ("run",),
+]
+
+
+def test_a_finished_program_is_solved_once(recording_solver):
+    utility = scale_unit_max_abs(np.array([[1.0, -0.5, 0.25], [-0.75, 0.5, 0.0], [0.0, 0.1, 0.2]]))
+    for tie in (None, 1):
+        assert_matches_reference(utility, 0, tie)
+    assert_matches_reference(np.array([[1.0, 1.0], [0.0, 0.0]]), 0, 1)  # infeasible
+    assert recording_solver.calls == [("run",)] * 3
+
+
+def test_a_stalled_program_fails_again_without_presolve(stalled_lps, recording_solver):
+    before = solver_options(recording_solver.highs)
+    with pytest.raises(_numerics.LPFailure, match="kIterationLimit"):
+        max_slack_lp(*STALLING)
+    assert recording_solver.calls == [*RESOLVE, ("setOptionValue", "presolve", "off")]
+    assert solver_options(recording_solver.highs) == before
+
+
+def test_the_re_solve_restores_the_solver_s_own_presolve_value(recording_solver):
+    # Presolve on and no simplex iteration allowed: both attempts stop.
+    limited = _numerics._scipy_highs_options()
+    limited.simplex_iteration_limit = 0
+    solver = recording_solver.highs
+    solver.passOptions(limited)
+    try:
+        before = solver_options(solver)
+        assert before["presolve"] == "on"
+        with pytest.raises(_numerics.LPFailure, match="kIterationLimit"):
+            max_slack_lp(*STALLING)
+        assert solver_options(solver) == before
+    finally:
+        solver.passOptions(_numerics._HIGHS_OPTIONS)
+    assert recording_solver.calls == [*RESOLVE, ("setOptionValue", "presolve", "on")]
+    assert solver_options(solver) == solver_options(_numerics._solver().highs)
+
+
+def test_a_rejected_model_raises_at_once(recording_solver):
+    with pytest.raises(_numerics.LPFailure, match="rejected the model"):
+        max_slack_lp(np.array([[np.inf, 0.0], [0.0, 1.0]]), 0, 1)
+    assert recording_solver.calls == []
 
 
 # ---------------------------------------------------------------------------
