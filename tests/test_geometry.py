@@ -157,6 +157,7 @@ def test_stacked_witnesses_have_the_bits_of_from_array():
         np.array([0.25, 0.0, -0.0, 0.75]),
         np.array([-0.0, 1.0, 0.0, 0.0]),
         np.array([1 / 3, -0.0, 1 / 3, 1 / 3 + 1e-12]),
+        np.array([0.3, -1e-13, 0.3, 0.4]),  # within Belief's -1e-12 allowance
     ]
     assert np.signbit(zeros[1][0])
     cases = [zeros]
@@ -324,9 +325,7 @@ def test_lps_that_presolve_leaves_unfinished_are_solved_again(monkeypatch):
         kind, problem = problems[index]
         assert kind == "offset"
         assert not ek.adjacency_test(problem, *pair).adjacent
-        graph, tested = _tested_pairs(problem, monkeypatch)
-        assert pair in tested and not graph.has_edge(*pair)
-        _screened_exactly(problem, monkeypatch)
+        assert pair not in _screened_exactly(problem, monkeypatch)  # the graph solved it too
 
 
 def test_adjacency_screen_chunks_give_the_same_pairs(monkeypatch):

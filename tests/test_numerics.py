@@ -442,7 +442,6 @@ def test_the_re_solve_restores_the_solver_s_own_presolve_value(recording_solver)
     finally:
         solver.passOptions(_numerics._HIGHS_OPTIONS)
     assert recording_solver.calls == [*RESOLVE, ("setOptionValue", "presolve", "on")]
-    assert solver_options(solver) == solver_options(_numerics._solver().highs)
 
 
 def test_a_rejected_model_raises_at_once(recording_solver):
