@@ -1,12 +1,12 @@
 """Shared linear-algebra and LP helpers.
 
-Everything in here is deliberately dependency-light: a pivoted row
-reduction with an explicit relative threshold (so rank decisions are
-reproducible and auditable), which reduces a whole stack of matrices in
-one pass, SVD nullspaces of one matrix or of a stack, the unit max-abs
-scaling that gives LP slacks a common gauge, and the max-slack
-feasibility programs used by the adjacency and rationalizability tests.
-Those programs go straight to the HiGHS solver behind scipy's
+Everything in here is deliberately dependency-light: one numerical rank
+rule, counting singular values above an explicit relative cutoff (so
+rank decisions are reproducible and auditable) for one matrix or a
+stack, SVD nullspaces under the same rule, the unit max-abs scaling
+that gives LP slacks a common gauge, and the max-slack feasibility
+programs used by the adjacency and rationalizability tests.  Those
+programs go straight to the HiGHS solver behind scipy's
 ``method="highs"`` LP interface, with the model, options and result
 checks that interface uses but without its per-call input parsing,
 option validation and result assembly.  Each thread keeps one solver,
@@ -71,12 +71,12 @@ _highs = _load_highs()
 
 FloatArray = NDArray[np.float64]
 
-#: Relative pivot threshold for row reduction.  A pivot is treated as
-#: zero when its magnitude is at most ``RANK_RTOL * (1 + max_abs)``
-#: where ``max_abs`` is taken over the original matrix.
+#: Relative rank cutoff.  A singular value counts as zero when it is at
+#: most ``RANK_RTOL * (1 + max_abs)``, with ``max_abs`` the largest
+#: absolute entry of the matrix.
 RANK_RTOL = 1e-9
 
-#: Most floats (512 KB) the callers of ``row_reduce_rank`` put in one
+#: Most floats (512 KB) the callers of ``numerical_rank`` put in one
 #: stack; larger batches of matrices are split into several stacks.
 RANK_STACK_FLOATS = 1 << 16
 
@@ -103,102 +103,48 @@ def as_float_matrix(values: object) -> FloatArray:
     return arr
 
 
-def row_reduce_rank(matrix: object, rtol: float = RANK_RTOL) -> int | np.ndarray:
-    """Numerical rank via Gaussian elimination with partial pivoting.
+def _count_above_cutoff(singular_values: FloatArray, matrices: np.ndarray) -> np.ndarray:
+    """The rank rule: singular values above ``RANK_RTOL * (1 + max_abs)``, per matrix."""
+    cutoff = RANK_RTOL * (1.0 + np.abs(matrices).max(axis=(-2, -1)))
+    return (singular_values > cutoff[..., None]).sum(axis=-1)
 
-    A pivot counts as zero when ``abs(pivot) <= rtol * (1 + max_abs)``,
-    with ``max_abs`` the largest absolute entry of the input matrix.
-    The same threshold is applied at every elimination step, which keeps
-    the decision boundary easy to reason about in tests.
 
-    ``matrix`` may also be a stack of equally shaped matrices, shape
-    ``(count, rows, cols)``; then every matrix is reduced in the same
-    pass, each with its own threshold and pivot sequence, and the ranks
-    come back as an integer array.  Each matrix sees exactly the
-    arithmetic it would see alone, so its rank does not depend on the
-    stack.  Zero rows change no rank, so matrices with fewer rows can
-    be padded with zeros to share a stack.  While every matrix finds a
-    pivot in every column, and so in the same row, each step updates
-    the rows below that row as one slice; once some matrix finds none,
-    masks pick each matrix's own rows.
+def numerical_rank(matrix: object) -> int | np.ndarray:
+    """Number of singular values above ``RANK_RTOL * (1 + max_abs)``; 0 when empty.
+
+    ``max_abs`` is the largest absolute entry of the matrix.  ``matrix``
+    may also be a ``(count, rows, cols)`` stack; then one SVD call ranks
+    each matrix on its own and the ranks come back as an integer array.
+    Zero rows add only zero singular values and leave ``max_abs`` as it
+    is, so matrices with fewer rows can be zero-padded to share a stack.
     """
-    work = np.array(matrix, dtype=np.float64)
-    stacked = work.ndim == 3
-    if not stacked:
-        work = as_float_matrix(work)[None]
-    elif not np.all(np.isfinite(work)):
-        raise ValueError("matrix contains non-finite entries")
-    count, rows, cols = work.shape
-    rank = np.zeros(count, dtype=np.int64)  # and next pivot row, once ranks differ
-    if work.size:
-        threshold = rtol * (1.0 + np.abs(work).max(axis=(1, 2)))
-        row = np.arange(rows)
-        which = np.arange(count)
-        shared = 0  # the rank of every matrix, until the ranks differ
-        for col in range(cols):
-            top = shared if shared >= 0 else int(rank.min())
-            magnitude = np.abs(work[:, top:, col])
-            if shared < 0:
-                magnitude[row[top:] < rank[:, None]] = -1.0  # rows that hold a pivot
-            ok = magnitude.max(axis=1) > threshold
-            pivots = np.count_nonzero(ok)
-            if not pivots:
-                continue
-            best = magnitude.argmax(axis=1) + top
-            if shared >= 0 and pivots == count:
-                # Every matrix pivots in row ``shared``: the rows below it are a slice.
-                pivot = work[which, best]
-                work[which, best] = work[:, shared]
-                work[:, shared] = pivot
-                factor = work[:, shared + 1 :, col] / pivot[:, col, None]
-                work[:, shared + 1 :] -= factor[:, :, None] * pivot[:, None, :]
-                work[:, shared + 1 :, col] = 0.0
-                shared += 1
-                if shared == rows:
-                    break
-                continue
-            if shared >= 0:
-                rank[:] = shared
-                shared = -1
-            # A matrix without a pivot here swaps row ``best`` with itself.
-            target = np.where(ok, rank, best)
-            pivot = work[which, best]
-            work[which, best] = work[which, target]
-            work[which, target] = pivot
-            below = row > np.where(ok, rank, rows)[:, None]
-            factor = np.divide(
-                work[:, :, col], pivot[:, col, None], out=np.zeros((count, rows)), where=below
-            )
-            np.subtract(
-                work, factor[:, :, None] * pivot[:, None, :], out=work, where=below[:, :, None]
-            )
-            work[:, :, col][below] = 0.0
-            rank += ok
-            if rank.min() == rows:
-                break
-        if shared >= 0:
-            rank[:] = shared
-    return rank if stacked else int(rank[0])
+    stack = np.asarray(matrix, dtype=np.float64)
+    if stack.ndim not in (2, 3) or not np.isfinite(stack).all():
+        raise ValueError("expected a finite 2-D matrix or 3-D stack of matrices")
+    if not stack.size:
+        return 0 if stack.ndim == 2 else np.zeros(len(stack), dtype=np.int64)
+    ranks = _count_above_cutoff(np.linalg.svd(stack, compute_uv=False), stack)
+    return int(ranks) if stack.ndim == 2 else ranks
 
 
-def nullspaces(stack: np.ndarray, rtol: float = RANK_RTOL) -> list[FloatArray]:
+def nullspaces(stack: np.ndarray) -> list[FloatArray]:
     """:func:`nullspace` of each matrix of a ``(count, rows, cols)`` stack, from one SVD call.
 
     The SVD treats each matrix on its own, so each basis has the bits
-    :func:`nullspace` gives that matrix alone.
+    :func:`nullspace` gives that matrix alone.  It is spanned by the
+    right singular vectors past the matrix's :func:`numerical_rank`.
     """
     count, rows, cols = stack.shape
     if rows == 0 or cols == 0:
         return [np.eye(cols) for _ in range(count)]
     _, s, vt = np.linalg.svd(stack, full_matrices=True)
-    cutoff = rtol * (1.0 + np.abs(stack).max(axis=(1, 2)))
-    keep = (s > cutoff[:, None]).sum(axis=1)
+    keep = _count_above_cutoff(s, stack)
     return [vt[i, keep[i] :] for i in range(count)]
 
 
-def nullspace(matrix: object, rtol: float = RANK_RTOL) -> FloatArray:
+def nullspace(matrix: object) -> FloatArray:
     """Orthonormal basis (rows) of the right nullspace of ``matrix``."""
-    return nullspaces(as_float_matrix(matrix)[None], rtol=rtol)[0]
+    return nullspaces(as_float_matrix(matrix)[None])[0]
 
 
 def scale_unit_max_abs(utility: FloatArray) -> FloatArray:

@@ -30,9 +30,9 @@ from ._numerics import (
     RANK_STACK_FLOATS,
     FloatArray,
     LPFailure,
+    numerical_rank,
     project_rows,
     project_vec,
-    row_reduce_rank,
 )
 from .model import DecisionProblem, ProblemBundle, ProductStructure, QuestionProfile
 from .geometry import (
@@ -173,7 +173,7 @@ def pairwise_alignment(
         )
 
     basis = np.stack([delta, xa])
-    if row_reduce_rank(basis) == 2:
+    if numerical_rank(basis) == 2:
         coeffs, *_ = np.linalg.lstsq(basis.T, xb, rcond=None)
         rho, sigma = float(coeffs[0]), float(coeffs[1])
         residual = float(np.max(np.abs(xb - rho * delta - sigma * xa)))
@@ -376,7 +376,7 @@ def _solve_alignment(
 
     # Trivial branch 2: all rows nonzero and mutually collinear.
     best_residual = float("inf")
-    if nonzero.all() and row_reduce_rank(xbar) <= 1:
+    if nonzero.all() and numerical_rank(xbar) <= 1:
         anchor = int(np.argmax(row_norms))
         d = xbar[anchor]
         gammas = xbar @ d / float(d @ d)
@@ -486,7 +486,7 @@ def trivial_dependence(
     # One row of actions per choice in the other tasks, in action order;
     # the coordinates are a bijection, so every row has the same length.
     members = np.argsort(group, kind="stable").reshape(group.max() + 1, -1)
-    return bool((row_reduce_rank(project_rows(question.values)[members]) <= 1).all())
+    return bool((numerical_rank(project_rows(question.values)[members]) <= 1).all())
 
 
 def _solve_weighted(
@@ -606,14 +606,14 @@ class Verdict:
 def _affinely_independent(problem: DecisionProblem, size: int) -> bool:
     """Every ``size`` actions affinely independent (payoff differences of full rank).
 
-    The subsets are tested in stacked rank passes of ``RANK_STACK_FLOATS``.
+    The subsets are ranked in stacks of at most ``RANK_STACK_FLOATS`` floats.
     """
     subsets = itertools.combinations(range(problem.n_actions), size)
     per_pass = max(1, RANK_STACK_FLOATS // ((size - 1) * problem.n_states))
     while chunk := list(itertools.islice(subsets, per_pass)):
         index = np.array(chunk)
         rows = problem.utility[index[:, 1:]] - problem.utility[index[:, :1]]
-        if (row_reduce_rank(project_rows(rows)) != size - 1).any():
+        if (numerical_rank(project_rows(rows)) != size - 1).any():
             return False
     return True
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 One binary, subcommand style.  Exit codes are a stable contract:
-0 success of purpose, 2 input error, 3 negative verdict or failed
-verification, 4 inconclusive (also when an LP does not finish), 5
-nothing found.  Reports go to stdout, diagnostics to stderr.  Each
-subcommand takes only the flags it reads.
+0 success of purpose, 2 input error (also input too large for memory),
+3 negative verdict or failed verification, 4 inconclusive (also when an
+LP does not finish), 5 nothing found.  Reports go to stdout,
+diagnostics to stderr.  Each subcommand takes only the flags it reads.
 ``--tol`` may also come from ELICITKIT_TOL (read by check, synthesize,
 verify and witness) and ``--seed`` from ELICITKIT_SEED (read only by
 verify and witness); explicit flags win.
@@ -391,6 +391,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'the input is too large'}", file=sys.stderr)
         return EXIT_INPUT
 
 

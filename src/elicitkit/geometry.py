@@ -17,7 +17,7 @@ give, bit for bit.  One array pass screens all pairs of a graph; its
 working set is bounded, and problems with too many states for it skip
 it.  The witnesses of all edges are normalized in one stacked pass.  The
 cycle-richness test checks the independence of all its cycles, and the
-spans of each subset, in stacked rank passes.
+spans of each subset, in stacked SVD calls.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from ._numerics import (
     LPFailure,
     max_slack_lp,
     nullspaces,
+    numerical_rank,
     project_rows,
-    row_reduce_rank,
     scale_unit_max_abs,
 )
 from .model import DecisionProblem, ProductStructure
@@ -603,7 +603,7 @@ def internal_independence(problem: DecisionProblem, cycle: Sequence[str]) -> boo
     if len(set(verts)) != len(verts):
         raise ValueError("cycle vertices must be distinct")
     deltas = _cycle_deltas(problem, verts)
-    return row_reduce_rank(deltas) == len(verts) - 1
+    return numerical_rank(deltas) == len(verts) - 1
 
 
 @dataclass(frozen=True)
@@ -696,7 +696,7 @@ def _rich_witness(
     still reach rank ``k`` (-1): single outside actions can fall short
     when the subset misses an internal edge, yet the combined cycle family
     still pins the spans down to the origin.  Otherwise the subset fails
-    (None).  The outside actions' stacks take one stacked rank pass.
+    (None).  The outside actions' stacks take one stacked SVD call.
     """
     inside = (mask >> np.arange(on_cycle.shape[1])) & 1 == 1
     meets = on_cycle[:, inside].sum(axis=1) >= 2
@@ -710,17 +710,18 @@ def _rich_witness(
     for a, rank in zip(owners, _stacked_ranks(stacks)):
         if rank == k:
             return a
-    if stacks and row_reduce_rank(np.concatenate(stacks)) == k:
+    if stacks and numerical_rank(np.concatenate(stacks)) == k:
         return -1
     return None
 
 
 def _stacked_ranks(matrices: Sequence[FloatArray]) -> np.ndarray:
-    """``row_reduce_rank`` of each matrix, all of ``k`` columns, in stacked passes.
+    """``numerical_rank`` of each matrix, all of ``k`` columns, one SVD call per stack.
 
     Matrices go shortest first into stacks of at most ``RANK_STACK_FLOATS``
-    floats (or one matrix), each zero-padded to the tallest of its stack;
-    zero rows change no rank.
+    floats (or one matrix), each zero-padded to the tallest of its stack:
+    zero rows add only zero singular values and leave the cutoff as it
+    is, so they change no rank.
     """
     ranks = np.zeros(len(matrices), dtype=np.int64)
     order = sorted(range(len(matrices)), key=lambda i: matrices[i].shape[0])
@@ -736,6 +737,6 @@ def _stacked_ranks(matrices: Sequence[FloatArray]) -> np.ndarray:
         stack = np.zeros((len(chosen), matrices[chosen[-1]].shape[0], width))
         for slot, i in enumerate(chosen):
             stack[slot, : matrices[i].shape[0]] = matrices[i]
-        ranks[chosen] = row_reduce_rank(stack)
+        ranks[chosen] = numerical_rank(stack)
         start = stop
     return ranks

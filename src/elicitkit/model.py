@@ -585,8 +585,8 @@ def question_within(problem: DecisionProblem, x: float) -> QuestionProfile:
 
     Both action and state labels must parse as numbers.
     """
-    if x < 0:
-        raise ValueError("distance bound must be nonnegative")
+    if not x >= 0:
+        raise ValueError(f"distance bound must be nonnegative, got {x}")
     try:
         a_vals = np.array([float(a) for a in problem.actions])
         s_vals = np.array([float(s) for s in problem.states])
@@ -649,11 +649,19 @@ class Builder:
         return self.build(*values)
 
 
-def _parse_reward_list(raw: str) -> tuple[float, ...]:
+def _finite_float(raw: Any) -> float:
+    """The finite float ``raw`` stands for; anything else is a usage error."""
     try:
-        values = tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ArgumentTypeError(f"bad reward list {raw!r}: {exc}") from exc
+        value = float(raw)
+    except ValueError:
+        raise ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ArgumentTypeError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _parse_reward_list(raw: str) -> tuple[float, ...]:
+    values = tuple(_finite_float(part) for part in raw.split(",") if part.strip())
     if not values:
         raise ArgumentTypeError("reward list is empty")
     return values
@@ -668,7 +676,7 @@ GENERATORS: dict[str, Builder] = {
     ),
     "star": Builder(
         lambda theta, s: (make_star(theta, s), None),
-        (Param("theta", int, "state count"), Param("s", float, "safe payoff")),
+        (Param("theta", int, "state count"), Param("s", _finite_float, "safe payoff")),
     ),
     "state-matching": Builder(lambda r: (make_state_matching(r), None), (_REWARDS,)),
     "close-guess": Builder(lambda r: (make_close_guess(r), None), (_REWARDS,)),
@@ -687,9 +695,9 @@ QUESTIONS: dict[str, Builder] = {
     ),
     "within-x": Builder(
         lambda problem, product, x: question_within(problem, x),
-        (Param("x", float, "distance bound"),),
+        (Param("x", _finite_float, "distance bound"),),
     ),
-    "threshold": Builder(question_threshold, (Param("z", float, "score threshold"),)),
+    "threshold": Builder(question_threshold, (Param("z", _finite_float, "score threshold"),)),
     "improvement": Builder(question_improvement, (Param("split", int, "early-block size"),)),
 }
 
@@ -703,8 +711,8 @@ def build_question(
     """Build the question registered in :data:`QUESTIONS` under ``kind``.
 
     ``params`` holds the entry's parameters by name; each value goes
-    through its parameter's parser (``float`` or ``int``), and a missing
-    one raises ``KeyError``.
+    through its parameter's parser (finite float or ``int``), and a
+    missing one raises ``KeyError``.
     """
     if kind not in QUESTIONS:
         raise ValueError(f"unknown question kind: {kind!r}")

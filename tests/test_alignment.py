@@ -10,7 +10,7 @@ import pytest
 
 import elicitkit as ek
 from elicitkit import alignment
-from elicitkit._numerics import project_rows, row_reduce_rank
+from elicitkit._numerics import numerical_rank, project_rows
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def _reference_solve_alignment(problem, question, scope, tol):
             d=tuple(0.0 for _ in range(n_states)), residual=0.0,
         ))
     best_residual = float("inf")
-    if nonzero.all() and row_reduce_rank(xbar) <= 1:
+    if nonzero.all() and numerical_rank(xbar) <= 1:
         anchor = int(np.argmax(row_norms))
         d = xbar[anchor]
         gammas = xbar @ d / float(d @ d)

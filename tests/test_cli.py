@@ -103,6 +103,59 @@ def test_gen_rejects_missing_parameters(capsys):
     assert "requires --x" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ["quadratic-loss", "--n", "4", "--question", "within-x", f"--x={value}"]
+            for value in ("nan", "inf", "-inf")
+        ),
+        *(
+            ["mc-test", "--i", "2", "--omega", "2", "--question", "threshold", "--z", value]
+            for value in ("nan", "inf")
+        ),
+        ["star", "--theta", "3", "--s", "nan"],
+        ["state-matching", "--r", "1,nan"],
+        ["close-guess", "--r", "inf,1"],
+    ],
+    ids=" ".join,
+)
+def test_gen_rejects_a_parameter_that_is_not_finite(tmp_path, capsys, argv):
+    out = tmp_path / "bundle.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", *argv, "--out", str(out)])
+    assert excinfo.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert "not a finite number" in stderr.splitlines()[-1]
+    assert not out.exists()
+
+
+def test_gen_rejects_a_float_parameter_that_does_not_parse(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "star", "--theta", "3", "--s", "high"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "argument --s: invalid float value: 'high'"
+    )
+
+
+@pytest.mark.parametrize(
+    "error, says",
+    [
+        (MemoryError("Unable to allocate 74.5 GiB for an array"), "Unable to allocate 74.5 GiB"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_gen_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, error, says):
+    def make_quadratic_loss(n):
+        raise error
+
+    monkeypatch.setattr(ek.model, "make_quadratic_loss", make_quadratic_loss)
+    argv = ("gen", "quadratic-loss", "--n", "100000", "--question", "expected-payoff")
+    assert_one_line_error(*run(capsys, *argv), says)
+
+
 # ---------------------------------------------------------------------------
 # classify
 

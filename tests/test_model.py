@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from argparse import ArgumentTypeError
 
 import numpy as np
 import pytest
 
 import elicitkit as ek
 from elicitkit import canonical_dumps
+from elicitkit.model import question_within
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,18 @@ def test_within_x_rejects_non_numeric_labels():
     problem = ek.make_star(3, 0.5)
     with pytest.raises(ValueError):
         ek.build_question("within-x", problem, x=0.1)
+
+
+@pytest.mark.parametrize("x", [float("nan"), -0.5])
+def test_within_x_rejects_a_bound_that_is_not_nonnegative(x):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        question_within(ek.make_quadratic_loss(4), x)
+
+
+@pytest.mark.parametrize("x", ["nan", float("inf"), "1e999"])
+def test_build_question_rejects_a_parameter_that_is_not_finite(x):
+    with pytest.raises(ArgumentTypeError, match="not a finite number"):
+        ek.build_question("within-x", ek.make_quadratic_loss(4), x=x)
 
 
 def test_threshold_question_counts_total_score():

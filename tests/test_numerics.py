@@ -15,8 +15,11 @@ the verdicts of the generator form it replaced, NaN included.  A program
 that does not finish is solved once more without presolve, and the
 solver keeps its own options.
 
-``row_reduce_rank`` reduces a whole stack of matrices in one pass; each
-rank must be the one a matrix-at-a-time elimination gives.
+``numerical_rank`` counts singular values above one relative cutoff,
+for one matrix or a stack.  Away from the cutoff it must give the rank
+of a matrix-at-a-time elimination and the exact rank of an elimination
+over ``Fraction``; at the cutoff it must count exactly the singular
+values above it, alone and inside zero-padded stacks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -33,7 +38,7 @@ from scipy.optimize import linprog
 
 import elicitkit
 from elicitkit import _numerics
-from elicitkit._numerics import RANK_RTOL, max_slack_lp, row_reduce_rank, scale_unit_max_abs
+from elicitkit._numerics import RANK_RTOL, max_slack_lp, numerical_rank, scale_unit_max_abs
 
 
 def reference_max_slack_lp(
@@ -451,11 +456,11 @@ def test_a_rejected_model_raises_at_once(recording_solver):
 
 
 # ---------------------------------------------------------------------------
-# Stacked row reduction: the ranks of one matrix at a time
+# Numerical rank: one SVD rule, against eliminations and at its cutoff
 
 
 def reference_row_reduce_rank(matrix: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """``row_reduce_rank`` as it was, one matrix at a time."""
+    """Gaussian elimination with partial pivoting; pivots up to ``rtol * (1 + max_abs)`` are 0."""
     work = np.asarray(matrix, dtype=np.float64).copy()
     if work.size == 0:
         return 0
@@ -481,19 +486,26 @@ def reference_row_reduce_rank(matrix: np.ndarray, rtol: float = RANK_RTOL) -> in
     return rank
 
 
-def rank_test_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """A random matrix, often rank-deficient, duplicated or near the pivot threshold."""
-    kind = int(rng.integers(0, 6))
+#: The kinds of ``rank_test_matrix`` whose ranks lie far from the cutoff;
+#: kinds 2 and 3 put a perturbation or an entry at the cutoff's own scale.
+AWAY_FROM_CUTOFF = (0, 1, 4, 5)
+
+
+def rank_test_matrix(
+    rng: np.random.Generator, rows: int, cols: int, kinds: Sequence[int] = range(6)
+) -> np.ndarray:
+    """A random matrix, often rank-deficient, duplicated or near the rank cutoff."""
+    kind = int(kinds[rng.integers(0, len(kinds))])
     if kind == 0:  # low rank
         inner = int(rng.integers(1, min(rows, cols) + 1))
         return rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
     matrix = rng.integers(-2, 3, size=(rows, cols)).astype(np.float64)
     if kind == 1 and rows > 1:  # duplicated and scaled rows
         matrix[rng.integers(1, rows)] = matrix[0] * float(rng.choice([1.0, -2.0, 0.5]))
-    elif kind == 2:  # a perturbation at the threshold's scale
+    elif kind == 2:  # a perturbation at the cutoff's scale
         scale = RANK_RTOL * (1.0 + np.abs(matrix).max())
         matrix[-1] = matrix[0] + scale * float(rng.choice([0.5, 0.999, 1.001, 2.0]))
-    elif kind == 3:  # an entry at the threshold's scale
+    elif kind == 3:  # an entry at the cutoff's scale
         matrix[rng.integers(0, rows), rng.integers(0, cols)] = RANK_RTOL * float(
             rng.choice([0.5, 1.0, 1.5, 2.0])
         )
@@ -508,12 +520,14 @@ def test_stacked_ranks_match_one_matrix_at_a_time():
     for _ in range(200):
         count = int(rng.integers(1, 30))
         rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        stack = np.array([rank_test_matrix(rng, rows, cols) for _ in range(count)])
+        stack = np.array(
+            [rank_test_matrix(rng, rows, cols, AWAY_FROM_CUTOFF) for _ in range(count)]
+        )
         want = [reference_row_reduce_rank(matrix) for matrix in stack]
-        got = row_reduce_rank(stack)
+        got = numerical_rank(stack)
         assert got.dtype.kind == "i" and got.shape == (count,)
         assert got.tolist() == want
-        assert [row_reduce_rank(matrix) for matrix in stack] == want
+        assert [numerical_rank(matrix) for matrix in stack] == want
         ranks += want
     assert {0, 1, 2, 3} <= set(ranks)
 
@@ -522,12 +536,15 @@ def test_zero_rows_pad_a_stack_without_changing_any_rank():
     rng = np.random.default_rng(32)
     for _ in range(100):
         cols = int(rng.integers(1, 9))
-        matrices = [rank_test_matrix(rng, int(rng.integers(1, 9)), cols) for _ in range(12)]
+        matrices = [
+            rank_test_matrix(rng, int(rng.integers(1, 9)), cols, AWAY_FROM_CUTOFF)
+            for _ in range(12)
+        ]
         height = max(matrix.shape[0] for matrix in matrices) + int(rng.integers(0, 3))
         stack = np.zeros((len(matrices), height, cols))
         for slot, matrix in enumerate(matrices):
             stack[slot, : matrix.shape[0]] = matrix
-        assert row_reduce_rank(stack).tolist() == list(map(reference_row_reduce_rank, matrices))
+        assert numerical_rank(stack).tolist() == list(map(reference_row_reduce_rank, matrices))
 
 
 def test_stacked_nullspaces_match_one_svd_per_matrix_bitwise():
@@ -542,14 +559,113 @@ def test_stacked_nullspaces_match_one_svd_per_matrix_bitwise():
             assert basis.shape == want.shape and basis.tobytes() == want.tobytes()
 
 
-def test_row_reduce_rank_edge_cases():
-    assert row_reduce_rank(np.zeros((0, 3))) == 0
-    assert row_reduce_rank(np.zeros((3, 4, 0))).tolist() == [0, 0, 0]
-    assert row_reduce_rank(np.zeros((2, 3))) == 0
+def with_singular_values(
+    rng: np.random.Generator, rows: int, cols: int, large: np.ndarray, factor: float
+) -> tuple[np.ndarray, int]:
+    """``Q·diag(σ)·Rᵀ`` with ``large`` and one more value ``factor`` times the cutoff.
+
+    Returns the matrix and the number of its singular values above the
+    cutoff.  The small value is sized on the matrix without it; adding it
+    moves ``max_abs`` by at most itself (≈ 1e-9), so its ratio to the
+    final cutoff stays far inside the 0.1 % between the factors and 1.
+    """
+    size = len(large) + 1
+    q = np.linalg.qr(rng.normal(size=(rows, size)))[0]
+    r = np.linalg.qr(rng.normal(size=(cols, size)))[0]
+    matrix = (q[:, :-1] * large) @ r[:, :-1].T
+    small = factor * RANK_RTOL * (1.0 + np.abs(matrix).max())
+    matrix += small * np.outer(q[:, -1], r[:, -1])
+    cutoff = RANK_RTOL * (1.0 + np.abs(matrix).max())
+    assert abs(small / cutoff - factor) < 1e-6 * factor
+    return matrix, len(large) + int(small > cutoff)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 2.0])
+def test_rank_counts_exactly_the_singular_values_above_the_cutoff(factor):
+    rng = np.random.default_rng(int(factor * 1000))
+    for _ in range(40):
+        rows, cols = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        large = rng.uniform(0.5, 3.0, size=int(rng.integers(0, min(rows, cols))))
+        matrix, want = with_singular_values(rng, rows, cols, large, factor)
+        assert want == len(large) + (factor > 1)
+        assert numerical_rank(matrix) == want
+        # The same matrix inside a zero-padded stack, beside matrices at the other factors.
+        others = [
+            with_singular_values(rng, int(rng.integers(2, rows + 1)), cols, large[:1], other)
+            for other in (0.5, 0.999, 1.001, 2.0)
+        ]
+        height = rows + int(rng.integers(0, 3))
+        stack = np.zeros((len(others) + 1, height, cols))
+        for slot, (member, _) in enumerate([(matrix, want), *others]):
+            stack[slot, : member.shape[0]] = member
+        assert numerical_rank(stack).tolist() == [want, *(count for _, count in others)]
+
+
+def test_numerical_rank_edge_cases():
+    assert numerical_rank(np.zeros((0, 3))) == 0
+    assert numerical_rank(np.zeros((3, 4, 0))).tolist() == [0, 0, 0]
+    assert numerical_rank(np.zeros((2, 3))) == 0
     with pytest.raises(ValueError):
-        row_reduce_rank(np.array([[1.0, np.nan]]))
+        numerical_rank(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
-        row_reduce_rank(np.array([[[1.0, np.inf]]]))
+        numerical_rank(np.array([[[1.0, np.inf]]]))
+
+
+def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+    """Rank by Gaussian elimination over ``Fraction``: no rounding, no cutoff."""
+    rows = [list(row) for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def exact_test_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A low-rank integer matrix with duplicated, scaled, mean-free or zero rows."""
+    inner = int(rng.integers(1, min(rows, cols) + 1))
+    matrix = rng.integers(-3, 4, size=(rows, inner)) @ rng.integers(-3, 4, size=(inner, cols))
+    kind = int(rng.integers(0, 4))
+    if kind == 0 and rows > 1:  # a duplicated row and a scaled one
+        matrix[rng.integers(1, rows)] = matrix[0]
+        matrix[rng.integers(0, rows)] *= int(rng.choice([-2, 3]))
+    elif kind == 1:  # mean-free rows, kept integer: cols·x − Σx
+        matrix = cols * matrix - matrix.sum(axis=1, keepdims=True)
+    elif kind == 2:  # a zero row
+        matrix[rng.integers(0, rows)] = 0
+    return matrix
+
+
+@pytest.mark.parametrize("tenths", [False, True], ids=["integer", "one-decimal"])
+def test_rank_equals_the_exact_rank(tenths):
+    """Integer matrices, or the same integers in tenths, against their exact rank.
+
+    In tenths the floats round the rationals ``m / 10``; the rank of those
+    rationals is the one the floats stand for.
+    """
+    rng = np.random.default_rng(34 + tenths)
+    denominator = 10 if tenths else 1
+    ranks = []
+    for _ in range(60):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        count = int(rng.integers(1, 6))
+        integers = [exact_test_matrix(rng, rows, cols) for _ in range(count)]
+        want = [
+            exact_rank([[Fraction(int(v), denominator) for v in row] for row in m])
+            for m in integers
+        ]
+        stack = np.array(integers, dtype=np.float64) / denominator
+        assert numerical_rank(stack).tolist() == want
+        assert [numerical_rank(matrix) for matrix in stack] == want
+        ranks += want
+    assert {0, 1, 2, 3, 4} <= set(ranks)
 
 
 # ---------------------------------------------------------------------------
