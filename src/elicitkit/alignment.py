@@ -10,10 +10,11 @@ exist, refutes them when they provably cannot, and combines the two
 into a verdict keyed to whichever characterization theorem the
 adjacency graph supports.
 
-Global, per-part and task-weighted alignment are one linear question:
-is ``Xbar(a)`` affine in a utility basis, ``[ubar]`` for the first two
-and the per-task tables ``[Ubar_1 ... Ubar_I]`` for the third?  One
-pinned least-squares solver answers it for all three.
+Global, per-part, pairwise and task-weighted alignment are one linear
+question: is ``Xbar(a)`` affine in a utility basis, ``[ubar]`` on the
+whole menu, on a part of a splitting collection or on an adjacent pair,
+and the per-task tables ``[Ubar_1 ... Ubar_I]`` for products?  One
+pinned least-squares solver answers it on every scope.
 """
 
 from __future__ import annotations
@@ -122,75 +123,20 @@ def pairwise_alignment(
     b: str,
     tol: float = ALIGN_RTOL,
 ) -> PairwiseAlignment:
-    """Test alignment on ``{a, b}`` and recover the linking coefficients."""
-    ia = problem.action_index[a]
-    ib = problem.action_index[b]
-    xa = project_vec(question.values[ia])
-    xb = project_vec(question.values[ib])
-    delta = payoff_delta(problem, a, b)
-    q_scale = 1.0 + float(np.max(np.abs(question.values[[ia, ib]])))
-    u_scale = 1.0 + float(np.max(np.abs(problem.utility[[ia, ib]])))
-    eps_q = tol * q_scale
-    xa_zero = float(np.max(np.abs(xa))) <= eps_q
-    xb_zero = float(np.max(np.abs(xb))) <= eps_q
+    """Test alignment on ``{a, b}``: alignment on the set ``(a, b)``.
 
-    if xa_zero and xb_zero:
-        return PairwiseAlignment(aligned=True, rho=0.0, sigma=1.0, residual=0.0)
-
-    if float(np.max(np.abs(delta))) <= tol * u_scale:
-        # Payoff-equivalent actions: alignment reduces to collinearity of
-        # the two question rows.
-        if xa_zero or xb_zero:
-            return PairwiseAlignment(
-                aligned=False, rho=None, sigma=None,
-                residual=float(np.max(np.abs(xb if xa_zero else xa))),
-            )
-        sigma = float(xb @ xa / (xa @ xa))
-        residual = float(np.max(np.abs(xb - sigma * xa)))
-        ok = residual <= eps_q and abs(sigma) * float(np.max(np.abs(xa))) > eps_q
-        return PairwiseAlignment(
-            aligned=ok, rho=0.0 if ok else None, sigma=sigma if ok else None,
-            residual=residual,
-        )
-
-    if xa_zero:
-        rho = float(xb @ delta / (delta @ delta))
-        residual = float(np.max(np.abs(xb - rho * delta)))
-        ok = residual <= eps_q
-        return PairwiseAlignment(
-            aligned=ok, rho=rho if ok else None, sigma=1.0 if ok else None,
-            residual=residual,
-        )
-
-    if xb_zero:
-        # Need xa itself collinear with delta; then rho = -alpha, sigma = 1.
-        alpha = float(xa @ delta / (delta @ delta))
-        residual = float(np.max(np.abs(xa - alpha * delta)))
-        ok = residual <= eps_q
-        return PairwiseAlignment(
-            aligned=ok, rho=-alpha if ok else None, sigma=1.0 if ok else None,
-            residual=residual,
-        )
-
-    basis = np.stack([delta, xa])
-    if numerical_rank(basis) == 2:
-        coeffs, *_ = np.linalg.lstsq(basis.T, xb, rcond=None)
-        rho, sigma = float(coeffs[0]), float(coeffs[1])
-        residual = float(np.max(np.abs(xb - rho * delta - sigma * xa)))
-        sigma_floor = abs(sigma) * float(np.max(np.abs(xa))) > eps_q
-        if residual <= eps_q and sigma_floor:
-            return PairwiseAlignment(aligned=True, rho=rho, sigma=sigma, residual=residual)
+    The coefficients come from its certificate: ``rho = gamma(b)``, or 0
+    for a trivial one, and ``sigma = gamma(b) / gamma(a)``.
+    """
+    cert, residual = _solve_alignment(problem, question, (a, b), tol)
+    if cert is None:
         return PairwiseAlignment(aligned=False, rho=None, sigma=None, residual=residual)
-
-    # xa is a nonzero multiple of delta; xb must live on the same line.
-    alpha = float(xa @ delta / (delta @ delta))
-    beta = float(xb @ delta / (delta @ delta))
-    residual = float(np.max(np.abs(xb - beta * delta)))
-    if residual > eps_q:
-        return PairwiseAlignment(aligned=False, rho=None, sigma=None, residual=residual)
-    denom = 1.0 + alpha * alpha
+    gamma_a, gamma_b = cert.gamma
     return PairwiseAlignment(
-        aligned=True, rho=beta / denom, sigma=alpha * beta / denom, residual=residual
+        aligned=True,
+        rho=0.0 if cert.trivial else gamma_b,
+        sigma=gamma_b / gamma_a,
+        residual=residual,
     )
 
 
@@ -404,10 +350,9 @@ def _solve_alignment(
     anchors = sorted(nz_list, key=lambda k: -row_norms[k])
     for anchor in anchors[:2]:
         g, (h,), d_scaled, system_residual = _pinned_alignment(xs, [us], nonzero, anchor)
-        if abs(h) <= 1e-12:
+        if abs(h) <= 1e-12 or np.any(np.abs(g[nonzero]) <= 1e-12):
+            # A limit of aligned questions: its misfit is the residual.
             best_residual = min(best_residual, system_residual * q_scale)
-            continue
-        if np.any(np.abs(g[nonzero]) <= 1e-12):
             continue
         # Undo the row scalings: gamma maps utility units to question units.
         gamma = np.ones(len(scope))
@@ -427,8 +372,6 @@ def _solve_alignment(
         if accepted is not None:
             return accepted, residual
         best_residual = min(best_residual, residual)
-    if not np.isfinite(best_residual):
-        best_residual = float(np.max(np.abs(xbar)))
     return None, best_residual
 
 
@@ -540,7 +483,7 @@ def _solve_weighted(
         xbar / s_x, [t / s_u for t in tables_bar], nonzero, int(np.argmax(row_norms))
     )
     if np.any(np.abs(g[nonzero]) <= 1e-12):
-        # No usable solve: report the mean-free spread, as _solve_alignment does.
+        # No usable solve: report the mean-free spread.
         return None, s_x
     v = np.ones(n_actions)
     v[nonzero] = (1.0 / g[nonzero]) * s_x
@@ -660,12 +603,18 @@ def _pairwise_refutation(
     tol: float,
     eps: float,
 ) -> Verdict | None:
-    """Refute through the worst misaligned adjacent pair, if any pair misaligns."""
+    """Refute through the first decisive pair, else the worst borderline one.
+
+    Stopping at the first residual above ``VIOLATION_FACTOR * eps`` gives
+    the status of the worst misaligned pair without solving every edge.
+    """
     worst: tuple[str, str, float] | None = None
     for edge in graph.edges:
         pair = pairwise_alignment(problem, question, edge.a, edge.b, tol=tol)
         if not pair.aligned and (worst is None or pair.residual > worst[2]):
             worst = (edge.a, edge.b, pair.residual)
+            if pair.residual > VIOLATION_FACTOR * eps:
+                break
     if worst is None:
         return None
     a, b, residual = worst
@@ -687,11 +636,12 @@ def decide_incentivizable(
     alignment over the splitting collection).  Necessity then goes
     through whichever characterization the adjacency graph supports:
     trees, complete graphs with independent payoffs, product problems,
-    cycle-rich action sets, and finally plain per-edge alignment.  A
-    refutation whose residual is within :data:`VIOLATION_FACTOR` of the
-    tolerance is reported as inconclusive rather than negative, and so is
-    a verdict that needs a graph one of whose LPs did not finish: its note
-    names the pair and the solver status.
+    cycle-rich action sets, and finally plain per-edge alignment; a
+    per-edge refutation names the first decisive edge.  A refutation
+    whose residual is within :data:`VIOLATION_FACTOR` of the tolerance is
+    reported as inconclusive rather than negative, and so is a verdict
+    that needs a graph one of whose LPs did not finish: its note names
+    the pair and the solver status.
     """
     if bundle.question is None:
         raise ValueError("the bundle has no question to decide")
@@ -738,19 +688,13 @@ def decide_incentivizable(
         )
 
     if classification.tree:
+        # Every splitting part of a tree is one edge, in the edge's order,
+        # so the failed sufficiency steps above leave a misaligned edge.
         refuted = _pairwise_refutation(
             "tree-characterization", problem, question, graph, tol, eps
         )
-        if refuted is not None:
-            return refuted
-        return Verdict(
-            status="inconclusive",
-            theorem="tree-characterization",
-            note=(
-                "all adjacent pairs align individually but no piecewise "
-                "certificate was assembled"
-            ),
-        )
+        assert refuted is not None
+        return refuted
 
     if classification.complete and _complete_hypotheses(problem):
         return _refutation(

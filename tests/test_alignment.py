@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_numerics import exact_rank
 
 import elicitkit as ek
 from elicitkit import alignment
@@ -60,6 +62,157 @@ def test_pairwise_alignment_detects_misalignment(within_bundle):
     result = ek.pairwise_alignment(problem, within_bundle.question, "0.25", "0.5")
     assert not result.aligned
     assert result.residual > 1e-3
+
+
+def _exact_pair_case(u, x):
+    """The old float pairwise solver's six cases, decided over ``Fraction``.
+
+    ``u`` and ``x`` hold the utility and question rows of ``(a, b)``.
+    Returns the case and whether the pair has an alignment certificate.
+    """
+
+    def centered(row):
+        row = [Fraction(float(v)) for v in row]
+        mean = sum(row) / len(row)
+        return [v - mean for v in row]
+
+    xa, xb = centered(x[0]), centered(x[1])
+    delta = [vb - va for va, vb in zip(centered(u[0]), centered(u[1]))]
+    xa_zero, xb_zero = not any(xa), not any(xb)
+    if xa_zero and xb_zero:
+        return "both constant", True
+    if not any(delta):
+        return "payoff-equivalent", not (xa_zero or xb_zero) and exact_rank([xa, xb]) == 1
+    if xa_zero:
+        return "a constant", exact_rank([delta, xb]) == 1
+    if xb_zero:
+        return "b constant", exact_rank([delta, xa]) == 1
+    if exact_rank([delta, xa]) == 2:
+        return "general", exact_rank([delta, xa, xb]) == 2 and exact_rank([delta, xb]) == 2
+    return "a on delta", exact_rank([delta, xb]) == 1
+
+
+def _integer_pairs(count, seed):
+    """Seeded integer pairs, with one-unit perturbations of some of them.
+
+    The question is random, aligned by construction (trivial or not), or
+    aligned with one row planted on the payoff difference or constant.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_states = int(rng.integers(2, 6))
+        u = rng.integers(-3, 4, size=(2, n_states))
+        if rng.random() < 0.2:  # payoff-equivalent actions
+            u[1] = u[0] + int(rng.integers(-2, 3))
+        d = rng.integers(-2, 3, size=n_states)
+        kappa = rng.integers(-2, 3, size=(2, 1))
+        gamma = rng.choice([-2, -1, 0, 1, 3], size=(2, 1))
+        kind = int(rng.integers(5))
+        if kind == 0:  # no structure
+            x = rng.integers(-3, 4, size=(2, n_states))
+        elif kind == 1:  # the nontrivial form
+            x = gamma * (u + d) + kappa
+        elif kind == 2:  # the trivial form
+            x = gamma * d + kappa
+        elif kind == 3:  # one row on the payoff difference
+            x = gamma * (u + d) + kappa
+            x[int(rng.integers(2))] = int(rng.choice([-2, 1, 3])) * (u[1] - u[0]) + kappa[0]
+        else:  # one constant row
+            x = gamma * (u + d) + kappa
+            x[int(rng.integers(2))] = kappa[1]
+        if rng.random() < 0.4:
+            x[int(rng.integers(2)), int(rng.integers(n_states))] += int(rng.choice([-1, 1]))
+        problem = ek.DecisionProblem(
+            states=tuple(f"s{i}" for i in range(n_states)),
+            actions=("a0", "a1"),
+            utility=u.astype(float),
+        )
+        yield problem, ek.QuestionProfile(values=x.astype(float))
+
+
+def test_pairwise_alignment_matches_the_exact_six_cases():
+    outcomes = set()
+    for problem, question in _integer_pairs(600, seed=171):
+        case, want = _exact_pair_case(problem.utility, question.values)
+        result = ek.pairwise_alignment(problem, question, "a0", "a1")
+        assert result.aligned == want, (case, problem.utility, question.values)
+        outcomes.add((case, want))
+        if not want:
+            continue
+        xa, xb = project_rows(question.values)
+        delta = ek.payoff_delta(problem, "a0", "a1")
+        eps = ek.ALIGN_RTOL * (1.0 + float(np.abs(question.values).max()))
+        misfit = xb - result.rho * delta - result.sigma * xa
+        assert float(np.abs(misfit).max()) <= alignment.ARBITER_FACTOR * eps
+        assert result.sigma != 0.0
+    # every case is reached, with both answers wherever both exist
+    assert outcomes == {
+        ("both constant", True),
+        *((case, want) for case in (
+            "payoff-equivalent", "a constant", "b constant", "general", "a on delta"
+        ) for want in (True, False)),
+    }
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 2, 3)])
+def test_pairwise_refutation_on_a_degenerate_gauge(order):
+    # Xbar(a1) is exactly delta / 4 on the edge {a0, a1}, so every fit sets
+    # a gamma to zero or infinity: a limit of aligned pairs, which is
+    # borderline whichever action the edge names first
+    utility = np.array([[0, -1, 0, -1], [-1, -2, 3, -2], [3, 2, -2, -1], [0, -3, -3, -3]])
+    values = np.array([[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 0, 1], [0, 0, 0, 0]])
+    order = list(order)
+    problem = ek.DecisionProblem(
+        states=("s0", "s1", "s2", "s3"),
+        actions=tuple(f"a{k}" for k in order),
+        utility=utility[order].astype(float),
+    )
+    question = ek.QuestionProfile(values=values[order].astype(float))
+    np.testing.assert_array_equal(
+        project_rows(question.values)[order.index(1)],
+        ek.payoff_delta(problem, "a0", "a1") / 4,
+    )
+    a, b = problem.actions[:2]
+    assert not ek.pairwise_alignment(problem, question, a, b).aligned
+    verdict = ek.decide_incentivizable(ek.ProblemBundle(problem=problem, question=question))
+    assert verdict.status == "inconclusive"
+    assert verdict.note == f"borderline misalignment on edge ({a}, {b})"
+
+
+def _tree_bundles():
+    """Trees with aligned, misaligned and partly perturbed questions."""
+    rng = np.random.default_rng(172)
+    problems = [(ek.make_quadratic_loss(n), True) for n in range(3, 9)]
+    problems += [(ek.make_star(n, s), False) for n in (3, 5) for s in (0.6, 0.9)]
+    for problem, numeric in problems:
+        kinds = ["expected-payoff", "regret", "ex-post-optimality"]
+        questions = [ek.build_question(kind, problem) for kind in kinds]
+        if numeric:
+            questions.append(ek.build_question("within-x", problem, x=0.25))
+        for question in questions[:2]:  # one row off an aligned question
+            values = question.values.copy()
+            values[int(rng.integers(problem.n_actions))] += rng.integers(-1, 2, problem.n_states)
+            questions.append(ek.QuestionProfile(values=values))
+        for question in questions:
+            yield problem, question
+
+
+def test_piecewise_alignment_on_a_tree_fails_only_on_a_misaligned_edge():
+    # so the tree step of decide_incentivizable always has an edge to name
+    outcomes = set()
+    for problem, question in _tree_bundles():
+        graph = ek.adjacency_graph(problem)
+        assert ek.classify_graph(graph).tree
+        parts = ek.splitting_collection(graph).parts
+        piecewise = ek.piecewise_alignment(problem, question, parts)
+        misaligned = [
+            not ek.pairwise_alignment(problem, question, edge.a, edge.b).aligned
+            for edge in graph.edges
+        ]
+        assert (piecewise is None) == any(misaligned)
+        outcomes.add((any(misaligned), all(misaligned)))
+    # no edge, some edges and every edge misaligned
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +333,8 @@ def test_decide_within_x_on_a_tree(within_bundle):
     assert verdict.status == "not_incentivizable"
     assert verdict.theorem == "tree-characterization"
     assert verdict.violation.kind == "pairwise-misalignment"
-    assert verdict.violation.actions == ("0.25", "0.5")
+    # the first edge whose residual is decisive (0.5), not the worst one
+    assert verdict.violation.actions == ("0", "0.25")
 
 
 def test_decide_reciprocal_gauge_on_state_matching():
@@ -395,16 +549,14 @@ def _reference_solve_alignment(problem, question, scope, tol):
         target_vec = np.concatenate([np.atleast_1d(r) for r in rhs])
         solution, *_ = np.linalg.lstsq(system, target_vec, rcond=None)
         h = float(solution[n_g])
-        if abs(h) <= 1e-12:
+        g = np.ones(len(scope))
+        for k, pos in g_slots.items():
+            g[k] = solution[pos]
+        if abs(h) <= 1e-12 or np.any(np.abs(g[nonzero]) <= 1e-12):
             best_residual = min(
                 best_residual,
                 float(np.max(np.abs(system @ solution - target_vec))) * q_scale,
             )
-            continue
-        g = np.ones(len(scope))
-        for k, pos in g_slots.items():
-            g[k] = solution[pos]
-        if np.any(np.abs(g[nonzero]) <= 1e-12):
             continue
         d_scaled = solution[n_g + 1 :] / h
         gamma = np.empty(len(scope))
