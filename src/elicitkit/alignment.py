@@ -14,7 +14,11 @@ Global, per-part, pairwise and task-weighted alignment are one linear
 question: is ``Xbar(a)`` affine in a utility basis, ``[ubar]`` on the
 whole menu, on a part of a splitting collection or on an adjacent pair,
 and the per-task tables ``[Ubar_1 ... Ubar_I]`` for products?  One
-pinned least-squares solver answers it on every scope.
+pinned least-squares solver answers it on every scope.  Each row's scale
+``g(a)`` appears only in that row's equations, so the solver eliminates
+it in closed form (separable least squares, Golub and Pereyra 1973) and
+solves for the basis coefficients and the offset alone; a certificate is
+accepted only when it reproduces the question by substitution.
 """
 
 from __future__ import annotations
@@ -182,14 +186,15 @@ class AlignmentCertificate:
 
 def reconstruct_question(problem: DecisionProblem, cert: AlignmentCertificate) -> FloatArray:
     """Evaluate the certificate's affine form on its scope."""
-    d = np.asarray(cert.d)
-    rows = []
-    for label, gamma, kappa in zip(cert.scope, cert.gamma, cert.kappa):
-        if cert.trivial:
-            rows.append(gamma * d + kappa)
-        else:
-            rows.append(gamma * (problem.utility_of(label) + d) + kappa)
-    return np.asarray(rows)
+    u = problem.utility[[problem.action_index[a] for a in cert.scope]]
+    return _affine_rows(cert.trivial, *map(np.asarray, (cert.gamma, cert.kappa, cert.d)), u)
+
+
+def _affine_rows(
+    trivial: bool, gamma: FloatArray, kappa: FloatArray, d: FloatArray, u: FloatArray
+) -> FloatArray:
+    """``gamma(a) * d + kappa(a)``, or ``gamma(a) * (u(a) + d) + kappa(a)``, per row."""
+    return gamma[:, None] * (d if trivial else u + d) + kappa[:, None]
 
 
 @dataclass(frozen=True)
@@ -251,24 +256,43 @@ def _pinned_alignment(
     ``nonzero`` (reported as 1 there); one more row makes ``D`` mean-free.
     Returns ``(g, c, D, residual)``, the residual being the system's
     max-abs misfit.
+
+    Each free ``g(a)`` is eliminated in closed form (variable projection):
+    for fixed ``(c, D)`` it is ``<xs(a), v(a)> / |xs(a)|^2`` with ``v(a) =
+    sum_i c_i * B_i(a) + D``.  That leaves least squares in ``(c, D)``
+    alone, with rows ``(I - P_a) [B(a) | I]`` on free rows (``P_a``
+    projects onto ``xs(a)``), ``[B(a) | I]`` elsewhere and the mean-free
+    row; ``lstsq`` on its small Gram matrix keeps the minimum-norm answer.
+    The residual is recomputed on the full system: every minimizer has the
+    same residual vector, but the Gram solve squares the condition number.
     """
     n_rows, n_states = xs.shape
-    free = [k for k in range(n_rows) if nonzero[k] and k != anchor]
-    n_g, n_c = len(free), len(bases)
-    system = np.zeros((n_rows * n_states + 1, n_g + n_c + n_states))
-    blocks = system[:-1].reshape(n_rows, n_states, -1)
-    blocks[free, :, range(n_g)] = xs[free]
-    for i, basis in enumerate(bases):
-        blocks[:, :, n_g + i] = -basis
-    blocks[:, :, n_g + n_c :] = -np.eye(n_states)
-    system[-1, n_g + n_c :] = 1.0
-    target = np.zeros(system.shape[0])
-    target[anchor * n_states : (anchor + 1) * n_states] = -xs[anchor]
-    solution, *_ = np.linalg.lstsq(system, target, rcond=None)
-    g = np.ones(n_rows)
-    g[free] = solution[:n_g]
-    residual = float(np.max(np.abs(system @ solution - target)))
-    return g, solution[n_g : n_g + n_c], solution[n_g + n_c :], residual
+    n_c = len(bases)
+    size = n_c + n_states
+    free = nonzero.copy()
+    free[anchor] = False
+    basis = np.asarray(bases)
+    flat = basis.reshape(n_c, -1)
+    # z(a) = [B(a) | I]^T xs(a), and w(a) = 1 / |xs(a)|^2 on free rows and
+    # 0 elsewhere: eliminating g(a) takes w(a) z(a) z(a)^T off the Gram.
+    z = np.concatenate([np.einsum("ias,as->ai", basis, xs), xs], axis=1)
+    w = free / (np.einsum("as,as->a", xs, xs) + ~free)
+    gram = np.empty((size, size))
+    gram[:n_c, :n_c] = flat @ flat.T
+    gram[:n_c, n_c:] = basis.sum(axis=1)
+    gram[n_c:, :n_c] = gram[:n_c, n_c:].T
+    gram[n_c:, n_c:] = 1.0  # the mean-free row
+    gram.flat[n_c * (size + 1) :: size + 1] += n_rows  # sum_a I on D's diagonal
+    gram -= (z * w[:, None]).T @ z
+    solution = np.linalg.lstsq(gram, z[anchor], rcond=None)[0]
+    c, offset = solution[:n_c], solution[n_c:]
+    # The fitted g: <xs(a), v(a)> / |xs(a)|^2 on free rows, 1 at the
+    # anchor and 0 (no term) on zero rows, where it is reported as 1.
+    fit = w * (z @ solution)
+    fit[anchor] = 1.0
+    misfit = fit[:, None] * xs - (c @ flat).reshape(n_rows, n_states) - offset
+    residual = float(max(np.abs(misfit).max(), abs(offset.sum())))
+    return fit + ~nonzero, c, offset, residual
 
 
 def _solve_alignment(
@@ -281,94 +305,57 @@ def _solve_alignment(
     idx = [problem.action_index[a] for a in scope]
     x = question.values[idx]
     u = problem.utility[idx]
-    n_states = problem.n_states
-    xbar = project_rows(x)
-    ubar = project_rows(u)
     x_means = x.mean(axis=1)
     u_means = u.mean(axis=1)
-    q_scale = 1.0 + float(np.max(np.abs(x)))
+    xbar = x - x_means[:, None]
+    ubar = u - u_means[:, None]
+    q_scale = 1.0 + float(np.abs(x).max())
     eps = tol * q_scale
-    row_norms = np.max(np.abs(xbar), axis=1)
+    row_norms = np.abs(xbar).max(axis=1)
     nonzero = row_norms > eps
 
-    def check(cert: AlignmentCertificate) -> tuple[AlignmentCertificate | None, float]:
-        rebuilt = reconstruct_question(problem, cert)
-        residual = float(np.max(np.abs(rebuilt - x)))
-        if residual <= ARBITER_FACTOR * eps:
-            return (
-                AlignmentCertificate(
-                    trivial=cert.trivial,
-                    scope=cert.scope,
-                    gamma=cert.gamma,
-                    kappa=cert.kappa,
-                    d=cert.d,
-                    residual=residual,
-                ),
-                residual,
-            )
-        return None, residual
+    def check(
+        trivial: bool, gamma: FloatArray, kappa: FloatArray, d: FloatArray
+    ) -> tuple[AlignmentCertificate | None, float]:
+        residual = float(np.abs(_affine_rows(trivial, gamma, kappa, d, u) - x).max())
+        if residual > ARBITER_FACTOR * eps:
+            return None, residual
+        fields = (tuple(v.tolist()) for v in (gamma, kappa, d))
+        return AlignmentCertificate(trivial, scope, *fields, residual), residual
 
     # Trivial branch 1: every row constant.
     if not nonzero.any():
-        cert = AlignmentCertificate(
-            trivial=True,
-            scope=scope,
-            gamma=tuple(1.0 for _ in scope),
-            kappa=tuple(float(m) for m in x_means),
-            d=tuple(0.0 for _ in range(n_states)),
-            residual=0.0,
-        )
-        return check(cert)
+        return check(True, np.ones(len(scope)), x_means, np.zeros(problem.n_states))
 
     # Trivial branch 2: all rows nonzero and mutually collinear.
     best_residual = float("inf")
     if nonzero.all() and numerical_rank(xbar) <= 1:
-        anchor = int(np.argmax(row_norms))
-        d = xbar[anchor]
-        gammas = xbar @ d / float(d @ d)
-        cert = AlignmentCertificate(
-            trivial=True,
-            scope=scope,
-            gamma=tuple(float(g) for g in gammas),
-            kappa=tuple(float(m) for m in x_means),
-            d=tuple(float(v) for v in d),
-            residual=0.0,
-        )
-        accepted, residual = check(cert)
+        d = xbar[int(np.argmax(row_norms))]
+        accepted, residual = check(True, xbar @ d / float(d @ d), x_means, d)
         if accepted is not None:
             return accepted, residual
-        best_residual = min(best_residual, residual)
+        best_residual = residual
 
     # Nontrivial branch: g(a) * Xbar(a) = h * ubar(a) + D with g pinned
     # at an anchor row.  A valid nontrivial representation then has
     # gamma(a) = h / g(a), d = D / h.
-    s_x = float(np.max(row_norms))
-    s_u = max(float(np.max(np.abs(ubar))), 1e-30)
+    s_x = float(row_norms.max())
+    s_u = max(float(np.abs(ubar).max()), 1e-30)
     xs = xbar / s_x
     us = ubar / s_u
-    nz_list = [k for k in range(len(scope)) if nonzero[k]]
-    anchors = sorted(nz_list, key=lambda k: -row_norms[k])
+    anchors = sorted(np.flatnonzero(nonzero), key=lambda k: -row_norms[k])
     for anchor in anchors[:2]:
         g, (h,), d_scaled, system_residual = _pinned_alignment(xs, [us], nonzero, anchor)
-        if abs(h) <= 1e-12 or np.any(np.abs(g[nonzero]) <= 1e-12):
+        # g is 1 on zero rows, so its least |g| is that of a nonzero row.
+        if abs(h) <= 1e-12 or np.abs(g).min() <= 1e-12:
             # A limit of aligned questions: its misfit is the residual.
             best_residual = min(best_residual, system_residual * q_scale)
             continue
         # Undo the row scalings: gamma maps utility units to question units.
-        gamma = np.ones(len(scope))
-        gamma[nonzero] = (h / g[nonzero]) * (s_x / s_u)
+        gamma = np.where(nonzero, (h / g) * (s_x / s_u), 1.0)
         d = d_scaled / h * s_u
         d = d - d.mean()
-        kappa = x_means - gamma * u_means
-        cert = AlignmentCertificate(
-            trivial=False,
-            scope=scope,
-            gamma=tuple(float(v) for v in gamma),
-            kappa=tuple(float(v) for v in kappa),
-            d=tuple(float(v) for v in d),
-            residual=0.0,
-        )
-        accepted, residual = check(cert)
+        accepted, residual = check(False, gamma, x_means - gamma * u_means, d)
         if accepted is not None:
             return accepted, residual
         best_residual = min(best_residual, residual)
@@ -459,17 +446,8 @@ def _solve_weighted(
         residual = float(np.max(np.abs(rebuilt - x)))
         if residual > ARBITER_FACTOR * eps:
             return None, residual
-        return (
-            WeightedAlignmentCertificate(
-                actions=problem.actions,
-                v=tuple(float(t) for t in v),
-                kappa=tuple(float(t) for t in kappa),
-                tau=tuple(float(t) for t in tau),
-                d=tuple(float(t) for t in d),
-                residual=residual,
-            ),
-            residual,
-        )
+        fields = (tuple(t.tolist()) for t in (v, kappa, tau, d))
+        return WeightedAlignmentCertificate(problem.actions, *fields, residual), residual
 
     if not nonzero.any():
         return finish(np.ones(n_actions), np.zeros(n_tasks), np.zeros(n_states))

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 One binary, subcommand style.  Exit codes are a stable contract:
-0 success of purpose, 2 input error (also input too large for memory),
-3 negative verdict or failed verification, 4 inconclusive (also when an
-LP does not finish), 5 nothing found.  Reports go to stdout,
-diagnostics to stderr.  Each subcommand takes only the flags it reads.
+0 success of purpose, 2 input error (also input too large for memory, or
+a file that cannot be read or written), 3 negative verdict or failed
+verification, 4 inconclusive (also when an LP does not finish), 5
+nothing found.  Reports go to stdout, diagnostics to stderr.  Each
+subcommand takes only the flags it reads.
 ``--tol`` may also come from ELICITKIT_TOL (read by check, synthesize,
 verify and witness) and ``--seed`` from ELICITKIT_SEED (read only by
 verify and witness); explicit flags win.
@@ -385,6 +386,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INCONCLUSIVE
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # a directory, a missing permission, a full disk
+        print(f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc), file=sys.stderr)
         return EXIT_INPUT
     except ElicitkitError as exc:
         print(str(exc), file=sys.stderr)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_numerics import exact_rank
+from test_numerics import exact_nullspace, exact_rank
 
 import elicitkit as ek
 from elicitkit import alignment
@@ -151,6 +151,100 @@ def test_pairwise_alignment_matches_the_exact_six_cases():
         *((case, want) for case in (
             "payoff-equivalent", "a constant", "b constant", "general", "a on delta"
         ) for want in (True, False)),
+    }
+
+
+def _exact_global_alignment(u, x):
+    """Whether ``x`` has an alignment certificate on the whole menu, over ``Fraction``.
+
+    Returns the case that decides it and the answer.  Aligned exactly when
+    every mean-free row is 0; or every row is nonzero and the rows have
+    rank at most 1 (the trivial form); or the homogeneous system
+    ``g(a) Xbar(a) = h ubar(a) + D`` with ``D`` mean-free has a solution
+    whose ``h`` and whose ``g`` on every nonzero row are nonzero.  A
+    generic point of the nullspace is such a solution unless one of those
+    coordinates vanishes on the whole basis; then ``gamma = h / g`` and
+    ``d = D / h``.
+    """
+
+    def centered(row):
+        row = [Fraction(float(v)) for v in row]
+        mean = sum(row) / len(row)
+        return [v - mean for v in row]
+
+    xbar, ubar = [centered(row) for row in x], [centered(row) for row in u]
+    nonzero = [k for k, row in enumerate(xbar) if any(row)]
+    if not nonzero:
+        return "constant", True
+    if len(nonzero) == len(xbar) and exact_rank(xbar) <= 1:
+        return "collinear", True
+    n_g, n_states = len(nonzero), len(xbar[0])
+    n_unknowns = n_g + 1 + n_states
+    system = []
+    for k, (x_row, u_row) in enumerate(zip(xbar, ubar)):
+        for s, (x_value, u_value) in enumerate(zip(x_row, u_row)):
+            row = [Fraction(0)] * n_unknowns
+            if k in nonzero:
+                row[nonzero.index(k)] = x_value
+            row[n_g] = -u_value
+            row[n_g + 1 + s] = Fraction(-1)
+            system.append(row)
+    system.append([Fraction(0)] * (n_g + 1) + [Fraction(1)] * n_states)
+    basis = exact_nullspace(system, n_unknowns)
+    return "nullspace", all(any(v[j] for v in basis) for j in range(n_g + 1))
+
+
+def _integer_menus(count, seed):
+    """Seeded integer problems with 3-5 states and 3-6 actions.
+
+    The question is random, aligned by construction, aligned with a
+    planted constant row, or planted collinear (the trivial form, with one
+    row constant on some draws); some get a one-unit perturbation.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_states, n_actions = int(rng.integers(3, 6)), int(rng.integers(3, 7))
+        u = rng.integers(-3, 4, size=(n_actions, n_states))
+        if rng.random() < 0.2:  # payoff-equivalent actions
+            u[int(rng.integers(1, n_actions))] = u[0] + int(rng.integers(-2, 3))
+        d = rng.integers(-2, 3, size=n_states)
+        kappa = rng.integers(-2, 3, size=(n_actions, 1))
+        gamma = rng.choice([-2, -1, 1, 3], size=(n_actions, 1))
+        k = int(rng.integers(n_actions))
+        kind = int(rng.integers(5))
+        if kind == 0:  # no structure
+            x = rng.integers(-3, 4, size=(n_actions, n_states))
+        elif kind == 1:  # the nontrivial form
+            x = gamma * (u + d) + kappa
+        elif kind == 2:  # the nontrivial form with row k constant: d = -u(k)
+            x = gamma * (u - u[k]) + kappa
+        elif kind == 3:  # a constant row planted in the nontrivial form
+            x = gamma * (u + d) + kappa
+            x[k] = kappa[k]
+        else:  # collinear rows: the trivial form
+            x = gamma * d + kappa
+            if rng.random() < 0.3:
+                x[k] = kappa[k]
+        if rng.random() < 0.4:
+            x[int(rng.integers(n_actions)), int(rng.integers(n_states))] += int(rng.choice([-1, 1]))
+        problem = ek.DecisionProblem(
+            states=tuple(f"s{i}" for i in range(n_states)),
+            actions=tuple(f"a{i}" for i in range(n_actions)),
+            utility=u.astype(float),
+        )
+        yield problem, ek.QuestionProfile(values=x.astype(float))
+
+
+def test_global_alignment_matches_the_exact_answer():
+    outcomes = set()
+    for problem, question in _integer_menus(360, seed=181):
+        case, want = _exact_global_alignment(problem.utility, question.values)
+        got = ek.alignment_on_set(problem, question)
+        assert (got is not None) == want, (case, problem.utility, question.values)
+        outcomes.add((case, want))
+    # every case is reached, the nullspace one with both answers
+    assert outcomes == {
+        ("constant", True), ("collinear", True), ("nullspace", True), ("nullspace", False)
     }
 
 
@@ -712,7 +806,10 @@ def _product_cases(count, seed):
         yield problem, product, ek.QuestionProfile(values=x)
 
 
-def test_global_alignment_matches_the_old_block_system_bitwise(monkeypatch):
+def test_global_alignment_matches_the_old_block_system(monkeypatch):
+    # The pinned solve eliminates each g(a) in closed form, so its bits
+    # differ from the block system's; every least-squares minimizer has the
+    # same residual vector, so the answers agree to rounding.
     calls = []
     solver = alignment._pinned_alignment
 
@@ -731,10 +828,18 @@ def test_global_alignment_matches_the_old_block_system_bitwise(monkeypatch):
             problem, question, problem.actions, ek.ALIGN_RTOL
         )
         assert (got is None) == (want is None)
+        scale = 1.0 + float(np.abs(question.values).max())
         if got is not None:
             found += 1
-            assert ek.canonical_dumps(got.to_dict()) == ek.canonical_dumps(want.to_dict())
-        assert np.float64(got_residual).tobytes() == np.float64(want_residual).tobytes()
+            assert (got.trivial, got.scope) == (want.trivial, want.scope)
+            for field in ("gamma", "kappa", "d"):
+                np.testing.assert_allclose(
+                    getattr(got, field), getattr(want, field), rtol=0, atol=1e-11 * scale
+                )
+        refuted = alignment.VIOLATION_FACTOR * ek.ALIGN_RTOL * scale
+        assert abs(got_residual - want_residual) <= 1e-9 * scale or min(
+            got_residual, want_residual
+        ) > refuted
         second_anchor += len(calls) == 2
     # both outcomes, and the second anchor, are exercised
     assert 100 < found < 400

@@ -355,6 +355,33 @@ def test_missing_file(capsys):
     assert "file not found" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "{dir}"),
+        ("verify", "{bundle}", "{dir}"),
+        ("gen", "quadratic-loss", "--n", "4", "--out", "{dir}"),
+        ("check", "{bundle}", "--out", "{dir}"),
+    ],
+    ids=" ".join,
+)
+def test_a_directory_in_place_of_a_file_exits_2_with_one_line(
+    aligned_path, tmp_path, capsys, argv
+):
+    paths = {"dir": str(tmp_path), "bundle": aligned_path}
+    assert_one_line_error(
+        *run(capsys, *(arg.format(**paths) for arg in argv)), f"Is a directory: {tmp_path}"
+    )
+
+
+def test_an_os_error_without_a_file_name_exits_2_with_one_line(aligned_path, capsys, monkeypatch):
+    def load_bundle(path):
+        raise OSError("device not ready")
+
+    monkeypatch.setattr(ek.cli, "load_bundle", load_bundle)
+    assert_one_line_error(*run(capsys, "check", aligned_path), "device not ready")
+
+
 def test_corrupt_bundle(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from argparse import ArgumentTypeError
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import elicitkit as ek
 from elicitkit import canonical_dumps
@@ -21,6 +24,9 @@ def test_canonical_dumps_exact_bytes():
     # sorted keys, compact separators, shortest-faithful floats, newline
     text = canonical_dumps({"b": 1.0, "a": 0.5, "c": [1, 2.25e-17]})
     assert text == '{"a":0.5,"b":1,"c":[1,2.2499999999999999e-17]}\n'
+    # -0 is written as 0 alone, in a flat float list and in a mixed one
+    payload = {"a": -0.0, "b": [-0.0, 1.0], "c": [np.float64(-0.0), 1], "d": (-0.0,)}
+    assert canonical_dumps(payload) == '{"a":0,"b":[0,1],"c":[0,1],"d":[0]}\n'
 
 
 def test_canonical_dumps_scalars():
@@ -39,6 +45,15 @@ def test_canonical_dumps_rejects_non_finite():
         canonical_dumps({"x": float("nan")})
     with pytest.raises(ValueError):
         canonical_dumps([float("inf")])
+    # in flat float lists, a mixed list and a numpy scalar
+    for payload in (
+        [0.5, float("nan")],
+        (float("-inf"),),
+        [np.float64(1.0), float("inf")],
+        {"a": [1.0, 2.0], "b": np.float64("nan")},
+    ):
+        with pytest.raises(ValueError, match="non-finite float"):
+            canonical_dumps(payload)
 
 
 def test_canonical_dumps_rejects_non_string_keys():
@@ -49,6 +64,93 @@ def test_canonical_dumps_rejects_non_string_keys():
 def test_canonical_dumps_handles_numpy_arrays():
     text = canonical_dumps({"v": np.array([0.5, 0.25])})
     assert text == '{"v":[0.5,0.25]}\n'
+
+
+def _reference_emit(obj, out):
+    """The emitter before its exact-type dispatch, kept as the specification."""
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(repr(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        if not math.isfinite(value):
+            raise ValueError("non-finite float in canonical JSON")
+        if value == 0.0:
+            value = 0.0
+        out.append(format(value, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _reference_emit(item, out)
+        out.append("]")
+    elif isinstance(obj, np.ndarray):
+        _reference_emit(obj.tolist(), out)
+    elif isinstance(obj, Mapping):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"canonical JSON keys must be strings, got {key!r}")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(":")
+            _reference_emit(obj[key], out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+
+
+def _reference_dumps(obj):
+    out = []
+    _reference_emit(obj, out)
+    out.append("\n")
+    return "".join(out)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-300, -2.5e-17, 1e300, 0.1]),
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-(2**62), max_value=2**62).map(np.int64),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.text(max_size=6),
+)
+# Flat lists of plain floats or strings take the one-join path; mixed ones
+# fall back to one item at a time.
+_PAYLOADS = st.recursive(
+    _LEAVES | st.lists(_FLOATS, max_size=6) | st.lists(st.text(max_size=4), max_size=6),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_PAYLOADS)
+def test_canonical_dumps_matches_the_reference_emitter(payload):
+    try:
+        want = _reference_dumps(payload)
+    except ValueError as error:
+        # a nan or an inf somewhere in the payload
+        with pytest.raises(ValueError, match=str(error)):
+            canonical_dumps(payload)
+        return
+    assert canonical_dumps(payload) == want
 
 
 # ---------------------------------------------------------------------------

@@ -628,6 +628,33 @@ def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
+def exact_nullspace(matrix: Sequence[Sequence[Fraction]], cols: int) -> list[list[Fraction]]:
+    """A basis of ``{v : matrix v = 0}`` by reduced row echelon form over ``Fraction``."""
+    rows = [list(row) for row in matrix]
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    basis = []
+    for free in (col for col in range(cols) if col not in pivots):
+        vector = [Fraction(0)] * cols
+        vector[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vector[col] = -rows[r][free]
+        basis.append(vector)
+    return basis
+
+
 def exact_test_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """A low-rank integer matrix with duplicated, scaled, mean-free or zero rows."""
     inner = int(rng.integers(1, min(rows, cols) + 1))
@@ -666,6 +693,21 @@ def test_rank_equals_the_exact_rank(tenths):
         assert [numerical_rank(matrix) for matrix in stack] == want
         ranks += want
     assert {0, 1, 2, 3, 4} <= set(ranks)
+
+
+def test_exact_nullspace_is_a_basis_of_the_kernel():
+    rng = np.random.default_rng(36)
+    dims = set()
+    for _ in range(60):
+        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        matrix = [[Fraction(int(v)) for v in row] for row in exact_test_matrix(rng, rows, cols)]
+        basis = exact_nullspace(matrix, cols)
+        assert len(basis) == cols - exact_rank(matrix)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in matrix for v in basis)
+        if basis:
+            assert exact_rank(basis) == len(basis)
+        dims.add(len(basis))
+    assert {0, 1, 2, 3} <= dims
 
 
 # ---------------------------------------------------------------------------
