@@ -17,8 +17,11 @@ and the per-task tables ``[Ubar_1 ... Ubar_I]`` for products?  One
 pinned least-squares solver answers it on every scope.  Each row's scale
 ``g(a)`` appears only in that row's equations, so the solver eliminates
 it in closed form (separable least squares, Golub and Pereyra 1973) and
-solves for the basis coefficients and the offset alone; a certificate is
-accepted only when it reproduces the question by substitution.
+solves for the basis coefficients and the offset alone, by ``lstsq`` on
+the projected rows rather than their normal equations, which would lose
+the small rows of a menu whose utilities differ widely in scale.  A
+certificate is accepted only when it reproduces the question by
+substitution.
 """
 
 from __future__ import annotations
@@ -262,37 +265,33 @@ def _pinned_alignment(
     sum_i c_i * B_i(a) + D``.  That leaves least squares in ``(c, D)``
     alone, with rows ``(I - P_a) [B(a) | I]`` on free rows (``P_a``
     projects onto ``xs(a)``), ``[B(a) | I]`` elsewhere and the mean-free
-    row; ``lstsq`` on its small Gram matrix keeps the minimum-norm answer.
-    The residual is recomputed on the full system: every minimizer has the
-    same residual vector, but the Gram solve squares the condition number.
+    row.  ``lstsq`` solves those rows directly, not their Gram matrix,
+    which would square the condition number; it keeps the minimum-norm
+    answer.  With ``g`` recovered, the misfit of these rows is that of the
+    full system, so it is the residual.
     """
     n_rows, n_states = xs.shape
     n_c = len(bases)
-    size = n_c + n_states
     free = nonzero.copy()
     free[anchor] = False
-    basis = np.asarray(bases)
-    flat = basis.reshape(n_c, -1)
+    system = np.zeros((n_rows * n_states + 1, n_c + n_states))
+    system[-1, n_c:] = 1.0  # the mean-free row
+    rows = system[:-1].reshape(n_rows, n_states, -1)
+    for i, basis in enumerate(bases):
+        rows[:, :, i] = basis
+    rows[:, :, n_c:] = np.eye(n_states)
     # z(a) = [B(a) | I]^T xs(a), and w(a) = 1 / |xs(a)|^2 on free rows and
-    # 0 elsewhere: eliminating g(a) takes w(a) z(a) z(a)^T off the Gram.
-    z = np.concatenate([np.einsum("ias,as->ai", basis, xs), xs], axis=1)
+    # 0 elsewhere, so a free row's g(a) is w(a) <z(a), (c, D)>.
+    z = np.einsum("asj,as->aj", rows, xs)
     w = free / (np.einsum("as,as->a", xs, xs) + ~free)
-    gram = np.empty((size, size))
-    gram[:n_c, :n_c] = flat @ flat.T
-    gram[:n_c, n_c:] = basis.sum(axis=1)
-    gram[n_c:, :n_c] = gram[:n_c, n_c:].T
-    gram[n_c:, n_c:] = 1.0  # the mean-free row
-    gram.flat[n_c * (size + 1) :: size + 1] += n_rows  # sum_a I on D's diagonal
-    gram -= (z * w[:, None]).T @ z
-    solution = np.linalg.lstsq(gram, z[anchor], rcond=None)[0]
-    c, offset = solution[:n_c], solution[n_c:]
-    # The fitted g: <xs(a), v(a)> / |xs(a)|^2 on free rows, 1 at the
-    # anchor and 0 (no term) on zero rows, where it is reported as 1.
-    fit = w * (z @ solution)
-    fit[anchor] = 1.0
-    misfit = fit[:, None] * xs - (c @ flat).reshape(n_rows, n_states) - offset
-    residual = float(max(np.abs(misfit).max(), abs(offset.sum())))
-    return fit + ~nonzero, c, offset, residual
+    rows -= (w[:, None] * xs)[:, :, None] * z[:, None, :]
+    target = np.zeros(len(system))
+    target[anchor * n_states : (anchor + 1) * n_states] = xs[anchor]
+    solution = np.linalg.lstsq(system, target, rcond=None)[0]
+    residual = float(np.abs(system @ solution - target).max())
+    g = w * (z @ solution)  # 0 on zero rows, which are reported as 1
+    g[anchor] = 1.0
+    return g + ~nonzero, solution[:n_c], solution[n_c:], residual
 
 
 def _solve_alignment(

@@ -18,7 +18,7 @@ from argparse import ArgumentTypeError
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,41 +57,30 @@ class TooLargeError(ElicitkitError):
 # Canonical JSON
 
 
-def _float_items(values: Iterable[float]) -> str:
-    """Comma-joined ``.17g`` text of plain floats."""
-    # JSON readers fold -0 into 0, so pick the stable sign up front
-    # (``-0.0 or 0.0`` is 0.0).  Of all the texts only nan and inf hold an "n".
-    text = ",".join([format(value or 0.0, ".17g") for value in values])
-    if "n" in text:
-        raise ValueError("non-finite float in canonical JSON")
-    return text
-
-
 def _emit(obj: Any, out: list[str]) -> None:
-    # The common types first; a flat list of plain floats or of plain
-    # strings (most of a verdict) is written with one join.
-    if isinstance(obj, (float, np.floating)):
-        out.append(_float_items((float(obj),)))
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, (list, tuple)):
-        if all(type(item) is float for item in obj):
-            out.append(f"[{_float_items(obj)}]")
-        elif all(type(item) is str for item in obj):
-            out.append(f"[{','.join(map(_quote, obj))}]")
-        else:
-            out.append("[")
-            for i, item in enumerate(obj):
-                if i:
-                    out.append(",")
-                _emit(item, out)
-            out.append("]")
-    elif obj is None:
+    if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(repr(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        if not math.isfinite(value):
+            raise ValueError("non-finite float in canonical JSON")
+        if value == 0.0:
+            # JSON readers fold -0 into 0, so pick the stable sign up front
+            value = 0.0
+        out.append(format(value, ".17g"))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _emit(item, out)
+        out.append("]")
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out)
     elif isinstance(obj, Mapping):

@@ -846,6 +846,44 @@ def test_global_alignment_matches_the_old_block_system(monkeypatch):
     assert second_anchor > 50
 
 
+def _rescaled_aligned_cases(count, seed):
+    """Aligned questions (d = 0) whose utility rows differ in scale by 1e4 to 1e6."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_states, n_actions = int(rng.integers(3, 6)), int(rng.integers(3, 7))
+        u = rng.integers(-3, 4, size=(n_actions, n_states)).astype(float)
+        u[:2, 0], u[:2, 1] = 1.0, -1.0  # the small rows are not constant
+        scale = np.where(rng.random(n_actions) < 0.5, 10.0 ** -rng.uniform(4, 6), 1.0)
+        scale[:2] = 10.0 ** -rng.uniform(4, 6)
+        # the two small rows carry the largest question rows, so they are the anchors
+        gamma = rng.choice([-2.0, -1.0, 1.0, 2.0], size=n_actions)
+        gamma[:2] = rng.choice([-6.0, 6.0], size=2) * n_states
+        u *= scale[:, None]
+        x = (gamma / scale)[:, None] * u + rng.integers(-2, 3, size=(n_actions, 1))
+        problem = ek.DecisionProblem(
+            states=tuple(f"s{i}" for i in range(n_states)),
+            actions=tuple(f"a{i}" for i in range(n_actions)),
+            utility=u,
+        )
+        yield problem, ek.QuestionProfile(values=x)
+
+
+def test_global_alignment_accepts_utility_rows_of_very_different_scales():
+    # A solve through the normal equations loses the small rows' part of
+    # h to cancellation here and refutes an aligned question decisively.
+    for problem, question in _rescaled_aligned_cases(200, seed=63):
+        got, got_residual = alignment._solve_alignment(
+            problem, question, problem.actions, ek.ALIGN_RTOL
+        )
+        want, _ = _reference_solve_alignment(problem, question, problem.actions, ek.ALIGN_RTOL)
+        assert want is not None
+        assert got is not None, got_residual
+        # the block system itself keeps only about eight digits of kappa here
+        scale = 1.0 + float(np.abs(question.values).max())
+        np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-6)
+        np.testing.assert_allclose(got.kappa, want.kappa, rtol=0, atol=1e-6 * scale)
+
+
 def test_weighted_alignment_matches_the_old_block_system():
     found = 0
     for problem, product, question in _product_cases(200, seed=62):

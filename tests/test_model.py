@@ -67,7 +67,7 @@ def test_canonical_dumps_handles_numpy_arrays():
 
 
 def _reference_emit(obj, out):
-    """The emitter before its exact-type dispatch, kept as the specification."""
+    """The emitter with ``json.dumps`` for strings, kept as the specification."""
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -127,8 +127,8 @@ _LEAVES = st.one_of(
     _FLOATS.map(np.float64),
     st.text(max_size=6),
 )
-# Flat lists of plain floats or strings take the one-join path; mixed ones
-# fall back to one item at a time.
+# Flat lists of plain floats or of strings, as most of a verdict is, and
+# nested mixed ones.
 _PAYLOADS = st.recursive(
     _LEAVES | st.lists(_FLOATS, max_size=6) | st.lists(st.text(max_size=4), max_size=6),
     lambda inner: st.one_of(
