@@ -45,7 +45,6 @@ from ._numerics import (
 from .model import DecisionProblem, ProblemBundle, ProductStructure, QuestionProfile
 from .geometry import (
     AdjacencyGraph,
-    GraphClass,
     adjacency_graph,
     classify_graph,
     cycle_rich,
@@ -586,10 +585,11 @@ def _pairwise_refutation(
     the status of the worst misaligned pair without solving every edge.
     """
     worst: tuple[str, str, float] | None = None
-    for edge in graph.edges:
-        pair = pairwise_alignment(problem, question, edge.a, edge.b, tol=tol)
+    for i, j in graph.pairs.tolist():
+        a, b = graph.actions[i], graph.actions[j]
+        pair = pairwise_alignment(problem, question, a, b, tol=tol)
         if not pair.aligned and (worst is None or pair.residual > worst[2]):
-            worst = (edge.a, edge.b, pair.residual)
+            worst = (a, b, pair.residual)
             if pair.residual > VIOLATION_FACTOR * eps:
                 break
     if worst is None:

@@ -15,15 +15,14 @@ by a fixed margin near every tie.  Such a pair's LP could only have
 confirmed the non-edge, so the graph is the one the LPs alone would
 give, bit for bit.  One array pass screens all pairs of a graph; its
 working set is bounded, and problems with too many states for it skip
-it.  The witnesses of all edges are normalized in one stacked pass.  The
-cycle-richness test checks the independence of all its cycles, and the
-spans of each subset, in stacked SVD calls.
+it.  The graph is stored as arrays, its witnesses normalized in one
+stacked pass.  The cycle-richness test checks the independence of all
+its cycles, and the spans of each subset, in stacked SVD calls.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -158,27 +157,57 @@ def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
     )
 
 
-def _witness_beliefs(raws: Sequence[FloatArray]) -> list[Belief]:
-    """``Belief.from_array`` of each LP solution, from one stacked pass.
+def _witness_rows(raws: Sequence[FloatArray], k: int) -> FloatArray:
+    """``Belief.from_array(raw).probs`` of each LP solution, as rows of one array.
 
-    Each row takes ``from_array``'s steps, ``np.clip`` at zero and a
-    division by its own sum, so each belief has the bits ``from_array``
-    gives it.  ``np.maximum`` would not do: ``np.maximum(0.0, -0.0)`` keeps
-    the sign of zero that ``np.clip`` drops.
+    Each row takes ``from_array``'s clip at zero and division by its sum,
+    then ``Belief``'s own, so it has that belief's bits; a third pass could
+    move them, so a stored row is never passed to ``Belief``.  ``np.clip``
+    drops the sign of ``-0.0``, which ``np.maximum(0.0, -0.0)`` keeps.
     """
-    if not raws:
-        return []
-    stacked = np.clip(np.stack(raws), 0.0, None)
-    stacked /= stacked.sum(axis=1, keepdims=True)
-    return [Belief(row) for row in stacked]
+    rows = np.stack(raws) if raws else np.empty((0, k))
+    for _ in range(2):
+        rows = np.clip(rows, 0.0, None)
+        rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def _stored_belief(row: FloatArray) -> Belief:
+    """A ``Belief`` around a read-only row that ``_witness_rows`` normalized."""
+    belief = Belief.__new__(Belief)
+    object.__setattr__(belief, "probs", row)
+    return belief
 
 
 @dataclass(frozen=True, eq=False)
 class AdjacencyGraph:
-    """Undirected graph over the problem's actions."""
+    """Undirected graph over the problem's actions, as read-only arrays.
+
+    Edge ``m`` joins the actions at ``pairs[m]``, with LP slack ``slacks[m]``
+    and witness ``witnesses[m]``; ``edges`` is built on first use.  A
+    subgraph keeps its parent and the parent's row of each edge in
+    ``_source``, so it shares the parent's edge objects.
+    """
 
     actions: tuple[str, ...]
-    edges: tuple[AdjacencyEdge, ...]
+    pairs: np.ndarray
+    slacks: FloatArray
+    witnesses: FloatArray
+    _source: tuple["AdjacencyGraph", np.ndarray] | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        for array in (self.pairs, self.slacks, self.witnesses):
+            array.setflags(write=False)
+
+    @cached_property
+    def edges(self) -> tuple[AdjacencyEdge, ...]:
+        if self._source is not None:
+            parent, rows = self._source
+            return tuple(parent.edges[m] for m in rows.tolist())
+        return tuple(
+            AdjacencyEdge(e["a"], e["b"], e["slack"], _stored_belief(e["witness"]))
+            for e in self.to_dict()["edges"]
+        )
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -186,26 +215,28 @@ class AdjacencyGraph:
 
     @cached_property
     def edge_index_set(self) -> frozenset[tuple[int, int]]:
-        pairs = set()
-        for e in self.edges:
-            i, j = self.index[e.a], self.index[e.b]
-            pairs.add((min(i, j), max(i, j)))
-        return frozenset(pairs)
+        return frozenset(map(tuple, np.sort(self.pairs, axis=1).tolist()))
 
     @cached_property
     def neighbor_indices(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[set[int]] = [set() for _ in self.actions]
-        for i, j in self.edge_index_set:
-            adj[i].add(j)
-            adj[j].add(i)
+        adj: list[list[int]] = [[] for _ in self.actions]
+        for i, j in self.pairs.tolist():
+            adj[i].append(j)
+            adj[j].append(i)
         return tuple(tuple(sorted(s)) for s in adj)
 
     def induced(self, actions: Sequence[str]) -> "AdjacencyGraph":
         """The subgraph on ``actions`` (in that order), keeping the original edges."""
-        keep = set(actions)
+        members = tuple(actions)
+        position = np.full(len(self.actions), -1)
+        for p, a in enumerate(members):
+            if a not in self.index:
+                raise ValueError(f"unknown action {a!r}")
+            position[self.index[a]] = p
+        pairs = position[self.pairs]
+        rows = np.flatnonzero((pairs >= 0).all(axis=1))
         return AdjacencyGraph(
-            actions=tuple(actions),
-            edges=tuple(e for e in self.edges if e.a in keep and e.b in keep),
+            members, pairs[rows], self.slacks[rows], self.witnesses[rows], (self, rows)
         )
 
     def has_edge(self, a: str, b: str) -> bool:
@@ -217,32 +248,25 @@ class AdjacencyGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_index_set)
+        return self.pairs.shape[0]
 
     @cached_property
     def is_connected(self) -> bool:
-        n = len(self.actions)
-        if n == 0:
-            return True
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
+        seen = {0} if self.actions else set()
+        stack = list(seen)
         while stack:
-            v = stack.pop()
-            for w in self.neighbor_indices[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == n
+            new = set(self.neighbor_indices[stack.pop()]) - seen
+            seen |= new
+            stack.extend(new)
+        return len(seen) == len(self.actions)
 
     def to_dict(self) -> dict:
+        edges = zip(self.pairs.tolist(), self.slacks.tolist(), self.witnesses)
         return {
             "nodes": list(self.actions),
             "edges": [
-                {"a": e.a, "b": e.b, "slack": e.slack, "witness": e.witness.probs}
-                for e in self.edges
+                {"a": self.actions[i], "b": self.actions[j], "slack": s, "witness": w}
+                for (i, j), s, w in edges
             ],
         }
 
@@ -360,19 +384,14 @@ def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
     witnesses are exactly those of testing every pair.
     """
     scaled = scale_unit_max_abs(problem.utility)
-    first, second = _pair_indices(problem.n_actions)
-    tested = ~_screened_pairs(scaled)
-    found = []
-    for i, j in zip(first[tested].tolist(), second[tested].tolist()):
-        slack, raw = _pair_lp(problem, scaled, i, j)
-        if slack > MIN_SLACK:  # an infeasible pair has slack -inf and no solution
-            found.append((i, j, slack, raw))
-    witnesses = _witness_beliefs([raw for *_, raw in found])
-    edges = tuple(
-        AdjacencyEdge(a=problem.actions[i], b=problem.actions[j], slack=slack, witness=witness)
-        for (i, j, slack, _), witness in zip(found, witnesses)
+    pairs = np.stack(_pair_indices(problem.n_actions), axis=1)[~_screened_pairs(scaled)]
+    solved = [_pair_lp(problem, scaled, i, j) for i, j in pairs.tolist()]
+    slacks = np.array([slack for slack, _ in solved], dtype=np.float64)
+    edge = slacks > MIN_SLACK  # an infeasible pair has slack -inf and no solution
+    raws = [raw for (_, raw), kept in zip(solved, edge.tolist()) if kept]
+    return AdjacencyGraph(
+        problem.actions, pairs[edge], slacks[edge], _witness_rows(raws, problem.n_states)
     )
-    return AdjacencyGraph(actions=problem.actions, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -401,28 +420,17 @@ class GraphClass:
 
 def _product_consistent(graph: AdjacencyGraph, product: ProductStructure) -> bool:
     coords = product.action_coord_array
-    label_of = {tuple(coords[i]): i for i in range(len(graph.actions))}
-    within: list[set[tuple[int, int]]] = [set() for _ in product.tasks]
-    for i, j in graph.edge_index_set:
-        diff = [t for t in range(product.n_tasks) if coords[i, t] != coords[j, t]]
-        if len(diff) != 1:
-            return False
-        t = diff[0]
-        pair = (min(coords[i, t], coords[j, t]), max(coords[i, t], coords[j, t]))
-        within[t].add(pair)
+    ends = np.stack([coords[graph.pairs[:, 0]], coords[graph.pairs[:, 1]]])
+    differs = ends[0] != ends[1]
+    if (differs.sum(axis=1) != 1).any():
+        return False
     # Each within-task adjacency must lift across every completion of the
-    # remaining coordinates.
-    for t, pairs in enumerate(within):
-        for x, y in pairs:
-            for g in range(len(graph.actions)):
-                if coords[g, t] != x:
-                    continue
-                other = coords[g].copy()
-                other[t] = y
-                h = label_of[tuple(other)]
-                if (min(g, h), max(g, h)) not in graph.edge_index_set:
-                    return False
-    return True
+    # remaining coordinates: it needs one edge per completion.
+    task = differs.argmax(axis=1)
+    values = np.sort(ends[:, np.arange(task.size), task], axis=0)
+    lifts, counts = np.unique(np.vstack([task, values]), axis=1, return_counts=True)
+    sizes = np.array([t.n_actions for t in product.tasks])
+    return bool((counts == len(graph.actions) // sizes[lifts[0]]).all())
 
 
 def classify_graph(
@@ -432,9 +440,7 @@ def classify_graph(
     connected = graph.is_connected
     tree = connected and graph.n_edges == n - 1
     complete = graph.n_edges == n * (n - 1) // 2
-    product_ok = False
-    if product is not None and graph.n_edges > 0:
-        product_ok = _product_consistent(graph, product)
+    product_ok = product is not None and graph.n_edges > 0 and _product_consistent(graph, product)
     return GraphClass(
         connected=connected, tree=tree, complete=complete, product_consistent=product_ok
     )
@@ -582,12 +588,8 @@ def enumerate_cycles(
 
 def _cycle_deltas(problem: DecisionProblem, cycle: Sequence[str]) -> FloatArray:
     """Mean-removed payoff differences of the cycle's vertices against its first."""
-    base = problem.action_index[cycle[0]]
-    rows = []
-    for label in cycle[1:]:
-        idx = problem.action_index[label]
-        rows.append(problem.utility[idx] - problem.utility[base])
-    return project_rows(np.asarray(rows))
+    u = problem.utility[[problem.action_index[a] for a in cycle]]
+    return project_rows(u[1:] - u[0])
 
 
 def internal_independence(problem: DecisionProblem, cycle: Sequence[str]) -> bool:
@@ -647,10 +649,8 @@ def cycle_rich(
     if graph is None:
         graph = adjacency_graph(problem)
 
-    induced = graph.induced(members)
-
     max_len = min(problem.n_states, len(members))
-    cycles = enumerate_cycles(induced, max_len=max_len, cap=cap).cycles
+    cycles = enumerate_cycles(graph.induced(members), max_len=max_len, cap=cap).cycles
     k = problem.n_states
     deltas = [_cycle_deltas(problem, cycle) for cycle in cycles]
     independent = [

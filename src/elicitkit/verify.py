@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -226,18 +226,18 @@ def boundary_beliefs(
     result = adjacency_test(problem, a, b)
     if not result.adjacent or result.witness is None:
         raise ValueError(f"actions {a!r} and {b!r} are not adjacent")
-    return _face_beliefs(problem, [(a, b, result.witness.probs)], n, seed)
+    pair = np.array([[problem.action_index[a], problem.action_index[b]]])
+    return _face_beliefs(problem, pair, result.witness.probs[None], n, seed)
 
 
 def _face_beliefs(
-    problem: DecisionProblem,
-    faces: Sequence[tuple[str, str, FloatArray]],
-    n: int,
-    seed: int,
+    problem: DecisionProblem, pairs: np.ndarray, witnesses: FloatArray, n: int, seed: int
 ) -> FloatArray:
-    """``boundary_beliefs`` for every face ``(a, b, witness)`` at once.
+    """``boundary_beliefs`` for every face at once.
 
-    Face ``f`` draws from the stream seeded ``seed + f``, and its ``n`` rows
+    Face ``f`` lies between the actions at indices ``pairs[f]`` and holds
+    the witness ``witnesses[f]``, as in an :class:`AdjacencyGraph`.  It
+    draws from the stream seeded ``seed + f``, and its ``n`` rows
     follow those of face ``f - 1``.  Apart from each face's own draws,
     every step is one array operation over all faces: one stacked SVD
     gives the tangent bases, and each round draws for every face short
@@ -251,13 +251,10 @@ def _face_beliefs(
     inside the simplex.  A face keeps its first accepted directions in
     attempt order, so the rows are those of one direction at a time.
     """
-    k = problem.n_states
-    witnesses = np.array([w for _, _, w in faces], dtype=np.float64).reshape(-1, k)
     points = np.repeat(witnesses, n, axis=0)
-    if n <= 1 or not faces:
+    if n <= 1 or not len(pairs):
         return points
-    first = np.array([problem.action_index[a] for a, _, _ in faces])
-    second = np.array([problem.action_index[b] for _, b, _ in faces])
+    first, second = pairs[:, 0], pairs[:, 1]
     ties = problem.utility[first] - problem.utility[second]
     bases = nullspaces(np.stack([np.ones_like(ties), ties], axis=1))
     dims = np.array([basis.shape[0] for basis in bases])
@@ -268,9 +265,9 @@ def _face_beliefs(
     # directions that stay in the simplex.  A first round draws twice the
     # number that share should need, and each later round twice as many.
     boost = zero.sum(axis=1)
-    rngs = [np.random.Generator(np.random.PCG64(seed + f)) for f in range(len(faces))]
-    attempts = np.zeros(len(faces), dtype=np.int64)
-    found = np.zeros(len(faces), dtype=np.int64)
+    rngs = [np.random.Generator(np.random.PCG64(seed + f)) for f in range(len(pairs))]
+    attempts = np.zeros(len(pairs), dtype=np.int64)
+    found = np.zeros(len(pairs), dtype=np.int64)
     for round_index in itertools.count():
         drawing = np.flatnonzero((found < n - 1) & (attempts < caps))
         if not drawing.size:
@@ -302,7 +299,7 @@ def _face_beliefs(
         rank = np.arange(kept.size) - np.searchsorted(face, face)
         use = rank < n - 1 - found[face]
         points[face[use] * n + 1 + found[face[use]] + rank[use]] = accepted[kept[use]]
-        found += np.bincount(face[use], minlength=len(faces))
+        found += np.bincount(face[use], minlength=len(pairs))
     return points
 
 
@@ -580,9 +577,10 @@ def _sweep_beliefs(
     if _sweeps_boundaries(problem, spec):
         if graph is None:
             graph = adjacency_graph(problem)
-        if graph.edges:
-            faces = [(edge.a, edge.b, edge.witness.probs) for edge in graph.edges]
-            blocks.append(_face_beliefs(problem, faces, spec.boundary_per_edge, spec.seed + 1))
+        if graph.n_edges:
+            blocks.append(_face_beliefs(
+                problem, graph.pairs, graph.witnesses, spec.boundary_per_edge, spec.seed + 1
+            ))
     if not blocks:
         raise ValueError("spec produced an empty belief set")
     return np.vstack(blocks)

@@ -248,6 +248,96 @@ def test_global_alignment_matches_the_exact_answer():
     }
 
 
+def _exact_weighted_alignment(tables, x):
+    """Whether ``x`` has a task-weighted certificate, over ``Fraction``.
+
+    The global rule with the task tables ``Ubar_1 ... Ubar_I`` in place of
+    ``ubar`` and ``tau`` in place of ``h``: aligned exactly when every
+    mean-free row is 0, or ``g(a) Xbar(a) = sum_i tau_i Ubar_i(a) + D``
+    with ``D`` mean-free has a solution whose ``g`` is nonzero on every
+    nonzero row; ``tau`` may vanish.  ``D`` is eliminated: the value that
+    solves the first row's equations is mean-free, so the other rows minus
+    the first decide ``(g, tau)``.  Rows are scaled by the state count to
+    integers, and the nullspace is that of the system's Gram matrix, the
+    same over the rationals and small enough to reduce exactly.
+    """
+    n_states = x.shape[1]
+
+    def centered(table):  # n_states times the mean-free rows
+        whole = np.rint(table).astype(np.int64)
+        assert (whole == table).all()
+        return n_states * whole - whole.sum(axis=1, keepdims=True)
+
+    xbar = centered(x)
+    nonzero = np.flatnonzero(xbar.any(axis=1))
+    if not nonzero.size:
+        return "constant", True
+    n_g, n_tasks = nonzero.size, len(tables)
+    system = np.zeros((x.shape[0], n_states, n_g + n_tasks), dtype=np.int64)
+    for col, a in enumerate(nonzero):
+        system[a, :, col] = xbar[a]
+    for i, table in enumerate(tables):
+        system[:, :, n_g + i] = -centered(table)
+    system = (system[1:] - system[0]).reshape(-1, n_g + n_tasks)
+    gram = system.T @ system
+    basis = exact_nullspace([[Fraction(int(v)) for v in row] for row in gram], len(gram))
+    return "nullspace", all(any(v[j] for v in basis) for j in range(n_g))
+
+
+def _integer_products(count, seed):
+    """Seeded integer products of 2-3 tasks, each with 2-3 states and actions.
+
+    The question is random, weighted-aligned by construction (``tau`` may
+    be 0), aligned with the offset that makes one row constant, aligned
+    with a constant row planted, or constant; some get a one-unit
+    perturbation.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        tasks = []
+        for _ in range(int(rng.integers(2, 4))):
+            n_states, n_actions = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            tasks.append(ek.DecisionProblem(
+                states=tuple(f"s{i}" for i in range(n_states)),
+                actions=tuple(f"a{i}" for i in range(n_actions)),
+                utility=rng.integers(-3, 4, size=(n_actions, n_states)).astype(float),
+            ))
+        problem, product = ek.expand_product(tasks)
+        tables = product.task_utility_tables()
+        n_actions, n_states = problem.utility.shape
+        kappa = rng.integers(-2, 3, size=(n_actions, 1))
+        tau = rng.integers(-2, 3, size=len(tasks))
+        v = rng.choice([-2, -1, 1, 3], size=(n_actions, 1))
+        core = rng.integers(-2, 3, size=n_states) + sum(t * table for t, table in zip(tau, tables))
+        k = int(rng.integers(n_actions))
+        kind = int(rng.integers(5))
+        if kind == 0:  # no structure
+            x = rng.integers(-3, 4, size=(n_actions, n_states))
+        elif kind == 1:  # the weighted form
+            x = kappa + v * core
+        elif kind == 2:  # the weighted form with row k constant
+            x = kappa + v * (core - core[k])
+        elif kind == 3:  # a constant row planted in the weighted form
+            x = kappa + v * core
+            x[k] = kappa[k]
+        else:  # every row constant
+            x = np.repeat(kappa, n_states, axis=1)
+        if rng.random() < 0.4:
+            x[int(rng.integers(n_actions)), int(rng.integers(n_states))] += int(rng.choice([-1, 1]))
+        yield problem, product, ek.QuestionProfile(values=x.astype(float))
+
+
+def test_weighted_alignment_matches_the_exact_answer():
+    outcomes = set()
+    for problem, product, question in _integer_products(300, seed=191):
+        case, want = _exact_weighted_alignment(product.task_utility_tables(), question.values)
+        got = ek.weighted_alignment(problem, question, product)
+        assert (got is not None) == want, (case, problem.utility, question.values)
+        outcomes.add((case, want))
+    # every case is reached, the nullspace one with both answers
+    assert outcomes == {("constant", True), ("nullspace", True), ("nullspace", False)}
+
+
 @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 2, 3)])
 def test_pairwise_refutation_on_a_degenerate_gauge(order):
     # Xbar(a1) is exactly delta / 4 on the edge {a0, a1}, so every fit sets

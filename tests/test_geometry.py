@@ -152,6 +152,16 @@ def test_induced_subgraph_keeps_the_real_edges():
     assert sub.neighbors("safe") == ("theta1", "theta0", "theta3")
 
 
+def test_unknown_labels_are_rejected(ql4):
+    graph = ek.adjacency_graph(ql4)
+    with pytest.raises(ValueError, match="'nope'"):
+        graph.induced(("0", "nope"))
+    with pytest.raises(ValueError, match="'nope'"):
+        ek.cycle_rich(ql4, ["0", "0.25", "0.5", "nope"])
+    with pytest.raises(ValueError, match="'nope'"):
+        ek.cycle_rich(ql4, ["0", "0.25", "0.5", "nope"], graph=graph)
+
+
 def test_stacked_witnesses_have_the_bits_of_from_array():
     zeros = [
         np.array([0.25, 0.0, -0.0, 0.75]),
@@ -169,11 +179,11 @@ def test_stacked_witnesses_have_the_bits_of_from_array():
         rows[:, -1] += 0.1  # a vector that sums to zero is no belief
         cases.append(list(rows))
     for raws in cases:
-        got = geometry._witness_beliefs(raws)
-        assert len(got) == len(raws)
-        for belief, raw in zip(got, raws):
-            assert belief.probs.tobytes() == ek.Belief.from_array(raw).probs.tobytes()
-    assert geometry._witness_beliefs([]) == []
+        got = geometry._witness_rows(raws, raws[0].size)
+        assert got.shape == (len(raws), raws[0].size)
+        for row, raw in zip(got, raws):
+            assert row.tobytes() == ek.Belief.from_array(raw).probs.tobytes()
+    assert geometry._witness_rows([], 3).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +234,18 @@ def _screened_exactly(problem, monkeypatch):
             tie = (scaled[index[a]] - scaled[index[b]]) @ result.witness.probs
             assert abs(tie) <= geometry.SCREEN_TIE, (a, b, tie)
     graph, tested = _tested_pairs(problem, monkeypatch)
+    want = [(a, b, r) for (a, b), r in reference.items() if r.adjacent]
     assert [(e.a, e.b, e.slack.hex(), e.witness.probs.tobytes()) for e in graph.edges] == [
-        (a, b, r.slack.hex(), r.witness.probs.tobytes())
-        for (a, b), r in reference.items()
-        if r.adjacent
+        (a, b, r.slack.hex(), r.witness.probs.tobytes()) for a, b, r in want
     ]
+    # the arrays the edges are built from carry the same pairs and bits
+    assert graph.pairs.tolist() == [[index[a], index[b]] for a, b, _ in want]
+    assert [s.hex() for s in graph.slacks.tolist()] == [r.slack.hex() for *_, r in want]
+    assert graph.witnesses.tobytes() == b"".join(r.witness.probs.tobytes() for *_, r in want)
+    assert graph.witnesses.shape == (len(want), problem.n_states)
+    assert graph.pairs.tolist() == [[index[e.a], index[e.b]] for e in graph.edges]
+    assert [s.hex() for s in graph.slacks.tolist()] == [e.slack.hex() for e in graph.edges]
+    assert graph.witnesses.tobytes() == b"".join(e.witness.probs.tobytes() for e in graph.edges)
     assert tested == [pair for pair in reference if pair in tested]
     skipped = [pair for pair in reference if pair not in tested]
     for pair in skipped:
@@ -452,6 +469,56 @@ def test_classify_kinds():
     cube = ek.classify_graph(ek.adjacency_graph(problem), product)
     assert cube.product_consistent
     assert cube.kind == "product"
+
+
+def _reference_product_consistent(graph, product):
+    """The lifting loop: every within-task edge lifts across every completion."""
+    coords = product.action_coord_array
+    label_of = {tuple(coords[i]): i for i in range(len(graph.actions))}
+    within = [set() for _ in product.tasks]
+    for i, j in graph.edge_index_set:
+        diff = [t for t in range(product.n_tasks) if coords[i, t] != coords[j, t]]
+        if len(diff) != 1:
+            return False
+        t = diff[0]
+        within[t].add((min(coords[i, t], coords[j, t]), max(coords[i, t], coords[j, t])))
+    for t, pairs in enumerate(within):
+        for x, y in pairs:
+            for g in range(len(graph.actions)):
+                if coords[g, t] == x:
+                    other = coords[g].copy()
+                    other[t] = y
+                    h = label_of[tuple(other)]
+                    if (min(g, h), max(g, h)) not in graph.edge_index_set:
+                        return False
+    return True
+
+
+def test_product_consistency_matches_the_lifting_loop():
+    # Dominated task actions break the lift: an edge of one task is an
+    # edge of the product only where the other coordinates can be optimal.
+    rng = np.random.default_rng(47)
+    outcomes = set()
+    for _ in range(40):
+        tasks = []
+        for _ in range(int(rng.integers(2, 4)) if rng.random() < 0.3 else 2):
+            n_states, n_actions = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            utility = rng.integers(-3, 4, size=(n_actions, n_states)).astype(float)
+            if rng.random() < 0.5:  # a dominated action
+                utility[-1] = utility[0] - 1.0
+            tasks.append(ek.DecisionProblem(
+                states=tuple(f"s{i}" for i in range(n_states)),
+                actions=tuple(f"a{i}" for i in range(n_actions)),
+                utility=utility,
+            ))
+        problem, product = ek.expand_product(tasks)
+        graph = ek.adjacency_graph(problem)
+        if not graph.n_edges:
+            continue
+        want = _reference_product_consistent(graph, product)
+        assert geometry._product_consistent(graph, product) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_splitting_collection_covers_each_edge_once():

@@ -239,13 +239,18 @@ def test_face_problems_have_witnesses_on_and_off_the_simplex_boundary():
     assert any(on_boundary) and not all(on_boundary)
 
 
+def _face(problem, a, b, witness):
+    """The index and witness arrays ``_face_beliefs`` takes for one face."""
+    return np.array([[problem.action_index[a], problem.action_index[b]]]), witness[None]
+
+
 @pytest.mark.parametrize("problem", _FACE_PROBLEMS)
 def test_face_beliefs_match_the_step_halving_loop_bitwise(problem):
     for index, edge in enumerate(ek.adjacency_graph(problem).edges):
         for n in (1, 2, 3, 6, 20):
             witness = edge.witness.probs
             _assert_same_bits(
-                _face_beliefs(problem, [(edge.a, edge.b, witness)], n, 5 + index),
+                _face_beliefs(problem, *_face(problem, edge.a, edge.b, witness), n, 5 + index),
                 _reference_face_beliefs(problem, edge.a, edge.b, witness, n, 5 + index),
             )
 
@@ -269,7 +274,7 @@ def _vertex_face_problem() -> ek.DecisionProblem:
 )
 def test_face_beliefs_repeat_the_witness_when_no_step_stays_on_the_face(problem, a, b):
     witness = ek.adjacency_test(problem, a, b).witness.probs
-    got = _face_beliefs(problem, [(a, b, witness)], 5, 3)
+    got = _face_beliefs(problem, *_face(problem, a, b, witness), 5, 3)
     _assert_same_bits(got, _reference_face_beliefs(problem, a, b, witness, 5, 3))
     _assert_same_bits(got, np.tile(witness, (5, 1)))
 
@@ -296,14 +301,13 @@ def test_graph_face_problems_have_several_edges_and_a_vertex_witness():
 @pytest.mark.parametrize("n", (1, 2, 3, 6, 20))
 def test_face_beliefs_of_a_whole_graph_match_the_loop_bitwise(n):
     for problem in _GRAPH_FACE_PROBLEMS:
-        edges = ek.adjacency_graph(problem).edges
-        faces = [(edge.a, edge.b, edge.witness.probs) for edge in edges]
+        graph = ek.adjacency_graph(problem)
         want = [
             _reference_face_beliefs(problem, edge.a, edge.b, edge.witness.probs, n, 9 + index)
-            for index, edge in enumerate(edges)
+            for index, edge in enumerate(graph.edges)
         ]
         _assert_same_bits(
-            _face_beliefs(problem, faces, n, 9),
+            _face_beliefs(problem, graph.pairs, graph.witnesses, n, 9),
             np.vstack(want).reshape(-1, problem.n_states),
         )
 
@@ -313,7 +317,7 @@ def test_face_beliefs_match_the_reference_over_several_batches():
     # (1/2, 1/2, 0, 0), so 2000 points take more than one batch of draws.
     problem = ek.make_star(4, 0.3)
     witness = ek.adjacency_test(problem, "theta0", "theta1").witness.probs
-    got = _face_beliefs(problem, [("theta0", "theta1", witness)], 2000, 11)
+    got = _face_beliefs(problem, *_face(problem, "theta0", "theta1", witness), 2000, 11)
     assert got.shape == (2000, problem.n_states)
     _assert_same_bits(
         got, _reference_face_beliefs(problem, "theta0", "theta1", witness, 2000, 11)
@@ -572,6 +576,29 @@ def test_oracle_cross_check_builds_one_graph(geometry_lps):
     )
     alone = ek.decide_incentivizable(bundle)
     assert ek.canonical_dumps(record.verdict.to_dict()) == ek.canonical_dumps(alone.to_dict())
+
+
+def test_deciding_and_cross_checking_build_no_belief(
+    monkeypatch, geometry_lps, chained_bundle, within_bundle
+):
+    # The graph keeps its witnesses as one array, and the verdict and the
+    # face beliefs read that array: no Belief is built on either path.
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return object.__new__(cls)
+
+    monkeypatch.setattr(ek.Belief, "__new__", staticmethod(counted))
+    for bundle in (chained_bundle, within_bundle):
+        verdict = ek.decide_incentivizable(bundle)
+        assert verdict.theorem != "global-alignment-sufficiency"
+        assert ek.oracle_cross_check(bundle).consistent
+    assert geometry_lps  # both paths built the graph
+    assert built == []
+    graph = ek.adjacency_graph(within_bundle.problem)
+    assert built == []
+    assert len(graph.edges) == len(built) == 4  # built on first use, one per witness
 
 
 def _split_tie_bundles() -> list[ek.ProblemBundle]:
