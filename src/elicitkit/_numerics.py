@@ -3,9 +3,11 @@
 Everything in here is deliberately dependency-light: one numerical rank
 rule, counting singular values above an explicit relative cutoff (so
 rank decisions are reproducible and auditable) for one matrix or a
-stack, SVD nullspaces under the same rule, the unit max-abs scaling
-that gives LP slacks a common gauge, and the max-slack feasibility
-programs used by the adjacency and rationalizability tests.  Those
+stack, SVD nullspaces under the same rule, the two gauges that set the
+scale of every LP slack and alignment tolerance and read no offset (the
+largest per-state range of utility, and the spread ``max |Xbar(a)|`` of
+the mean-free question rows), and the max-slack feasibility programs
+used by the adjacency and rationalizability tests.  Those
 programs go straight to the HiGHS solver behind scipy's
 ``method="highs"`` LP interface, with the model, options and result
 checks that interface uses but without its per-call input parsing,
@@ -147,10 +149,15 @@ def nullspace(matrix: object) -> FloatArray:
     return nullspaces(as_float_matrix(matrix)[None])[0]
 
 
-def scale_unit_max_abs(utility: FloatArray) -> FloatArray:
-    """Divide ``utility`` by its largest absolute entry, unless that is zero."""
-    max_abs = float(np.max(np.abs(utility)))
-    return utility / max_abs if max_abs > 0 else utility
+def scale_to_utility_gauge(utility: FloatArray) -> FloatArray:
+    """Divide ``utility`` by its gauge, the largest per-state range, unless that is zero."""
+    gauge = float(np.ptp(utility, axis=0).max())
+    return utility / gauge if gauge > 0 else utility
+
+
+def question_gauge(values: FloatArray) -> float:
+    """The question gauge: the spread ``max |Xbar(a)|`` of the mean-free rows."""
+    return float(np.abs(project_rows(values)).max())
 
 
 def _scipy_highs_options() -> _highs.HighsOptions:
@@ -179,8 +186,8 @@ _RESULT_TOL = float(np.sqrt(1e-9) * 10)
 #: Upper bound on the slack variable ``s``.
 _SLACK_CAP = 2.0
 
-#: Minimum ``max_slack_lp`` slack, on utilities scaled to unit max-abs,
-#: for an action to count as rationalizable or a pair as adjacent.
+#: Minimum ``max_slack_lp`` slack, on utilities divided by their utility
+#: gauge, for an action to count as rationalizable or a pair as adjacent.
 MIN_SLACK = 1e-7
 
 
@@ -317,7 +324,8 @@ def max_slack_lp(
     ``E_p[u(target)] == E_p[u(tie_with)]`` and the tied action is not a
     competitor.  Returns ``(slack, belief)``.  Only a program HiGHS proves
     infeasible (model status ``kInfeasible``) yields ``(-inf, None)``: no
-    belief has that optimal set.
+    belief has that optimal set.  So does, whatever HiGHS answers, a tie
+    of two rows one of which is above the other in every state.
 
     When HiGHS ends with any other status than ``kOptimal`` or
     ``kInfeasible`` (an iteration or time limit, a numerical or solve
@@ -329,8 +337,8 @@ def max_slack_lp(
     program's answer is then unknown rather than negative.  A model
     HiGHS rejects raises at once.
 
-    Callers are expected to pre-scale ``utility`` so the slack lives in
-    a known gauge; this routine does no scaling of its own.
+    Callers pre-scale ``utility`` with :func:`scale_to_utility_gauge` so
+    the slack lives in that known gauge; this routine does no scaling.
 
     The model, options and feasibility check are those of scipy's
     ``method="highs"`` LP interface, so the result is bit-identical to
@@ -356,6 +364,7 @@ def max_slack_lp(
     )
     if tie_with is not None:
         np.subtract(utility[target], utility[tie_with], out=by_column[:n_states, -1])
+    untieable = tie_with is not None and abs(np.sign(by_column[:n_states, -1]).sum()) == n_states
     flat = by_column.ravel().nonzero()[0]
 
     highs = _solver()
@@ -367,7 +376,7 @@ def max_slack_lp(
     ) == _highs.HighsStatus.kError:
         raise LPFailure("HiGHS rejected the model")
     ran, status = _run(highs)
-    if status == _highs.HighsModelStatus.kInfeasible:
+    if untieable or status == _highs.HighsModelStatus.kInfeasible:
         return float("-inf"), None
     if ran == _highs.HighsStatus.kError or status != _highs.HighsModelStatus.kOptimal:
         raise LPFailure(

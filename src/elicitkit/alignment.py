@@ -21,7 +21,8 @@ solves for the basis coefficients and the offset alone, by ``lstsq`` on
 the projected rows rather than their normal equations, which would lose
 the small rows of a menu whose utilities differ widely in scale.  A
 certificate is accepted only when it reproduces the question by
-substitution.
+substitution.  Every tolerance is ``eps = tol * question gauge`` (see
+``_numerics``), computed once per decision from the whole question.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from ._numerics import (
     numerical_rank,
     project_rows,
     project_vec,
+    question_gauge,
 )
 from .model import DecisionProblem, ProblemBundle, ProductStructure, QuestionProfile
 from .geometry import (
@@ -62,6 +64,13 @@ VIOLATION_FACTOR = 100.0
 #: Certificates are re-verified by substitution within this multiple of
 #: the acceptance tolerance.
 ARBITER_FACTOR = 10.0
+
+
+def _eps(values: FloatArray, tol: float) -> float:
+    """``tol`` times the question gauge, or, when every row is constant and
+    the gauge holds only rounding in the row means, the gauge itself."""
+    spread = question_gauge(values)
+    return tol * spread if (values != values[:, :1]).any() else spread
 
 
 def project_zero_sum(vector: Sequence[float]) -> FloatArray:
@@ -134,7 +143,7 @@ def pairwise_alignment(
     The coefficients come from its certificate: ``rho = gamma(b)``, or 0
     for a trivial one, and ``sigma = gamma(b) / gamma(a)``.
     """
-    cert, residual = _solve_alignment(problem, question, (a, b), tol)
+    cert, residual = _solve_alignment(problem, question, (a, b), _eps(question.values, tol))
     if cert is None:
         return PairwiseAlignment(aligned=False, rho=None, sigma=None, residual=residual)
     gamma_a, gamma_b = cert.gamma
@@ -297,9 +306,9 @@ def _solve_alignment(
     problem: DecisionProblem,
     question: QuestionProfile,
     scope: tuple[str, ...],
-    tol: float,
+    eps: float,
 ) -> tuple[AlignmentCertificate | None, float]:
-    """Best alignment certificate on ``scope`` plus the achieved residual."""
+    """Best alignment certificate on ``scope`` plus the achieved residual, within ``eps``."""
     idx = [problem.action_index[a] for a in scope]
     x = question.values[idx]
     u = problem.utility[idx]
@@ -307,8 +316,9 @@ def _solve_alignment(
     u_means = u.mean(axis=1)
     xbar = x - x_means[:, None]
     ubar = u - u_means[:, None]
-    q_scale = 1.0 + float(np.abs(x).max())
-    eps = tol * q_scale
+    # D absorbs a per-state shift, so a large one must not swamp the basis.
+    center = ubar.mean(axis=0)
+    ubar -= center
     row_norms = np.abs(xbar).max(axis=1)
     nonzero = row_norms > eps
 
@@ -344,14 +354,16 @@ def _solve_alignment(
     anchors = sorted(np.flatnonzero(nonzero), key=lambda k: -row_norms[k])
     for anchor in anchors[:2]:
         g, (h,), d_scaled, system_residual = _pinned_alignment(xs, [us], nonzero, anchor)
-        # g is 1 on zero rows, so its least |g| is that of a nonzero row.
-        if abs(h) <= 1e-12 or np.abs(g).min() <= 1e-12:
+        # g is 1 on zero rows, so its least |g| is that of a nonzero row;
+        # eps / s_x is the tolerance in the solve's units.
+        if min(abs(h), np.abs(g).min()) <= eps / s_x:
             # A limit of aligned questions: its misfit is the residual.
-            best_residual = min(best_residual, system_residual * q_scale)
+            best_residual = min(best_residual, system_residual * s_x)
             continue
-        # Undo the row scalings: gamma maps utility units to question units.
-        gamma = np.where(nonzero, (h / g) * (s_x / s_u), 1.0)
-        d = d_scaled / h * s_u
+        # Undo the row scalings: gamma maps utility units to question units,
+        # and a constant row, whose gamma is free, takes the ratio of scales.
+        gamma = np.where(nonzero, h / g, 1.0) * (s_x / s_u)
+        d = d_scaled / h * s_u - center
         d = d - d.mean()
         accepted, residual = check(False, gamma, x_means - gamma * u_means, d)
         if accepted is not None:
@@ -370,7 +382,7 @@ def alignment_on_set(
     scope = tuple(actions) if actions is not None else problem.actions
     if len(scope) < 1:
         raise ValueError("alignment scope must not be empty")
-    cert, _ = _solve_alignment(problem, question, scope, tol)
+    cert, _ = _solve_alignment(problem, question, scope, _eps(question.values, tol))
     return cert
 
 
@@ -381,9 +393,10 @@ def piecewise_alignment(
     tol: float = ALIGN_RTOL,
 ) -> PiecewiseCertificate | None:
     """Align the question separately on each part of a splitting collection."""
+    eps = _eps(question.values, tol)
     certs = []
     for part in parts:
-        cert = alignment_on_set(problem, question, tuple(part), tol=tol)
+        cert, _ = _solve_alignment(problem, question, tuple(part), eps)
         if cert is None:
             return None
         certs.append(cert)
@@ -421,15 +434,13 @@ def _solve_weighted(
     problem: DecisionProblem,
     question: QuestionProfile,
     product: ProductStructure,
-    tol: float,
+    eps: float,
 ) -> tuple[WeightedAlignmentCertificate | None, float]:
-    """Best task-weighted certificate plus the achieved residual."""
+    """Best task-weighted certificate plus the achieved residual, within ``eps``."""
     x = question.values
     xbar = project_rows(x)
     x_means = x.mean(axis=1)
     n_actions, n_states = x.shape
-    q_scale = 1.0 + float(np.max(np.abs(x)))
-    eps = tol * q_scale
     row_norms = np.max(np.abs(xbar), axis=1)
     nonzero = row_norms > eps
     tables = product.task_utility_tables()
@@ -458,7 +469,7 @@ def _solve_weighted(
     g, tau_scaled, d, _ = _pinned_alignment(
         xbar / s_x, [t / s_u for t in tables_bar], nonzero, int(np.argmax(row_norms))
     )
-    if np.any(np.abs(g[nonzero]) <= 1e-12):
+    if np.any(np.abs(g[nonzero]) <= eps / s_x):
         # No usable solve: report the mean-free spread.
         return None, s_x
     v = np.ones(n_actions)
@@ -478,7 +489,7 @@ def weighted_alignment(
     ``g = 1`` on the largest question row, then re-verifies the implied
     ``(v, kappa, tau, d)`` by substitution.
     """
-    cert, _ = _solve_weighted(problem, question, product, tol)
+    cert, _ = _solve_weighted(problem, question, product, _eps(question.values, tol))
     return cert
 
 
@@ -576,7 +587,6 @@ def _pairwise_refutation(
     problem: DecisionProblem,
     question: QuestionProfile,
     graph: AdjacencyGraph,
-    tol: float,
     eps: float,
 ) -> Verdict | None:
     """Refute through the first decisive pair, else the worst borderline one.
@@ -587,10 +597,10 @@ def _pairwise_refutation(
     worst: tuple[str, str, float] | None = None
     for i, j in graph.pairs.tolist():
         a, b = graph.actions[i], graph.actions[j]
-        pair = pairwise_alignment(problem, question, a, b, tol=tol)
-        if not pair.aligned and (worst is None or pair.residual > worst[2]):
-            worst = (a, b, pair.residual)
-            if pair.residual > VIOLATION_FACTOR * eps:
+        cert, residual = _solve_alignment(problem, question, (a, b), eps)
+        if cert is None and (worst is None or residual > worst[2]):
+            worst = (a, b, residual)
+            if residual > VIOLATION_FACTOR * eps:
                 break
     if worst is None:
         return None
@@ -618,7 +628,8 @@ def decide_incentivizable(
     whose residual is within :data:`VIOLATION_FACTOR` of the tolerance is
     reported as inconclusive rather than negative, and so is a verdict
     that needs a graph one of whose LPs did not finish: its note names
-    the pair and the solver status.
+    the pair and the solver status, and so is a question whose spread is
+    nonzero but within ``tol * (1 + max|X|)``, below float resolution.
     """
     if bundle.question is None:
         raise ValueError("the bundle has no question to decide")
@@ -626,10 +637,14 @@ def decide_incentivizable(
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     problem = bundle.problem
     question = bundle.question
-    q_scale = 1.0 + float(np.max(np.abs(question.values)))
-    eps = tol * q_scale
+    values = question.values
+    eps = _eps(values, tol)
+    spread = eps / tol  # the question gauge, unless every row is constant
+    if spread <= tol * (1.0 + float(np.abs(values).max())) and (values != values[:, :1]).any():
+        note = f"the question's spread {spread:.3e} is within float resolution of its values"
+        return Verdict(status="inconclusive", note=note)
 
-    cert, global_residual = _solve_alignment(problem, question, problem.actions, tol)
+    cert, global_residual = _solve_alignment(problem, question, problem.actions, eps)
     if cert is not None:
         return Verdict(
             status="incentivizable",
@@ -668,7 +683,7 @@ def decide_incentivizable(
         # Every splitting part of a tree is one edge, in the edge's order,
         # so the failed sufficiency steps above leave a misaligned edge.
         refuted = _pairwise_refutation(
-            "tree-characterization", problem, question, graph, tol, eps
+            "tree-characterization", problem, question, graph, eps
         )
         assert refuted is not None
         return refuted
@@ -696,7 +711,7 @@ def decide_incentivizable(
                 for i in range(product.n_tasks)
             )
             if nontrivial >= 3:
-                weighted, residual = _solve_weighted(problem, question, product, tol)
+                weighted, residual = _solve_weighted(problem, question, product, eps)
                 if weighted is not None:
                     return Verdict(
                         status="incentivizable",
@@ -721,7 +736,7 @@ def decide_incentivizable(
                 "cycle-rich action set but misalignment is borderline",
             )
 
-    refuted = _pairwise_refutation("pairwise-necessity", problem, question, graph, tol, eps)
+    refuted = _pairwise_refutation("pairwise-necessity", problem, question, graph, eps)
     if refuted is not None:
         return refuted
 

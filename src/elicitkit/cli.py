@@ -223,7 +223,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     if verdict.status != "incentivizable":
         _emit(_render(verdict.to_dict(), args.fmt, _md_check), None)
         return _verdict_exit(verdict)
-    method = synthesize(bundle, verdict)
+    method = synthesize(bundle, verdict, tol)
     _emit(dumps_method(method), args.out)
     if args.out is not None:
         summary = {

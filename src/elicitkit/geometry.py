@@ -7,7 +7,7 @@ the characterization theorem to apply, its biconnected blocks form the
 splitting collection for piecewise constructions, and its cycles feed
 the cycle-based necessity test.
 
-Building the graph scales the utility to unit max-abs once and solves
+Building the graph divides the utility by its gauge once and solves
 one max-slack LP on that matrix per action pair, except for pairs a
 cheap certificate proves non-adjacent: either no belief comes close to
 tying the two actions, or a single third action beats the first of them
@@ -37,7 +37,7 @@ from ._numerics import (
     nullspaces,
     numerical_rank,
     project_rows,
-    scale_unit_max_abs,
+    scale_to_utility_gauge,
 )
 from .model import DecisionProblem, ProductStructure
 
@@ -140,8 +140,9 @@ def _pair_lp(
 def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
     """Decide whether some belief makes exactly ``{a, b}`` the optimal set.
 
-    The reported slack is measured on utilities scaled to unit max-abs,
-    so the adjacency threshold has the same meaning across problems.  In
+    The reported slack is measured on utility divided by its gauge, so
+    the adjacency threshold has the same meaning across problems and
+    under positive rescales and per-state shifts of utility.  In
     a two-action problem the slack is vacuous and capped at 2.  An LP
     that does not finish raises :class:`LPFailure` naming the pair.
     """
@@ -149,7 +150,7 @@ def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
     ib = problem.action_index[b]
     if ia == ib:
         raise ValueError("adjacency needs two distinct actions")
-    slack, raw = _pair_lp(problem, scale_unit_max_abs(problem.utility), ia, ib)
+    slack, raw = _pair_lp(problem, scale_to_utility_gauge(problem.utility), ia, ib)
     if raw is None:
         return AdjacencyResult(adjacent=False, slack=slack, witness=None)
     return AdjacencyResult(
@@ -226,12 +227,14 @@ class AdjacencyGraph:
         return tuple(tuple(sorted(s)) for s in adj)
 
     def induced(self, actions: Sequence[str]) -> "AdjacencyGraph":
-        """The subgraph on ``actions`` (in that order), keeping the original edges."""
+        """The subgraph on ``actions`` (in that order, each once), keeping the original edges."""
         members = tuple(actions)
         position = np.full(len(self.actions), -1)
         for p, a in enumerate(members):
             if a not in self.index:
                 raise ValueError(f"unknown action {a!r}")
+            if position[self.index[a]] >= 0:
+                raise ValueError(f"repeated action {a!r}")
             position[self.index[a]] = p
         pairs = position[self.pairs]
         rows = np.flatnonzero((pairs >= 0).all(axis=1))
@@ -272,7 +275,7 @@ class AdjacencyGraph:
 
 
 #: Half-width of the tie slab ``|(u_i - u_j) . p| <= SCREEN_TIE`` that the
-#: non-adjacency screen covers, in the unit max-abs gauge.  It is ten times
+#: non-adjacency screen covers, in the utility gauge.  It is ten times
 #: HiGHS's 1e-7 primal feasibility tolerance, so every belief the LP returns
 #: as tying the pair lies inside the slab.  That rests on HiGHS meeting its
 #: own tolerance, not on ``max_slack_lp``'s result check, which accepts tie
@@ -309,7 +312,7 @@ def _screened_pairs(utility: FloatArray) -> np.ndarray:
     """Which pairs ``(i, j)``, ``i < j``, are provably not adjacent.
 
     The answer lists the pairs in :func:`_pair_indices` order.
-    ``utility`` is scaled to unit max-abs.  With ``d = u_i - u_j`` the tie
+    ``utility`` is divided by its utility gauge.  With ``d = u_i - u_j`` the tie
     slab is ``{p in simplex : |d . p| <= SCREEN_TIE}``.  A pair is screened
     when the slab is empty, or when one competitor ``c`` beats ``i`` by
     ``SCREEN_MARGIN`` at every vertex of the slab, and so, by convexity,
@@ -373,7 +376,7 @@ def _screen_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndarr
 def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
     """Run the pairwise adjacency test over every action pair.
 
-    The utility is scaled to unit max-abs once.  One pass of
+    The utility is divided by its utility gauge once.  One pass of
     :func:`_screened_pairs` over all pairs proves some of them
     non-adjacent, and they are skipped; every other pair goes to
     :func:`max_slack_lp` on that scaled matrix, in ``(i, j)`` order, as
@@ -383,7 +386,7 @@ def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
     never have been an edge, and the edges, their order, slacks and
     witnesses are exactly those of testing every pair.
     """
-    scaled = scale_unit_max_abs(problem.utility)
+    scaled = scale_to_utility_gauge(problem.utility)
     pairs = np.stack(_pair_indices(problem.n_actions), axis=1)[~_screened_pairs(scaled)]
     solved = [_pair_lp(problem, scaled, i, j) for i, j in pairs.tolist()]
     slacks = np.array([slack for slack, _ in solved], dtype=np.float64)

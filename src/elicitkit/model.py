@@ -28,7 +28,7 @@ from ._numerics import (
     LPFailure,
     as_float_matrix,
     max_slack_lp,
-    scale_unit_max_abs,
+    scale_to_utility_gauge,
 )
 
 BUNDLE_SCHEMA = "elicitkit-bundle-v1"
@@ -438,18 +438,15 @@ class ValidationReport:
 def validate_problem(problem: DecisionProblem, tol: float = VALIDATE_RTOL) -> ValidationReport:
     """Check for duplicate actions and actions no belief makes strictly best.
 
-    An action's max-slack LP that HiGHS neither solves nor proves
-    infeasible raises :class:`LPFailure` naming the action, rather than
-    reporting the action as non-rationalizable.
+    Both read utility divided by its gauge (rows within ``tol`` of each
+    other are duplicates).  An action's max-slack LP that HiGHS neither
+    solves nor proves infeasible raises :class:`LPFailure` naming the
+    action, rather than reporting the action as non-rationalizable.
     """
-    u = problem.utility
-    scale = 1.0 + float(np.max(np.abs(u)))
-    redundant: list[tuple[str, str]] = []
-    for i in range(problem.n_actions):
-        for j in range(i + 1, problem.n_actions):
-            if float(np.max(np.abs(u[i] - u[j]))) <= tol * scale:
-                redundant.append((problem.actions[i], problem.actions[j]))
-    scaled = scale_unit_max_abs(u)
+    scaled = scale_to_utility_gauge(problem.utility)
+    i, j = np.triu_indices(problem.n_actions, 1)
+    close = np.abs(scaled[i] - scaled[j]).max(axis=1) <= tol
+    redundant = [(problem.actions[a], problem.actions[b]) for a, b in zip(i[close], j[close])]
     weak: list[tuple[str, float]] = []
     for a in range(problem.n_actions):
         try:

@@ -31,6 +31,8 @@ from .alignment import (
     PiecewiseCertificate,
     Verdict,
     WeightedAlignmentCertificate,
+    _eps,
+    reconstruct_question,
 )
 from .model import (
     DecisionProblem,
@@ -216,10 +218,6 @@ def _check_question(problem: DecisionProblem, question: QuestionProfile) -> Floa
     return x
 
 
-def _reconstruction_bound(x: FloatArray, tol: float) -> float:
-    return ARBITER_FACTOR * tol * (1.0 + float(np.max(np.abs(x))))
-
-
 def synth_aligned(
     problem: DecisionProblem,
     question: QuestionProfile,
@@ -241,12 +239,9 @@ def synth_aligned(
     d = np.asarray(cert.d, dtype=np.float64)
     gamma = np.array([cert.gamma_of(a) for a in problem.actions])
     kappa = np.array([cert.kappa_of(a) for a in problem.actions])
-    if cert.trivial:
-        rebuilt = gamma[:, None] * d[None, :] + kappa[:, None]
-    else:
-        rebuilt = gamma[:, None] * (problem.utility + d[None, :]) + kappa[:, None]
-    residual = float(np.max(np.abs(rebuilt - x)))
-    if residual > _reconstruction_bound(x, tol):
+    scope = [problem.action_index[a] for a in cert.scope]
+    residual = float(np.max(np.abs(reconstruct_question(problem, cert) - x[scope])))
+    if residual > ARBITER_FACTOR * _eps(x, tol):
         raise SynthesisError(
             f"certificate does not reconstruct the question (residual {residual:.3e})"
         )
@@ -334,10 +329,7 @@ def synth_piecewise(
     part-intersection structure fixes the order; the root part gets
     gauge 1 and offset 0.
     """
-    covered = set()
-    for part in cert.parts:
-        covered.update(part)
-    if covered != set(problem.actions):
+    if set().union(*cert.parts) != set(problem.actions):
         raise SynthesisError("piecewise certificate does not cover the action set")
     x = _check_question(problem, question)
     n_parts = len(cert.parts)
@@ -345,29 +337,22 @@ def synth_piecewise(
         raise SynthesisError("one certificate per part is required")
 
     # Global strict lower bound on every part's report coordinate.
-    coord_min = np.inf
-    coord_max = -np.inf
-    for part, pc in zip(cert.parts, cert.certificates):
-        d = np.asarray(pc.d, dtype=np.float64)
-        if pc.trivial:
-            vals = d
-        else:
-            rows = np.asarray([problem.utility_of(a) for a in part])
-            vals = rows + d[None, :]
-        coord_min = min(coord_min, float(np.min(vals)))
-        coord_max = max(coord_max, float(np.max(vals)))
-    bound = coord_min - RANGE_MARGIN
+    index = problem.action_index
+    coords = (
+        np.asarray(pc.d) + (0.0 if pc.trivial else problem.utility[[index[a] for a in part]])
+        for part, pc in zip(cert.parts, cert.certificates)
+    )
+    bound = min(float(c.min()) for c in coords) - RANGE_MARGIN
 
     part_sets = [frozenset(p) for p in cert.parts]
-    gauges: list[float | None] = [None] * n_parts
-    offsets: list[FloatArray | None] = [None] * n_parts
-    gauges[0] = 1.0
-    offsets[0] = np.zeros(problem.n_states)
-    order = [0]
+    gauges: list[float | None] = [1.0] + [None] * (n_parts - 1)
+    offsets: list[FloatArray | None] = [np.zeros(problem.n_states)] + [None] * (n_parts - 1)
+    # Each part's rows, with its final gauge and offset, in breadth-first order.
+    rows_of: dict[int, dict[str, tuple[float, FloatArray, FloatArray, float]]] = {}
     queue = [0]
     while queue:
         i = queue.pop(0)
-        rows_i = _part_rows(
+        rows_i = rows_of[i] = _part_rows(
             problem, x, cert.parts[i], cert.certificates[i], gauges[i], offsets[i], bound
         )
         for j in range(n_parts):
@@ -383,13 +368,8 @@ def synth_piecewise(
             # Solve for the offset that makes part j reproduce part i's
             # payment row at the shared action, for every power of r.
             zero = np.zeros(problem.n_states)
-            quad_i, const_i, _, _ = rows_i[s]
-            probe = _part_rows(
-                problem, x, (s,), cert.certificates[j], gauges[j], zero, bound
-            )
-            quad_j, const_j, _, _ = probe[s]
-            offsets[j] = const_i - const_j
-            order.append(j)
+            probe = _part_rows(problem, x, (s,), cert.certificates[j], gauges[j], zero, bound)
+            offsets[j] = rows_i[s][1] - probe[s][1]
             queue.append(j)
     if any(g is None for g in gauges):
         raise SynthesisError("parts not chainable via shared splitting actions")
@@ -399,16 +379,7 @@ def synth_piecewise(
     slope = np.zeros(problem.n_actions)
     quad_by_action: dict[int, float] = {}
     discrepancy = 0.0
-    for idx in order:
-        rows = _part_rows(
-            problem,
-            x,
-            cert.parts[idx],
-            cert.certificates[idx],
-            gauges[idx],
-            offsets[idx],
-            bound,
-        )
+    for rows in rows_of.values():
         for label, (quad, const, c1_row, m) in rows.items():
             ia = problem.action_index[label]
             if ia in quad_by_action:
@@ -471,7 +442,7 @@ def synth_product(
     core = d[None, :] + sum(t * table for t, table in zip(tau, tables))
     rebuilt = kappa[:, None] + v[:, None] * core
     residual = float(np.max(np.abs(rebuilt - x)))
-    if residual > _reconstruction_bound(x, tol):
+    if residual > ARBITER_FACTOR * _eps(x, tol):
         raise SynthesisError(
             f"certificate residual above tolerance ({residual:.3e})"
         )
@@ -495,11 +466,14 @@ def synth_product(
     )
 
 
-def synthesize(bundle: ProblemBundle, verdict: Verdict) -> ElicitationMethod:
+def synthesize(
+    bundle: ProblemBundle, verdict: Verdict, tol: float = ALIGN_RTOL
+) -> ElicitationMethod:
     """Dispatch on the verdict's certificate type.
 
     Only incentivizable verdicts carry a certificate a mechanism can be
-    built from; anything else raises ``SynthesisError``.
+    built from; anything else raises ``SynthesisError``.  ``tol`` is the
+    tolerance the verdict was decided with.
     """
     if verdict.status != "incentivizable":
         raise SynthesisError(f"cannot synthesize from a {verdict.status!r} verdict")
@@ -507,14 +481,14 @@ def synthesize(bundle: ProblemBundle, verdict: Verdict) -> ElicitationMethod:
         raise SynthesisError("bundle has no question to elicit")
     cert = verdict.certificate
     if isinstance(cert, AlignmentCertificate):
-        return synth_aligned(bundle.problem, bundle.question, cert, alpha=bundle.alpha)
+        return synth_aligned(bundle.problem, bundle.question, cert, bundle.alpha, tol)
     if isinstance(cert, PiecewiseCertificate):
-        return synth_piecewise(bundle.problem, bundle.question, cert, alpha=bundle.alpha)
+        return synth_piecewise(bundle.problem, bundle.question, cert, bundle.alpha, tol)
     if isinstance(cert, WeightedAlignmentCertificate):
         if bundle.product is None:
             raise SynthesisError("weighted certificate requires a product structure")
         return synth_product(
-            bundle.problem, bundle.product, bundle.question, cert, alpha=bundle.alpha
+            bundle.problem, bundle.product, bundle.question, cert, bundle.alpha, tol
         )
     raise SynthesisError("verdict carries no usable certificate")
 

@@ -857,7 +857,7 @@ def oracle_cross_check(
         graph = None
     verdict = decide_incentivizable(bundle, tol=tol, graph=graph)
     if verdict.status == "incentivizable":
-        method = synthesize(bundle, verdict)
+        method = synthesize(bundle, verdict, tol)
         try:
             report = verify_incentivizability(bundle, method, spec, graph)
         except LPFailure as exc:

@@ -12,7 +12,7 @@ from test_numerics import exact_nullspace, exact_rank
 
 import elicitkit as ek
 from elicitkit import alignment
-from elicitkit._numerics import numerical_rank, project_rows
+from elicitkit._numerics import numerical_rank, project_rows, question_gauge
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_pairwise_alignment_matches_the_exact_six_cases():
             continue
         xa, xb = project_rows(question.values)
         delta = ek.payoff_delta(problem, "a0", "a1")
-        eps = ek.ALIGN_RTOL * (1.0 + float(np.abs(question.values).max()))
+        eps = alignment._eps(question.values, ek.ALIGN_RTOL)
         misfit = xb - result.rho * delta - result.sigma * xa
         assert float(np.abs(misfit).max()) <= alignment.ARBITER_FACTOR * eps
         assert result.sigma != 0.0
@@ -614,7 +614,7 @@ def test_decide_borderline_residual_is_inconclusive(ql4):
     # plant a misalignment whose residual sits between the certificate
     # tolerance and the violation threshold; the verdict must refuse to
     # call it either way
-    eps_scale = 1e-8 * (1.0 + float(np.abs(ql4.utility).max()))
+    eps_scale = 1e-8 * question_gauge(ql4.utility)
     noise = ek.project_zero_sum(np.array([1.0, -1.0, 0.5, -0.5, 0.0]))
     noise = noise / np.linalg.norm(noise)
     values = ql4.utility.copy()
@@ -647,7 +647,7 @@ def test_decide_product_refutation_reports_a_finite_residual(n_tasks, z):
     assert verdict.status == "not_incentivizable"
     assert verdict.theorem == "product-characterization"
     assert math.isfinite(verdict.violation.residual)
-    eps = ek.ALIGN_RTOL * (1.0 + float(np.abs(bundle.question.values).max()))
+    eps = alignment._eps(bundle.question.values, ek.ALIGN_RTOL)
     assert verdict.violation.residual > alignment.VIOLATION_FACTOR * eps
     assert '"weighted-misalignment"' in ek.canonical_dumps(verdict.to_dict())
 
@@ -656,17 +656,16 @@ def test_decide_product_refutation_reports_a_finite_residual(n_tasks, z):
 # The shared pinned solver against the two block systems it replaced
 
 
-def _reference_solve_alignment(problem, question, scope, tol):
+def _reference_solve_alignment(problem, question, scope, eps):
     idx = [problem.action_index[a] for a in scope]
     x = question.values[idx]
     u = problem.utility[idx]
     n_states = problem.n_states
     xbar = project_rows(x)
-    ubar = project_rows(u)
+    center = project_rows(u).mean(axis=0)  # the per-state shift d absorbs
+    ubar = project_rows(u) - center
     x_means = x.mean(axis=1)
     u_means = u.mean(axis=1)
-    q_scale = 1.0 + float(np.max(np.abs(x)))
-    eps = tol * q_scale
     row_norms = np.max(np.abs(xbar), axis=1)
     nonzero = row_norms > eps
 
@@ -736,20 +735,20 @@ def _reference_solve_alignment(problem, question, scope, tol):
         g = np.ones(len(scope))
         for k, pos in g_slots.items():
             g[k] = solution[pos]
-        if abs(h) <= 1e-12 or np.any(np.abs(g[nonzero]) <= 1e-12):
+        if abs(h) <= eps / s_x or np.any(np.abs(g[nonzero]) <= eps / s_x):
             best_residual = min(
                 best_residual,
-                float(np.max(np.abs(system @ solution - target_vec))) * q_scale,
+                float(np.max(np.abs(system @ solution - target_vec))) * s_x,
             )
             continue
         d_scaled = solution[n_g + 1 :] / h
         gamma = np.empty(len(scope))
         gamma[nonzero] = (h / g[nonzero]) * (s_x / s_u)
-        d = d_scaled * s_u
+        d = d_scaled * s_u - center
         d = d - d.mean()
         for k in range(len(scope)):
             if not nonzero[k]:
-                gamma[k] = 1.0
+                gamma[k] = s_x / s_u  # a constant row takes the ratio of scales
         kappa = x_means - gamma * u_means
         accepted, residual = check(ek.AlignmentCertificate(
             trivial=False, scope=scope, gamma=tuple(float(v) for v in gamma),
@@ -769,7 +768,7 @@ def _reference_weighted_alignment(problem, question, product, tol=ek.ALIGN_RTOL)
     xbar = project_rows(x)
     x_means = x.mean(axis=1)
     n_actions, n_states = x.shape
-    eps = tol * (1.0 + float(np.max(np.abs(x))))
+    eps = alignment._eps(x, tol)
     row_norms = np.max(np.abs(xbar), axis=1)
     nonzero = row_norms > eps
     tables = product.task_utility_tables()
@@ -821,7 +820,7 @@ def _reference_weighted_alignment(problem, question, product, tol=ek.ALIGN_RTOL)
     g = np.ones(n_actions)
     for k, pos in g_slots.items():
         g[k] = solution[pos]
-    if np.any(np.abs(g[nonzero]) <= 1e-12):
+    if np.any(np.abs(g[nonzero]) <= eps / s_x):
         return None
     v = np.empty(n_actions)
     v[nonzero] = (1.0 / g[nonzero]) * s_x
@@ -911,12 +910,9 @@ def test_global_alignment_matches_the_old_block_system(monkeypatch):
     found = second_anchor = 0
     for problem, question in _flat_cases(400, seed=61):
         calls.clear()
-        got, got_residual = alignment._solve_alignment(
-            problem, question, problem.actions, ek.ALIGN_RTOL
-        )
-        want, want_residual = _reference_solve_alignment(
-            problem, question, problem.actions, ek.ALIGN_RTOL
-        )
+        eps = alignment._eps(question.values, ek.ALIGN_RTOL)
+        got, got_residual = alignment._solve_alignment(problem, question, problem.actions, eps)
+        want, want_residual = _reference_solve_alignment(problem, question, problem.actions, eps)
         assert (got is None) == (want is None)
         scale = 1.0 + float(np.abs(question.values).max())
         if got is not None:
@@ -926,7 +922,7 @@ def test_global_alignment_matches_the_old_block_system(monkeypatch):
                 np.testing.assert_allclose(
                     getattr(got, field), getattr(want, field), rtol=0, atol=1e-11 * scale
                 )
-        refuted = alignment.VIOLATION_FACTOR * ek.ALIGN_RTOL * scale
+        refuted = alignment.VIOLATION_FACTOR * eps
         assert abs(got_residual - want_residual) <= 1e-9 * scale or min(
             got_residual, want_residual
         ) > refuted
@@ -962,10 +958,9 @@ def test_global_alignment_accepts_utility_rows_of_very_different_scales():
     # A solve through the normal equations loses the small rows' part of
     # h to cancellation here and refutes an aligned question decisively.
     for problem, question in _rescaled_aligned_cases(200, seed=63):
-        got, got_residual = alignment._solve_alignment(
-            problem, question, problem.actions, ek.ALIGN_RTOL
-        )
-        want, _ = _reference_solve_alignment(problem, question, problem.actions, ek.ALIGN_RTOL)
+        eps = alignment._eps(question.values, ek.ALIGN_RTOL)
+        got, got_residual = alignment._solve_alignment(problem, question, problem.actions, eps)
+        want, _ = _reference_solve_alignment(problem, question, problem.actions, eps)
         assert want is not None
         assert got is not None, got_residual
         # the block system itself keeps only about eight digits of kappa here

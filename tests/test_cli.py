@@ -6,6 +6,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import elicitkit as ek
@@ -274,6 +275,28 @@ def test_synthesize_writes_mechanism_and_summary(aligned_path, tmp_path, capsys)
 
 def test_synthesize_to_stdout(aligned_path, capsys):
     code, stdout, _ = run(capsys, "synthesize", aligned_path)
+    assert code == 0
+    assert json.loads(stdout)["schema"] == ek.MECHANISM_SCHEMA
+
+
+def test_synthesize_checks_the_certificate_at_the_verdict_s_tolerance(ql4, tmp_path, capsys):
+    # An aligned question plus noise of 1e-6: aligned at --tol 1e-5 (residual
+    # 9.5e-7), but not within the default tolerance the mechanism used to
+    # be checked against.
+    noise = 1e-6 * np.random.default_rng(0).normal(size=ql4.utility.shape)
+    question = ek.QuestionProfile(values=2.0 * ql4.utility + 1.0 + noise)
+    bundle = ek.ProblemBundle(problem=ql4, question=question)
+    verdict = ek.decide_incentivizable(bundle, tol=1e-5)
+    assert verdict.status == "incentivizable"
+    assert 1e-7 < verdict.certificate.residual < 1e-6
+    with pytest.raises(ek.SynthesisError, match="does not reconstruct"):
+        ek.synthesize(bundle, verdict)
+    assert ek.synthesize(bundle, verdict, tol=1e-5).provenance == "aligned-bdm"
+    assert ek.oracle_cross_check(bundle, tol=1e-5).consistent
+    path = tmp_path / "noisy.json"
+    ek.save_bundle(bundle, str(path))
+    assert run(capsys, "check", str(path), "--tol", "1e-5")[0] == 0
+    code, stdout, _ = run(capsys, "synthesize", str(path), "--tol", "1e-5")
     assert code == 0
     assert json.loads(stdout)["schema"] == ek.MECHANISM_SCHEMA
 

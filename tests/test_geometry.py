@@ -156,6 +156,8 @@ def test_unknown_labels_are_rejected(ql4):
     graph = ek.adjacency_graph(ql4)
     with pytest.raises(ValueError, match="'nope'"):
         graph.induced(("0", "nope"))
+    with pytest.raises(ValueError, match="repeated action '0'"):
+        graph.induced(("0", "0", "0.25"))
     with pytest.raises(ValueError, match="'nope'"):
         ek.cycle_rich(ql4, ["0", "0.25", "0.5", "nope"])
     with pytest.raises(ValueError, match="'nope'"):
@@ -227,7 +229,7 @@ def _screened_exactly(problem, monkeypatch):
     in the screen's tie slab, which the screen's soundness assumes.
     """
     reference = _every_pair(problem)
-    scaled = geometry.scale_unit_max_abs(problem.utility)
+    scaled = geometry.scale_to_utility_gauge(problem.utility)
     index = problem.action_index
     for (a, b), result in reference.items():
         if result.witness is not None:
@@ -323,13 +325,21 @@ def _seeded_screen_problems():
 
 def test_adjacency_screen_is_exact_on_random_problems(monkeypatch):
     skipped = 0
+    shifted = 0
     for index, (kind, problem) in enumerate(_seeded_screen_problems()):
         pruned = _screened_exactly(problem, monkeypatch)
         if kind == "shift":
-            # Scaled, the payoff gaps fall below the tie width: nothing to prove.
-            assert pruned == [], (index, pruned)
+            # The utility gauge ignores the shift, so the screen prunes the
+            # pairs it prunes on the integer utility the shift was added to.
+            base = geometry.scale_to_utility_gauge(problem.utility - 1e7)
+            screened = geometry._screened_pairs(base)
+            first, second = (ends[screened] for ends in geometry._pair_indices(problem.n_actions))
+            want = [(problem.actions[i], problem.actions[j]) for i, j in zip(first, second)]
+            assert pruned == want, (index, pruned, want)
+            shifted += len(pruned)
         skipped += len(pruned)
     assert skipped > 0
+    assert shifted > 0
 
 
 def test_lps_that_presolve_leaves_unfinished_are_solved_again(monkeypatch):
@@ -349,7 +359,7 @@ def test_adjacency_screen_chunks_give_the_same_pairs(monkeypatch):
     rng = np.random.default_rng(77)
     for index in range(60):
         problem = _random_screen_problem(rng, _SCREEN_KINDS[index % len(_SCREEN_KINDS)])
-        scaled = geometry.scale_unit_max_abs(problem.utility)
+        scaled = geometry.scale_to_utility_gauge(problem.utility)
         per_pair = 2 * problem.n_states**2
         whole = geometry._screened_pairs(scaled)
         for pairs_per_chunk in (1, 2, 3):
@@ -398,7 +408,7 @@ def _reference_screened_pairs(utility, i):
 
 
 def _assert_screen_matches_the_reference(problem):
-    scaled = geometry.scale_unit_max_abs(problem.utility)
+    scaled = geometry.scale_to_utility_gauge(problem.utility)
     want = [_reference_screened_pairs(scaled, i) for i in range(problem.n_actions)]
     got = geometry._screened_pairs(scaled)
     np.testing.assert_array_equal(got, np.concatenate([np.zeros(0, dtype=bool), *want]))

@@ -1,0 +1,211 @@
+"""Transformations the theory ignores must not move a verdict or a graph.
+
+Whether a question can be paid for depends on utility only up to a
+positive rescale and a per-state shift, on each action's question row
+only up to a nonzero affine map, and not on the order of actions or
+states.  Each test applies one such transformation to named and seeded
+random bundles and requires the same verdict status and theorem, and an
+adjacency graph with the same edges between the same labels.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import elicitkit as ek
+from conftest import build_chained_gauge_bundle
+
+NAMED_PROBLEMS = (
+    ek.make_quadratic_loss(4),
+    ek.make_star(5, 0.3),
+    ek.make_star(4, 0.6),
+    ek.make_state_matching((0.7, 1.0, 1.3, 1.6)),
+    ek.make_close_guess((1.0, 2.0, 3.0, 4.0, 5.0)),
+    ek.make_cycle_rich_safe(),
+)
+
+QUESTIONS = (
+    ("expected-payoff", {}),
+    ("regret", {}),
+    ("ex-post-optimality", {}),
+    ("within-x", {"x": 0.25}),
+    ("within-x", {"x": 1.0}),
+)
+
+
+def _named_bundles():
+    bundles = [build_chained_gauge_bundle()]
+    for problem in NAMED_PROBLEMS:
+        for kind, params in QUESTIONS:
+            try:
+                question = ek.build_question(kind, problem, **params)
+            except ValueError:  # within-x needs numeric labels
+                continue
+            bundles.append(ek.ProblemBundle(problem=problem, question=question))
+    return bundles
+
+
+def _random_bundles(count, seed):
+    """Integer and one-decimal problems with aligned, perturbed and random questions."""
+    rng = np.random.default_rng(seed)
+    bundles = []
+    for index in range(count):
+        n_states, n_actions = int(rng.integers(4, 6)), int(rng.integers(3, 7))
+        shape = (n_actions, n_states)
+        if index % 2:
+            u = np.round(rng.uniform(-1.0, 1.0, size=shape), 1)
+        else:
+            u = rng.integers(-3, 4, size=shape).astype(np.float64)
+        kind = index % 3
+        if kind == 2:
+            x = rng.integers(-3, 4, size=shape).astype(np.float64)
+        else:
+            gamma = rng.choice([-2.0, -0.5, 1.0, 3.0], size=(n_actions, 1))
+            d = rng.integers(-2, 3, size=n_states)
+            x = gamma * (u + d) + rng.integers(-2, 3, size=(n_actions, 1))
+            if kind == 1:  # a one-unit perturbation of one row
+                x[int(rng.integers(n_actions))] += rng.integers(-1, 2, size=n_states)
+        problem = ek.DecisionProblem(
+            states=tuple(f"s{i}" for i in range(n_states)),
+            actions=tuple(f"a{i}" for i in range(n_actions)),
+            utility=u,
+        )
+        bundles.append(ek.ProblemBundle(problem=problem, question=ek.QuestionProfile(values=x)))
+    return bundles
+
+
+BUNDLES = _named_bundles() + _random_bundles(120, seed=2020)
+
+
+def _rebuilt(bundle, utility=None, question=None, actions=None, states=None):
+    problem = bundle.problem
+    return ek.ProblemBundle(
+        problem=ek.DecisionProblem(
+            states=problem.states if states is None else states,
+            actions=problem.actions if actions is None else actions,
+            utility=problem.utility if utility is None else utility,
+        ),
+        question=ek.QuestionProfile(
+            values=bundle.question.values if question is None else question
+        ),
+    )
+
+
+def _edges(problem):
+    graph = ek.adjacency_graph(problem)
+    return {frozenset((graph.actions[i], graph.actions[j])) for i, j in graph.pairs.tolist()}
+
+
+def _outcome(bundle):
+    verdict = ek.decide_incentivizable(bundle)
+    return verdict.status, verdict.theorem
+
+
+def _assert_invariant(bundle, transformed, same_graph=True):
+    assert _outcome(transformed) == _outcome(bundle)
+    if same_graph:
+        assert _edges(transformed.problem) == _edges(bundle.problem)
+
+
+def test_the_bundles_reach_every_status_and_many_theorems():
+    outcomes = {_outcome(bundle) for bundle in BUNDLES}
+    assert {status for status, _ in outcomes} == {
+        "incentivizable", "not_incentivizable", "inconclusive"
+    }
+    assert len({theorem for _, theorem in outcomes}) >= 6
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_a_positive_rescale_and_a_per_state_shift_of_utility(scale):
+    rng = np.random.default_rng(int(scale * 1e3))
+    for bundle in BUNDLES:
+        size = 10.0 ** rng.uniform(0.0, 7.0)
+        shift = scale * size * rng.choice([-1.0, 1.0], size=bundle.problem.n_states)
+        utility = scale * bundle.problem.utility + shift
+        _assert_invariant(bundle, _rebuilt(bundle, utility=utility))
+
+
+def test_a_per_action_affine_re_gauge_of_the_question():
+    rng = np.random.default_rng(5)
+    for bundle in BUNDLES:
+        n_actions = bundle.problem.n_actions
+        size = 10.0 ** rng.uniform(-3.0, 3.0, size=(n_actions, 1))
+        gamma = size * rng.choice([-1.0, 1.0], size=(n_actions, 1))
+        kappa = rng.uniform(-10.0, 10.0, size=(n_actions, 1))
+        question = gamma * bundle.question.values + kappa
+        _assert_invariant(bundle, _rebuilt(bundle, question=question), same_graph=False)
+
+
+def test_a_permutation_of_actions():
+    rng = np.random.default_rng(6)
+    for bundle in BUNDLES:
+        order = rng.permutation(bundle.problem.n_actions)
+        transformed = _rebuilt(
+            bundle,
+            utility=bundle.problem.utility[order],
+            question=bundle.question.values[order],
+            actions=tuple(bundle.problem.actions[i] for i in order),
+        )
+        _assert_invariant(bundle, transformed)
+
+
+def test_a_permutation_of_states():
+    rng = np.random.default_rng(7)
+    for bundle in BUNDLES:
+        order = rng.permutation(bundle.problem.n_states)
+        transformed = _rebuilt(
+            bundle,
+            utility=bundle.problem.utility[:, order],
+            question=bundle.question.values[:, order],
+            states=tuple(bundle.problem.states[i] for i in order),
+        )
+        _assert_invariant(bundle, transformed)
+
+
+# ---------------------------------------------------------------------------
+# Pinned defects: an offset folded into a scale used to move these verdicts
+
+
+@pytest.fixture(scope="module")
+def within():
+    problem = ek.make_quadratic_loss(4)
+    question = ek.build_question("within-x", problem, x=0.25)
+    return ek.ProblemBundle(problem=problem, question=question)
+
+
+@pytest.mark.parametrize("gamma, kappa", [(1e-6, 3.0), (1e-3, 3.0), (1e6, 0.0), (-2.0, 5.0)])
+def test_an_affine_map_of_the_within_x_question_stays_refuted(within, gamma, kappa):
+    question = gamma * within.question.values + kappa
+    verdict = ek.decide_incentivizable(_rebuilt(within, question=question))
+    assert (verdict.status, verdict.theorem) == ("not_incentivizable", "tree-characterization")
+
+
+def test_a_question_spread_within_float_resolution_is_inconclusive(within):
+    question = 1e-8 * within.question.values + 3.0
+    verdict = ek.decide_incentivizable(_rebuilt(within, question=question))
+    assert (verdict.status, verdict.theorem) == ("inconclusive", "")
+    assert verdict.note == (
+        "the question's spread 6.000e-09 is within float resolution of its values"
+    )
+    # an exactly constant question still aligns trivially
+    constant = _rebuilt(within, question=np.full_like(within.question.values, 0.1))
+    verdict = ek.decide_incentivizable(constant)
+    assert (verdict.status, verdict.theorem) == ("incentivizable", "global-alignment-sufficiency")
+    assert verdict.certificate.trivial
+
+
+@pytest.mark.parametrize("shift", [1e7, 1e9])
+def test_a_large_utility_shift_keeps_the_edge_sets(within, shift):
+    problems = {
+        6: ek.make_quadratic_loss(6),
+        15: ek.make_star(5, 0.3),
+        10: ek.make_close_guess((1.0, 2.0, 3.0, 4.0, 5.0)),
+    }
+    for n_edges, problem in problems.items():
+        want = _edges(problem)
+        assert len(want) == n_edges
+        shifted = ek.DecisionProblem(problem.states, problem.actions, problem.utility + shift)
+        assert _edges(shifted) == want
+    shifted = _rebuilt(within, utility=within.problem.utility + shift)
+    assert _outcome(shifted) == ("not_incentivizable", "tree-characterization")

@@ -38,7 +38,7 @@ from scipy.optimize import linprog
 
 import elicitkit
 from elicitkit import _numerics
-from elicitkit._numerics import RANK_RTOL, max_slack_lp, numerical_rank, scale_unit_max_abs
+from elicitkit._numerics import RANK_RTOL, max_slack_lp, numerical_rank, scale_to_utility_gauge
 
 
 def reference_max_slack_lp(
@@ -108,7 +108,7 @@ def test_random_problems_match_reference():
     for _ in range(40):
         n_states = int(rng.integers(2, 9))
         n_actions = int(rng.integers(2, 11))
-        utility = scale_unit_max_abs(rng.normal(size=(n_actions, n_states)))
+        utility = scale_to_utility_gauge(rng.normal(size=(n_actions, n_states)))
         outcomes += check_all_targets(utility, rng)
     assert any(outcomes) and not all(outcomes)
 
@@ -124,7 +124,7 @@ def test_degenerate_ties_match_reference():
         duplicated[int(rng.integers(1, n_actions))] = duplicated[0]
         rounded = np.round(raw, 1)
         for utility in (duplicated, rounded):
-            outcomes += check_all_targets(scale_unit_max_abs(utility), rng)
+            outcomes += check_all_targets(scale_to_utility_gauge(utility), rng)
     assert any(outcomes) and not all(outcomes)
 
 
@@ -144,7 +144,7 @@ def test_single_action_problem():
 
 def test_all_zero_utility():
     utility = np.zeros((3, 4))
-    assert scale_unit_max_abs(utility) is utility
+    assert scale_to_utility_gauge(utility) is utility
     for target, tie in ((0, None), (1, None), (0, 2)):
         assert assert_matches_reference(utility, target, tie)
     assert max_slack_lp(utility, 0)[0] == 0.0
@@ -252,7 +252,7 @@ def mixed_programs(seed: int) -> list[tuple[np.ndarray, int, int | None]]:
         duplicated[-1] = duplicated[0]
         utilities += [raw, duplicated, np.round(raw, 1)]
     programs = []
-    for utility in map(scale_unit_max_abs, utilities):
+    for utility in map(scale_to_utility_gauge, utilities):
         n_actions = utility.shape[0]
         for target in range(n_actions):
             programs += [(utility, target, tie) for tie in (None, *range(n_actions)) if tie != target]
@@ -406,7 +406,7 @@ def recording_solver(monkeypatch):
 
 
 #: A program that needs simplex iterations, also after presolve.
-STALLING = (scale_unit_max_abs(elicitkit.make_quadratic_loss(7).utility), 3, 4)
+STALLING = (scale_to_utility_gauge(elicitkit.make_quadratic_loss(7).utility), 3, 4)
 
 RESOLVE = [
     ("run",),
@@ -417,7 +417,7 @@ RESOLVE = [
 
 
 def test_a_finished_program_is_solved_once(recording_solver):
-    utility = scale_unit_max_abs(np.array([[1.0, -0.5, 0.25], [-0.75, 0.5, 0.0], [0.0, 0.1, 0.2]]))
+    utility = scale_to_utility_gauge(np.array([[1.0, -0.5, 0.25], [-0.75, 0.5, 0.0], [0.0, 0.1, 0.2]]))
     for tie in (None, 1):
         assert_matches_reference(utility, 0, tie)
     assert_matches_reference(np.array([[1.0, 1.0], [0.0, 0.0]]), 0, 1)  # infeasible
