@@ -11,18 +11,19 @@ into a verdict keyed to whichever characterization theorem the
 adjacency graph supports.
 
 Global, per-part, pairwise and task-weighted alignment are one linear
-question: is ``Xbar(a)`` affine in a utility basis, ``[ubar]`` on the
+question, answered by one fit: is ``X(a) = kappa(a) + v(a) * (d + sum_i
+tau_i * T_i(a))`` for a utility basis ``T``?  The basis is ``[u]`` on the
 whole menu, on a part of a splitting collection or on an adjacent pair,
-and the per-task tables ``[Ubar_1 ... Ubar_I]`` for products?  One
-pinned least-squares solver answers it on every scope.  Each row's scale
-``g(a)`` appears only in that row's equations, so the solver eliminates
-it in closed form (separable least squares, Golub and Pereyra 1973) and
-solves for the basis coefficients and the offset alone, by ``lstsq`` on
-the projected rows rather than their normal equations, which would lose
-the small rows of a menu whose utilities differ widely in scale.  A
-certificate is accepted only when it reproduces the question by
-substitution.  Every tolerance is ``eps = tol * question gauge`` (see
-``_numerics``), computed once per decision from the whole question.
+where an alignment certificate has ``gamma = v * tau`` and offset ``d /
+tau``, and the per-task tables for products.  ``d`` absorbs each table's
+per-state mean.  Each row's scale ``g(a)`` appears only in that row's
+equations, so the fit eliminates it in closed form (separable least
+squares, Golub and Pereyra 1973) and solves for the basis coefficients
+and the offset alone, by ``lstsq`` on the projected rows rather than
+their normal equations, which would lose the small rows of a menu whose
+utilities differ widely in scale.  A certificate is accepted only when
+it reproduces the question by substitution.  Every tolerance is ``eps =
+tol * question gauge`` (see ``_numerics``), computed once per decision.
 """
 
 from __future__ import annotations
@@ -91,23 +92,28 @@ def questions_equivalent(
     """Coefficients ``(gamma, kappa)`` with ``x = gamma * y + kappa``, if any.
 
     Equivalence requires a nonzero ``gamma``; two constant questions are
-    equivalent with ``gamma = 1``.
+    equivalent with ``gamma = 1``.  The tolerance is ``tol`` times the
+    pair's question gauge, the larger spread of the two, and a pair whose
+    spread is nonzero but within ``tol * (1 + max|value|)`` is below float
+    resolution and equivalent to nothing.
     """
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape:
         raise ValueError("questions must have matching length")
-    xbar = project_vec(xv)
-    ybar = project_vec(yv)
-    scale = 1.0 + max(float(np.max(np.abs(xv))), float(np.max(np.abs(yv))))
-    if float(np.max(np.abs(ybar))) <= tol * scale:
-        if float(np.max(np.abs(xbar))) <= tol * scale:
-            return 1.0, float(xv.mean() - yv.mean())
+    pair = np.stack([xv, yv])
+    if not (pair != pair[:, :1]).any():
+        return 1.0, float(xv.mean() - yv.mean())
+    spread = question_gauge(pair)
+    if spread <= tol * (1.0 + float(np.abs(pair).max())):
+        return None
+    eps = tol * spread
+    xbar, ybar = project_rows(pair)
+    y_spread = float(np.abs(ybar).max())
+    if y_spread <= eps:
         return None
     gamma = float(xbar @ ybar / (ybar @ ybar))
-    if float(np.max(np.abs(xbar - gamma * ybar))) > tol * scale:
-        return None
-    if abs(gamma) * float(np.max(np.abs(ybar))) <= tol * scale:
+    if float(np.abs(xbar - gamma * ybar).max()) > eps or abs(gamma) * y_spread <= eps:
         return None
     return gamma, float(xv.mean() - gamma * yv.mean())
 
@@ -197,15 +203,20 @@ class AlignmentCertificate:
 
 def reconstruct_question(problem: DecisionProblem, cert: AlignmentCertificate) -> FloatArray:
     """Evaluate the certificate's affine form on its scope."""
-    u = problem.utility[[problem.action_index[a] for a in cert.scope]]
-    return _affine_rows(cert.trivial, *map(np.asarray, (cert.gamma, cert.kappa, cert.d)), u)
+    u = problem.utility[[problem.action_index[a] for a in cert.scope], :, None]
+    gamma, kappa, d = map(np.asarray, (cert.gamma, cert.kappa, cert.d))
+    return _affine_rows(gamma, kappa, np.array([0.0 if cert.trivial else 1.0]), d, u)[0]
 
 
 def _affine_rows(
-    trivial: bool, gamma: FloatArray, kappa: FloatArray, d: FloatArray, u: FloatArray
-) -> FloatArray:
-    """``gamma(a) * d + kappa(a)``, or ``gamma(a) * (u(a) + d) + kappa(a)``, per row."""
-    return gamma[:, None] * (d if trivial else u + d) + kappa[:, None]
+    v: FloatArray, kappa: FloatArray, tau: FloatArray, d: FloatArray, tables: FloatArray
+) -> tuple[FloatArray, FloatArray]:
+    """``kappa(a) + v(a) * core(a)`` and ``core(a) = d + sum_i tau_i * T_i(a)``, per row.
+
+    ``tables[a, s, i]`` is ``T_i(a)`` at state ``s``.
+    """
+    core = d + (tables * tau).sum(axis=2)
+    return kappa[:, None] + v[:, None] * core, core
 
 
 @dataclass(frozen=True)
@@ -213,7 +224,9 @@ class WeightedAlignmentCertificate:
     """Task-weighted affine representation for product problems.
 
     ``X(a) = kappa(a) + v(a) * (d + sum_i tau_i * u_i(a_i))`` with every
-    ``v(a)`` nonzero; ``d`` is stored mean-free over global states.
+    ``v(a)`` nonzero; ``d`` is stored mean-free over global states.  The
+    entry of ``tau`` largest in magnitude is +1 or -1, or ``tau`` is 0
+    when the question's rows are constant or collinear.
     """
 
     actions: tuple[str, ...]
@@ -256,13 +269,13 @@ class PiecewiseCertificate:
 
 def _pinned_alignment(
     xs: FloatArray,
-    bases: Sequence[FloatArray],
+    bases: FloatArray,
     nonzero: NDArray[np.bool_],
     anchor: int,
 ) -> tuple[FloatArray, FloatArray, FloatArray, float]:
     """Least-squares solve of ``g(a) * xs(a) - sum_i c_i * B_i(a) - D = 0``.
 
-    ``xs`` and each basis table ``B_i`` hold one mean-free row per action.
+    ``xs[a]`` and each ``B_i(a) = bases[a, :, i]`` are mean-free rows.
     ``g`` is pinned to 1 at ``anchor`` and is no unknown on rows outside
     ``nonzero`` (reported as 1 there); one more row makes ``D`` mean-free.
     Returns ``(g, c, D, residual)``, the residual being the system's
@@ -279,14 +292,13 @@ def _pinned_alignment(
     full system, so it is the residual.
     """
     n_rows, n_states = xs.shape
-    n_c = len(bases)
+    n_c = bases.shape[2]
     free = nonzero.copy()
     free[anchor] = False
     system = np.zeros((n_rows * n_states + 1, n_c + n_states))
     system[-1, n_c:] = 1.0  # the mean-free row
     rows = system[:-1].reshape(n_rows, n_states, -1)
-    for i, basis in enumerate(bases):
-        rows[:, :, i] = basis
+    rows[:, :, :n_c] = bases
     rows[:, :, n_c:] = np.eye(n_states)
     # z(a) = [B(a) | I]^T xs(a), and w(a) = 1 / |xs(a)|^2 on free rows and
     # 0 elsewhere, so a free row's g(a) is w(a) <z(a), (c, D)>.
@@ -302,6 +314,80 @@ def _pinned_alignment(
     return g + ~nonzero, solution[:n_c], solution[n_c:], residual
 
 
+def _fit(
+    x: FloatArray, tables: FloatArray, eps: float
+) -> tuple[tuple[FloatArray, FloatArray, FloatArray, FloatArray] | None, float]:
+    """Best ``((v, kappa, tau, d) or None, residual)`` for ``X = kappa + v * (d + tau . T)``.
+
+    ``x[a]`` and each ``T_i(a) = tables[a, :, i]`` are rows.  A trivial
+    fit (constant or collinear rows) has ``tau = 0``; otherwise ``tau``'s
+    largest entry in magnitude is +1 or -1 and every ``v(a)`` is nonzero.
+    """
+    # Each mean is a sum over a count: the bits of ``mean``, without its call overhead.
+    n_rows, n_states, n_tables = tables.shape
+    x_means = x.sum(axis=1) / n_states
+    xbar = x - x_means[:, None]
+    row_norms = np.abs(xbar).max(axis=1)
+    nonzero = row_norms > eps
+    means = tables.sum(axis=1) / n_states
+    tbar = tables - means[:, None, :]
+    # d absorbs each table's per-state shift, so a large one must not swamp the basis.
+    centers = tbar.sum(axis=0) / n_rows
+    tbar -= centers
+
+    def check(
+        v: FloatArray, tau: FloatArray, d: FloatArray
+    ) -> tuple[tuple[FloatArray, FloatArray, FloatArray, FloatArray] | None, float]:
+        kappa = x_means - v * (means * tau).sum(axis=1)
+        residual = float(np.abs(_affine_rows(v, kappa, tau, d, tables)[0] - x).max())
+        return ((v, kappa, tau, d) if residual <= ARBITER_FACTOR * eps else None), residual
+
+    # Trivial branch 1: every row constant.
+    if not nonzero.any():
+        return check(np.ones(n_rows), np.zeros(n_tables), np.zeros(n_states))
+
+    # Trivial branch 2: all rows nonzero and mutually collinear.
+    best_residual = float("inf")
+    if nonzero.all() and numerical_rank(xbar) <= 1:
+        d = xbar[int(np.argmax(row_norms))]
+        accepted, residual = check(xbar @ d / float(d @ d), np.zeros(n_tables), d)
+        if accepted is not None:
+            return accepted, residual
+        best_residual = residual
+
+    # Nontrivial branch: g(a) * Xbar(a) = sum_i c_i * Tbar_i(a) + D with g
+    # pinned at an anchor row.  A valid representation then has
+    # tau = c / |c_ref|, v(a) = |c_ref| / g(a) and d = D / |c_ref|, where
+    # c_ref is the entry of c largest in magnitude.
+    s_x = float(row_norms.max())
+    s_u = max(float(np.abs(tbar).max()), 1e-30)
+    xs = xbar / s_x
+    bases = tbar / s_u
+    # The two largest rows, earlier ones first among equals, if they are nonzero.
+    anchors = [k for k in np.argsort(-row_norms, kind="stable")[:2].tolist() if nonzero[k]]
+    for anchor in anchors:
+        g, c, d_scaled, system_residual = _pinned_alignment(xs, bases, nonzero, anchor)
+        c_ref = max(c.tolist(), key=abs)
+        size = abs(c_ref)
+        # g is 1 on zero rows, so its least |g| is that of a nonzero row;
+        # eps / s_x is the tolerance in the solve's units.
+        if min(size, np.abs(g).min()) <= eps / s_x:
+            # A limit of aligned questions: its misfit is the residual.
+            best_residual = min(best_residual, system_residual * s_x)
+            continue
+        # Undo the row scalings: v maps utility units to question units,
+        # and a constant row, whose v is free, takes v * sign(c_ref) equal
+        # to the ratio of scales.
+        tau = c / size
+        v = np.where(nonzero, size / g, c_ref / size) * (s_x / s_u)
+        d = d_scaled / size * s_u - (centers * tau).sum(axis=1)
+        accepted, residual = check(v, tau, d - d.sum() / n_states)
+        if accepted is not None:
+            return accepted, residual
+        best_residual = min(best_residual, residual)
+    return None, best_residual
+
+
 def _solve_alignment(
     problem: DecisionProblem,
     question: QuestionProfile,
@@ -310,66 +396,15 @@ def _solve_alignment(
 ) -> tuple[AlignmentCertificate | None, float]:
     """Best alignment certificate on ``scope`` plus the achieved residual, within ``eps``."""
     idx = [problem.action_index[a] for a in scope]
-    x = question.values[idx]
-    u = problem.utility[idx]
-    x_means = x.mean(axis=1)
-    u_means = u.mean(axis=1)
-    xbar = x - x_means[:, None]
-    ubar = u - u_means[:, None]
-    # D absorbs a per-state shift, so a large one must not swamp the basis.
-    center = ubar.mean(axis=0)
-    ubar -= center
-    row_norms = np.abs(xbar).max(axis=1)
-    nonzero = row_norms > eps
-
-    def check(
-        trivial: bool, gamma: FloatArray, kappa: FloatArray, d: FloatArray
-    ) -> tuple[AlignmentCertificate | None, float]:
-        residual = float(np.abs(_affine_rows(trivial, gamma, kappa, d, u) - x).max())
-        if residual > ARBITER_FACTOR * eps:
-            return None, residual
-        fields = (tuple(v.tolist()) for v in (gamma, kappa, d))
-        return AlignmentCertificate(trivial, scope, *fields, residual), residual
-
-    # Trivial branch 1: every row constant.
-    if not nonzero.any():
-        return check(True, np.ones(len(scope)), x_means, np.zeros(problem.n_states))
-
-    # Trivial branch 2: all rows nonzero and mutually collinear.
-    best_residual = float("inf")
-    if nonzero.all() and numerical_rank(xbar) <= 1:
-        d = xbar[int(np.argmax(row_norms))]
-        accepted, residual = check(True, xbar @ d / float(d @ d), x_means, d)
-        if accepted is not None:
-            return accepted, residual
-        best_residual = residual
-
-    # Nontrivial branch: g(a) * Xbar(a) = h * ubar(a) + D with g pinned
-    # at an anchor row.  A valid nontrivial representation then has
-    # gamma(a) = h / g(a), d = D / h.
-    s_x = float(row_norms.max())
-    s_u = max(float(np.abs(ubar).max()), 1e-30)
-    xs = xbar / s_x
-    us = ubar / s_u
-    anchors = sorted(np.flatnonzero(nonzero), key=lambda k: -row_norms[k])
-    for anchor in anchors[:2]:
-        g, (h,), d_scaled, system_residual = _pinned_alignment(xs, [us], nonzero, anchor)
-        # g is 1 on zero rows, so its least |g| is that of a nonzero row;
-        # eps / s_x is the tolerance in the solve's units.
-        if min(abs(h), np.abs(g).min()) <= eps / s_x:
-            # A limit of aligned questions: its misfit is the residual.
-            best_residual = min(best_residual, system_residual * s_x)
-            continue
-        # Undo the row scalings: gamma maps utility units to question units,
-        # and a constant row, whose gamma is free, takes the ratio of scales.
-        gamma = np.where(nonzero, h / g, 1.0) * (s_x / s_u)
-        d = d_scaled / h * s_u - center
-        d = d - d.mean()
-        accepted, residual = check(False, gamma, x_means - gamma * u_means, d)
-        if accepted is not None:
-            return accepted, residual
-        best_residual = min(best_residual, residual)
-    return None, best_residual
+    fit, residual = _fit(question.values[idx], problem.utility[idx, :, None], eps)
+    if fit is None:
+        return None, residual
+    v, kappa, tau, d = fit
+    tau = tau.item()  # the one table's weight: +1 or -1, or 0 for a trivial certificate
+    if tau:
+        v, d = v * tau, d / tau  # gamma = v * tau and offset d / tau
+    fields = (tuple(f.tolist()) for f in (v, kappa, d))
+    return AlignmentCertificate(not tau, scope, *fields, residual), residual
 
 
 def alignment_on_set(
@@ -437,44 +472,11 @@ def _solve_weighted(
     eps: float,
 ) -> tuple[WeightedAlignmentCertificate | None, float]:
     """Best task-weighted certificate plus the achieved residual, within ``eps``."""
-    x = question.values
-    xbar = project_rows(x)
-    x_means = x.mean(axis=1)
-    n_actions, n_states = x.shape
-    row_norms = np.max(np.abs(xbar), axis=1)
-    nonzero = row_norms > eps
-    tables = product.task_utility_tables()
-    n_tasks = product.n_tasks
-
-    def finish(
-        v: FloatArray, tau: FloatArray, d: FloatArray
-    ) -> tuple[WeightedAlignmentCertificate | None, float]:
-        base = sum(tau[i] * tables[i] for i in range(n_tasks))
-        kappa = x_means - v * (d.mean() + np.asarray([row.mean() for row in base]))
-        rebuilt = kappa[:, None] + v[:, None] * (d[None, :] + base)
-        residual = float(np.max(np.abs(rebuilt - x)))
-        if residual > ARBITER_FACTOR * eps:
-            return None, residual
-        fields = (tuple(t.tolist()) for t in (v, kappa, tau, d))
-        return WeightedAlignmentCertificate(problem.actions, *fields, residual), residual
-
-    if not nonzero.any():
-        return finish(np.ones(n_actions), np.zeros(n_tasks), np.zeros(n_states))
-
-    # g(a) * Xbar(a) = sum_i tau_i * Ubar_i(a_i) + D, pinned at g = 1 on
-    # the largest question row; then v(a) = 1 / g(a) in scaled units.
-    tables_bar = [project_rows(t) for t in tables]
-    s_x = float(np.max(row_norms))
-    s_u = max(float(max(np.max(np.abs(t)) for t in tables_bar)), 1e-30)
-    g, tau_scaled, d, _ = _pinned_alignment(
-        xbar / s_x, [t / s_u for t in tables_bar], nonzero, int(np.argmax(row_norms))
-    )
-    if np.any(np.abs(g[nonzero]) <= eps / s_x):
-        # No usable solve: report the mean-free spread.
-        return None, s_x
-    v = np.ones(n_actions)
-    v[nonzero] = (1.0 / g[nonzero]) * s_x
-    return finish(v, tau_scaled / s_u, d - d.mean())
+    fit, residual = _fit(question.values, np.stack(product.task_utility_tables(), axis=-1), eps)
+    if fit is None:
+        return None, residual
+    fields = (tuple(f.tolist()) for f in fit)
+    return WeightedAlignmentCertificate(problem.actions, *fields, residual), residual
 
 
 def weighted_alignment(
@@ -485,9 +487,9 @@ def weighted_alignment(
 ) -> WeightedAlignmentCertificate | None:
     """Recover a task-weighted affine representation, if one exists.
 
-    Solves ``g(a) * Xbar(a) = sum_i tau_i * Ubar_i(a_i) + D`` pinned at
-    ``g = 1`` on the largest question row, then re-verifies the implied
-    ``(v, kappa, tau, d)`` by substitution.
+    Solves ``g(a) * Xbar(a) = sum_i c_i * Ubar_i(a_i) + D`` pinned at
+    ``g = 1`` on each of the two largest question rows in turn, then
+    re-verifies the implied ``(v, kappa, tau, d)`` by substitution.
     """
     cert, _ = _solve_weighted(problem, question, product, _eps(question.values, tol))
     return cert

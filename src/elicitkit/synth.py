@@ -31,6 +31,7 @@ from .alignment import (
     PiecewiseCertificate,
     Verdict,
     WeightedAlignmentCertificate,
+    _affine_rows,
     _eps,
     reconstruct_question,
 )
@@ -434,13 +435,9 @@ def synth_product(
     if tuple(cert.actions) != problem.actions:
         raise SynthesisError("certificate actions do not match the problem")
     x = _check_question(problem, question)
-    tables = product.task_utility_tables()
-    tau = np.asarray(cert.tau, dtype=np.float64)
-    d = np.asarray(cert.d, dtype=np.float64)
-    v = np.asarray(cert.v, dtype=np.float64)
-    kappa = np.asarray(cert.kappa, dtype=np.float64)
-    core = d[None, :] + sum(t * table for t, table in zip(tau, tables))
-    rebuilt = kappa[:, None] + v[:, None] * core
+    tables = np.stack(product.task_utility_tables(), axis=-1)
+    v, kappa, tau, d = map(np.asarray, (cert.v, cert.kappa, cert.tau, cert.d))
+    rebuilt, core = _affine_rows(v, kappa, tau, d, tables)
     residual = float(np.max(np.abs(rebuilt - x)))
     if residual > ARBITER_FACTOR * _eps(x, tol):
         raise SynthesisError(

@@ -43,6 +43,9 @@ def test_questions_equivalent_requires_nonzero_gamma():
     # and unrelated directions are not equivalent at all
     assert ek.questions_equivalent([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]) is None
     assert ek.questions_equivalent([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) is None
+    # the tolerance follows the spreads, not an offset or the values' size
+    assert ek.questions_equivalent(np.array([0.0, 1.0, 0.0]) + 1e9, [1.0, 0.0, 0.0]) is None
+    assert ek.questions_equivalent(1e-9 * np.array([0.0, 1.0, 0.0]), [1e-9, 0.0, 0.0]) is None
 
 
 @pytest.mark.parametrize(
@@ -772,12 +775,14 @@ def _reference_weighted_alignment(problem, question, product, tol=ek.ALIGN_RTOL)
     row_norms = np.max(np.abs(xbar), axis=1)
     nonzero = row_norms > eps
     tables = product.task_utility_tables()
-    tables_bar = [project_rows(t) for t in tables]
+    means = [t.mean(axis=1) for t in tables]
+    centers = [project_rows(t).mean(axis=0) for t in tables]  # the per-state shifts d absorbs
+    tables_bar = [project_rows(t) - center for t, center in zip(tables, centers)]
     n_tasks = product.n_tasks
 
     def finish(v, tau, d):
         base = sum(tau[i] * tables[i] for i in range(n_tasks))
-        kappa = x_means - v * (d.mean() + np.asarray([row.mean() for row in base]))
+        kappa = x_means - v * sum(tau[i] * means[i] for i in range(n_tasks))
         rebuilt = kappa[:, None] + v[:, None] * (d[None, :] + base)
         residual = float(np.max(np.abs(rebuilt - x)))
         if residual > alignment.ARBITER_FACTOR * eps:
@@ -790,44 +795,57 @@ def _reference_weighted_alignment(problem, question, product, tol=ek.ALIGN_RTOL)
 
     if not nonzero.any():
         return finish(np.ones(n_actions), np.zeros(n_tasks), np.zeros(n_states))
+    if nonzero.all() and numerical_rank(xbar) <= 1:
+        d = xbar[int(np.argmax(row_norms))]
+        accepted = finish(xbar @ d / float(d @ d), np.zeros(n_tasks), d)
+        if accepted is not None:
+            return accepted
     s_x = float(np.max(row_norms))
     s_u = max(float(max(np.max(np.abs(t)) for t in tables_bar)), 1e-30)
     xs = xbar / s_x
     us = [t / s_u for t in tables_bar]
     nz_list = [k for k in range(n_actions) if nonzero[k]]
-    anchor = max(nz_list, key=lambda k: row_norms[k])
-    g_slots = {k: pos for pos, k in enumerate(k2 for k2 in nz_list if k2 != anchor)}
-    n_g = len(g_slots)
-    n_unknowns = n_g + n_tasks + n_states
-    blocks, rhs = [], []
-    for k in range(n_actions):
-        block = np.zeros((n_states, n_unknowns))
-        target = np.zeros(n_states)
-        if k == anchor:
-            target = xs[k]
-        elif nonzero[k]:
-            block[:, g_slots[k]] = -xs[k]
-        for i in range(n_tasks):
-            block[:, n_g + i] = us[i][k]
-        block[:, n_g + n_tasks :] = np.eye(n_states)
-        blocks.append(block)
-        rhs.append(target)
-    mean_row = np.zeros((1, n_unknowns))
-    mean_row[0, n_g + n_tasks :] = 1.0
-    blocks.append(mean_row)
-    rhs.append(np.zeros(1))
-    solution, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(rhs), rcond=None)
-    g = np.ones(n_actions)
-    for k, pos in g_slots.items():
-        g[k] = solution[pos]
-    if np.any(np.abs(g[nonzero]) <= eps / s_x):
-        return None
-    v = np.empty(n_actions)
-    v[nonzero] = (1.0 / g[nonzero]) * s_x
-    v[~nonzero] = 1.0
-    d = solution[n_g + n_tasks :].copy()
-    d -= d.mean()
-    return finish(v, solution[n_g : n_g + n_tasks] / s_u, d)
+    for anchor in sorted(nz_list, key=lambda k: -row_norms[k])[:2]:
+        g_slots = {k: pos for pos, k in enumerate(k2 for k2 in nz_list if k2 != anchor)}
+        n_g = len(g_slots)
+        n_unknowns = n_g + n_tasks + n_states
+        blocks, rhs = [], []
+        for k in range(n_actions):
+            block = np.zeros((n_states, n_unknowns))
+            target = np.zeros(n_states)
+            if k == anchor:
+                target = xs[k]
+            elif nonzero[k]:
+                block[:, g_slots[k]] = -xs[k]
+            for i in range(n_tasks):
+                block[:, n_g + i] = us[i][k]
+            block[:, n_g + n_tasks :] = np.eye(n_states)
+            blocks.append(block)
+            rhs.append(target)
+        mean_row = np.zeros((1, n_unknowns))
+        mean_row[0, n_g + n_tasks :] = 1.0
+        blocks.append(mean_row)
+        rhs.append(np.zeros(1))
+        solution, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(rhs), rcond=None)
+        g = np.ones(n_actions)
+        for k, pos in g_slots.items():
+            g[k] = solution[pos]
+        c = solution[n_g : n_g + n_tasks]
+        c_ref = float(c[np.argmax(np.abs(c))])
+        if abs(c_ref) <= eps / s_x or np.any(np.abs(g[nonzero]) <= eps / s_x):
+            continue
+        # tau's largest entry is +-1, and a constant row takes v * sign(c_ref) = s_x / s_u
+        v = np.empty(n_actions)
+        v[nonzero] = (abs(c_ref) / g[nonzero]) * (s_x / s_u)
+        v[~nonzero] = np.sign(c_ref) * s_x / s_u
+        tau = c / abs(c_ref)
+        d = solution[n_g + n_tasks :] / abs(c_ref) * s_u - sum(
+            tau[i] * centers[i] for i in range(n_tasks)
+        )
+        accepted = finish(v, tau, d - d.mean())
+        if accepted is not None:
+            return accepted
+    return None
 
 
 def _shape_question(rng, x, u):

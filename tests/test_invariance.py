@@ -5,7 +5,9 @@ positive rescale and a per-state shift, on each action's question row
 only up to a nonzero affine map, and not on the order of actions or
 states.  Each test applies one such transformation to named and seeded
 random bundles and requires the same verdict status and theorem, and an
-adjacency graph with the same edges between the same labels.
+adjacency graph with the same edges between the same labels.  On product
+bundles the utility transformations act on each task's utility, and a
+permutation of the global actions carries their task coordinates along.
 """
 
 from __future__ import annotations
@@ -209,3 +211,153 @@ def test_a_large_utility_shift_keeps_the_edge_sets(within, shift):
         assert _edges(shifted) == want
     shifted = _rebuilt(within, utility=within.problem.utility + shift)
     assert _outcome(shifted) == ("not_incentivizable", "tree-characterization")
+
+
+# ---------------------------------------------------------------------------
+# Product bundles: the transformations act on the task utilities and keep
+# the product structure
+
+
+def _product_questions(problem, product):
+    n_tasks = product.n_tasks
+    for z in range(1, n_tasks + 1):
+        yield ek.build_question("threshold", problem, product, z=float(z))
+    for split in range(1, n_tasks):
+        yield ek.build_question("improvement", problem, product, split=split)
+
+
+def _weighted_products(count, seed):
+    """Seeded products whose question is task-weighted by construction, some perturbed."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        tasks = []
+        for _ in range(int(rng.integers(2, 4))):
+            n_states, n_actions = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            tasks.append(ek.DecisionProblem(
+                states=tuple(f"s{i}" for i in range(n_states)),
+                actions=tuple(f"a{i}" for i in range(n_actions)),
+                utility=rng.integers(-3, 4, size=(n_actions, n_states)).astype(np.float64),
+            ))
+        problem, product = ek.expand_product(tasks)
+        tau = rng.integers(-2, 3, size=len(tasks))
+        v = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=(problem.n_actions, 1))
+        core = rng.integers(-2, 3, size=problem.n_states) + sum(
+            t * table for t, table in zip(tau, product.task_utility_tables())
+        )
+        x = rng.integers(-2, 3, size=(problem.n_actions, 1)) + v * core
+        if index % 3 == 2:  # a one-unit perturbation of one row
+            x[int(rng.integers(problem.n_actions))] += rng.integers(-1, 2, size=problem.n_states)
+        yield problem, product, ek.QuestionProfile(values=x)
+
+
+def _product_bundles():
+    bundles = []
+    for n_tasks, n_answers in ((2, 2), (3, 2), (4, 2), (3, 3)):
+        problem, product = ek.make_mc_test(n_tasks, n_answers)
+        for question in _product_questions(problem, product):
+            bundles.append(ek.ProblemBundle(problem=problem, question=question, product=product))
+    for problem, product, question in _weighted_products(18, seed=2121):
+        bundles.append(ek.ProblemBundle(problem=problem, question=question, product=product))
+    return bundles
+
+
+PRODUCT_BUNDLES = _product_bundles()
+
+
+def _product_rebuilt(bundle, tasks=None, question=None, order=None):
+    """The bundle with new task utilities (expanded again), question or global action order."""
+    product = bundle.product
+    if tasks is not None:
+        problem, product = ek.expand_product(tasks)
+    else:
+        problem = bundle.problem
+    values = bundle.question.values if question is None else question
+    if order is not None:
+        problem = ek.DecisionProblem(
+            states=problem.states,
+            actions=tuple(problem.actions[i] for i in order),
+            utility=problem.utility[order],
+        )
+        product = ek.ProductStructure(
+            tasks=product.tasks,
+            state_coords=product.state_coords,
+            action_coords=tuple(product.action_coords[i] for i in order),
+        )
+        values = values[order]
+    question = ek.QuestionProfile(values=values)
+    return ek.ProblemBundle(problem=problem, question=question, product=product)
+
+
+def _product_outcome(bundle):
+    """Status, theorem and edges, from one adjacency graph."""
+    graph = ek.adjacency_graph(bundle.problem)
+    verdict = ek.decide_incentivizable(bundle, graph=graph)
+    edges = {frozenset((graph.actions[i], graph.actions[j])) for i, j in graph.pairs.tolist()}
+    return verdict.status, verdict.theorem, edges
+
+
+@pytest.fixture(scope="module")
+def product_outcomes():
+    return [_product_outcome(bundle) for bundle in PRODUCT_BUNDLES]
+
+
+def test_the_product_bundles_reach_every_status_and_the_product_theorem(product_outcomes):
+    assert {status for status, _, _ in product_outcomes} == {
+        "incentivizable", "not_incentivizable", "inconclusive"
+    }
+    assert "product-characterization" in {theorem for _, theorem, _ in product_outcomes}
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_a_rescale_and_per_state_shifts_of_the_task_utilities(product_outcomes, scale):
+    rng = np.random.default_rng(int(scale * 1e3) + 1)
+    for bundle, want in zip(PRODUCT_BUNDLES, product_outcomes):
+        tasks = []
+        for task in bundle.product.tasks:
+            size = 10.0 ** rng.uniform(0.0, 7.0)
+            shift = scale * size * rng.choice([-1.0, 1.0], size=task.n_states)
+            utility = scale * task.utility + shift
+            tasks.append(ek.DecisionProblem(task.states, task.actions, utility))
+        assert _product_outcome(_product_rebuilt(bundle, tasks=tasks)) == want
+
+
+def test_a_per_action_affine_re_gauge_of_a_product_question(product_outcomes):
+    rng = np.random.default_rng(8)
+    for bundle, (status, theorem, _) in zip(PRODUCT_BUNDLES, product_outcomes):
+        n_actions = bundle.problem.n_actions
+        size = 10.0 ** rng.uniform(-3.0, 3.0, size=(n_actions, 1))
+        gamma = size * rng.choice([-1.0, 1.0], size=(n_actions, 1))
+        kappa = rng.uniform(-10.0, 10.0, size=(n_actions, 1))
+        question = gamma * bundle.question.values + kappa
+        verdict = ek.decide_incentivizable(_product_rebuilt(bundle, question=question))
+        # one question gauge per decision: a re-gauge may leave a pairwise
+        # refutation borderline, but never turn it into another answer
+        if theorem == "pairwise-necessity" and verdict.status == "inconclusive":
+            continue
+        assert (verdict.status, verdict.theorem) == (status, theorem)
+
+
+def test_a_permutation_of_the_global_actions_and_their_coordinates(product_outcomes):
+    rng = np.random.default_rng(9)
+    for bundle, want in zip(PRODUCT_BUNDLES, product_outcomes):
+        order = rng.permutation(bundle.problem.n_actions)
+        assert _product_outcome(_product_rebuilt(bundle, order=order)) == want
+
+
+@pytest.mark.parametrize("shift", [3e8, 1e9])
+def test_a_large_task_shift_keeps_the_product_certificate(shift):
+    # the task-weighted fit takes each table less its per-state mean, so
+    # the shift does not swamp the basis
+    problem, product = ek.make_mc_test(3, 2)
+    question = ek.build_question("improvement", problem, product, split=1)
+    steps = [shift * np.arange(task.n_states) for task in product.tasks]
+    tasks = [
+        ek.DecisionProblem(task.states, task.actions, task.utility + step)
+        for task, step in zip(product.tasks, steps)
+    ]
+    shifted = _product_rebuilt(
+        ek.ProblemBundle(problem=problem, question=question, product=product), tasks=tasks
+    )
+    status, theorem, edges = _product_outcome(shifted)
+    assert len(edges) == 12
+    assert (status, theorem) == ("incentivizable", "product-characterization")
