@@ -74,6 +74,20 @@ def _eps(values: FloatArray, tol: float) -> float:
     return tol * spread if (values != values[:, :1]).any() else spread
 
 
+def _below_resolution(values: FloatArray, spread: float, tol: float) -> bool:
+    """Whether a question spread is at most ``tol * max|X|``: below the float
+    resolution of the values, where no fit can tell the rows apart."""
+    return spread <= tol * float(np.abs(values).max())
+
+
+def _multiple(x: FloatArray, y: FloatArray) -> FloatArray:
+    """``x @ y / (y @ y)``, the least-squares multiple of the nonzero row ``y``
+    in ``x``.  Where ``y @ y`` would leave the normal float range (rows below
+    about 1e-154), ``y`` is scaled to max-abs 1 in the products first."""
+    unit = y if float(y @ y) >= np.finfo(np.float64).tiny else y / np.abs(y).max()
+    return x @ unit / float(y @ unit)
+
+
 def project_zero_sum(vector: Sequence[float]) -> FloatArray:
     """Project a question or payoff vector onto the sum-zero hyperplane."""
     return project_vec(np.asarray(vector, dtype=np.float64))
@@ -94,7 +108,7 @@ def questions_equivalent(
     Equivalence requires a nonzero ``gamma``; two constant questions are
     equivalent with ``gamma = 1``.  The tolerance is ``tol`` times the
     pair's question gauge, the larger spread of the two, and a pair whose
-    spread is nonzero but within ``tol * (1 + max|value|)`` is below float
+    spread is nonzero but within ``tol * max|value|`` is below float
     resolution and equivalent to nothing.
     """
     xv = np.asarray(x, dtype=np.float64)
@@ -105,14 +119,14 @@ def questions_equivalent(
     if not (pair != pair[:, :1]).any():
         return 1.0, float(xv.mean() - yv.mean())
     spread = question_gauge(pair)
-    if spread <= tol * (1.0 + float(np.abs(pair).max())):
+    if _below_resolution(pair, spread, tol):
         return None
     eps = tol * spread
     xbar, ybar = project_rows(pair)
     y_spread = float(np.abs(ybar).max())
     if y_spread <= eps:
         return None
-    gamma = float(xbar @ ybar / (ybar @ ybar))
+    gamma = float(_multiple(xbar, ybar))
     if float(np.abs(xbar - gamma * ybar).max()) > eps or abs(gamma) * y_spread <= eps:
         return None
     return gamma, float(xv.mean() - gamma * yv.mean())
@@ -350,7 +364,7 @@ def _fit(
     best_residual = float("inf")
     if nonzero.all() and numerical_rank(xbar) <= 1:
         d = xbar[int(np.argmax(row_norms))]
-        accepted, residual = check(xbar @ d / float(d @ d), np.zeros(n_tables), d)
+        accepted, residual = check(_multiple(xbar, d), np.zeros(n_tables), d)
         if accepted is not None:
             return accepted, residual
         best_residual = residual
@@ -631,7 +645,7 @@ def decide_incentivizable(
     reported as inconclusive rather than negative, and so is a verdict
     that needs a graph one of whose LPs did not finish: its note names
     the pair and the solver status, and so is a question whose spread is
-    nonzero but within ``tol * (1 + max|X|)``, below float resolution.
+    nonzero but within ``tol * max|X|``, below float resolution.
     """
     if bundle.question is None:
         raise ValueError("the bundle has no question to decide")
@@ -642,7 +656,7 @@ def decide_incentivizable(
     values = question.values
     eps = _eps(values, tol)
     spread = eps / tol  # the question gauge, unless every row is constant
-    if spread <= tol * (1.0 + float(np.abs(values).max())) and (values != values[:, :1]).any():
+    if (values != values[:, :1]).any() and _below_resolution(values, spread, tol):
         note = f"the question's spread {spread:.3e} is within float resolution of its values"
         return Verdict(status="inconclusive", note=note)
 

@@ -5,16 +5,13 @@ One binary, subcommand style.  Exit codes are a stable contract:
 a file that cannot be read or written), 3 negative verdict or failed
 verification, 4 inconclusive (also when an LP does not finish), 5
 nothing found.  Reports go to stdout, diagnostics to stderr.  Each
-subcommand takes only the flags it reads.
-``--tol`` may also come from ELICITKIT_TOL (read by check, synthesize,
-verify and witness) and ``--seed`` from ELICITKIT_SEED (read only by
-verify and witness); explicit flags win.
+subcommand takes only the flags it reads, and a flag is the only way to
+set its value; an unset flag keeps the library default.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Any, Callable, Sequence
 
@@ -46,28 +43,9 @@ EXIT_INCONCLUSIVE = 4
 EXIT_NOT_FOUND = 5
 
 
-def _env_value(name: str, cast: Callable[[str], Any]) -> Any | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ElicitkitError(f"bad {name} value {raw!r}: {exc}") from exc
-
-
-def _tol(args: argparse.Namespace, default: float | None = None) -> float | None:
-    tol = args.tol if args.tol is not None else _env_value("ELICITKIT_TOL", float)
-    return default if tol is None else tol
-
-
 def _grid_spec(args: argparse.Namespace) -> GridSpec:
     """The sweep settings from the flags; unset ones keep the ``GridSpec`` defaults."""
-    tol = _tol(args)
-    seed = args.seed if args.seed is not None else _env_value("ELICITKIT_SEED", int)
-    settings = {"denominator": args.grid, "samples": args.samples, "seed": seed}
-    if tol is not None:
-        settings.update(tol_action=tol, tol_report=10.0 * tol)
+    settings = dict(denominator=args.grid, samples=args.samples, seed=args.seed, tol=args.tol)
     return GridSpec(**{key: value for key, value in settings.items() if value is not None})
 
 
@@ -205,7 +183,7 @@ def _md_check(payload: dict[str, Any]) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    tol = _tol(args, ALIGN_RTOL)
+    tol = ALIGN_RTOL if args.tol is None else args.tol
     bundle = load_bundle(args.bundle)
     if bundle.question is None:
         raise ElicitkitError("bundle has no question; nothing to check")
@@ -215,7 +193,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    tol = _tol(args, ALIGN_RTOL)
+    tol = ALIGN_RTOL if args.tol is None else args.tol
     bundle = load_bundle(args.bundle)
     if bundle.question is None:
         raise ElicitkitError("bundle has no question; nothing to synthesize")
@@ -304,11 +282,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 _FLAGS: dict[str, dict[str, Any]] = {
     "tol": {
         "type": float,
-        "help": "action-set tolerance (env ELICITKIT_TOL); report tolerance is ten times this",
+        "help": "relative tolerance: of alignment for check and synthesize, of the action "
+        "sets for verify and witness (their report tolerance is ten times this)",
     },
     "grid": {"type": int, "help": "rational grid denominator"},
     "samples": {"type": int, "help": "Dirichlet sample count"},
-    "seed": {"type": int, "help": "RNG seed (env ELICITKIT_SEED)"},
+    "seed": {"type": int, "help": "RNG seed"},
     "format": {"dest": "fmt", "choices": ("json", "md"), "default": "json"},
     "out": {"help": "write the output here instead of stdout"},
 }

@@ -41,7 +41,7 @@ from ._numerics import (
 )
 from .model import DecisionProblem, ProductStructure
 
-#: Default relative tolerance when collecting optimal actions.
+#: Relative tolerance when collecting optimal actions.
 OPTIMAL_ACTIONS_RTOL = 1e-7
 
 #: Hard cap on enumerated cycles.
@@ -92,16 +92,20 @@ def _belief_array(belief: Belief | Iterable[float]) -> FloatArray:
     return np.asarray(list(belief), dtype=np.float64)
 
 
+def _band(best: float | FloatArray, tol: float) -> float | FloatArray:
+    """How far below the best expected payoff ``best`` an action still counts
+    as optimal: ``tol * (1 + |best|)``, elementwise."""
+    return tol * (1.0 + abs(best))
+
+
 def optimal_actions(
-    problem: DecisionProblem,
-    belief: Belief | Iterable[float],
-    tol: float = OPTIMAL_ACTIONS_RTOL,
+    problem: DecisionProblem, belief: Belief | Iterable[float]
 ) -> tuple[str, ...]:
-    """All actions within relative tolerance of the best expected payoff."""
+    """All actions within ``OPTIMAL_ACTIONS_RTOL``'s band of the best expected payoff."""
     p = _belief_array(belief)
     values = problem.utility @ p
     best = float(values.max())
-    band = tol * (1.0 + abs(best))
+    band = _band(best, OPTIMAL_ACTIONS_RTOL)
     return tuple(
         problem.actions[i] for i in range(problem.n_actions) if values[i] >= best - band
     )
@@ -632,28 +636,27 @@ def cycle_rich(
     problem: DecisionProblem,
     subset: Sequence[str],
     graph: AdjacencyGraph | None = None,
-    max_size: int = CYCLE_RICH_MAX_SET,
-    cap: int = CYCLE_CAP,
 ) -> CycleRichResult:
     """Test whether an action subset is rich in independent cycles.
 
     For every proper subset with at least three actions, some outside
     action must sit on enough internally independent cycles (each
     meeting the subset in two or more actions) that the spans of their
-    payoff differences intersect only in the zero vector.
+    payoff differences intersect only in the zero vector.  Subsets of
+    more than ``CYCLE_RICH_MAX_SET`` actions are declined.
     """
     members = tuple(subset)
     if len(set(members)) != len(members):
         raise ValueError("subset contains duplicate actions")
     if len(members) < 4:
         raise ValueError("cycle-richness needs at least four actions")
-    if len(members) > max_size:
+    if len(members) > CYCLE_RICH_MAX_SET:
         return CycleRichResult(status="unknown (size)", rich=None)
     if graph is None:
         graph = adjacency_graph(problem)
 
     max_len = min(problem.n_states, len(members))
-    cycles = enumerate_cycles(graph.induced(members), max_len=max_len, cap=cap).cycles
+    cycles = enumerate_cycles(graph.induced(members), max_len=max_len).cycles
     k = problem.n_states
     deltas = [_cycle_deltas(problem, cycle) for cycle in cycles]
     independent = [

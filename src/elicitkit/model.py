@@ -37,7 +37,7 @@ BUNDLE_SCHEMA = "elicitkit-bundle-v1"
 #: expansion may produce.
 PRODUCT_EXPANSION_CAP = 4096
 
-#: Default relative tolerance for validation checks.
+#: Relative tolerance of the validation checks.
 VALIDATE_RTOL = 1e-9
 
 
@@ -435,17 +435,17 @@ class ValidationReport:
     passed: bool
 
 
-def validate_problem(problem: DecisionProblem, tol: float = VALIDATE_RTOL) -> ValidationReport:
+def validate_problem(problem: DecisionProblem) -> ValidationReport:
     """Check for duplicate actions and actions no belief makes strictly best.
 
-    Both read utility divided by its gauge (rows within ``tol`` of each
-    other are duplicates).  An action's max-slack LP that HiGHS neither
+    Both read utility divided by its gauge (rows within ``VALIDATE_RTOL``
+    of each other are duplicates).  An action's max-slack LP that HiGHS neither
     solves nor proves infeasible raises :class:`LPFailure` naming the
     action, rather than reporting the action as non-rationalizable.
     """
     scaled = scale_to_utility_gauge(problem.utility)
     i, j = np.triu_indices(problem.n_actions, 1)
-    close = np.abs(scaled[i] - scaled[j]).max(axis=1) <= tol
+    close = np.abs(scaled[i] - scaled[j]).max(axis=1) <= VALIDATE_RTOL
     redundant = [(problem.actions[a], problem.actions[b]) for a, b in zip(i[close], j[close])]
     weak: list[tuple[str, float]] = []
     for a in range(problem.n_actions):

@@ -219,6 +219,19 @@ def _check_question(problem: DecisionProblem, question: QuestionProfile) -> Floa
     return x
 
 
+def _check_reconstructs(
+    problem: DecisionProblem, x: FloatArray, cert: AlignmentCertificate, tol: float
+) -> None:
+    """Raise ``SynthesisError`` unless the certificate reproduces the question on
+    its scope by substitution, within ``ARBITER_FACTOR`` times the verdict's ``eps``."""
+    scope = [problem.action_index[a] for a in cert.scope]
+    residual = float(np.max(np.abs(reconstruct_question(problem, cert) - x[scope])))
+    if residual > ARBITER_FACTOR * _eps(x, tol):
+        raise SynthesisError(
+            f"certificate does not reconstruct the question (residual {residual:.3e})"
+        )
+
+
 def synth_aligned(
     problem: DecisionProblem,
     question: QuestionProfile,
@@ -240,12 +253,7 @@ def synth_aligned(
     d = np.asarray(cert.d, dtype=np.float64)
     gamma = np.array([cert.gamma_of(a) for a in problem.actions])
     kappa = np.array([cert.kappa_of(a) for a in problem.actions])
-    scope = [problem.action_index[a] for a in cert.scope]
-    residual = float(np.max(np.abs(reconstruct_question(problem, cert) - x[scope])))
-    if residual > ARBITER_FACTOR * _eps(x, tol):
-        raise SynthesisError(
-            f"certificate does not reconstruct the question (residual {residual:.3e})"
-        )
+    _check_reconstructs(problem, x, cert, tol)
     if cert.trivial:
         lo = float(d.min()) - RANGE_MARGIN
         hi = float(d.max()) + RANGE_MARGIN
@@ -328,7 +336,8 @@ def synth_piecewise(
     payments agree exactly, as functions of ``r`` and ``theta``, on
     every shared splitting action.  Breadth-first traversal of the
     part-intersection structure fixes the order; the root part gets
-    gauge 1 and offset 0.
+    gauge 1 and offset 0.  Each part's certificate must reproduce the
+    question on its part, as in :func:`synth_aligned`.
     """
     if set().union(*cert.parts) != set(problem.actions):
         raise SynthesisError("piecewise certificate does not cover the action set")
@@ -336,6 +345,8 @@ def synth_piecewise(
     n_parts = len(cert.parts)
     if n_parts != len(cert.certificates):
         raise SynthesisError("one certificate per part is required")
+    for part_cert in cert.certificates:
+        _check_reconstructs(problem, x, part_cert, tol)
 
     # Global strict lower bound on every part's report coordinate.
     index = problem.action_index

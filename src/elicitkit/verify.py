@@ -39,6 +39,7 @@ from .geometry import (
     OPTIMAL_ACTIONS_RTOL,
     AdjacencyGraph,
     Belief,
+    _band,
     _belief_array,
     adjacency_graph,
     adjacency_test,
@@ -60,6 +61,15 @@ GRID_MAX_STATES = 8
 #: Indifference-face beliefs are skipped for graphs larger than this.
 BOUNDARY_MAX_ACTIONS = 64
 
+#: Beliefs a sweep takes on each indifference face of the graph.
+BOUNDARY_PER_EDGE = 3
+
+#: Refinement rounds of the witness search after its coarse pass.
+REFINE_ROUNDS = 4
+
+#: The witness search doubles its grid denominator up to this.
+MAX_DENOMINATOR = 64
+
 #: Oracle guard: the behavioral cross-check refuses larger problems.
 ORACLE_CELL_CAP = 4096
 
@@ -76,6 +86,9 @@ _GRID_MEMO_BYTES = 2 << 20
 #: Face-perturbation step lengths, longest first: 1, 1/2, ..., 2**-39.
 _FACE_STEPS = np.ldexp(1.0, -np.arange(40))
 
+#: Report mismatches are bounded by this multiple of the action tolerance.
+REPORT_FACTOR = 10.0
+
 #: A candidate witness is confirmed once its gaps exceed the working
 #: tolerances by this factor.
 CONFIRM_FACTOR = 10.0
@@ -86,48 +99,35 @@ class GridSpec:
     """Belief-sweep configuration.
 
     ``denominator`` controls the rational grid, ``samples`` the number
-    of Dirichlet(1) draws, ``boundary_per_edge`` the number of beliefs
-    taken on each adjacency face.  ``tol_action`` separates optimal
-    from suboptimal actions, ``tol_report`` bounds report mismatches,
-    and beliefs whose action sets sit within a tenth of ``tol_action``
-    of the inclusion cutoff, or differ only by actions within
+    of Dirichlet(1) draws and ``seed`` their stream; the face beliefs
+    draw from ``seed + 1`` on.  ``tol`` separates optimal from
+    suboptimal actions, ``REPORT_FACTOR * tol`` bounds report
+    mismatches, and beliefs whose action sets sit within a tenth of the
+    inclusion cutoff, or differ only by actions within
     ``CONFIRM_FACTOR`` cutoffs of optimal on both sides, are reported
-    as ambiguous rather than judged.  ``refine_rounds`` caps the witness
-    search's multi-resolution refinement, and ``max_denominator`` caps
-    the doubling of its grid denominator, which never drops below
-    ``denominator``.
+    as ambiguous rather than judged.  The witness search refines from
+    ``denominator`` up, for ``REFINE_ROUNDS`` rounds.
     """
 
     denominator: int = 10
     samples: int = 500
     seed: int = 0
-    boundary_per_edge: int = 3
-    tol_action: float = 1e-7
-    tol_report: float = 1e-6
-    refine_rounds: int = 4
-    max_denominator: int = 64
+    tol: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.denominator < 1:
             raise ValueError("denominator must be at least 1")
-        if self.samples < 0 or self.boundary_per_edge < 0:
+        if self.samples < 0:
             raise ValueError("sample counts must be nonnegative")
-        for tol in (self.tol_action, self.tol_report):
-            if not (math.isfinite(tol) and tol > 0.0):
-                raise ValueError(f"tolerances must be finite and positive, got {tol}")
-        if self.refine_rounds < 0 or self.max_denominator < 1:
-            raise ValueError("refinement caps must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tolerances must be finite and positive, got {self.tol}")
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "denominator": self.denominator,
             "samples": self.samples,
             "seed": self.seed,
-            "boundary_per_edge": self.boundary_per_edge,
-            "tol_action": self.tol_action,
-            "tol_report": self.tol_report,
-            "refine_rounds": self.refine_rounds,
-            "max_denominator": self.max_denominator,
+            "tol": self.tol,
         }
 
 
@@ -164,10 +164,10 @@ def _compositions(total: int, lows: np.ndarray, highs: np.ndarray) -> np.ndarray
     return rows
 
 
-def belief_grid(k: int, m: int, cap: int = GRID_CAP) -> FloatArray:
+def belief_grid(k: int, m: int) -> FloatArray:
     """All beliefs with coordinates n/m, in lexicographic order.
 
-    The count is C(m + k - 1, k - 1); grids beyond ``cap`` raise
+    The count is C(m + k - 1, k - 1); grids beyond ``GRID_CAP`` raise
     ``TooLargeError`` with a pointer at ``dirichlet_sample``.  The
     integer counts are enumerated as one array, without per-row Python
     work, and divided by ``float(m)``.  The returned array is read-only:
@@ -179,9 +179,9 @@ def belief_grid(k: int, m: int, cap: int = GRID_CAP) -> FloatArray:
     if m < 1:
         raise ValueError("denominator must be at least 1")
     count = math.comb(m + k - 1, k - 1)
-    if count > cap:
+    if count > GRID_CAP:
         raise TooLargeError(
-            f"grid would hold {count} beliefs, above the cap of {cap}; "
+            f"grid would hold {count} beliefs, above the cap of {GRID_CAP}; "
             "too large to enumerate, use dirichlet_sample instead"
         )
     if count * k * 8 <= _GRID_MEMO_BYTES:
@@ -329,7 +329,7 @@ def _first_on_face(
         # one product per candidate, as utility @ candidate computes it
         values = np.matmul(problem.utility, candidate[:, :, None])[:, :, 0]
         best = values.max(axis=1)
-        floor = best - OPTIMAL_ACTIONS_RTOL * (1.0 + np.abs(best))
+        floor = best - _band(best, OPTIMAL_ACTIONS_RTOL)
         rows = np.arange(todo.size)
         ok = (values[rows, first[todo]] >= floor) & (values[rows, second[todo]] >= floor)
         found[todo[ok]] = True
@@ -461,19 +461,18 @@ def _scan_chunk(
     utility: FloatArray,
     x: FloatArray,
     method: ElicitationMethod,
-    tol_action: float,
-    tol_report: float,
+    tol: float,
 ) -> _ChunkScan:
     eu = _by_action(chunk @ utility.T)
     best_u = eu.max(axis=0)
-    cut_u = tol_action * (1.0 + np.abs(best_u))
+    cut_u = _band(best_u, tol)
     deficit_u = best_u - eu
     mask_u = deficit_u <= cut_u
 
     reports = _by_action(chunk @ method.c1.T)
     values = _by_action(chunk @ method.c0.T) + 0.5 * reports * reports
     best_v = values.max(axis=0)
-    cut_v = tol_action * (1.0 + np.abs(best_v))
+    cut_v = _band(best_v, tol)
     deficit_v = best_v - values
     mask_v = deficit_v <= cut_v
 
@@ -486,7 +485,7 @@ def _scan_chunk(
         best_v=best_v,
         report_gaps=gaps,
         sets_equal=(mask_u == mask_v).all(axis=0),
-        bad_report=((gaps > tol_report) & mask_v).any(axis=0),
+        bad_report=((gaps > REPORT_FACTOR * tol) & mask_v).any(axis=0),
         deficit_u=deficit_u,
         cut_u=cut_u,
         deficit_v=deficit_v,
@@ -540,9 +539,7 @@ def _scans(
         if stop + 1 == total:
             stop = total
         chunk = beliefs[start:stop]
-        yield chunk, _scan_chunk(
-            chunk, problem.utility, x, method, spec.tol_action, spec.tol_report
-        )
+        yield chunk, _scan_chunk(chunk, problem.utility, x, method, spec.tol)
         start = stop
 
 
@@ -560,11 +557,6 @@ def _row_witness(
     )
 
 
-def _sweeps_boundaries(problem: DecisionProblem, spec: GridSpec) -> bool:
-    """Whether a sweep adds indifference-face beliefs, and so needs the graph."""
-    return spec.boundary_per_edge > 0 and problem.n_actions <= BOUNDARY_MAX_ACTIONS
-
-
 def _sweep_beliefs(
     problem: DecisionProblem, spec: GridSpec, graph: AdjacencyGraph | None
 ) -> FloatArray:
@@ -574,12 +566,12 @@ def _sweep_beliefs(
         blocks.append(belief_grid(k, spec.denominator))
     if spec.samples > 0:
         blocks.append(dirichlet_sample(k, spec.samples, spec.seed))
-    if _sweeps_boundaries(problem, spec):
+    if problem.n_actions <= BOUNDARY_MAX_ACTIONS:
         if graph is None:
             graph = adjacency_graph(problem)
         if graph.n_edges:
             blocks.append(_face_beliefs(
-                problem, graph.pairs, graph.witnesses, spec.boundary_per_edge, spec.seed + 1
+                problem, graph.pairs, graph.witnesses, BOUNDARY_PER_EDGE, spec.seed + 1
             ))
     if not blocks:
         raise ValueError("spec produced an empty belief set")
@@ -630,14 +622,12 @@ def verify_incentivizability(
 # Distortion search
 
 
-def _confirmed(
-    scan: _ChunkScan, row: int, tol_action: float, tol_report: float
-) -> bool:
+def _confirmed(scan: _ChunkScan, row: int, tol: float) -> bool:
     if not scan.sets_equal[row]:
         gap = scan.best_v[row] - scan.values[scan.mask_u[:, row], row].min()
-        if gap > CONFIRM_FACTOR * tol_action * (1.0 + abs(scan.best_v[row])):
+        if gap > _band(scan.best_v[row], CONFIRM_FACTOR * tol):
             return True
-    if scan.report_gaps[scan.mask_v[:, row], row].max() > CONFIRM_FACTOR * tol_report:
+    if scan.report_gaps[scan.mask_v[:, row], row].max() > CONFIRM_FACTOR * (REPORT_FACTOR * tol):
         return True
     return False
 
@@ -655,7 +645,7 @@ def _scan_for_witness(
     for chunk, scan in _scans(problem, x, method, beliefs, spec):
         suspicious = ~scan.sets_equal | scan.bad_report
         for row in np.flatnonzero(suspicious):
-            if _confirmed(scan, int(row), spec.tol_action, spec.tol_report):
+            if _confirmed(scan, int(row), spec.tol):
                 return _row_witness(problem, scan, chunk, int(row)), None, worst_gap
         value_gaps = scan.best_v - np.where(scan.mask_u, scan.values, np.inf).min(axis=0)
         row = int(np.argmax(value_gaps))
@@ -688,7 +678,7 @@ def find_distortion_witness(
     A coarse pass scans the rational grid (or, for many states, the
     pairwise grid) plus Dirichlet samples; refinement rounds then zoom
     in around the worst value gap, doubling the grid denominator up to
-    ``max_denominator`` (but never below the last one) or concentrating
+    ``MAX_DENOMINATOR`` (but never below the last one) or concentrating
     samples near the suspect belief.  Grid refinement ends early once a
     round would rescan the last round's box.  The first witness whose
     gaps exceed ten times the working tolerances is returned; the search
@@ -711,11 +701,11 @@ def find_distortion_witness(
         return witness
     denominator = spec.denominator
     box_denominator, box_center = 0, None
-    for round_index in range(1, spec.refine_rounds + 1):
+    for round_index in range(1, REFINE_ROUNDS + 1):
         if center is None:
             break
         if k <= GRID_MAX_STATES:
-            denominator = max(denominator, min(denominator * 2, spec.max_denominator))
+            denominator = max(denominator, min(denominator * 2, MAX_DENOMINATOR))
             # The centre moves only to a larger gap, so the same denominator
             # and centre would rescan the last box and find nothing new.
             if denominator == box_denominator and center is box_center:
@@ -852,7 +842,7 @@ def oracle_cross_check(
     # its LPs does not finish, the verdict is decided without it, as
     # ``decide_incentivizable`` alone would decide it.
     try:
-        graph = adjacency_graph(problem) if _sweeps_boundaries(problem, spec) else None
+        graph = adjacency_graph(problem) if problem.n_actions <= BOUNDARY_MAX_ACTIONS else None
     except LPFailure:
         graph = None
     verdict = decide_incentivizable(bundle, tol=tol, graph=graph)

@@ -30,6 +30,10 @@ def test_questions_equivalent_recovers_affine_link():
     gamma, kappa = ek.questions_equivalent(2.0 * y + 3.0, y)
     assert abs(gamma - 2.0) < 1e-12
     assert abs(kappa - 3.0) < 1e-12
+    # far below 1, where y @ y underflows, the link is the same
+    gamma, kappa = ek.questions_equivalent(1e-200 * (2.0 * y + 3.0), 1e-200 * y)
+    assert abs(gamma - 2.0) < 1e-12
+    assert abs(kappa / 1e-200 - 3.0) < 1e-12
 
 
 def test_questions_equivalent_on_constants():

@@ -666,8 +666,8 @@ def test_cycle_rich_fails_on_a_path(ql4):
 
 
 def test_cycle_rich_declines_oversized_sets():
-    problem = ek.make_cycle_rich_safe()
-    result = ek.cycle_rich(problem, problem.actions, max_size=4)
+    problem = ek.make_quadratic_loss(8)  # 9 actions, one above CYCLE_RICH_MAX_SET
+    result = ek.cycle_rich(problem, problem.actions)
     assert result.rich is None
     assert result.status == "unknown (size)"
 

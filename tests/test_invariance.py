@@ -176,7 +176,13 @@ def within():
     return ek.ProblemBundle(problem=problem, question=question)
 
 
-@pytest.mark.parametrize("gamma, kappa", [(1e-6, 3.0), (1e-3, 3.0), (1e6, 0.0), (-2.0, 5.0)])
+# The float-resolution rule is relative to the values, so a question
+# scaled down whole stays decidable; at 1e-200 the collinear fit's d @ d
+# would underflow to 0.
+@pytest.mark.parametrize(
+    "gamma, kappa",
+    [(1e-6, 3.0), (1e-3, 3.0), (1e6, 0.0), (-2.0, 5.0), (1e-8, 0.0), (1e-12, 0.0), (1e-200, 0.0)],
+)
 def test_an_affine_map_of_the_within_x_question_stays_refuted(within, gamma, kappa):
     question = gamma * within.question.values + kappa
     verdict = ek.decide_incentivizable(_rebuilt(within, question=question))

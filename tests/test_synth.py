@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,17 @@ def test_piecewise_mechanism_stitches_exactly(chained_bundle):
         + method.intercept[:, None]
     )
     np.testing.assert_allclose(method.c1, expected, atol=1e-9)
+
+
+def test_piecewise_synthesis_checks_each_part_by_substitution(chained_bundle):
+    verdict = ek.decide_incentivizable(chained_bundle)
+    cert = verdict.certificate
+    last = cert.certificates[-1]
+    tampered = replace(last, kappa=(last.kappa[0] + 1.0, *last.kappa[1:]))
+    certificates = (*cert.certificates[:-1], tampered)
+    bad = replace(verdict, certificate=replace(cert, certificates=certificates))
+    with pytest.raises(ek.SynthesisError, match="does not reconstruct the question"):
+        ek.synthesize(chained_bundle, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def test_belief_grid_is_lexicographic_and_complete():
 
 def test_belief_grid_guards():
     with pytest.raises(ek.TooLargeError):
-        ek.belief_grid(6, 40, cap=100)
+        ek.belief_grid(8, 40)  # C(47, 7) beliefs, above GRID_CAP
     with pytest.raises(ValueError):
         ek.belief_grid(1, 4)
     with pytest.raises(ValueError):
@@ -408,7 +408,7 @@ def test_no_witness_for_the_aligned_mechanism(ql4, aligned_method):
     bundle = ek.ProblemBundle(
         problem=ql4, question=ek.build_question("expected-payoff", ql4)
     )
-    spec = ek.GridSpec(denominator=6, samples=100, refine_rounds=2)
+    spec = ek.GridSpec(denominator=6, samples=100)
     assert ek.find_distortion_witness(bundle, aligned_method, spec=spec) is None
 
 
@@ -450,10 +450,10 @@ def test_refinement_ends_when_it_would_rescan_the_last_box(ql4, monkeypatch):
 
 
 def test_refinement_is_never_coarser_than_the_coarse_pass(monkeypatch):
-    # A denominator above max_denominator is kept, not lowered to it.
+    # A denominator above MAX_DENOMINATOR is kept, not lowered to it.
     boxes = _spy(monkeypatch, "_box_grid")
     bundle, method = _aligned_bundle(ek.make_state_matching([1.0, 2.0, 3.0]))
-    spec = ek.GridSpec(denominator=100, max_denominator=64)
+    spec = ek.GridSpec(denominator=100)
     assert ek.find_distortion_witness(bundle, method, spec) is None
     assert [denominator for _, denominator in boxes] == [100]
 
@@ -537,7 +537,7 @@ def test_quadratic_control_distorts_despite_truthfulness():
     control = ek.make_quadratic_control(problem, question)
     assert control.provenance == "quadratic-control"
     bundle = ek.ProblemBundle(problem=problem, question=question)
-    spec = ek.GridSpec(denominator=3, samples=0, boundary_per_edge=0)
+    spec = ek.GridSpec(denominator=3, samples=0)
     witness = ek.find_distortion_witness(bundle, control, spec=spec)
     assert witness is not None
     # at p = (2/3, 1/3) both actions have expected utility 2/3, but the
@@ -644,18 +644,18 @@ def test_a_near_tie_split_by_the_two_scales_is_ambiguous(bundle, checked):
     assert ek.oracle_cross_check(bundle).consistent
 
 
-def _reference_scan_chunk(chunk, utility, x, method, tol_action, tol_report):
+def _reference_scan_chunk(chunk, utility, x, method, tol):
     """The one-pass scan that judged ambiguity on every row of every scan."""
     eu = chunk @ utility.T
     best_u = eu.max(axis=1)
-    cut_u = tol_action * (1.0 + np.abs(best_u))
+    cut_u = tol * (1.0 + np.abs(best_u))
     deficit_u = best_u[:, None] - eu
     mask_u = deficit_u <= cut_u[:, None]
 
     reports = chunk @ method.c1.T
     values = chunk @ method.c0.T + 0.5 * reports * reports
     best_v = values.max(axis=1)
-    cut_v = tol_action * (1.0 + np.abs(best_v))
+    cut_v = tol * (1.0 + np.abs(best_v))
     deficit_v = best_v[:, None] - values
     mask_v = deficit_v <= cut_v[:, None]
 
@@ -666,7 +666,7 @@ def _reference_scan_chunk(chunk, utility, x, method, tol_action, tol_report):
     near_v = (np.abs(deficit_v - cut_v[:, None]) <= cut_v[:, None] / 10.0).any(axis=1)
 
     sets_equal = (mask_u == mask_v).all(axis=1)
-    bad_report = ((gaps > tol_report) & mask_v).any(axis=1)
+    bad_report = ((gaps > 10.0 * tol) & mask_v).any(axis=1)
     near_both = np.where(
         mask_u,
         deficit_v <= verify.CONFIRM_FACTOR * cut_v[:, None],
@@ -690,9 +690,7 @@ def _reference_scans(problem, x, method, beliefs, spec):
     """The scan in chunks of 16384 rows, each scanned in one pass."""
     for start in range(0, beliefs.shape[0], 16384):
         chunk = beliefs[start : start + 16384]
-        yield chunk, _reference_scan_chunk(
-            chunk, problem.utility, x, method, spec.tol_action, spec.tol_report
-        )
+        yield chunk, _reference_scan_chunk(chunk, problem.utility, x, method, spec.tol)
 
 
 def _scan_split_bundles() -> list[ek.ProblemBundle]:
@@ -728,11 +726,11 @@ def _scan_split_bundles() -> list[ek.ProblemBundle]:
     ]
 
 
-#: The default tolerances, and coarse ones under which many deficits sit
+#: The default tolerance, and a coarse one under which many deficits sit
 #: within a tenth of their cut on either scale.
 _SCAN_SPECS = (
     ek.GridSpec(),
-    ek.GridSpec(denominator=6, samples=100, tol_action=0.05, tol_report=0.05),
+    ek.GridSpec(denominator=6, samples=100, tol=0.05),
 )
 
 
@@ -784,16 +782,11 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         ek.GridSpec(samples=-1)
     with pytest.raises(ValueError):
-        ek.GridSpec(tol_action=0.0)
-    with pytest.raises(ValueError):
-        ek.GridSpec(max_denominator=0)
-    spec = ek.GridSpec()
-    assert spec.to_dict()["denominator"] == 10
+        ek.GridSpec(tol=0.0)
+    assert ek.GridSpec().to_dict() == {"denominator": 10, "samples": 500, "seed": 0, "tol": 1e-7}
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
 def test_grid_spec_rejects_tolerances_that_are_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="finite and positive"):
-        ek.GridSpec(tol_action=tol)
-    with pytest.raises(ValueError, match="finite and positive"):
-        ek.GridSpec(tol_report=tol)
+        ek.GridSpec(tol=tol)
