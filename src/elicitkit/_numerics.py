@@ -14,11 +14,14 @@ checks that interface uses but without its per-call input parsing,
 option validation and result assembly.  Each thread keeps one solver,
 given those options once when it is created; every program is handed
 to it as bare arrays, which replaces the previous model.  What depends
-only on a program's shape (bounds, costs, column offsets, the bounds of
-the result check) is built once per shape, and the result check is one
-array comparison, so a solve costs HiGHS's own ``run()`` and little
-else.  A program HiGHS neither solves nor proves infeasible is solved
-once more, cold and without presolve, before it counts as a failure.
+only on a program's shape (bounds, costs, the bounds of the result
+check) is built once per shape.  Programs come in stacks of one shape:
+one array pass builds the constraint matrices of a whole stack, the
+programs are solved one after another, and one more array pass checks
+and reads every answer, so a solve costs HiGHS's own ``run()`` and
+little else.  A program HiGHS neither solves nor proves infeasible is
+solved once more, cold and without presolve, before it counts as a
+failure.
 
 That solver is scipy's private binding ``scipy.optimize._highspy._core``
 (shipped since scipy 1.15), and it is loaded on its own.  Importing it
@@ -40,7 +43,7 @@ import os
 import sys
 import threading
 from types import ModuleType
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -78,9 +81,11 @@ FloatArray = NDArray[np.float64]
 #: absolute entry of the matrix.
 RANK_RTOL = 1e-9
 
-#: Most floats (512 KB) the callers of ``numerical_rank`` put in one
-#: stack; larger batches of matrices are split into several stacks.
-RANK_STACK_FLOATS = 1 << 16
+#: Most floats (512 KB) one stacked pass holds: the matrices the callers
+#: of ``numerical_rank`` put in one stack, or the arrays one stack of
+#: max-slack programs is built from.  Larger batches are split into
+#: several stacks.
+STACK_FLOATS = 1 << 16
 
 
 def project_vec(vector: FloatArray) -> FloatArray:
@@ -196,7 +201,14 @@ _SETTLED = (_highs.HighsModelStatus.kOptimal, _highs.HighsModelStatus.kInfeasibl
 
 
 class LPFailure(RuntimeError):
-    """A max-slack LP that HiGHS neither solved nor proved infeasible."""
+    """A max-slack LP that HiGHS neither solved nor proved infeasible.
+
+    ``program`` is the position of that LP among the programs solved together.
+    """
+
+    def __init__(self, message: str, program: int = 0) -> None:
+        super().__init__(message)
+        self.program = program
 
 
 def _solver() -> _highs._Highs:
@@ -220,9 +232,7 @@ class _Shape(NamedTuple):
     integrality: np.ndarray
     #: ``by_column`` with every entry that does not depend on the utility.
     template: FloatArray
-    #: The flat ``by_column`` positions where each column starts, and one past the end.
-    column_offsets: np.ndarray
-    #: The row (constraint) of each flat ``by_column`` position.
+    #: The row (constraint) of each entry of a ``by_column`` row.
     row_of: np.ndarray
     #: scipy's feasibility check on the columns' and then the rows' values
     #: ``v`` (see ``_passes_check``): ``floor <= v - shift <= ceiling``.
@@ -265,8 +275,7 @@ def _shape(n_states: int, n_ub: int, tied: bool) -> _Shape:
         row_upper=row_upper,
         integrality=np.zeros(n_cols, dtype=np.int32),  # every column continuous
         template=template,
-        column_offsets=np.arange(0, (n_cols + 1) * n_rows, n_rows),
-        row_of=(np.arange(n_cols * n_rows) % n_rows).astype(np.int32),
+        row_of=np.arange(n_rows, dtype=np.int32),
         check_shift=check_shift,
         check_floor=check_floor,
         check_ceiling=check_ceiling,
@@ -276,8 +285,10 @@ def _shape(n_states: int, n_ub: int, tied: bool) -> _Shape:
     return shape
 
 
-def _passes_check(shape: _Shape, values: FloatArray) -> bool:
+def _passes_check(shape: _Shape, values: FloatArray) -> np.ndarray:
     """scipy's feasibility check on a solution's column values, then row values.
+
+    ``values`` may also hold one solution per row; each row is checked.
 
     scipy requires a NaN-free solution within its bounds, inequality
     slack ``>= -tol`` and equality residual ``<= tol``.  With these bounds
@@ -288,7 +299,7 @@ def _passes_check(shape: _Shape, values: FloatArray) -> bool:
     fails on NaN.
     """
     deviation = values - shape.check_shift
-    return bool(((deviation >= shape.check_floor) & (deviation <= shape.check_ceiling)).all())
+    return ((deviation >= shape.check_floor) & (deviation <= shape.check_ceiling)).all(axis=-1)
 
 
 def _run(highs: _highs._Highs) -> tuple[object, object]:
@@ -342,54 +353,155 @@ def max_slack_lp(
 
     The model, options and feasibility check are those of scipy's
     ``method="highs"`` LP interface, so the result is bit-identical to
-    solving the same program through it.  The bounds, costs, column
-    offsets and check bounds depend only on the program's shape and are
-    built once per shape, as read-only arrays.  Each thread keeps one
-    solver, configured once; passing a model to it discards the previous
-    model together with its solution and basis, so every solve starts
-    cold.
+    solving the same program through it.  The bounds, costs and check
+    bounds depend only on the program's shape and are built once per
+    shape, as read-only arrays.  Each thread keeps one solver, configured
+    once; passing a model to it discards the previous model together
+    with its solution and basis, so every solve starts cold.  This is
+    :func:`_max_slack_programs` on one program, so a program solved in a
+    stack has these bits too.
     """
+    slacks, beliefs = _max_slack_programs(
+        utility, [target], None if tie_with is None else [tie_with]
+    )
+    slack = float(slacks[0])
+    return slack, None if slack == -math.inf else beliefs[0]
+
+
+def _max_slack_programs(
+    utility: FloatArray, targets: Sequence[int], ties: Sequence[int] | None
+) -> tuple[FloatArray, FloatArray]:
+    """:func:`max_slack_lp` of ``(utility, targets[m], ties[m])`` for every ``m``, in order.
+
+    With ``ties`` None no program has a tie.  Returns every slack and
+    every belief, as rows; a program with slack ``-inf`` has a row of
+    zeros.  Each answer has the bits :func:`max_slack_lp` gives that
+    program alone: the programs go to this thread's solver one after
+    another, in order and untieable ones included, with the same model
+    arrays.  The numpy work around the solves is done once per stack of
+    programs, and a stack holds at most ``STACK_FLOATS`` floats (or one
+    program).  The first program in order that HiGHS rejects, that does
+    not finish or whose solution fails the feasibility check raises
+    :class:`LPFailure` with its position as ``program``, and no program
+    after one that does not finish is solved.
+    """
+    targets = np.asarray(targets, dtype=np.intp)
     n_actions, n_states = utility.shape
-    competitors = [c for c in range(n_actions) if c != target and c != tie_with]
-    n_ub = len(competitors)
-    shape = _shape(n_states, n_ub, tie_with is not None)
+    slacks = np.full(targets.size, -np.inf)
+    beliefs = np.zeros((targets.size, n_states))
+    # A program's constraint matrix is (n_states + 1) x n_actions.  Its
+    # stack also holds, each at most that size, the competitor rows it
+    # gathers, the matrix's nonzero values and their row indices.
+    step = max(1, STACK_FLOATS // (4 * (n_states + 1) * n_actions))
+    for first in range(0, targets.size, step):
+        stack = slice(first, first + step)
+        _solve_stack(
+            utility, targets[stack], None if ties is None else ties[stack],
+            first, slacks[stack], beliefs[stack],
+        )
+    return slacks, beliefs
+
+
+def _solve_stack(
+    utility: FloatArray,
+    targets: np.ndarray,
+    ties: Sequence[int] | None,
+    first: int,
+    slacks: FloatArray,
+    beliefs: FloatArray,
+) -> None:
+    """One stack of :func:`_max_slack_programs`, whose first program is at ``first``.
+
+    The answers go into ``slacks`` and ``beliefs``, one row per program.
+    Its arrays are freed on return, before the next stack is built.
+    """
+    n_states = utility.shape[1]
+    shape, column_start, index, value, untieable = _stack_models(utility, targets, ties)
+    ends = np.concatenate(([0], np.cumsum(column_start[:, -1]))).tolist()
+    highs = _solver()
+    values = np.empty((targets.size, shape.check_shift.size))
+    objectives: list[float] = []
+    read: list[int] = []
+    failure = None
+    for k in range(targets.size):
+        lo, hi = ends[k], ends[k + 1]
+        if highs.passModel(
+            n_states + 1, shape.row_of.size, hi - lo, _COLWISE, _MINIMIZE, 0.0,
+            shape.cost, shape.col_lower, shape.col_upper, shape.row_lower, shape.row_upper,
+            column_start[k], index[lo:hi], value[lo:hi], shape.integrality,
+        ) == _highs.HighsStatus.kError:
+            failure = LPFailure("HiGHS rejected the model", first + k)
+            break
+        ran, status = _run(highs)
+        if untieable[k] or status == _highs.HighsModelStatus.kInfeasible:
+            continue
+        if ran == _highs.HighsStatus.kError or status != _highs.HighsModelStatus.kOptimal:
+            failure = LPFailure(
+                f"HiGHS ended with run status {ran.name} and model status {status.name}",
+                first + k,
+            )
+            break
+        solution = highs.getSolution()
+        values[len(read)] = solution.col_value + solution.row_value
+        objectives.append(highs.getObjectiveValue())
+        read.append(k)
+
+    values = values[: len(read)]
+    failed = np.flatnonzero(np.isnan(objectives) | ~_passes_check(shape, values))
+    if failed.size:
+        raise LPFailure(
+            "HiGHS ended with model status kOptimal, "
+            "but its solution fails scipy's feasibility check",
+            first + read[failed[0]],
+        )
+    if failure is not None:
+        raise failure
+    slacks[read] = values[:, n_states]
+    # The checked solutions sum to 1 within the tolerance, so these are positive.
+    found = np.clip(values[:, :n_states], 0.0, None)
+    found /= found.sum(axis=1, keepdims=True)
+    beliefs[read] = found
+
+
+def _stack_models(
+    utility: FloatArray, targets: np.ndarray, ties: Sequence[int] | None
+) -> tuple[_Shape, np.ndarray, np.ndarray, FloatArray, list[bool]]:
+    """The models of one stack of max-slack programs, built in one array pass.
+
+    Returns the stack's shape, each program's CSC column starts (one row
+    per program), the row indices and values of every program's
+    nonzeros, one program after another, and whether each program ties
+    two rows one of which is above the other in every state.  The
+    stack's constraint matrices are freed on return, before any solve.
+    """
+    n_programs = targets.size
+    n_actions, n_states = utility.shape
+    rows = np.arange(n_programs)
+    competes = np.ones((n_programs, n_actions), dtype=bool)
+    competes[rows, targets] = False
+    if ties is not None:
+        competes[rows, ties] = False
+    competitors = competes.nonzero()[1].reshape(n_programs, -1)
+    n_ub = competitors.shape[1]
+    shape = _shape(n_states, n_ub, ties is not None)
     # Variables: p (n_states) then s.  Rows: competitors (<= 0), then
     # sum(p) == 1 and, with a tie, the indifference row (== 0).  Row j of
-    # ``by_column`` is column j of the constraint matrix, so its flat
-    # nonzero positions list the entries column by column, as csc_array
-    # keeps them.
-    by_column = shape.template.copy()
+    # a program's ``by_column`` is column j of its constraint matrix, so
+    # its nonzero entries in order list the matrix column by column, as
+    # csc_array keeps them.
+    by_column = np.repeat(shape.template[None], n_programs, axis=0)
     np.subtract(
-        utility.take(competitors, axis=0), utility[target], out=by_column[:n_states, :n_ub].T
+        utility[competitors],
+        utility[targets][:, None],
+        out=by_column[:, :n_states, :n_ub].transpose(0, 2, 1),
     )
-    if tie_with is not None:
-        np.subtract(utility[target], utility[tie_with], out=by_column[:n_states, -1])
-    untieable = tie_with is not None and abs(np.sign(by_column[:n_states, -1]).sum()) == n_states
-    flat = by_column.ravel().nonzero()[0]
-
-    highs = _solver()
-    if highs.passModel(
-        n_states + 1, by_column.shape[1], len(flat), _COLWISE, _MINIMIZE, 0.0,
-        shape.cost, shape.col_lower, shape.col_upper, shape.row_lower, shape.row_upper,
-        flat.searchsorted(shape.column_offsets).astype(np.int32),
-        shape.row_of.take(flat), by_column.take(flat), shape.integrality,
-    ) == _highs.HighsStatus.kError:
-        raise LPFailure("HiGHS rejected the model")
-    ran, status = _run(highs)
-    if untieable or status == _highs.HighsModelStatus.kInfeasible:
-        return float("-inf"), None
-    if ran == _highs.HighsStatus.kError or status != _highs.HighsModelStatus.kOptimal:
-        raise LPFailure(
-            f"HiGHS ended with run status {ran.name} and model status {status.name}"
-        )
-    solution = highs.getSolution()
-    values = np.array(solution.col_value + solution.row_value)
-    if math.isnan(highs.getObjectiveValue()) or not _passes_check(shape, values):
-        raise LPFailure(
-            f"HiGHS ended with model status {status.name}, "
-            "but its solution fails scipy's feasibility check"
-        )
-    # The checked solution sums to 1 within the tolerance, so this is positive.
-    belief = np.clip(values[:n_states], 0.0, None)
-    belief /= belief.sum()
-    return float(values[n_states]), belief
+    untieable = [False] * n_programs
+    if ties is not None:
+        tie_row = by_column[:, :n_states, -1]
+        np.subtract(utility[targets], utility[ties], out=tie_row)
+        untieable = (np.abs(np.sign(tie_row).sum(axis=1)) == n_states).tolist()
+    nonzero = by_column != 0.0
+    column_start = np.zeros((n_programs, n_states + 2), dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=2), axis=1, out=column_start[:, 1:])
+    index = np.broadcast_to(shape.row_of, by_column.shape)[nonzero]
+    return shape, column_start, index, by_column[nonzero], untieable

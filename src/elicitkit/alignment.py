@@ -37,7 +37,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._numerics import (
-    RANK_STACK_FLOATS,
+    STACK_FLOATS,
     FloatArray,
     LPFailure,
     numerical_rank,
@@ -552,10 +552,10 @@ class Verdict:
 def _affinely_independent(problem: DecisionProblem, size: int) -> bool:
     """Every ``size`` actions affinely independent (payoff differences of full rank).
 
-    The subsets are ranked in stacks of at most ``RANK_STACK_FLOATS`` floats.
+    The subsets are ranked in stacks of at most ``STACK_FLOATS`` floats.
     """
     subsets = itertools.combinations(range(problem.n_actions), size)
-    per_pass = max(1, RANK_STACK_FLOATS // ((size - 1) * problem.n_states))
+    per_pass = max(1, STACK_FLOATS // ((size - 1) * problem.n_states))
     while chunk := list(itertools.islice(subsets, per_pass)):
         index = np.array(chunk)
         rows = problem.utility[index[:, 1:]] - problem.utility[index[:, :1]]

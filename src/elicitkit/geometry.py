@@ -8,7 +8,8 @@ splitting collection for piecewise constructions, and its cycles feed
 the cycle-based necessity test.
 
 Building the graph divides the utility by its gauge once and solves
-one max-slack LP on that matrix per action pair, except for pairs a
+one max-slack LP on that matrix per action pair, in bounded stacks that
+are built and read in one array pass each, except for pairs a
 cheap certificate proves non-adjacent: either no belief comes close to
 tying the two actions, or a single third action beats the first of them
 by a fixed margin near every tie.  Such a pair's LP could only have
@@ -30,9 +31,10 @@ import numpy as np
 
 from ._numerics import (
     MIN_SLACK,
-    RANK_STACK_FLOATS,
+    STACK_FLOATS,
     FloatArray,
     LPFailure,
+    _max_slack_programs,
     max_slack_lp,
     nullspaces,
     numerical_rank,
@@ -130,15 +132,10 @@ class AdjacencyEdge:
     witness: Belief
 
 
-def _pair_lp(
-    problem: DecisionProblem, scaled: FloatArray, i: int, j: int
-) -> tuple[float, FloatArray | None]:
-    """``max_slack_lp(scaled, i, tie_with=j)``, naming the pair if its LP does not finish."""
-    try:
-        return max_slack_lp(scaled, i, tie_with=j)
-    except LPFailure as exc:
-        a, b = problem.actions[i], problem.actions[j]
-        raise LPFailure(f"the adjacency LP of ({a}, {b}) did not finish: {exc}") from exc
+def _pair_failure(problem: DecisionProblem, i: int, j: int, exc: LPFailure) -> LPFailure:
+    """The failure of the adjacency LP of ``(i, j)``, naming the pair."""
+    a, b = problem.actions[i], problem.actions[j]
+    return LPFailure(f"the adjacency LP of ({a}, {b}) did not finish: {exc}")
 
 
 def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
@@ -154,7 +151,10 @@ def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
     ib = problem.action_index[b]
     if ia == ib:
         raise ValueError("adjacency needs two distinct actions")
-    slack, raw = _pair_lp(problem, scale_to_utility_gauge(problem.utility), ia, ib)
+    try:
+        slack, raw = max_slack_lp(scale_to_utility_gauge(problem.utility), ia, tie_with=ib)
+    except LPFailure as exc:
+        raise _pair_failure(problem, ia, ib, exc) from exc
     if raw is None:
         return AdjacencyResult(adjacent=False, slack=slack, witness=None)
     return AdjacencyResult(
@@ -162,15 +162,15 @@ def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
     )
 
 
-def _witness_rows(raws: Sequence[FloatArray], k: int) -> FloatArray:
-    """``Belief.from_array(raw).probs`` of each LP solution, as rows of one array.
+def _witness_rows(raws: FloatArray) -> FloatArray:
+    """``Belief.from_array(raw).probs`` of each LP solution row ``raw``, as rows of one array.
 
     Each row takes ``from_array``'s clip at zero and division by its sum,
     then ``Belief``'s own, so it has that belief's bits; a third pass could
     move them, so a stored row is never passed to ``Belief``.  ``np.clip``
     drops the sign of ``-0.0``, which ``np.maximum(0.0, -0.0)`` keeps.
     """
-    rows = np.stack(raws) if raws else np.empty((0, k))
+    rows = raws
     for _ in range(2):
         rows = np.clip(rows, 0.0, None)
         rows /= rows.sum(axis=1, keepdims=True)
@@ -382,23 +382,24 @@ def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
 
     The utility is divided by its utility gauge once.  One pass of
     :func:`_screened_pairs` over all pairs proves some of them
-    non-adjacent, and they are skipped; every other pair goes to
-    :func:`max_slack_lp` on that scaled matrix, in ``(i, j)`` order, as
-    :func:`adjacency_test` would send it, and an LP that does not finish
-    raises :class:`LPFailure` naming its pair.  A skipped pair's LP is
+    non-adjacent, and they are skipped.  Every other pair's max-slack LP,
+    the program :func:`adjacency_test` hands to :func:`max_slack_lp`, is
+    solved on that scaled matrix in ``(i, j)`` order, the pairs in
+    bounded stacks (:func:`_max_slack_programs`) with the bits each LP
+    has alone.  The first LP that does not finish raises
+    :class:`LPFailure` naming its pair.  A skipped pair's LP is
     infeasible or its optimum is at most ``-SCREEN_MARGIN``, so it could
     never have been an edge, and the edges, their order, slacks and
     witnesses are exactly those of testing every pair.
     """
     scaled = scale_to_utility_gauge(problem.utility)
     pairs = np.stack(_pair_indices(problem.n_actions), axis=1)[~_screened_pairs(scaled)]
-    solved = [_pair_lp(problem, scaled, i, j) for i, j in pairs.tolist()]
-    slacks = np.array([slack for slack, _ in solved], dtype=np.float64)
+    try:
+        slacks, raws = _max_slack_programs(scaled, pairs[:, 0], pairs[:, 1])
+    except LPFailure as exc:
+        raise _pair_failure(problem, *pairs[exc.program].tolist(), exc) from exc
     edge = slacks > MIN_SLACK  # an infeasible pair has slack -inf and no solution
-    raws = [raw for (_, raw), kept in zip(solved, edge.tolist()) if kept]
-    return AdjacencyGraph(
-        problem.actions, pairs[edge], slacks[edge], _witness_rows(raws, problem.n_states)
-    )
+    return AdjacencyGraph(problem.actions, pairs[edge], slacks[edge], _witness_rows(raws[edge]))
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +725,7 @@ def _rich_witness(
 def _stacked_ranks(matrices: Sequence[FloatArray]) -> np.ndarray:
     """``numerical_rank`` of each matrix, all of ``k`` columns, one SVD call per stack.
 
-    Matrices go shortest first into stacks of at most ``RANK_STACK_FLOATS``
+    Matrices go shortest first into stacks of at most ``STACK_FLOATS``
     floats (or one matrix), each zero-padded to the tallest of its stack:
     zero rows add only zero singular values and leave the cutoff as it
     is, so they change no rank.
@@ -736,7 +737,7 @@ def _stacked_ranks(matrices: Sequence[FloatArray]) -> np.ndarray:
         width = matrices[order[start]].shape[1]
         stop = start + 1
         while stop < len(order) and (
-            (stop + 1 - start) * matrices[order[stop]].shape[0] * width <= RANK_STACK_FLOATS
+            (stop + 1 - start) * matrices[order[stop]].shape[0] * width <= STACK_FLOATS
         ):
             stop += 1
         chosen = order[start:stop]

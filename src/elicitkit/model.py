@@ -26,8 +26,8 @@ from ._numerics import (
     MIN_SLACK,
     FloatArray,
     LPFailure,
+    _max_slack_programs,
     as_float_matrix,
-    max_slack_lp,
     scale_to_utility_gauge,
 )
 
@@ -447,16 +447,17 @@ def validate_problem(problem: DecisionProblem) -> ValidationReport:
     i, j = np.triu_indices(problem.n_actions, 1)
     close = np.abs(scaled[i] - scaled[j]).max(axis=1) <= VALIDATE_RTOL
     redundant = [(problem.actions[a], problem.actions[b]) for a, b in zip(i[close], j[close])]
-    weak: list[tuple[str, float]] = []
-    for a in range(problem.n_actions):
-        try:
-            slack, _ = max_slack_lp(scaled, a)
-        except LPFailure as exc:
-            raise LPFailure(
-                f"the max-slack LP of {problem.actions[a]} did not finish: {exc}"
-            ) from exc
-        if not slack > MIN_SLACK:
-            weak.append((problem.actions[a], slack))
+    try:
+        slacks, _ = _max_slack_programs(scaled, range(problem.n_actions), None)
+    except LPFailure as exc:
+        raise LPFailure(
+            f"the max-slack LP of {problem.actions[exc.program]} did not finish: {exc}"
+        ) from exc
+    weak = [
+        (problem.actions[a], slack)
+        for a, slack in enumerate(slacks.tolist())
+        if not slack > MIN_SLACK
+    ]
     return ValidationReport(
         redundant_pairs=tuple(redundant),
         non_rationalizable=tuple(weak),

@@ -94,9 +94,33 @@ def aligned_method(ql4: ek.DecisionProblem) -> ek.ElicitationMethod:
     return decide_and_synthesize(bundle)
 
 
+def record_graph_lps(patch: pytest.MonkeyPatch, record) -> None:
+    """Call ``record(target, tie_with)`` as each LP of an adjacency graph is solved.
+
+    A graph hands its LPs to ``_max_slack_programs``, which solves them in
+    order, one ``_numerics._run`` each, and solves none after one that
+    does not finish; so the ``k``-th run is the ``k``-th program.
+    """
+    real_programs = geometry._max_slack_programs
+    real_run = _numerics._run
+
+    def programs(utility, targets, ties):
+        pending = zip(np.asarray(targets).tolist(), np.asarray(ties).tolist())
+
+        def run(highs):
+            record(*next(pending))
+            return real_run(highs)
+
+        with pytest.MonkeyPatch.context() as solving:
+            solving.setattr(_numerics, "_run", run)
+            return real_programs(utility, targets, ties)
+
+    patch.setattr(geometry, "_max_slack_programs", programs)
+
+
 @pytest.fixture
 def geometry_lps(monkeypatch: pytest.MonkeyPatch) -> list[tuple]:
-    """Record the ``(target, tie_with)`` of every LP the geometry layer solves."""
+    """Record the ``(target, tie_with)`` of every LP the geometry layer solves, in solve order."""
     calls: list[tuple] = []
     real_lp = geometry.max_slack_lp
 
@@ -105,6 +129,7 @@ def geometry_lps(monkeypatch: pytest.MonkeyPatch) -> list[tuple]:
         return real_lp(utility, target, tie_with=tie_with)
 
     monkeypatch.setattr(geometry, "max_slack_lp", counting)
+    record_graph_lps(monkeypatch, lambda target, tie_with: calls.append((target, tie_with)))
     return calls
 
 

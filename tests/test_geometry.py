@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import elicitkit as ek
-from elicitkit import geometry
+from conftest import record_graph_lps
+from elicitkit import _numerics, geometry
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +183,11 @@ def test_stacked_witnesses_have_the_bits_of_from_array():
         rows[:, -1] += 0.1  # a vector that sums to zero is no belief
         cases.append(list(rows))
     for raws in cases:
-        got = geometry._witness_rows(raws, raws[0].size)
+        got = geometry._witness_rows(np.array(raws))
         assert got.shape == (len(raws), raws[0].size)
         for row, raw in zip(got, raws):
             assert row.tobytes() == ek.Belief.from_array(raw).probs.tobytes()
-    assert geometry._witness_rows([], 3).shape == (0, 3)
+    assert geometry._witness_rows(np.empty((0, 3))).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +204,18 @@ def _every_pair(problem):
 
 
 def _tested_pairs(problem, monkeypatch):
-    """``adjacency_graph(problem)`` and the pairs it tested.
+    """``adjacency_graph(problem)`` and the pairs it tested, in solve order.
 
-    The graph's LPs are recorded where it calls ``max_slack_lp``, as the
+    The graph's LPs are recorded as they are solved, as the
     ``geometry_lps`` fixture records them.
     """
     tested = []
-    real_lp = geometry.max_slack_lp
 
-    def recording(utility, target, tie_with=None):
+    def recording(target, tie_with):
         tested.append((problem.actions[target], problem.actions[tie_with]))
-        return real_lp(utility, target, tie_with=tie_with)
 
     with monkeypatch.context() as patch:
-        patch.setattr(geometry, "max_slack_lp", recording)
+        record_graph_lps(patch, recording)
         return geometry.adjacency_graph(problem), tested
 
 
@@ -368,6 +368,130 @@ def test_adjacency_screen_chunks_give_the_same_pairs(monkeypatch):
         monkeypatch.setattr(geometry, "SCREEN_MAX_POINTS", per_pair - 1)
         assert not geometry._screened_pairs(scaled).any()
         monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# The graph's LPs, solved in stacks
+
+
+def _assert_stacks_match_single_programs(problem):
+    """Every pair's tied program and every action's own, stacked and one at a time.
+
+    Returns how many stacked programs were infeasible.
+    """
+    scaled = geometry.scale_to_utility_gauge(problem.utility)
+    batches = [geometry._pair_indices(problem.n_actions), (np.arange(problem.n_actions), None)]
+    infeasible = 0
+    for targets, ties in batches:
+        slacks, beliefs = _numerics._max_slack_programs(scaled, targets, ties)
+        for m, target in enumerate(targets.tolist()):
+            tie = None if ties is None else int(ties[m])
+            slack, belief = _numerics.max_slack_lp(scaled, target, tie)
+            assert slacks[m].tobytes() == np.float64(slack).tobytes(), (target, tie)
+            if belief is None:
+                assert slack == -np.inf and not beliefs[m].any()
+                infeasible += 1
+            else:
+                assert beliefs[m].tobytes() == belief.tobytes(), (target, tie)
+    return infeasible
+
+
+def test_stacked_programs_have_the_bits_of_single_programs():
+    problems = [*_NAMED_SCREEN_PROBLEMS, *(p for _, p in _seeded_screen_problems())]
+    # A tie of two rows one of which is above the other in every state,
+    # untieable, is what makes a program infeasible.
+    assert sum(map(_assert_stacks_match_single_programs, problems)) > 0
+
+
+def test_stack_budgets_give_the_same_graph(monkeypatch):
+    rng = np.random.default_rng(78)
+    problems = [
+        ek.make_quadratic_loss(6),
+        ek.make_mc_test(3, 2)[0],
+        *(_random_screen_problem(rng, kind) for kind in _SCREEN_KINDS),
+    ]
+    real_stack = _numerics._solve_stack
+    stacks = 0
+    for problem in problems:
+        whole = geometry.adjacency_graph(problem)
+        per_program = 4 * (problem.n_states + 1) * problem.n_actions
+        for programs_per_stack in (1, 2, 3):
+            sizes = []
+
+            def stack(utility, targets, *rest):
+                sizes.append(targets.size)
+                return real_stack(utility, targets, *rest)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(_numerics, "STACK_FLOATS", programs_per_stack * per_program)
+                patch.setattr(_numerics, "_solve_stack", stack)
+                graph = geometry.adjacency_graph(problem)
+            assert all(size == programs_per_stack for size in sizes[:-1])
+            assert all(1 <= size <= programs_per_stack for size in sizes[-1:])
+            stacks += len(sizes)
+            np.testing.assert_array_equal(graph.pairs, whole.pairs)
+            assert graph.slacks.tobytes() == whole.slacks.tobytes()
+            assert graph.witnesses.tobytes() == whole.witnesses.tobytes()
+    assert stacks > 3 * len(problems)
+
+
+class _CorruptingSolver:
+    """This thread's solver, with NaN in the solutions its chosen reads return."""
+
+    def __init__(self, highs, corrupt: set[int]) -> None:
+        self.highs = highs
+        self.corrupt = corrupt
+        self.reads = 0
+
+    def __getattr__(self, name: str):
+        return getattr(self.highs, name)
+
+    def getSolution(self):
+        solution = self.highs.getSolution()
+        self.reads += 1
+        if self.reads not in self.corrupt:
+            return solution
+        return SimpleNamespace(
+            col_value=[np.nan, *solution.col_value[1:]], row_value=solution.row_value
+        )
+
+
+def test_the_first_program_failing_the_check_is_named(monkeypatch):
+    # The second and third solutions read fail scipy's feasibility check,
+    # both inside one stack: the stack names the program of the second
+    # read, as solving the programs one at a time does.
+    problem = ek.make_mc_test(3, 2)[0]
+    _, tested = _tested_pairs(problem, monkeypatch)
+    solver = _numerics._solver()
+
+    def failure(run):
+        corrupting = _CorruptingSolver(solver, {2, 3})
+        with monkeypatch.context() as patch:
+            patch.setattr(_numerics, "_solver", lambda: corrupting)
+            with pytest.raises(ek.LPFailure, match="fails scipy's feasibility check") as caught:
+                run()
+        return str(caught.value)
+
+    def one_pair_at_a_time():
+        for pair in tested:
+            ek.adjacency_test(problem, *pair)
+
+    def one_action_at_a_time():
+        scaled = geometry.scale_to_utility_gauge(problem.utility)
+        for a, action in enumerate(problem.actions):
+            try:
+                _numerics.max_slack_lp(scaled, a)
+            except ek.LPFailure as exc:
+                raise ek.LPFailure(f"the max-slack LP of {action} did not finish: {exc}") from exc
+
+    assert len(tested) > 3
+    assert 4 * (problem.n_states + 1) * problem.n_actions * len(tested) <= _numerics.STACK_FLOATS
+    graph_failure = failure(lambda: geometry.adjacency_graph(problem))
+    assert graph_failure == failure(one_pair_at_a_time)
+    assert graph_failure.startswith("the adjacency LP of ")
+    validate_failure = failure(lambda: ek.validate_problem(problem))
+    assert validate_failure == failure(one_action_at_a_time)
+    assert validate_failure.startswith(f"the max-slack LP of {problem.actions[1]} ")
 
 
 def _reference_screened_pairs(utility, i):

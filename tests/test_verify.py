@@ -14,7 +14,7 @@ import pytest
 
 import elicitkit as ek
 from conftest import decide_and_synthesize, random_validated_problems
-from elicitkit import verify
+from elicitkit import geometry, verify
 from elicitkit._numerics import nullspace
 from elicitkit.verify import _box_grid, _face_beliefs
 
@@ -583,13 +583,21 @@ def test_deciding_and_cross_checking_build_no_belief(
 ):
     # The graph keeps its witnesses as one array, and the verdict and the
     # face beliefs read that array: no Belief is built on either path.
+    # A Belief is built by its __init__ or around a stored witness row.
     built = []
+    real_init = ek.Belief.__init__
+    real_stored = geometry._stored_belief
 
-    def counted(cls, *args, **kwargs):
-        built.append(cls)
-        return object.__new__(cls)
+    def counted_init(self, *args, **kwargs):
+        built.append(type(self))
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(ek.Belief, "__new__", staticmethod(counted))
+    def counted_stored(row):
+        built.append(ek.Belief)
+        return real_stored(row)
+
+    monkeypatch.setattr(ek.Belief, "__init__", counted_init)
+    monkeypatch.setattr(geometry, "_stored_belief", counted_stored)
     for bundle in (chained_bundle, within_bundle):
         verdict = ek.decide_incentivizable(bundle)
         assert verdict.theorem != "global-alignment-sufficiency"
