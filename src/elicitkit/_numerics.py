@@ -7,21 +7,21 @@ stack, SVD nullspaces under the same rule, the two gauges that set the
 scale of every LP slack and alignment tolerance and read no offset (the
 largest per-state range of utility, and the spread ``max |Xbar(a)|`` of
 the mean-free question rows), and the max-slack feasibility programs
-used by the adjacency and rationalizability tests.  Those
-programs go straight to the HiGHS solver behind scipy's
-``method="highs"`` LP interface, with the model, options and result
-checks that interface uses but without its per-call input parsing,
-option validation and result assembly.  Each thread keeps one solver,
-given those options once when it is created; every program is handed
-to it as bare arrays, which replaces the previous model.  What depends
-only on a program's shape (bounds, costs, the bounds of the result
-check) is built once per shape.  Programs come in stacks of one shape:
-one array pass builds the constraint matrices of a whole stack, the
-programs are solved one after another, and one more array pass checks
-and reads every answer, so a solve costs HiGHS's own ``run()`` and
-little else.  A program HiGHS neither solves nor proves infeasible is
-solved once more, cold and without presolve, before it counts as a
-failure.
+used by the adjacency and rationalizability tests, every one of them
+solved by :func:`_max_slack_programs`.  The programs go straight to the
+HiGHS solver behind scipy's ``method="highs"`` LP interface, with the
+model, options and result checks that interface uses but without its
+per-call input parsing, option validation and result assembly.  Each
+thread keeps one solver, given those options once when it is created;
+every program is handed to it as bare arrays, which replaces the
+previous model.  What depends only on a program's shape (bounds, costs,
+the bounds of the result check) is built once per shape.  Programs come
+in stacks of one shape: one array pass builds the constraint matrices of
+a whole stack, the programs are solved one after another, and one more
+array pass checks and reads every answer, so a solve costs HiGHS's own
+``run()`` and little else.  A program HiGHS neither solves nor proves
+infeasible is solved once more, cold and without presolve, before it
+counts as a failure.
 
 That solver is scipy's private binding ``scipy.optimize._highspy._core``
 (shipped since scipy 1.15), and it is loaded on its own.  Importing it
@@ -353,13 +353,11 @@ def max_slack_lp(
 
     The model, options and feasibility check are those of scipy's
     ``method="highs"`` LP interface, so the result is bit-identical to
-    solving the same program through it.  The bounds, costs and check
-    bounds depend only on the program's shape and are built once per
-    shape, as read-only arrays.  Each thread keeps one solver, configured
-    once; passing a model to it discards the previous model together
-    with its solution and basis, so every solve starts cold.  This is
-    :func:`_max_slack_programs` on one program, so a program solved in a
-    stack has these bits too.
+    solving the same program through it.  Passing a model to this thread's
+    solver discards the previous model with its solution and basis, so
+    every solve starts cold.  This is :func:`_max_slack_programs`, which
+    solves every program of the package, on one program; only tests and
+    the benchmark tracer call this form.
     """
     slacks, beliefs = _max_slack_programs(
         utility, [target], None if tie_with is None else [tie_with]

@@ -48,6 +48,7 @@ from ._numerics import (
 from .model import DecisionProblem, ProblemBundle, ProductStructure, QuestionProfile
 from .geometry import (
     AdjacencyGraph,
+    _problem_graph,
     adjacency_graph,
     classify_graph,
     cycle_rich,
@@ -646,6 +647,7 @@ def decide_incentivizable(
     that needs a graph one of whose LPs did not finish: its note names
     the pair and the solver status, and so is a question whose spread is
     nonzero but within ``tol * max|X|``, below float resolution.
+    A ``graph`` passed in that is another problem's raises ``ValueError``.
     """
     if bundle.question is None:
         raise ValueError("the bundle has no question to decide")
@@ -668,11 +670,10 @@ def decide_incentivizable(
             certificate=cert,
         )
 
-    if graph is None:
-        try:
-            graph = adjacency_graph(problem)
-        except LPFailure as exc:
-            return Verdict(status="inconclusive", note=str(exc))
+    try:
+        graph = _problem_graph(problem, graph)
+    except LPFailure as exc:
+        return Verdict(status="inconclusive", note=str(exc))
     classification = classify_graph(graph, bundle.product)
 
     if classification.connected:

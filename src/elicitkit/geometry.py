@@ -16,14 +16,15 @@ by a fixed margin near every tie.  Such a pair's LP could only have
 confirmed the non-edge, so the graph is the one the LPs alone would
 give, bit for bit.  One array pass screens all pairs of a graph; its
 working set is bounded, and problems with too many states for it skip
-it.  The graph is stored as arrays, its witnesses normalized in one
-stacked pass.  The cycle-richness test checks the independence of all
-its cycles, and the spans of each subset, in stacked SVD calls.
+it.  Every adjacency LP goes through one pair routine, whose witnesses
+are the rows the LP layer normalized; the graph stores them as arrays.
+The cycle-richness test checks the independence of all its cycles, and
+the spans of each subset, in stacked SVD calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -35,7 +36,6 @@ from ._numerics import (
     FloatArray,
     LPFailure,
     _max_slack_programs,
-    max_slack_lp,
     nullspaces,
     numerical_rank,
     project_rows,
@@ -132,10 +132,29 @@ class AdjacencyEdge:
     witness: Belief
 
 
-def _pair_failure(problem: DecisionProblem, i: int, j: int, exc: LPFailure) -> LPFailure:
-    """The failure of the adjacency LP of ``(i, j)``, naming the pair."""
-    a, b = problem.actions[i], problem.actions[j]
-    return LPFailure(f"the adjacency LP of ({a}, {b}) did not finish: {exc}")
+def _pair_lps(
+    scaled: FloatArray, pairs: np.ndarray, actions: Sequence[str]
+) -> tuple[FloatArray, FloatArray]:
+    """Slack and witness row of each pair's max-slack LP on the gauged utility ``scaled``.
+
+    The rows are read-only, as :func:`_max_slack_programs` normalized them;
+    an infeasible pair has slack ``-inf``.  An LP that does not finish
+    raises :class:`LPFailure` naming its pair.
+    """
+    try:
+        slacks, rows = _max_slack_programs(scaled, pairs[:, 0], pairs[:, 1])
+    except LPFailure as exc:
+        a, b = (actions[k] for k in pairs[exc.program].tolist())
+        raise LPFailure(f"the adjacency LP of ({a}, {b}) did not finish: {exc}") from exc
+    rows.setflags(write=False)
+    return slacks, rows
+
+
+def _stored_belief(row: FloatArray) -> Belief:
+    """A ``Belief`` around a read-only witness row of :func:`_pair_lps`."""
+    belief = Belief.__new__(Belief)
+    object.__setattr__(belief, "probs", row)
+    return belief
 
 
 def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
@@ -144,44 +163,21 @@ def adjacency_test(problem: DecisionProblem, a: str, b: str) -> AdjacencyResult:
     The reported slack is measured on utility divided by its gauge, so
     the adjacency threshold has the same meaning across problems and
     under positive rescales and per-state shifts of utility.  In
-    a two-action problem the slack is vacuous and capped at 2.  An LP
+    a two-action problem the slack is vacuous and capped at 2.  The LP
+    is the one :func:`adjacency_graph` solves for the pair, solved cold
+    as a stack of one, so slack and witness have the graph's bits.  An LP
     that does not finish raises :class:`LPFailure` naming the pair.
     """
     ia = problem.action_index[a]
     ib = problem.action_index[b]
     if ia == ib:
         raise ValueError("adjacency needs two distinct actions")
-    try:
-        slack, raw = max_slack_lp(scale_to_utility_gauge(problem.utility), ia, tie_with=ib)
-    except LPFailure as exc:
-        raise _pair_failure(problem, ia, ib, exc) from exc
-    if raw is None:
-        return AdjacencyResult(adjacent=False, slack=slack, witness=None)
-    return AdjacencyResult(
-        adjacent=slack > MIN_SLACK, slack=slack, witness=Belief.from_array(raw)
+    slacks, rows = _pair_lps(
+        scale_to_utility_gauge(problem.utility), np.array([[ia, ib]]), problem.actions
     )
-
-
-def _witness_rows(raws: FloatArray) -> FloatArray:
-    """``Belief.from_array(raw).probs`` of each LP solution row ``raw``, as rows of one array.
-
-    Each row takes ``from_array``'s clip at zero and division by its sum,
-    then ``Belief``'s own, so it has that belief's bits; a third pass could
-    move them, so a stored row is never passed to ``Belief``.  ``np.clip``
-    drops the sign of ``-0.0``, which ``np.maximum(0.0, -0.0)`` keeps.
-    """
-    rows = raws
-    for _ in range(2):
-        rows = np.clip(rows, 0.0, None)
-        rows /= rows.sum(axis=1, keepdims=True)
-    return rows
-
-
-def _stored_belief(row: FloatArray) -> Belief:
-    """A ``Belief`` around a read-only row that ``_witness_rows`` normalized."""
-    belief = Belief.__new__(Belief)
-    object.__setattr__(belief, "probs", row)
-    return belief
+    slack = float(slacks[0])
+    witness = None if slack == -np.inf else _stored_belief(rows[0])
+    return AdjacencyResult(adjacent=slack > MIN_SLACK, slack=slack, witness=witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,16 +185,13 @@ class AdjacencyGraph:
     """Undirected graph over the problem's actions, as read-only arrays.
 
     Edge ``m`` joins the actions at ``pairs[m]``, with LP slack ``slacks[m]``
-    and witness ``witnesses[m]``; ``edges`` is built on first use.  A
-    subgraph keeps its parent and the parent's row of each edge in
-    ``_source``, so it shares the parent's edge objects.
+    and witness ``witnesses[m]``; ``edges`` is built on first use.
     """
 
     actions: tuple[str, ...]
     pairs: np.ndarray
     slacks: FloatArray
     witnesses: FloatArray
-    _source: tuple["AdjacencyGraph", np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         for array in (self.pairs, self.slacks, self.witnesses):
@@ -206,9 +199,6 @@ class AdjacencyGraph:
 
     @cached_property
     def edges(self) -> tuple[AdjacencyEdge, ...]:
-        if self._source is not None:
-            parent, rows = self._source
-            return tuple(parent.edges[m] for m in rows.tolist())
         return tuple(
             AdjacencyEdge(e["a"], e["b"], e["slack"], _stored_belief(e["witness"]))
             for e in self.to_dict()["edges"]
@@ -242,9 +232,7 @@ class AdjacencyGraph:
             position[self.index[a]] = p
         pairs = position[self.pairs]
         rows = np.flatnonzero((pairs >= 0).all(axis=1))
-        return AdjacencyGraph(
-            members, pairs[rows], self.slacks[rows], self.witnesses[rows], (self, rows)
-        )
+        return AdjacencyGraph(members, pairs[rows], self.slacks[rows], self.witnesses[rows])
 
     def has_edge(self, a: str, b: str) -> bool:
         i, j = self.index[a], self.index[b]
@@ -282,7 +270,7 @@ class AdjacencyGraph:
 #: non-adjacency screen covers, in the utility gauge.  It is ten times
 #: HiGHS's 1e-7 primal feasibility tolerance, so every belief the LP returns
 #: as tying the pair lies inside the slab.  That rests on HiGHS meeting its
-#: own tolerance, not on ``max_slack_lp``'s result check, which accepts tie
+#: own tolerance, not on the LP layer's result check, which accepts tie
 #: residuals up to about 3e-4; a tie point further out would be an LP answer
 #: outside its tolerance, and the tests check the slab against every pair's LP.
 SCREEN_TIE = 1e-6
@@ -382,24 +370,31 @@ def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
 
     The utility is divided by its utility gauge once.  One pass of
     :func:`_screened_pairs` over all pairs proves some of them
-    non-adjacent, and they are skipped.  Every other pair's max-slack LP,
-    the program :func:`adjacency_test` hands to :func:`max_slack_lp`, is
-    solved on that scaled matrix in ``(i, j)`` order, the pairs in
-    bounded stacks (:func:`_max_slack_programs`) with the bits each LP
-    has alone.  The first LP that does not finish raises
-    :class:`LPFailure` naming its pair.  A skipped pair's LP is
-    infeasible or its optimum is at most ``-SCREEN_MARGIN``, so it could
-    never have been an edge, and the edges, their order, slacks and
-    witnesses are exactly those of testing every pair.
+    non-adjacent, and they are skipped.  Every other pair's LP, the one
+    :func:`adjacency_test` solves, goes to :func:`_pair_lps` in ``(i, j)``
+    order; the first that does not finish raises :class:`LPFailure`.  A
+    skipped pair's LP is infeasible or its optimum is at most
+    ``-SCREEN_MARGIN``, so it could never have been an edge, and the
+    edges, their order, slacks and witnesses are exactly those of testing
+    every pair.
     """
     scaled = scale_to_utility_gauge(problem.utility)
     pairs = np.stack(_pair_indices(problem.n_actions), axis=1)[~_screened_pairs(scaled)]
-    try:
-        slacks, raws = _max_slack_programs(scaled, pairs[:, 0], pairs[:, 1])
-    except LPFailure as exc:
-        raise _pair_failure(problem, *pairs[exc.program].tolist(), exc) from exc
+    slacks, rows = _pair_lps(scaled, pairs, problem.actions)
     edge = slacks > MIN_SLACK  # an infeasible pair has slack -inf and no solution
-    return AdjacencyGraph(problem.actions, pairs[edge], slacks[edge], _witness_rows(raws[edge]))
+    return AdjacencyGraph(problem.actions, pairs[edge], slacks[edge], rows[edge])
+
+
+def _problem_graph(problem: DecisionProblem, graph: AdjacencyGraph | None) -> AdjacencyGraph:
+    """``graph``, or ``problem``'s graph when it is None; another problem's raises ``ValueError``.
+
+    Only actions and states are compared: payoffs need the graph rebuilt.
+    """
+    if graph is None:
+        return adjacency_graph(problem)
+    if graph.actions != problem.actions or graph.witnesses.shape[1] != problem.n_states:
+        raise ValueError("the graph given is another problem's: its actions or states differ")
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +639,8 @@ def cycle_rich(
     action must sit on enough internally independent cycles (each
     meeting the subset in two or more actions) that the spans of their
     payoff differences intersect only in the zero vector.  Subsets of
-    more than ``CYCLE_RICH_MAX_SET`` actions are declined.
+    more than ``CYCLE_RICH_MAX_SET`` actions are declined.  A ``graph``
+    passed in that is another problem's raises ``ValueError``.
     """
     members = tuple(subset)
     if len(set(members)) != len(members):
@@ -653,8 +649,7 @@ def cycle_rich(
         raise ValueError("cycle-richness needs at least four actions")
     if len(members) > CYCLE_RICH_MAX_SET:
         return CycleRichResult(status="unknown (size)", rich=None)
-    if graph is None:
-        graph = adjacency_graph(problem)
+    graph = _problem_graph(problem, graph)
 
     max_len = min(problem.n_states, len(members))
     cycles = enumerate_cycles(graph.induced(members), max_len=max_len).cycles

@@ -25,6 +25,7 @@ with the per-direction arithmetic of one face alone.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -41,6 +42,7 @@ from .geometry import (
     Belief,
     _band,
     _belief_array,
+    _problem_graph,
     adjacency_graph,
     adjacency_test,
 )
@@ -167,21 +169,21 @@ def _compositions(total: int, lows: np.ndarray, highs: np.ndarray) -> np.ndarray
 def belief_grid(k: int, m: int) -> FloatArray:
     """All beliefs with coordinates n/m, in lexicographic order.
 
-    The count is C(m + k - 1, k - 1); grids beyond ``GRID_CAP`` raise
-    ``TooLargeError`` with a pointer at ``dirichlet_sample``.  The
-    integer counts are enumerated as one array, without per-row Python
-    work, and divided by ``float(m)``.  The returned array is read-only:
-    grids of at most 2 MB are built once and shared between calls, larger
-    ones are built on every call and not kept.
+    The count is C(m + k - 1, k - 1); grids beyond ``GRID_CAP`` rows or
+    ``GRID_CAP * GRID_MAX_STATES`` floats raise ``TooLargeError`` with a
+    pointer at ``dirichlet_sample``.  The integer counts are enumerated as
+    one array, without per-row Python work, and divided by ``float(m)``.
+    The returned array is read-only: grids of at most 2 MB are built once
+    and shared between calls, larger ones are built on every call.
     """
     if k < 2:
         raise ValueError("a belief needs at least two states")
     if m < 1:
         raise ValueError("denominator must be at least 1")
     count = math.comb(m + k - 1, k - 1)
-    if count > GRID_CAP:
+    if count > GRID_CAP or count * k > GRID_CAP * GRID_MAX_STATES:
         raise TooLargeError(
-            f"grid would hold {count} beliefs, above the cap of {GRID_CAP}; "
+            f"grid would hold {count} beliefs of {k} states, above its caps; "
             "too large to enumerate, use dirichlet_sample instead"
         )
     if count * k * 8 <= _GRID_MEMO_BYTES:
@@ -567,8 +569,7 @@ def _sweep_beliefs(
     if spec.samples > 0:
         blocks.append(dirichlet_sample(k, spec.samples, spec.seed))
     if problem.n_actions <= BOUNDARY_MAX_ACTIONS:
-        if graph is None:
-            graph = adjacency_graph(problem)
+        graph = _problem_graph(problem, graph)
         if graph.n_edges:
             blocks.append(_face_beliefs(
                 problem, graph.pairs, graph.witnesses, BOUNDARY_PER_EDGE, spec.seed + 1
@@ -591,8 +592,8 @@ def verify_incentivizability(
     payment-optimal action's report must match the transform image of
     the truthful question expectation.  Beliefs whose action sets sit
     on the tolerance razor's edge are counted ambiguous, not failed.
-    ``graph`` is the problem's adjacency graph, if already built; it
-    places the indifference-face beliefs.
+    ``graph`` is the problem's adjacency graph, if already built (another
+    problem's raises ``ValueError``); it places the indifference-face beliefs.
     """
     x = _require_bound(bundle, method)
     problem = bundle.problem
@@ -676,13 +677,13 @@ def find_distortion_witness(
     """Multi-resolution search for a belief where the mechanism distorts.
 
     A coarse pass scans the rational grid (or, for many states, the
-    pairwise grid) plus Dirichlet samples; refinement rounds then zoom
-    in around the worst value gap, doubling the grid denominator up to
-    ``MAX_DENOMINATOR`` (but never below the last one) or concentrating
-    samples near the suspect belief.  Grid refinement ends early once a
-    round would rescan the last round's box.  The first witness whose
-    gaps exceed ten times the working tolerances is returned; the search
-    is deterministic for fixed inputs.
+    pairwise grid, unless ``belief_grid`` refuses it) plus Dirichlet
+    samples; refinement rounds then zoom in around the worst value gap,
+    doubling the grid denominator up to ``MAX_DENOMINATOR`` (but never
+    below the last one) or concentrating samples near the suspect belief.
+    Grid refinement ends early once a round would rescan the last round's
+    box.  The first witness whose gaps exceed ten times the working
+    tolerances is returned; the search is deterministic for fixed inputs.
     """
     x = _require_bound(bundle, method)
     problem = bundle.problem
@@ -691,12 +692,13 @@ def find_distortion_witness(
     if k <= GRID_MAX_STATES:
         blocks.append(belief_grid(k, spec.denominator))
     else:
-        blocks.append(belief_grid(k, 2))
+        with contextlib.suppress(TooLargeError):  # too many states for the pairwise grid
+            blocks.append(belief_grid(k, 2))
     if spec.samples > 0:
         blocks.append(dirichlet_sample(k, spec.samples, spec.seed))
-    witness, center, gap = _scan_for_witness(
-        problem, x, method, np.vstack(blocks), spec
-    )
+    if not blocks:
+        raise ValueError("spec produced an empty belief set")
+    witness, center, gap = _scan_for_witness(problem, x, method, np.vstack(blocks), spec)
     if witness is not None:
         return witness
     denominator = spec.denominator

@@ -63,6 +63,23 @@ def random_validated_problems(
     return out
 
 
+def foreign_graphs(problem: ek.DecisionProblem) -> list[ek.AdjacencyGraph]:
+    """Adjacency graphs of two other problems: one on relabelled actions,
+    one on the same actions over one more state."""
+    n_states = problem.n_states + 1
+    relabelled = ek.DecisionProblem(
+        states=problem.states,
+        actions=tuple(f"other {a}" for a in problem.actions),
+        utility=problem.utility,
+    )
+    wider = ek.DecisionProblem(
+        states=tuple(f"s{i}" for i in range(n_states)),
+        actions=problem.actions,
+        utility=np.random.default_rng(0).uniform(size=(problem.n_actions, n_states)),
+    )
+    return [ek.adjacency_graph(relabelled), ek.adjacency_graph(wider)]
+
+
 @pytest.fixture(scope="session")
 def ql4() -> ek.DecisionProblem:
     return ek.make_quadratic_loss(4)
@@ -95,11 +112,12 @@ def aligned_method(ql4: ek.DecisionProblem) -> ek.ElicitationMethod:
 
 
 def record_graph_lps(patch: pytest.MonkeyPatch, record) -> None:
-    """Call ``record(target, tie_with)`` as each LP of an adjacency graph is solved.
+    """Call ``record(target, tie_with)`` as each adjacency LP is solved.
 
-    A graph hands its LPs to ``_max_slack_programs``, which solves them in
-    order, one ``_numerics._run`` each, and solves none after one that
-    does not finish; so the ``k``-th run is the ``k``-th program.
+    The geometry layer hands every adjacency LP, a graph's or one pair's,
+    to ``_max_slack_programs``, which solves them in order, one
+    ``_numerics._run`` each, and solves none after one that does not
+    finish; so the ``k``-th run is the ``k``-th program.
     """
     real_programs = geometry._max_slack_programs
     real_run = _numerics._run
@@ -122,13 +140,6 @@ def record_graph_lps(patch: pytest.MonkeyPatch, record) -> None:
 def geometry_lps(monkeypatch: pytest.MonkeyPatch) -> list[tuple]:
     """Record the ``(target, tie_with)`` of every LP the geometry layer solves, in solve order."""
     calls: list[tuple] = []
-    real_lp = geometry.max_slack_lp
-
-    def counting(utility, target, tie_with=None):
-        calls.append((target, tie_with))
-        return real_lp(utility, target, tie_with=tie_with)
-
-    monkeypatch.setattr(geometry, "max_slack_lp", counting)
     record_graph_lps(monkeypatch, lambda target, tie_with: calls.append((target, tie_with)))
     return calls
 

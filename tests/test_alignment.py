@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import foreign_graphs
 from test_numerics import exact_nullspace, exact_rank
 
 import elicitkit as ek
@@ -1031,6 +1032,12 @@ def test_a_graph_lp_that_does_not_finish_leaves_the_verdict_inconclusive(
     assert record.consistent
     with pytest.raises(ek.LPFailure, match=named):
         ek.adjacency_graph(within_bundle.problem)
+
+
+def test_decide_refuses_a_graph_of_another_problem(within_bundle):
+    for graph in foreign_graphs(within_bundle.problem):
+        with pytest.raises(ValueError, match="another problem's"):
+            ek.decide_incentivizable(within_bundle, graph=graph)
 
 
 def test_a_verdict_without_the_graph_ignores_a_stalled_solver(stalled_lps):

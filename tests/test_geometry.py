@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import elicitkit as ek
-from conftest import record_graph_lps
+from conftest import foreign_graphs, record_graph_lps
 from elicitkit import _numerics, geometry
 
 
@@ -146,8 +146,9 @@ def test_induced_subgraph_keeps_the_real_edges():
             ("theta1", "safe"), ("theta3", "safe"),
         ]
     }
-    # the very edge objects of the full graph, witnesses and slacks included
-    assert all(any(e is f for f in graph.edges) for e in sub.edges)
+    # the full graph's edges, witnesses and slacks bit for bit
+    full = {(e.a, e.b): (e.slack.hex(), e.witness.probs.tobytes()) for e in graph.edges}
+    assert all(full[e.a, e.b] == (e.slack.hex(), e.witness.probs.tobytes()) for e in sub.edges)
     for edge in sub.edges:
         assert set(ek.optimal_actions(problem, edge.witness.probs)) == {edge.a, edge.b}
     assert not sub.has_edge("theta0", "theta1")
@@ -166,28 +167,10 @@ def test_unknown_labels_are_rejected(ql4):
         ek.cycle_rich(ql4, ["0", "0.25", "0.5", "nope"], graph=graph)
 
 
-def test_stacked_witnesses_have_the_bits_of_from_array():
-    zeros = [
-        np.array([0.25, 0.0, -0.0, 0.75]),
-        np.array([-0.0, 1.0, 0.0, 0.0]),
-        np.array([1 / 3, -0.0, 1 / 3, 1 / 3 + 1e-12]),
-        np.array([0.3, -1e-13, 0.3, 0.4]),  # within Belief's -1e-12 allowance
-    ]
-    assert np.signbit(zeros[1][0])
-    cases = [zeros]
-    rng = np.random.default_rng(9)
-    for k in (2, 3, 7, 8, 9, 16, 17, 130, 300):
-        rows = rng.dirichlet(np.ones(k), size=6) * rng.uniform(0.9999, 1.0001, size=(6, 1))
-        rows[rng.random(rows.shape) < 0.3] = 0.0
-        rows[:, 0] = -0.0
-        rows[:, -1] += 0.1  # a vector that sums to zero is no belief
-        cases.append(list(rows))
-    for raws in cases:
-        got = geometry._witness_rows(np.array(raws))
-        assert got.shape == (len(raws), raws[0].size)
-        for row, raw in zip(got, raws):
-            assert row.tobytes() == ek.Belief.from_array(raw).probs.tobytes()
-    assert geometry._witness_rows(np.empty((0, 3))).shape == (0, 3)
+def test_cycle_rich_refuses_a_graph_of_another_problem(ql4):
+    for graph in foreign_graphs(ql4):
+        with pytest.raises(ValueError, match="another problem's"):
+            ek.cycle_rich(ql4, ql4.actions[:4], graph=graph)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +379,30 @@ def _assert_stacks_match_single_programs(problem):
     return infeasible
 
 
+def _assert_witnesses_are_the_lp_rows(problem):
+    """The graph's and ``adjacency_test``'s witnesses are the LP layer's rows, byte for byte.
+
+    Those rows are normalized once: no ``-0.0`` (nor any negative entry),
+    and each sums to 1 within a few ulps.  Returns the number of edges.
+    """
+    scaled = geometry.scale_to_utility_gauge(problem.utility)
+    graph = ek.adjacency_graph(problem)
+    _, rows = _numerics._max_slack_programs(scaled, graph.pairs[:, 0], graph.pairs[:, 1])
+    assert graph.witnesses.tobytes() == rows.tobytes()
+    for edge, row in zip(graph.edges, rows):
+        assert edge.witness.probs.tobytes() == row.tobytes()
+        alone = ek.adjacency_test(problem, edge.a, edge.b).witness.probs
+        assert alone.tobytes() == row.tobytes() and not alone.flags.writeable
+    assert not np.signbit(rows).any()
+    assert (np.abs(rows.sum(axis=1) - 1.0) <= 4 * np.finfo(np.float64).eps).all()
+    return graph.n_edges
+
+
+def test_witnesses_are_the_rows_the_lps_return():
+    problems = [*_NAMED_SCREEN_PROBLEMS, *(p for _, p in _seeded_screen_problems())]
+    assert sum(map(_assert_witnesses_are_the_lp_rows, problems)) > 0
+
+
 def test_stacked_programs_have_the_bits_of_single_programs():
     problems = [*_NAMED_SCREEN_PROBLEMS, *(p for _, p in _seeded_screen_problems())]
     # A tie of two rows one of which is above the other in every state,
@@ -559,14 +566,22 @@ def test_adjacency_screen_skips_problems_with_many_states(geometry_lps):
         actions=("a0", "a1", "a2"),
         utility=utility,
     )
+    scaled = geometry.scale_to_utility_gauge(utility)
     tracemalloc.start()
     try:
         geometry.adjacency_graph(problem)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        screened = geometry._screened_pairs(scaled)
+        screen_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert len(geometry_lps) == 3
     assert peak < 8 * n_states**2 / 100, peak
+    # the screen itself allocates only its answer: the LPs fill the peak above
+    assert screened.tolist() == [False, False, False]
+    assert screen_peak < 4096, screen_peak
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import elicitkit as ek
-from conftest import decide_and_synthesize, random_validated_problems
+from conftest import decide_and_synthesize, foreign_graphs, random_validated_problems
 from elicitkit import geometry, verify
 from elicitkit._numerics import nullspace
 from elicitkit.verify import _box_grid, _face_beliefs
@@ -39,6 +39,37 @@ def test_belief_grid_guards():
         ek.belief_grid(1, 4)
     with pytest.raises(ValueError):
         ek.belief_grid(3, 0)
+
+
+def test_belief_grid_caps_its_floats(monkeypatch):
+    # Under a cap of 100 beliefs, at most 100 * GRID_MAX_STATES = 800 floats:
+    # the 11-state pairwise grid has 66 beliefs (726 floats), the 12-state
+    # one 78 beliefs but 936 floats.  Every grid of at most 8 states that
+    # passes the belief cap passes the float cap too.
+    monkeypatch.setattr(verify, "GRID_CAP", 100)
+    assert ek.belief_grid(11, 2).shape == (66, 11)
+    with pytest.raises(ek.TooLargeError, match="78 beliefs of 12 states"):
+        ek.belief_grid(12, 2)
+    assert ek.belief_grid(8, 2).shape == (36, 8)
+
+
+def test_witness_search_skips_a_pairwise_grid_it_may_not_build(monkeypatch):
+    # Under a cap of 50 beliefs the 12-state pairwise grid (78 beliefs) is
+    # refused; the search keeps its Dirichlet draws and refinement rounds.
+    monkeypatch.setattr(verify, "GRID_CAP", 50)
+    rng = np.random.default_rng(3)
+    problem = ek.DecisionProblem(
+        states=tuple(f"s{i}" for i in range(12)),
+        actions=("a0", "a1", "a2"),
+        utility=rng.uniform(size=(3, 12)),
+    )
+    question = ek.QuestionProfile(rng.uniform(size=(3, 12)))
+    bundle = ek.ProblemBundle(problem=problem, question=question)
+    control = ek.make_naive_bdm(problem, bundle.question, bundle.alpha)
+    witness = ek.find_distortion_witness(bundle, control)
+    assert witness is not None and witness.u_optimal != witness.v_optimal
+    with pytest.raises(ValueError, match="empty belief set"):
+        ek.find_distortion_witness(bundle, control, ek.GridSpec(samples=0))
 
 
 def test_belief_grid_keeps_small_grids_read_only():
@@ -560,6 +591,13 @@ def test_oracle_cross_check_consistency(within_bundle, mc32_bundle):
     record = ek.oracle_cross_check(mc32_bundle)
     assert record.consistent
     assert record.verdict.status == "incentivizable"
+
+
+def test_verify_refuses_a_graph_of_another_problem(ql4, aligned_method):
+    bundle = ek.ProblemBundle(problem=ql4, question=ek.build_question("expected-payoff", ql4))
+    for graph in foreign_graphs(ql4):
+        with pytest.raises(ValueError, match="another problem's"):
+            ek.verify_incentivizability(bundle, aligned_method, graph=graph)
 
 
 def test_oracle_cross_check_builds_one_graph(geometry_lps):
