@@ -463,7 +463,6 @@ def trivial_dependence(
     question: QuestionProfile,
     product: ProductStructure,
     task: int,
-    tol: float = ALIGN_RTOL,
 ) -> bool:
     """Whether the question depends on ``task`` only up to equivalence.
 
@@ -647,13 +646,17 @@ def decide_incentivizable(
     that needs a graph one of whose LPs did not finish: its note names
     the pair and the solver status, and so is a question whose spread is
     nonzero but within ``tol * max|X|``, below float resolution.
-    A ``graph`` passed in that is another problem's raises ``ValueError``.
+    A ``graph`` passed in that is another problem's raises ``ValueError``
+    before any solve, even when global alignment would decide alone.
     """
     if bundle.question is None:
         raise ValueError("the bundle has no question to decide")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     problem = bundle.problem
+    if graph is not None:
+        # Refuse another problem's graph before any solve; build none here.
+        graph = _problem_graph(problem, graph)
     question = bundle.question
     values = question.values
     eps = _eps(values, tol)
@@ -671,7 +674,7 @@ def decide_incentivizable(
         )
 
     try:
-        graph = _problem_graph(problem, graph)
+        graph = adjacency_graph(problem) if graph is None else graph
     except LPFailure as exc:
         return Verdict(status="inconclusive", note=str(exc))
     classification = classify_graph(graph, bundle.product)
@@ -724,7 +727,7 @@ def decide_incentivizable(
             return Verdict(status="inconclusive", note=str(exc))
         if hypotheses:
             nontrivial = sum(
-                0 if trivial_dependence(question, product, i, tol=tol) else 1
+                0 if trivial_dependence(question, product, i) else 1
                 for i in range(product.n_tasks)
             )
             if nontrivial >= 3:

@@ -288,31 +288,26 @@ def _part_rows(
     part: tuple[str, ...],
     cert: AlignmentCertificate,
     gauge: float,
-    offset: FloatArray,
     bound: float,
-) -> dict[str, tuple[float, FloatArray, FloatArray, float]]:
-    """Raw-report payment coefficients for every action of one part.
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
+    """Raw-report payment coefficients of one part's actions, in part order.
 
-    Returns, per action, the quadratic weight ``q = gauge / gamma(a)**2``
-    (the payment is ``-q * r**2 / 2 + q * X(a) * r + const(theta)``),
-    the constant row, the internal ``c1`` row, and the internal slope.
+    Returns the quadratic weights ``q = gauge / gamma(a)**2`` (the payment
+    is ``-q * r**2 / 2 + q * X(a) * r + const(theta)``), the constant rows
+    at offset zero, the internal ``c1`` rows, and the internal slopes.
     """
-    rows: dict[str, tuple[float, FloatArray, FloatArray, float]] = {}
-    root = float(np.sqrt(gauge))
-    for label in part:
-        ia = problem.action_index[label]
-        g = cert.gamma_of(label)
-        k = cert.kappa_of(label)
-        xa = x[ia]
-        quad = gauge / (g * g)
-        const = (
-            quad * (0.5 * k * k - xa * k)
-            - (gauge / g) * (xa - k) * bound
-            + (gauge if cert.trivial else 0.0) * problem.utility[ia]
-            + offset
-        )
-        rows[label] = (quad, const, (root / g) * xa, root / g)
-    return rows
+    rows = [problem.action_index[a] for a in part]
+    g = np.array([cert.gamma_of(a) for a in part])
+    k = np.array([cert.kappa_of(a) for a in part])[:, None]
+    xa = x[rows]
+    quad = gauge / (g * g)
+    const = (
+        quad[:, None] * (0.5 * k * k - xa * k)
+        - (gauge / g)[:, None] * (xa - k) * bound
+        + (gauge if cert.trivial else 0.0) * problem.utility[rows]
+    )
+    slope = float(np.sqrt(gauge)) / g
+    return quad, const, slope[:, None] * xa, slope
 
 
 def synth_piecewise(
@@ -357,33 +352,30 @@ def synth_piecewise(
     bound = min(float(c.min()) for c in coords) - RANGE_MARGIN
 
     part_sets = [frozenset(p) for p in cert.parts]
-    gauges: list[float | None] = [1.0] + [None] * (n_parts - 1)
-    offsets: list[FloatArray | None] = [np.zeros(problem.n_states)] + [None] * (n_parts - 1)
-    # Each part's rows, with its final gauge and offset, in breadth-first order.
-    rows_of: dict[int, dict[str, tuple[float, FloatArray, FloatArray, float]]] = {}
+    # Each reached part's gauge and rows, with its final offset, in
+    # breadth-first order.
+    gauges = {0: 1.0}
+    rows_of = {0: _part_rows(problem, x, cert.parts[0], cert.certificates[0], 1.0, bound)}
     queue = [0]
     while queue:
         i = queue.pop(0)
-        rows_i = rows_of[i] = _part_rows(
-            problem, x, cert.parts[i], cert.certificates[i], gauges[i], offsets[i], bound
-        )
         for j in range(n_parts):
-            if gauges[j] is not None:
-                continue
             shared = part_sets[i] & part_sets[j]
-            if not shared:
+            if j in gauges or not shared:
                 continue
             s = min(shared)
             gi = cert.certificates[i].gamma_of(s)
             gj = cert.certificates[j].gamma_of(s)
             gauges[j] = gauges[i] * (gj / gi) ** 2
-            # Solve for the offset that makes part j reproduce part i's
-            # payment row at the shared action, for every power of r.
-            zero = np.zeros(problem.n_states)
-            probe = _part_rows(problem, x, (s,), cert.certificates[j], gauges[j], zero, bound)
-            offsets[j] = rows_i[s][1] - probe[s][1]
+            rows_of[j] = _part_rows(
+                problem, x, cert.parts[j], cert.certificates[j], gauges[j], bound
+            )
+            # The gauge makes part j's payment row at the shared action agree
+            # with part i's in every power of r; the offset fixes the constant.
+            const_i, const_j = rows_of[i][1], rows_of[j][1]
+            const_j += const_i[cert.parts[i].index(s)] - const_j[cert.parts[j].index(s)]
             queue.append(j)
-    if any(g is None for g in gauges):
+    if len(rows_of) < n_parts:
         raise SynthesisError("parts not chainable via shared splitting actions")
 
     c0 = np.zeros((problem.n_actions, problem.n_states))
@@ -391,21 +383,18 @@ def synth_piecewise(
     slope = np.zeros(problem.n_actions)
     quad_by_action: dict[int, float] = {}
     discrepancy = 0.0
-    for rows in rows_of.values():
-        for label, (quad, const, c1_row, m) in rows.items():
-            ia = problem.action_index[label]
+    for j, rows in rows_of.items():
+        for label, quad, const, c1_row, m in zip(cert.parts[j], *rows):
+            ia = index[label]
             if ia in quad_by_action:
                 scale = 1.0 + float(np.max(np.abs(x[ia])))
                 discrepancy = max(
                     discrepancy,
-                    abs(quad - quad_by_action[ia]) * scale,
+                    float(abs(quad - quad_by_action[ia]) * scale),
                     float(np.max(np.abs(const - c0[ia]))),
                 )
             else:
-                quad_by_action[ia] = quad
-                c0[ia] = const
-                c1[ia] = c1_row
-                slope[ia] = m
+                quad_by_action[ia], c0[ia], c1[ia], slope[ia] = quad, const, c1_row, m
     lo = float(c1.min()) - RANGE_MARGIN
     hi = float(c1.max()) + RANGE_MARGIN
     return ElicitationMethod(

@@ -30,7 +30,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -587,11 +587,16 @@ def verify_incentivizability(
 ) -> VerificationReport:
     """Sweep beliefs and require exact optimal-action agreement.
 
-    At every belief the tolerance-argmax of expected utility must equal
-    the tolerance-argmax of the mechanism's optimal payments, and every
-    payment-optimal action's report must match the transform image of
-    the truthful question expectation.  Beliefs whose action sets sit
-    on the tolerance razor's edge are counted ambiguous, not failed.
+    A belief fails when the tolerance-argmax of expected utility differs
+    from the tolerance-argmax of the mechanism's optimal payments, or when
+    a payment-optimal action's report misses the transform image of the
+    truthful question expectation by more than ``REPORT_FACTOR * tol``.
+    Beliefs whose action sets sit on the tolerance razor's edge are
+    counted ambiguous, not failed: a deficit within a tenth of its cut, or
+    sets that differ only by actions within ``CONFIRM_FACTOR`` cuts of
+    optimal on both scales.  A belief whose payment-optimal set only adds a
+    utility-suboptimal action fails here, but :func:`find_distortion_witness`
+    never confirms it through its value gap.
     ``graph`` is the problem's adjacency graph, if already built (another
     problem's raises ``ValueError``); it places the indifference-face beliefs.
     """
@@ -623,37 +628,33 @@ def verify_incentivizability(
 # Distortion search
 
 
-def _confirmed(scan: _ChunkScan, row: int, tol: float) -> bool:
-    if not scan.sets_equal[row]:
-        gap = scan.best_v[row] - scan.values[scan.mask_u[:, row], row].min()
-        if gap > _band(scan.best_v[row], CONFIRM_FACTOR * tol):
-            return True
-    if scan.report_gaps[scan.mask_v[:, row], row].max() > CONFIRM_FACTOR * (REPORT_FACTOR * tol):
-        return True
-    return False
-
-
 def _scan_for_witness(
     problem: DecisionProblem,
     x: FloatArray,
     method: ElicitationMethod,
-    beliefs: FloatArray,
+    blocks: Iterable[FloatArray],
     spec: GridSpec,
+    center: FloatArray | None,
+    gap: float,
 ) -> tuple[Witness | None, FloatArray | None, float]:
-    """First confirmed witness, plus the worst suspicion seen."""
-    worst_center: FloatArray | None = None
-    worst_gap = -np.inf
-    for chunk, scan in _scans(problem, x, method, beliefs, spec):
-        suspicious = ~scan.sets_equal | scan.bad_report
-        for row in np.flatnonzero(suspicious):
-            if _confirmed(scan, int(row), spec.tol):
-                return _row_witness(problem, scan, chunk, int(row)), None, worst_gap
-        value_gaps = scan.best_v - np.where(scan.mask_u, scan.values, np.inf).min(axis=0)
-        row = int(np.argmax(value_gaps))
-        if value_gaps[row] > worst_gap:
-            worst_gap = float(value_gaps[row])
-            worst_center = chunk[row].copy()
-    return None, worst_center, worst_gap
+    """First confirmed witness in ``blocks``, scanned in order; else the first
+    belief whose value gap is the largest and above ``gap``, and that gap
+    (``center`` and ``gap`` when none is)."""
+    for block in blocks:
+        for chunk, scan in _scans(problem, x, method, block, spec):
+            value_gaps = scan.best_v - np.where(scan.mask_u, scan.values, np.inf).min(axis=0)
+            if (~scan.sets_equal | scan.bad_report).any():
+                misses = scan.report_gaps > CONFIRM_FACTOR * (REPORT_FACTOR * spec.tol)
+                confirmed = (misses & scan.mask_v).any(axis=0) | (
+                    ~scan.sets_equal & (value_gaps > _band(scan.best_v, CONFIRM_FACTOR * spec.tol))
+                )
+                if confirmed.any():
+                    row = int(np.argmax(confirmed))
+                    return _row_witness(problem, scan, chunk, row), center, gap
+            row = int(np.argmax(value_gaps))
+            if value_gaps[row] > gap:
+                gap, center = float(value_gaps[row]), chunk[row].copy()
+    return None, center, gap
 
 
 def _box_grid(center: FloatArray, denominator: int, radius: int = 2) -> FloatArray:
@@ -680,10 +681,16 @@ def find_distortion_witness(
     pairwise grid, unless ``belief_grid`` refuses it) plus Dirichlet
     samples; refinement rounds then zoom in around the worst value gap,
     doubling the grid denominator up to ``MAX_DENOMINATOR`` (but never
-    below the last one) or concentrating samples near the suspect belief.
-    Grid refinement ends early once a round would rescan the last round's
-    box.  The first witness whose gaps exceed ten times the working
-    tolerances is returned; the search is deterministic for fixed inputs.
+    below the last one), or, above ``GRID_MAX_STATES`` states, mixing
+    2,000 Dirichlet draws into the suspect belief at weights 1/2, 1/4 and
+    1/8, one weight at a time.  Grid refinement ends early once a round
+    would rescan the last round's box.  The first belief confirmed is
+    returned: its sets differ and a utility-optimal action's value gap is
+    above ``_band(best_v, CONFIRM_FACTOR * tol)``, or a payment-optimal
+    report misses by more than ``CONFIRM_FACTOR * REPORT_FACTOR * tol``.
+    A belief whose payment-optimal set only adds a utility-suboptimal
+    action, which the sweep fails, is never confirmed through its value
+    gap.  The search is deterministic for fixed inputs.
     """
     x = _require_bound(bundle, method)
     problem = bundle.problem
@@ -698,13 +705,13 @@ def find_distortion_witness(
         blocks.append(dirichlet_sample(k, spec.samples, spec.seed))
     if not blocks:
         raise ValueError("spec produced an empty belief set")
-    witness, center, gap = _scan_for_witness(problem, x, method, np.vstack(blocks), spec)
-    if witness is not None:
-        return witness
+    witness, center, gap = _scan_for_witness(
+        problem, x, method, [np.vstack(blocks)], spec, None, -np.inf
+    )
     denominator = spec.denominator
     box_denominator, box_center = 0, None
     for round_index in range(1, REFINE_ROUNDS + 1):
-        if center is None:
+        if witness is not None:
             break
         if k <= GRID_MAX_STATES:
             denominator = max(denominator, min(denominator * 2, MAX_DENOMINATOR))
@@ -713,35 +720,51 @@ def find_distortion_witness(
             if denominator == box_denominator and center is box_center:
                 break
             box_denominator, box_center = denominator, center
-            candidates = _box_grid(center, denominator)
+            candidates: Iterable[FloatArray] = [_box_grid(center, denominator)]
         else:
+            # one mixing weight at a time: a round never holds its 6,000 rows at once
             draws = dirichlet_sample(k, 2000, spec.seed + round_index)
-            candidates = np.vstack(
-                [(1.0 - t) * center[None, :] + t * draws for t in (0.5, 0.25, 0.125)]
+            candidates = (
+                (1.0 - t) * center[None, :] + t * draws for t in (0.5, 0.25, 0.125)
             )
-        if candidates.shape[0] == 0:
-            break
-        witness, new_center, new_gap = _scan_for_witness(
-            problem, x, method, candidates, spec
+        witness, center, gap = _scan_for_witness(
+            problem, x, method, candidates, spec, center, gap
         )
-        if witness is not None:
-            return witness
-        if new_center is not None and new_gap > gap:
-            center, gap = new_center, new_gap
-    return None
+    return witness
 
 
 # ---------------------------------------------------------------------------
 # Negative controls
 
 
-def _normalized_question(question: QuestionProfile) -> tuple[FloatArray, float, float]:
+def _question_lottery(
+    problem: DecisionProblem,
+    question: QuestionProfile,
+    alpha: float,
+    provenance: str,
+    constant: Callable[[FloatArray, FloatArray], FloatArray],
+) -> ElicitationMethod:
+    """A control paying for the question rescaled into [0, 1]; ``c0`` is
+    ``constant(utility * alpha / (1 - alpha), rescaled question)``."""
     x = question.values
     lo = float(x.min())
     span = float(x.max()) - lo
     if span <= 0.0:
-        return np.full_like(x, 0.5), 1.0, 0.5 - lo
-    return (x - lo) / span, 1.0 / span, -lo / span
+        normalized, slope, intercept = np.full_like(x, 0.5), 1.0, 0.5 - lo
+    else:
+        normalized, slope, intercept = (x - lo) / span, 1.0 / span, -lo / span
+    weight = alpha / (1.0 - alpha)
+    return ElicitationMethod(
+        actions=problem.actions,
+        states=problem.states,
+        report_range=(0.0, 1.0),
+        c0=constant(weight * problem.utility, normalized),
+        c1=normalized,
+        slope=np.full(problem.n_actions, slope),
+        intercept=np.full(problem.n_actions, intercept),
+        provenance=provenance,
+        alpha=alpha,
+    )
 
 
 def make_naive_bdm(
@@ -756,18 +779,8 @@ def make_naive_bdm(
     weight ``alpha``.  This is the canonical candidate mechanism whose
     failures demonstrate non-incentivizability behaviorally.
     """
-    normalized, slope, intercept = _normalized_question(question)
-    weight = alpha / (1.0 - alpha)
-    return ElicitationMethod(
-        actions=problem.actions,
-        states=problem.states,
-        report_range=(0.0, 1.0),
-        c0=weight * problem.utility + 0.5,
-        c1=normalized,
-        slope=np.full(problem.n_actions, slope),
-        intercept=np.full(problem.n_actions, intercept),
-        provenance="naive-bdm",
-        alpha=alpha,
+    return _question_lottery(
+        problem, question, alpha, "naive-bdm", lambda weighted, _: weighted + 0.5
     )
 
 
@@ -782,18 +795,9 @@ def make_quadratic_control(
     the variance of the question, so action choice can be distorted
     even for perfectly aligned questions.
     """
-    normalized, slope, intercept = _normalized_question(question)
-    weight = alpha / (1.0 - alpha)
-    return ElicitationMethod(
-        actions=problem.actions,
-        states=problem.states,
-        report_range=(0.0, 1.0),
-        c0=0.5 * (weight * problem.utility + 1.0 - normalized * normalized),
-        c1=normalized,
-        slope=np.full(problem.n_actions, slope),
-        intercept=np.full(problem.n_actions, intercept),
-        provenance="quadratic-control",
-        alpha=alpha,
+    return _question_lottery(
+        problem, question, alpha, "quadratic-control",
+        lambda weighted, normalized: 0.5 * (weighted + 1.0 - normalized * normalized),
     )
 
 

@@ -1034,10 +1034,15 @@ def test_a_graph_lp_that_does_not_finish_leaves_the_verdict_inconclusive(
         ek.adjacency_graph(within_bundle.problem)
 
 
-def test_decide_refuses_a_graph_of_another_problem(within_bundle):
-    for graph in foreign_graphs(within_bundle.problem):
-        with pytest.raises(ValueError, match="another problem's"):
-            ek.decide_incentivizable(within_bundle, graph=graph)
+def test_decide_refuses_a_graph_of_another_problem(within_bundle, ql4):
+    # The graph is checked before the global alignment solve, so a globally
+    # aligned bundle refuses another problem's graph too.
+    aligned = ek.ProblemBundle(problem=ql4, question=ek.build_question("expected-payoff", ql4))
+    assert ek.decide_incentivizable(aligned).theorem == "global-alignment-sufficiency"
+    for bundle in (within_bundle, aligned):
+        for graph in foreign_graphs(bundle.problem):
+            with pytest.raises(ValueError, match="another problem's"):
+                ek.decide_incentivizable(bundle, graph=graph)
 
 
 def test_a_verdict_without_the_graph_ignores_a_stalled_solver(stalled_lps):

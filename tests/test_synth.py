@@ -10,6 +10,7 @@ import pytest
 
 import elicitkit as ek
 from conftest import decide_and_synthesize
+from elicitkit.synth import RANGE_MARGIN
 
 
 def tiny_method(**overrides) -> ek.ElicitationMethod:
@@ -145,6 +146,174 @@ def test_piecewise_synthesis_checks_each_part_by_substitution(chained_bundle):
     bad = replace(verdict, certificate=replace(cert, certificates=certificates))
     with pytest.raises(ek.SynthesisError, match="does not reconstruct the question"):
         ek.synthesize(chained_bundle, bad)
+
+
+def _probe_part_rows(problem, x, part, cert, gauge, offset, bound):
+    """One part's rows per action, each shifted by ``offset``."""
+    rows = {}
+    root = float(np.sqrt(gauge))
+    for label in part:
+        ia = problem.action_index[label]
+        g = cert.gamma_of(label)
+        k = cert.kappa_of(label)
+        xa = x[ia]
+        quad = gauge / (g * g)
+        const = (
+            quad * (0.5 * k * k - xa * k)
+            - (gauge / g) * (xa - k) * bound
+            + (gauge if cert.trivial else 0.0) * problem.utility[ia]
+            + offset
+        )
+        rows[label] = (quad, const, (root / g) * xa, root / g)
+    return rows
+
+
+def _probe_stitched(bundle, cert):
+    """The piecewise mechanism stitched part by part, each new part's offset
+    solved from a one-action probe of its shared action at offset zero."""
+    problem, x = bundle.problem, bundle.question.values
+    index = problem.action_index
+    n_parts = len(cert.parts)
+    coords = (
+        np.asarray(pc.d) + (0.0 if pc.trivial else problem.utility[[index[a] for a in part]])
+        for part, pc in zip(cert.parts, cert.certificates)
+    )
+    bound = min(float(c.min()) for c in coords) - RANGE_MARGIN
+    part_sets = [frozenset(p) for p in cert.parts]
+    gauges = [1.0] + [None] * (n_parts - 1)
+    offsets = [np.zeros(problem.n_states)] + [None] * (n_parts - 1)
+    rows_of = {}
+    queue = [0]
+    while queue:
+        i = queue.pop(0)
+        rows_i = rows_of[i] = _probe_part_rows(
+            problem, x, cert.parts[i], cert.certificates[i], gauges[i], offsets[i], bound
+        )
+        for j in range(n_parts):
+            shared = part_sets[i] & part_sets[j]
+            if gauges[j] is not None or not shared:
+                continue
+            s = min(shared)
+            ratio = cert.certificates[j].gamma_of(s) / cert.certificates[i].gamma_of(s)
+            gauges[j] = gauges[i] * ratio**2
+            zero = np.zeros(problem.n_states)
+            probe = _probe_part_rows(problem, x, (s,), cert.certificates[j], gauges[j], zero, bound)
+            offsets[j] = rows_i[s][1] - probe[s][1]
+            queue.append(j)
+    assert all(g is not None for g in gauges)
+    c0 = np.zeros(problem.utility.shape)
+    c1 = np.zeros_like(c0)
+    slope = np.zeros(problem.n_actions)
+    quad_by_action = {}
+    discrepancy = 0.0
+    for rows in rows_of.values():
+        for label, (quad, const, c1_row, m) in rows.items():
+            ia = index[label]
+            if ia in quad_by_action:
+                scale = 1.0 + float(np.max(np.abs(x[ia])))
+                discrepancy = max(
+                    discrepancy,
+                    abs(quad - quad_by_action[ia]) * scale,
+                    float(np.max(np.abs(const - c0[ia]))),
+                )
+            else:
+                quad_by_action[ia] = quad
+                c0[ia], c1[ia], slope[ia] = const, c1_row, m
+    return ek.ElicitationMethod(
+        actions=problem.actions,
+        states=problem.states,
+        report_range=(float(c1.min()) - RANGE_MARGIN, float(c1.max()) + RANGE_MARGIN),
+        c0=c0,
+        c1=c1,
+        slope=slope,
+        intercept=np.zeros(problem.n_actions),
+        provenance="piecewise-bdm",
+        alpha=bundle.alpha,
+        stitch_discrepancy=discrepancy,
+    )
+
+
+def _stitched_problems(rng: np.random.Generator) -> list[ek.DecisionProblem]:
+    problems = [ek.make_quadratic_loss(n) for n in range(2, 8)]
+    problems += [
+        ek.make_star(int(n), float(s))
+        for n, s in zip(rng.integers(3, 7, size=12), rng.uniform(0.1, 0.9, size=12))
+    ]
+    problems += [
+        ek.make_close_guess(list(rng.uniform(0.5, 3.0, size=int(n))))
+        for n in rng.integers(3, 7, size=12)
+    ]
+    problems.append(ek.make_cycle_rich_safe())
+    random = []
+    while len(random) < 100:
+        k, m = int(rng.integers(2, 5)), int(rng.integers(3, 8))
+        problem = ek.DecisionProblem(
+            states=tuple(f"s{i}" for i in range(k)),
+            actions=tuple(f"a{i}" for i in range(m)),
+            utility=rng.integers(0, 10, size=(m, k)).astype(float),
+        )
+        if ek.validate_problem(problem).passed:
+            random.append(problem)
+    return problems + random
+
+
+def _stitched_questions(
+    problem: ek.DecisionProblem, rng: np.random.Generator, count: int
+) -> list[ek.QuestionProfile]:
+    """Questions aligned part by part, each part with its own gamma, kappa
+    and offset d (a fifth of the parts trivially aligned), the parts walked
+    breadth first; a part's d is solved from its first action already set,
+    as in ``build_chained_gauge_bundle``."""
+    graph = ek.adjacency_graph(problem)
+    if not ek.classify_graph(graph).connected:
+        return []
+    parts = ek.splitting_collection(graph).parts
+    if len(parts) < 2:
+        return []
+    questions = []
+    for _ in range(count):
+        x: dict[str, np.ndarray] = {}
+        queue, reached = [0], {0}
+        while queue:
+            part = parts[queue.pop(0)]
+            u = np.zeros_like(problem.utility) if rng.uniform() < 0.2 else problem.utility
+            rows = [problem.action_index[a] for a in part]
+            gamma = rng.choice([-1.0, 1.0], size=len(part)) * rng.uniform(0.5, 3.0, size=len(part))
+            kappa = rng.uniform(-1.0, 1.0, size=len(part))
+            shared = [i for i, a in enumerate(part) if a in x]
+            if shared:
+                i = shared[0]
+                d = (x[part[i]] - kappa[i]) / gamma[i] - u[rows[i]]
+            else:
+                d = rng.normal(size=problem.n_states)
+            for a, row, g, k in zip(part, rows, gamma, kappa):
+                x.setdefault(a, g * (u[row] + d) + k)
+            for j, other in enumerate(parts):
+                if j not in reached and set(other) & set(part):
+                    reached.add(j)
+                    queue.append(j)
+        questions.append(ek.QuestionProfile(values=np.array([x[a] for a in problem.actions])))
+    return questions
+
+
+def test_piecewise_mechanisms_keep_the_bytes_of_probe_stitching():
+    # Each part's rows come once, at offset zero, and a new part's offset is
+    # read from rows already built: every byte of the mechanism stays.
+    rng = np.random.default_rng(1)
+    stitched = 0
+    for problem in _stitched_problems(rng):
+        for question in _stitched_questions(problem, rng, 10):
+            bundle = ek.ProblemBundle(
+                problem=problem, question=question, alpha=float(rng.uniform(0.2, 0.8))
+            )
+            verdict = ek.decide_incentivizable(bundle)
+            if verdict.theorem != "piecewise-alignment-sufficiency":
+                continue
+            stitched += 1
+            method = ek.synthesize(bundle, verdict)
+            want = _probe_stitched(bundle, verdict.certificate)
+            assert ek.dumps_method(method) == ek.dumps_method(want)
+    assert stitched >= 200
 
 
 # ---------------------------------------------------------------------------

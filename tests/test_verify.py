@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -820,6 +821,159 @@ def test_scans_match_the_one_pass_reference_bitwise(monkeypatch):
     assert any(r["passed"] for r in reports)
     assert any(w["report_gap"] > 0.05 for w in failures)
     assert any(w["u_optimal"] != w["v_optimal"] for w in failures)
+
+
+def _reference_confirmed(scan, row, tol):
+    if not scan.sets_equal[row]:
+        gap = scan.best_v[row] - scan.values[scan.mask_u[:, row], row].min()
+        if gap > tol * 10.0 * (1.0 + abs(scan.best_v[row])):
+            return True
+    return scan.report_gaps[scan.mask_v[:, row], row].max() > 10.0 * (10.0 * tol)
+
+
+def _reference_scan_for_witness(problem, x, method, beliefs, spec):
+    """Each suspicious row confirmed in turn, plus the first worst value gap."""
+    worst_center, worst_gap = None, -np.inf
+    for chunk, scan in verify._scans(problem, x, method, beliefs, spec):
+        for row in np.flatnonzero(~scan.sets_equal | scan.bad_report):
+            if _reference_confirmed(scan, int(row), spec.tol):
+                return verify._row_witness(problem, scan, chunk, int(row)), None, worst_gap
+        value_gaps = scan.best_v - np.where(scan.mask_u, scan.values, np.inf).min(axis=0)
+        row = int(np.argmax(value_gaps))
+        if value_gaps[row] > worst_gap:
+            worst_gap, worst_center = float(value_gaps[row]), chunk[row].copy()
+    return None, worst_center, worst_gap
+
+
+def _reference_find_distortion_witness(bundle, method, spec=ek.GridSpec()):
+    """The witness search with each refinement round stacked whole."""
+    problem, x = bundle.problem, bundle.question.values
+    k = problem.n_states
+    blocks = []
+    if k <= verify.GRID_MAX_STATES:
+        blocks.append(ek.belief_grid(k, spec.denominator))
+    else:
+        try:
+            blocks.append(ek.belief_grid(k, 2))
+        except ek.TooLargeError:
+            pass
+    if spec.samples > 0:
+        blocks.append(ek.dirichlet_sample(k, spec.samples, spec.seed))
+    witness, center, gap = _reference_scan_for_witness(problem, x, method, np.vstack(blocks), spec)
+    if witness is not None:
+        return witness
+    denominator, box = spec.denominator, None
+    for round_index in range(1, verify.REFINE_ROUNDS + 1):
+        if k <= verify.GRID_MAX_STATES:
+            denominator = max(denominator, min(denominator * 2, verify.MAX_DENOMINATOR))
+            if box == (denominator, id(center)):
+                break
+            box = (denominator, id(center))
+            candidates = _box_grid(center, denominator)
+        else:
+            draws = ek.dirichlet_sample(k, 2000, spec.seed + round_index)
+            candidates = np.vstack(
+                [(1.0 - t) * center[None, :] + t * draws for t in (0.5, 0.25, 0.125)]
+            )
+        witness, new_center, new_gap = _reference_scan_for_witness(
+            problem, x, method, candidates, spec
+        )
+        if witness is not None:
+            return witness
+        if new_gap > gap:
+            center, gap = new_center, new_gap
+    return None
+
+
+def _many_state_searches() -> list[tuple[ek.ProblemBundle, ek.ElicitationMethod]]:
+    """12- and 40-state bundles whose searches reach the Dirichlet rounds:
+    the naive control, the synthesized mechanism (no witness, all four
+    rounds) and that mechanism with one action's payment raised a little
+    (a witness in the coarse pass, in a refinement round, or none)."""
+    cases = []
+    for k, seed in ((12, 0), (12, 1), (40, 1), (40, 2)):
+        rng = np.random.default_rng(seed)
+        m = 3 + seed % 2
+        problem = ek.DecisionProblem(
+            states=tuple(f"s{i}" for i in range(k)),
+            actions=tuple(f"a{i}" for i in range(m)),
+            utility=rng.uniform(size=(m, k)),
+        )
+        bundle, method = _aligned_bundle(problem)
+        cases.append((bundle, ek.make_naive_bdm(problem, bundle.question, bundle.alpha)))
+        cases.append((bundle, method))
+        for action in range(m):
+            for delta in (3e-4, 1e-4):
+                c0 = method.c0.copy()
+                c0[action] += delta
+                cases.append((bundle, replace(method, c0=c0)))
+    return cases
+
+
+def _searches(cases) -> list[str]:
+    out = []
+    for bundle, method, spec in cases:
+        witness = verify.find_distortion_witness(bundle, method, spec)
+        out.append(ek.canonical_dumps(None if witness is None else witness.to_dict()))
+    return out
+
+
+def test_witness_search_matches_the_row_by_row_reference_bitwise(monkeypatch):
+    # One vector confirmation per chunk, and each Dirichlet round scanned one
+    # mixing weight at a time: every witness keeps its bytes.
+    cases = []
+    for bundle in _scan_split_bundles():
+        verdict = ek.decide_incentivizable(bundle)
+        naive = ek.make_naive_bdm(bundle.problem, bundle.question, bundle.alpha)
+        shifted = np.zeros(bundle.problem.n_actions)
+        shifted[0] = 0.1
+        methods = [
+            naive,
+            replace(naive, intercept=naive.intercept + shifted),
+            ek.make_quadratic_control(bundle.problem, bundle.question, bundle.alpha),
+        ]
+        if verdict.status == "incentivizable":
+            methods.append(ek.synthesize(bundle, verdict))
+        cases += [(bundle, method, spec) for method in methods for spec in _SCAN_SPECS]
+    many = [(bundle, method, ek.GridSpec()) for bundle, method in _many_state_searches()]
+    scans = _spy(monkeypatch, "_scans")
+    got = _searches(cases)
+    # Each many-state search's 2,000-row Dirichlet blocks, three per round,
+    # one per mixing weight: the last one scanned holds the witness, if any.
+    ends = set()
+    for case in many:
+        start = len(scans)
+        got += _searches([case])
+        n = sum(args[3].shape[0] == 2000 for args in scans[start:])
+        ends.add("none" if json.loads(got[-1]) is None else (n - 1) % 3 if n else "coarse")
+    monkeypatch.setattr(verify, "find_distortion_witness", _reference_find_distortion_witness)
+    assert got == _searches(cases + many)
+    # The many-state searches end in every way: no witness after four rounds,
+    # a witness from the coarse pass, and one from a round's first and its
+    # second mixing weight.
+    assert {"none", "coarse", 0, 1} <= ends
+
+
+def test_witness_search_streams_its_refinement_rounds():
+    # A 3-action, 1,000-state aligned mechanism has no witness, so all four
+    # Dirichlet rounds run.  Stacking a round's 6,000 x 1,000 candidates whole
+    # peaks at 156 MiB; one mixing weight at a time stays well under 90.
+    rng = np.random.default_rng(0)
+    k = 1000
+    problem = ek.DecisionProblem(
+        states=tuple(f"s{i}" for i in range(k)),
+        actions=("a0", "a1", "a2"),
+        utility=rng.uniform(size=(3, k)),
+    )
+    bundle, method = _aligned_bundle(problem)
+    tracemalloc.start()
+    try:
+        witness = ek.find_distortion_witness(bundle, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is None
+    assert peak <= 90 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_grid_spec_validation():
