@@ -220,6 +220,17 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _witness_items(witness: dict[str, Any], belief: str, indent: str) -> list[tuple[str, Any]]:
+    """A witness's md rows: its belief under the key ``belief``, then the rest indented."""
+    return [
+        (belief, witness["belief"]),
+        (f"{indent}u-optimal", ", ".join(witness["u_optimal"])),
+        (f"{indent}v-optimal", ", ".join(witness["v_optimal"])),
+        (f"{indent}report gap", witness["report_gap"]),
+        (f"{indent}value gap", witness["value_gap"]),
+    ]
+
+
 def _md_verify(payload: dict[str, Any]) -> str:
     items: list[tuple[str, Any]] = [
         ("checked", payload["checked"]),
@@ -229,11 +240,7 @@ def _md_verify(payload: dict[str, Any]) -> str:
         ("passed", payload["passed"]),
     ]
     for witness in payload["failures"][:20]:
-        items.append(("failure belief", witness["belief"]))
-        items.append(("  u-optimal", ", ".join(witness["u_optimal"])))
-        items.append(("  v-optimal", ", ".join(witness["v_optimal"])))
-        items.append(("  report gap", witness["report_gap"]))
-        items.append(("  value gap", witness["value_gap"]))
+        items += _witness_items(witness, "failure belief", "  ")
     if len(payload["failures"]) > 20:
         items.append(("more failures", len(payload["failures"]) - 20))
     return _md_lines("verify", items)
@@ -252,16 +259,7 @@ def _md_witness(payload: dict[str, Any]) -> str:
     witness = payload["witness"]
     if witness is None:
         return _md_lines("witness", [("witness", "none")])
-    return _md_lines(
-        "witness",
-        [
-            ("belief", witness["belief"]),
-            ("u-optimal", ", ".join(witness["u_optimal"])),
-            ("v-optimal", ", ".join(witness["v_optimal"])),
-            ("report gap", witness["report_gap"]),
-            ("value gap", witness["value_gap"]),
-        ],
-    )
+    return _md_lines("witness", _witness_items(witness, "belief", ""))
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:

@@ -4,28 +4,22 @@ The checks here are the behavioral side of the package: instead of
 trusting an algebraic certificate, they sweep beliefs (rational grids,
 Dirichlet samples, indifference faces) and compare the mechanism's
 optimal action set against the decision problem's, belief by belief.
-Everything is deterministic for fixed inputs: beliefs are generated in
-a fixed order from seeded generators and results are aggregated in that
-order, so reports and witnesses are bit-reproducible regardless of how
-the evaluation is batched internally.  Grids and face-step candidates
-are built as whole arrays, and grids of at most 2 MB are kept between
-calls.  One chunked scan serves both the sweep and the witness search;
-only the sweep judges which beliefs are ambiguous.  A scan takes about
-a thousand beliefs at a time, small enough to stay in cache and for the
-witness search to stop after the first chunk that holds a witness, and
-lays each result out one action per row, so that every reduction over
-actions runs along the first axis.  The face beliefs of a whole graph
-come from one pass: one stacked SVD gives every face's tangent basis,
-each face draws from its own seeded stream only about as many random
-directions as it needs, one batched sign test drops those that leave
-the simplex at every step (they still count toward the ``50·n`` attempt
-cap), and the step search runs over all remaining directions at once,
-with the per-direction arithmetic of one face alone.
+The sweep and the witness search scan one belief set in one order and
+judge each belief by one rule.  Everything is deterministic for fixed
+inputs: beliefs are generated in a fixed order from seeded generators
+and results are aggregated in that order, so reports and witnesses are
+bit-reproducible regardless of how the evaluation is batched
+internally.  Grids, face beliefs and face-step candidates are built as
+whole arrays, and grids of at most 2 MB are kept between calls.  A scan
+takes about a thousand beliefs at a time and lays each result out one
+action per row, so that every reduction over actions runs along the
+first axis.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import math
@@ -103,12 +97,9 @@ class GridSpec:
     ``denominator`` controls the rational grid, ``samples`` the number
     of Dirichlet(1) draws and ``seed`` their stream; the face beliefs
     draw from ``seed + 1`` on.  ``tol`` separates optimal from
-    suboptimal actions, ``REPORT_FACTOR * tol`` bounds report
-    mismatches, and beliefs whose action sets sit within a tenth of the
-    inclusion cutoff, or differ only by actions within
-    ``CONFIRM_FACTOR`` cutoffs of optimal on both sides, are reported
-    as ambiguous rather than judged.  The witness search refines from
-    ``denominator`` up, for ``REFINE_ROUNDS`` rounds.
+    suboptimal actions and ``REPORT_FACTOR * tol`` bounds report
+    mismatches, as :func:`verify_incentivizability` states.  The witness
+    search refines from ``denominator`` up, for ``REFINE_ROUNDS`` rounds.
     """
 
     denominator: int = 10
@@ -125,12 +116,7 @@ class GridSpec:
             raise ValueError(f"tolerances must be finite and positive, got {self.tol}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "denominator": self.denominator,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-        }
+        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +190,6 @@ def dirichlet_sample(k: int, n: int, seed: int) -> FloatArray:
     """n uniform draws from the simplex, reproducible per seed."""
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.exponential(1.0, size=(n, k))
-    if n == 0:
-        return draws
     return draws / draws.sum(axis=1, keepdims=True)
 
 
@@ -436,8 +420,7 @@ class _ChunkScan:
     contiguous rows; along axis 1 of the row-major products they cost
     many times more.  The products themselves stay row-major,
     ``chunk @ M.T``, and are transposed after, which keeps every bit of
-    the row-major scan.  Chunks are about a thousand beliefs: the arrays
-    stay in cache, and the witness search reads no more than it needs.
+    the row-major scan.
     """
 
     mask_u: np.ndarray
@@ -498,8 +481,9 @@ def _scan_chunk(
 def _ambiguous(scan: _ChunkScan) -> np.ndarray:
     """Rows whose action sets sit on the tolerance razor's edge.
 
-    Only the sweep reads this.  A row is ambiguous when some deficit lies
-    within a tenth of its cut, on either scale, or when it is a split tie.
+    The razor of :func:`_judge`.  A row is ambiguous when some deficit
+    lies within a tenth of its cut, on either scale, or when it is a
+    split tie.
     """
     near_u = np.abs(scan.deficit_u - scan.cut_u) <= scan.cut_u / 10.0
     near_v = np.abs(scan.deficit_v - scan.cut_v) <= scan.cut_v / 10.0
@@ -518,6 +502,36 @@ def _ambiguous(scan: _ChunkScan) -> np.ndarray:
     )
     ambiguous[rows] |= ((mask_u == scan.mask_v[:, rows]) | near_both).all(axis=0)
     return ambiguous
+
+
+def _judge(
+    problem: DecisionProblem, chunk: FloatArray, scan: _ChunkScan, tol: float
+) -> tuple[np.ndarray, np.ndarray, FloatArray]:
+    """Each row's fail and razor (:func:`_ambiguous`) masks, and its margin.
+
+    A row fails when its two action sets differ or a payment-optimal
+    report misses by more than ``REPORT_FACTOR * tol``.  A failing row's
+    margin is the largest of a utility-optimal action's value gap, a
+    payment-optimal action's utility deficit and its report's miss, each
+    over its band: ``_band(best_v, tol)``, ``_band(best_u, tol)`` and
+    ``REPORT_FACTOR * tol``; other rows' is 0.  A scan's sets, payments
+    and reports are all the judgement reads, so the failing beliefs'
+    expected utilities are recomputed, one product per belief.
+    """
+    fail = ~scan.sets_equal | scan.bad_report
+    margin = np.zeros(fail.shape)
+    rows = np.flatnonzero(fail)
+    if rows.size:
+        mask_u, mask_v, best_v = scan.mask_u[:, rows], scan.mask_v[:, rows], scan.best_v[rows]
+        value_gap = best_v - np.where(mask_u, scan.values[:, rows], np.inf).min(axis=0)
+        eu = np.matmul(problem.utility, chunk[rows, :, None])[:, :, 0].T
+        best_u = eu.max(axis=0)
+        margin[rows] = np.maximum.reduce([
+            value_gap / _band(best_v, tol),
+            np.where(mask_v, best_u - eu, 0.0).max(axis=0) / _band(best_u, tol),
+            np.where(mask_v, scan.report_gaps[:, rows], 0.0).max(axis=0) / (REPORT_FACTOR * tol),
+        ])
+    return fail, _ambiguous(scan), margin
 
 
 def _scans(
@@ -559,24 +573,35 @@ def _row_witness(
     )
 
 
-def _sweep_beliefs(
+def _beliefs(
     problem: DecisionProblem, spec: GridSpec, graph: AdjacencyGraph | None
-) -> FloatArray:
-    blocks: list[FloatArray] = []
+) -> Iterator[FloatArray]:
+    """The beliefs of the sweep and of the witness search, block by block.
+
+    The rational grid up to ``GRID_MAX_STATES`` states (above, the
+    pairwise grid, unless ``belief_grid`` refuses it), then the Dirichlet
+    draws; a spec giving neither raises ``ValueError``.  Then, up to
+    ``BOUNDARY_MAX_ACTIONS`` actions, the face beliefs of ``graph``, built
+    only then when ``None``; another problem's is refused first.
+    """
+    if graph is not None:
+        graph = _problem_graph(problem, graph)
     k = problem.n_states
+    blocks: list[FloatArray] = []
     if k <= GRID_MAX_STATES:
         blocks.append(belief_grid(k, spec.denominator))
+    else:
+        with contextlib.suppress(TooLargeError):  # too many states for the pairwise grid
+            blocks.append(belief_grid(k, 2))
     if spec.samples > 0:
         blocks.append(dirichlet_sample(k, spec.samples, spec.seed))
-    if problem.n_actions <= BOUNDARY_MAX_ACTIONS:
-        graph = _problem_graph(problem, graph)
-        if graph.n_edges:
-            blocks.append(_face_beliefs(
-                problem, graph.pairs, graph.witnesses, BOUNDARY_PER_EDGE, spec.seed + 1
-            ))
     if not blocks:
         raise ValueError("spec produced an empty belief set")
-    return np.vstack(blocks)
+    yield from blocks
+    if problem.n_actions <= BOUNDARY_MAX_ACTIONS:
+        graph = _problem_graph(problem, graph)
+        seed = spec.seed + 1
+        yield _face_beliefs(problem, graph.pairs, graph.witnesses, BOUNDARY_PER_EDGE, seed)
 
 
 def verify_incentivizability(
@@ -594,28 +619,23 @@ def verify_incentivizability(
     Beliefs whose action sets sit on the tolerance razor's edge are
     counted ambiguous, not failed: a deficit within a tenth of its cut, or
     sets that differ only by actions within ``CONFIRM_FACTOR`` cuts of
-    optimal on both scales.  A belief whose payment-optimal set only adds a
-    utility-suboptimal action fails here, but :func:`find_distortion_witness`
-    never confirms it through its value gap.
+    optimal on both scales.
     ``graph`` is the problem's adjacency graph, if already built (another
     problem's raises ``ValueError``); it places the indifference-face beliefs.
     """
     x = _require_bound(bundle, method)
     problem = bundle.problem
-    beliefs = _sweep_beliefs(problem, spec, graph)
-    checked = beliefs.shape[0]
-    passes = 0
-    ambiguous = 0
+    beliefs = np.vstack(list(_beliefs(problem, spec, graph)))
+    passes = ambiguous = 0
     failures: list[Witness] = []
     for chunk, scan in _scans(problem, x, method, beliefs, spec):
-        razor = _ambiguous(scan)
-        fail = (~scan.sets_equal | scan.bad_report) & ~razor
+        fail, razor, _ = _judge(problem, chunk, scan, spec.tol)
         ambiguous += int(razor.sum())
         passes += int((~fail & ~razor).sum())
-        for row in np.flatnonzero(fail):
+        for row in np.flatnonzero(fail & ~razor):
             failures.append(_row_witness(problem, scan, chunk, int(row)))
     return VerificationReport(
-        checked=checked,
+        checked=beliefs.shape[0],
         passes=passes,
         failures=tuple(failures),
         boundary_ambiguous=ambiguous,
@@ -628,33 +648,14 @@ def verify_incentivizability(
 # Distortion search
 
 
-def _scan_for_witness(
-    problem: DecisionProblem,
-    x: FloatArray,
-    method: ElicitationMethod,
-    blocks: Iterable[FloatArray],
-    spec: GridSpec,
-    center: FloatArray | None,
-    gap: float,
-) -> tuple[Witness | None, FloatArray | None, float]:
-    """First confirmed witness in ``blocks``, scanned in order; else the first
-    belief whose value gap is the largest and above ``gap``, and that gap
-    (``center`` and ``gap`` when none is)."""
-    for block in blocks:
-        for chunk, scan in _scans(problem, x, method, block, spec):
-            value_gaps = scan.best_v - np.where(scan.mask_u, scan.values, np.inf).min(axis=0)
-            if (~scan.sets_equal | scan.bad_report).any():
-                misses = scan.report_gaps > CONFIRM_FACTOR * (REPORT_FACTOR * spec.tol)
-                confirmed = (misses & scan.mask_v).any(axis=0) | (
-                    ~scan.sets_equal & (value_gaps > _band(scan.best_v, CONFIRM_FACTOR * spec.tol))
-                )
-                if confirmed.any():
-                    row = int(np.argmax(confirmed))
-                    return _row_witness(problem, scan, chunk, row), center, gap
-            row = int(np.argmax(value_gaps))
-            if value_gaps[row] > gap:
-                gap, center = float(value_gaps[row]), chunk[row].copy()
-    return None, center, gap
+def _mixtures(center: FloatArray, seed: int) -> Iterator[FloatArray]:
+    """2,000 Dirichlet draws mixed into ``center`` at weights 1/2, 1/4, 1/8, in one buffer."""
+    draws = dirichlet_sample(center.shape[0], 2000, seed)
+    block = np.empty_like(draws)
+    for t in (0.5, 0.25, 0.125):
+        np.multiply(draws, t, out=block)
+        block += (1.0 - t) * center
+        yield block
 
 
 def _box_grid(center: FloatArray, denominator: int, radius: int = 2) -> FloatArray:
@@ -674,63 +675,53 @@ def find_distortion_witness(
     bundle: ProblemBundle,
     method: ElicitationMethod,
     spec: GridSpec = GridSpec(),
+    graph: AdjacencyGraph | None = None,
 ) -> Witness | None:
     """Multi-resolution search for a belief where the mechanism distorts.
 
-    A coarse pass scans the rational grid (or, for many states, the
-    pairwise grid, unless ``belief_grid`` refuses it) plus Dirichlet
-    samples; refinement rounds then zoom in around the worst value gap,
-    doubling the grid denominator up to ``MAX_DENOMINATOR`` (but never
-    below the last one), or, above ``GRID_MAX_STATES`` states, mixing
-    2,000 Dirichlet draws into the suspect belief at weights 1/2, 1/4 and
-    1/8, one weight at a time.  Grid refinement ends early once a round
-    would rescan the last round's box.  The first belief confirmed is
-    returned: its sets differ and a utility-optimal action's value gap is
-    above ``_band(best_v, CONFIRM_FACTOR * tol)``, or a payment-optimal
-    report misses by more than ``CONFIRM_FACTOR * REPORT_FACTOR * tol``.
-    A belief whose payment-optimal set only adds a utility-suboptimal
-    action, which the sweep fails, is never confirmed through its value
-    gap.  The search is deterministic for fixed inputs.
+    A first pass scans the sweep's beliefs in the sweep's order (``graph``
+    as there), so the graph and its face beliefs are built only if the
+    grid and the draws hold no witness.  Refinement rounds then zoom in
+    around the worst value gap, doubling the grid denominator up to
+    ``MAX_DENOMINATOR`` (but never below the last one), or, above
+    ``GRID_MAX_STATES`` states, mixing 2,000 Dirichlet draws into the
+    suspect belief at weights 1/2, 1/4 and 1/8, one weight at a time.
+    Grid refinement ends early once a round would rescan the last
+    round's box.  The first belief that fails the sweep's rule by more
+    than ``CONFIRM_FACTOR`` bands (a value gap, a payment-optimal action's
+    utility deficit or a report miss) is returned.  The search is
+    deterministic for fixed inputs.
     """
     x = _require_bound(bundle, method)
     problem = bundle.problem
-    k = problem.n_states
-    blocks: list[FloatArray] = []
-    if k <= GRID_MAX_STATES:
-        blocks.append(belief_grid(k, spec.denominator))
-    else:
-        with contextlib.suppress(TooLargeError):  # too many states for the pairwise grid
-            blocks.append(belief_grid(k, 2))
-    if spec.samples > 0:
-        blocks.append(dirichlet_sample(k, spec.samples, spec.seed))
-    if not blocks:
-        raise ValueError("spec produced an empty belief set")
-    witness, center, gap = _scan_for_witness(
-        problem, x, method, [np.vstack(blocks)], spec, None, -np.inf
-    )
+    center, gap = None, -np.inf
     denominator = spec.denominator
     box_denominator, box_center = 0, None
-    for round_index in range(1, REFINE_ROUNDS + 1):
-        if witness is not None:
-            break
-        if k <= GRID_MAX_STATES:
+    for round_index in range(REFINE_ROUNDS + 1):
+        if round_index == 0:
+            blocks: Iterable[FloatArray] = _beliefs(problem, spec, graph)
+        elif problem.n_states > GRID_MAX_STATES:
+            blocks = _mixtures(center, spec.seed + round_index)
+        else:
             denominator = max(denominator, min(denominator * 2, MAX_DENOMINATOR))
             # The centre moves only to a larger gap, so the same denominator
             # and centre would rescan the last box and find nothing new.
             if denominator == box_denominator and center is box_center:
                 break
             box_denominator, box_center = denominator, center
-            candidates: Iterable[FloatArray] = [_box_grid(center, denominator)]
-        else:
-            # one mixing weight at a time: a round never holds its 6,000 rows at once
-            draws = dirichlet_sample(k, 2000, spec.seed + round_index)
-            candidates = (
-                (1.0 - t) * center[None, :] + t * draws for t in (0.5, 0.25, 0.125)
-            )
-        witness, center, gap = _scan_for_witness(
-            problem, x, method, candidates, spec, center, gap
-        )
-    return witness
+            blocks = [_box_grid(center, denominator)]
+        for block in blocks:
+            for chunk, scan in _scans(problem, x, method, block, spec):
+                confirmed = _judge(problem, chunk, scan, spec.tol)[2] > CONFIRM_FACTOR
+                if confirmed.any():
+                    return _row_witness(problem, scan, chunk, int(np.argmax(confirmed)))
+                # the first belief with the largest value gap centres the next round
+                value_gaps = scan.best_v - np.where(scan.mask_u, scan.values, np.inf).min(axis=0)
+                row = int(np.argmax(value_gaps))
+                if value_gaps[row] > gap:
+                    gap, center = float(value_gaps[row]), chunk[row].copy()
+        block = chunk = None  # drop this round's beliefs before the next round builds its own
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +767,10 @@ def make_naive_bdm(
 
     The raw question is rescaled into [0, 1] and fed straight into the
     uniform-draw prize lottery; the decision payoff rides along at
-    weight ``alpha``.  This is the canonical candidate mechanism whose
-    failures demonstrate non-incentivizability behaviorally.
+    weight ``alpha``.  A distortion it shows is this lottery's, not proof
+    that the question is not incentivizable: it also distorts on
+    incentivizable bundles, such as star(5, 0.3) under ex-post optimality,
+    whose synthesized mechanism passes the sweep.
     """
     return _question_lottery(
         problem, question, alpha, "naive-bdm", lambda weighted, _: weighted + 0.5
@@ -843,8 +836,8 @@ def oracle_cross_check(
         )
     if bundle.question is None:
         raise ValueError("bundle has no question to cross-check")
-    # Every verdict but global alignment needs the graph, and so does the
-    # sweep of an incentivizable one: build it once for both.  When one of
+    # Every verdict but global alignment needs the graph, and so do the
+    # sweep and the witness search: build it once for all.  When one of
     # its LPs does not finish, the verdict is decided without it, as
     # ``decide_incentivizable`` alone would decide it.
     try:
@@ -868,7 +861,7 @@ def oracle_cross_check(
         return CrossCheckRecord(verdict=verdict, consistent=report.passed, detail=detail)
     if verdict.status == "not_incentivizable":
         control = make_naive_bdm(problem, bundle.question, bundle.alpha)
-        witness = find_distortion_witness(bundle, control, spec)
+        witness = find_distortion_witness(bundle, control, spec, graph)
         if witness is None:
             detail = "no distortion witness found for the naive control"
         else:

@@ -366,6 +366,71 @@ def test_witness_not_found(aligned_path, tmp_path, capsys):
     assert json.loads(stdout)["witness"] is None
 
 
+def _md_failure(witness: dict) -> list[str]:
+    """A failure's md rows, from its JSON (which writes 0.0 as 0)."""
+    return [
+        f"- failure belief: {[float(v) for v in witness['belief']]}",
+        f"-   u-optimal: {', '.join(witness['u_optimal'])}",
+        f"-   v-optimal: {', '.join(witness['v_optimal'])}",
+        f"-   report gap: {float(witness['report_gap'])}",
+        f"-   value gap: {float(witness['value_gap'])}",
+    ]
+
+
+def test_verify_markdown_lists_twenty_failures_then_the_rest(
+    bundle_path, within_bundle, tmp_path, capsys
+):
+    control = ek.make_naive_bdm(within_bundle.problem, within_bundle.question)
+    mech = tmp_path / "naive.json"
+    ek.save_method(control, str(mech))
+    argv = ("verify", bundle_path, str(mech), "--grid", "6", "--samples", "50")
+    failures = json.loads(run(capsys, *argv)[1])["failures"]
+    code, stdout, _ = run(capsys, *argv, "--format", "md")
+    assert code == 3
+    lines = stdout.splitlines()
+    assert lines[:7] == [
+        "# elicitkit verify",
+        "",
+        "- checked: 272",
+        "- passes: 195",
+        "- boundary-ambiguous: 0",
+        "- failures: 77",
+        "- passed: False",
+    ]
+    assert lines[7:12] == [
+        "- failure belief: [0.0, 0.0, 0.16666666666666666, 0.0, 0.8333333333333334]",
+        "-   u-optimal: 1",
+        "-   v-optimal: 0.75",
+        "-   report gap: 0.0",
+        "-   value gap: 0.13194444444444442",
+    ]
+    assert lines[7:-1] == [line for witness in failures[:20] for line in _md_failure(witness)]
+    assert lines[-1] == "- more failures: 57"
+
+
+def test_witness_markdown(bundle_path, aligned_path, within_bundle, tmp_path, capsys):
+    control = ek.make_naive_bdm(within_bundle.problem, within_bundle.question)
+    naive = tmp_path / "naive.json"
+    ek.save_method(control, str(naive))
+    code, stdout, _ = run(capsys, "witness", bundle_path, str(naive), "--format", "md")
+    assert code == 0
+    assert stdout == (
+        "# elicitkit witness\n"
+        "\n"
+        "- belief: [0.0, 0.0, 0.1, 0.0, 0.9]\n"
+        "- u-optimal: 1\n"
+        "- v-optimal: 0.75\n"
+        "- report gap: 0.0\n"
+        "- value gap: 0.057499999999999885\n"
+    )
+    mech = tmp_path / "mech.json"
+    assert run(capsys, "synthesize", aligned_path, "--out", str(mech))[0] == 0
+    flags = ("--grid", "6", "--samples", "50", "--format", "md")
+    code, stdout, _ = run(capsys, "witness", aligned_path, str(mech), *flags)
+    assert code == 5
+    assert stdout == "# elicitkit witness\n\n- witness: none\n"
+
+
 # ---------------------------------------------------------------------------
 # Configuration and error handling
 

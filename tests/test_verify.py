@@ -107,6 +107,8 @@ def test_dirichlet_sample_is_deterministic():
     np.testing.assert_allclose(a.sum(axis=1), 1.0)
     c = ek.dirichlet_sample(4, 7, seed=12)
     assert not np.array_equal(a, c)
+    # no draws: the normalization divides an empty array, with no warning
+    assert ek.dirichlet_sample(4, 0, seed=11).shape == (0, 4)
 
 
 def test_boundary_beliefs_sit_on_the_indifference_face(ql4):
@@ -580,6 +582,62 @@ def test_quadratic_control_distorts_despite_truthfulness():
     assert witness.value_gap == pytest.approx(1.0 / 12.0)
 
 
+def _star_quadratic_control() -> tuple[ek.ProblemBundle, ek.ElicitationMethod]:
+    problem = ek.make_star(7, 0.853)
+    bundle = ek.ProblemBundle(
+        problem=problem, question=ek.build_question("regret", problem), alpha=0.696
+    )
+    return bundle, ek.make_quadratic_control(problem, bundle.question, bundle.alpha)
+
+
+def test_the_search_finds_a_distortion_on_an_indifference_face(monkeypatch):
+    # The control distorts only where theta0 ties with safe in utility: the
+    # grid, the draws and every refinement box miss it, the face beliefs
+    # do not.  The search returns the sweep's first failure.
+    bundle, control = _star_quadratic_control()
+    report = ek.verify_incentivizability(bundle, control)
+    assert len(report.failures) == 21
+    faces = _spy(monkeypatch, "_face_beliefs")
+    witness = ek.find_distortion_witness(bundle, control)
+    assert faces
+    assert witness == report.failures[0]
+    assert (witness.u_optimal, witness.v_optimal) == (("theta0", "safe"), ("safe",))
+    assert witness.value_gap > 0.06
+
+
+def test_a_search_confirmed_before_the_faces_builds_no_graph(within_bundle, monkeypatch):
+    graphs = []
+    monkeypatch.setattr(geometry, "adjacency_graph", lambda *args: graphs.append(args))
+    faces = _spy(monkeypatch, "_face_beliefs")
+    control = ek.make_naive_bdm(within_bundle.problem, within_bundle.question)
+    assert ek.find_distortion_witness(within_bundle, control) is not None
+    assert graphs == [] and faces == []
+
+
+def test_the_search_reads_the_graph_it_is_given(monkeypatch):
+    bundle, control = _star_quadratic_control()
+    graph = ek.adjacency_graph(bundle.problem)
+    want = ek.find_distortion_witness(bundle, control)
+    monkeypatch.setattr(geometry, "adjacency_graph", None)  # never built again
+    assert ek.find_distortion_witness(bundle, control, graph=graph) == want
+
+
+def test_a_utility_suboptimal_payment_optimal_action_is_confirmed():
+    # At (0, 1/2, 1/10, 2/5) action 3 is payment-optimal with action 4 but
+    # more than ten bands short of it in utility; the value gap is 0.  The
+    # sweep fails the belief and the search returns it.
+    problem = ek.make_close_guess([1.0, 2.0, 3.0, 4.0])
+    bundle = ek.ProblemBundle(
+        problem=problem, question=ek.build_question("ex-post-optimality", problem)
+    )
+    control = ek.make_quadratic_control(problem, bundle.question)
+    witness = ek.find_distortion_witness(bundle, control)
+    assert (witness.u_optimal, witness.v_optimal) == (("4",), ("3", "4"))
+    np.testing.assert_allclose(witness.belief, [0.0, 0.5, 0.1, 0.4])
+    assert witness.value_gap == 0.0
+    assert witness in ek.verify_incentivizability(bundle, control).failures
+
+
 # ---------------------------------------------------------------------------
 # Cross-check and configuration
 
@@ -599,11 +657,23 @@ def test_verify_refuses_a_graph_of_another_problem(ql4, aligned_method):
     for graph in foreign_graphs(ql4):
         with pytest.raises(ValueError, match="another problem's"):
             ek.verify_incentivizability(bundle, aligned_method, graph=graph)
+        # refused before the first belief is scanned
+        with pytest.raises(ValueError, match="another problem's"):
+            ek.find_distortion_witness(bundle, aligned_method, graph=graph)
+
+
+def test_oracle_cross_check_hands_its_graph_to_the_search(within_bundle, monkeypatch):
+    searches = _spy(monkeypatch, "find_distortion_witness")
+    assert ek.oracle_cross_check(within_bundle).consistent
+    (*_, graph), = searches
+    assert isinstance(graph, ek.AdjacencyGraph) and len(graph.edges) == 4
 
 
 def test_oracle_cross_check_builds_one_graph(geometry_lps):
     # decide_incentivizable and the boundary sweep share one graph: its
     # 120 LPs are solved once, not twice, and the record does not change.
+    # The sweep checks the 136 beliefs of the 16-state pairwise grid, 500
+    # draws and 3 beliefs on each of the 32 faces.
     problem, product = ek.make_mc_test(4, 2)
     question = ek.build_question("improvement", problem, product, split=2)
     bundle = ek.ProblemBundle(problem=problem, question=question, product=product)
@@ -611,7 +681,7 @@ def test_oracle_cross_check_builds_one_graph(geometry_lps):
     assert len(geometry_lps) == 120
     assert record.consistent
     assert record.detail == (
-        "synthesized product-bdm: 596/596 beliefs pass, 0 ambiguous, 0 failures"
+        "synthesized product-bdm: 732/732 beliefs pass, 0 ambiguous, 0 failures"
     )
     alone = ek.decide_incentivizable(bundle)
     assert ek.canonical_dumps(record.verdict.to_dict()) == ek.canonical_dumps(alone.to_dict())
@@ -828,6 +898,9 @@ def _reference_confirmed(scan, row, tol):
         gap = scan.best_v[row] - scan.values[scan.mask_u[:, row], row].min()
         if gap > tol * 10.0 * (1.0 + abs(scan.best_v[row])):
             return True
+        extra = scan.mask_v[:, row] & ~scan.mask_u[:, row]
+        if extra.any() and scan.deficit_u[extra, row].max() > 10.0 * scan.cut_u[row]:
+            return True
     return scan.report_gaps[scan.mask_v[:, row], row].max() > 10.0 * (10.0 * tol)
 
 
@@ -846,7 +919,8 @@ def _reference_scan_for_witness(problem, x, method, beliefs, spec):
 
 
 def _reference_find_distortion_witness(bundle, method, spec=ek.GridSpec()):
-    """The witness search with each refinement round stacked whole."""
+    """The witness search with the face beliefs after the grid and the
+    draws, and each refinement round stacked whole."""
     problem, x = bundle.problem, bundle.question.values
     k = problem.n_states
     blocks = []
@@ -859,9 +933,20 @@ def _reference_find_distortion_witness(bundle, method, spec=ek.GridSpec()):
             pass
     if spec.samples > 0:
         blocks.append(ek.dirichlet_sample(k, spec.samples, spec.seed))
-    witness, center, gap = _reference_scan_for_witness(problem, x, method, np.vstack(blocks), spec)
-    if witness is not None:
-        return witness
+    # the grid, the draws and the face beliefs, one block after the other
+    graph = ek.adjacency_graph(problem)
+    if graph.n_edges:
+        seed = spec.seed + 1
+        blocks.append(_face_beliefs(problem, graph.pairs, graph.witnesses, 3, seed))
+    center, gap = None, -np.inf
+    for beliefs in blocks:
+        witness, new_center, new_gap = _reference_scan_for_witness(
+            problem, x, method, beliefs, spec
+        )
+        if witness is not None:
+            return witness
+        if new_gap > gap:
+            center, gap = new_center, new_gap
     denominator, box = spec.denominator, None
     for round_index in range(1, verify.REFINE_ROUNDS + 1):
         if k <= verify.GRID_MAX_STATES:
@@ -888,8 +973,10 @@ def _reference_find_distortion_witness(bundle, method, spec=ek.GridSpec()):
 def _many_state_searches() -> list[tuple[ek.ProblemBundle, ek.ElicitationMethod]]:
     """12- and 40-state bundles whose searches reach the Dirichlet rounds:
     the naive control, the synthesized mechanism (no witness, all four
-    rounds) and that mechanism with one action's payment raised a little
-    (a witness in the coarse pass, in a refinement round, or none)."""
+    rounds), that mechanism with one action's payment raised a little (a
+    witness on an indifference face in the first pass, or none), and with
+    one action's payment raised in one state alone (a witness the first
+    pass misses and a round finds, or none)."""
     cases = []
     for k, seed in ((12, 0), (12, 1), (40, 1), (40, 2)):
         rng = np.random.default_rng(seed)
@@ -907,6 +994,9 @@ def _many_state_searches() -> list[tuple[ek.ProblemBundle, ek.ElicitationMethod]
                 c0 = method.c0.copy()
                 c0[action] += delta
                 cases.append((bundle, replace(method, c0=c0)))
+        c0 = method.c0.copy()
+        c0[1, 6] += 1e-4 * k
+        cases.append((bundle, replace(method, c0=c0)))
     return cases
 
 
@@ -949,15 +1039,16 @@ def test_witness_search_matches_the_row_by_row_reference_bitwise(monkeypatch):
     monkeypatch.setattr(verify, "find_distortion_witness", _reference_find_distortion_witness)
     assert got == _searches(cases + many)
     # The many-state searches end in every way: no witness after four rounds,
-    # a witness from the coarse pass, and one from a round's first and its
-    # second mixing weight.
-    assert {"none", "coarse", 0, 1} <= ends
+    # a witness from the first pass, and one from a round's first and its
+    # third mixing weight, the third built in the buffer of the first two.
+    assert {"none", "coarse", 0, 2} <= ends
 
 
 def test_witness_search_streams_its_refinement_rounds():
     # A 3-action, 1,000-state aligned mechanism has no witness, so all four
     # Dirichlet rounds run.  Stacking a round's 6,000 x 1,000 candidates whole
-    # peaks at 156 MiB; one mixing weight at a time stays well under 90.
+    # peaks at 156 MiB.  Each mixing weight built in one buffer, a round holds
+    # about 31 MiB, and the peak, 37 MiB, is the face beliefs' tangent bases.
     rng = np.random.default_rng(0)
     k = 1000
     problem = ek.DecisionProblem(
