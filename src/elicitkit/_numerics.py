@@ -141,12 +141,9 @@ def nullspaces(stack: np.ndarray) -> list[FloatArray]:
     :func:`nullspace` gives that matrix alone.  It is spanned by the
     right singular vectors past the matrix's :func:`numerical_rank`.
     """
-    count, rows, cols = stack.shape
-    if rows == 0 or cols == 0:
-        return [np.eye(cols) for _ in range(count)]
     _, s, vt = np.linalg.svd(stack, full_matrices=True)
     keep = _count_above_cutoff(s, stack)
-    return [vt[i, keep[i] :] for i in range(count)]
+    return [basis[rank:] for basis, rank in zip(vt, keep)]
 
 
 def nullspace(matrix: object) -> FloatArray:

@@ -15,6 +15,8 @@ import argparse
 import sys
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from ._numerics import LPFailure
 from .alignment import ALIGN_RTOL, Verdict, decide_incentivizable
 from .geometry import adjacency_graph, classify_graph, enumerate_cycles, splitting_collection
@@ -58,16 +60,43 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _render(payload: dict[str, Any], fmt: str, md: Callable[[dict[str, Any]], str]) -> str:
+#: Items of a list of objects that markdown shows before its ``more`` row.
+MD_LIST_ITEMS = 20
+
+
+def _md_scalar(value: Any) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _md_rows(key: str, value: Any, rows: list[str]) -> None:
+    """``value``'s markdown rows under ``key``: one per scalar or list of scalars."""
+    if isinstance(value, np.ndarray):  # read as its list, as canonical JSON does
+        value = value.tolist()
+    if isinstance(value, dict):
+        for field, item in value.items():
+            _md_rows(f"{key}.{field}" if key else field, item, rows)
+    elif isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
+        for i, item in enumerate(value[:MD_LIST_ITEMS]):
+            _md_rows(f"{key}[{i}]", item, rows)
+        if len(value) > MD_LIST_ITEMS:
+            rows.append(f"- more {key}: {len(value) - MD_LIST_ITEMS}")
+    elif isinstance(value, list):
+        rows.append(f"- {key}: [{', '.join(map(_md_scalar, value))}]")
+    else:
+        rows.append(f"- {key}: {_md_scalar(value)}")
+
+
+def _render(payload: dict[str, Any], fmt: str, title: str) -> str:
+    """The payload as canonical JSON, or as markdown: one row per leaf, in payload order."""
     if fmt == "json":
         return canonical_dumps(payload)
-    return md(payload)
-
-
-def _md_lines(title: str, items: Sequence[tuple[str, Any]]) -> str:
-    lines = [f"# elicitkit {title}", ""]
-    lines.extend(f"- {key}: {value}" for key, value in items)
-    return "\n".join(lines) + "\n"
+    rows = [f"# elicitkit {title}", ""]
+    _md_rows("", payload, rows)
+    return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -99,30 +128,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _md_classify(payload: dict[str, Any]) -> str:
-    items: list[tuple[str, Any]] = [
-        ("kind", payload["kind"]),
-        ("connected", payload["connected"]),
-        ("tree", payload["tree"]),
-        ("complete", payload["complete"]),
-        ("product-consistent", payload["product_consistent"]),
-        ("edges", len(payload["edges"])),
-    ]
-    for edge in payload["edges"]:
-        items.append((f"edge {edge['a']} -- {edge['b']}", f"slack {edge['slack']:.6g}"))
-    if payload["splitting"] is not None:
-        items.append(("splitting parts", payload["splitting"]["parts"]))
-        items.append(("cut vertices", payload["splitting"]["cut_vertices"]))
-    items.append(
-        (
-            "cycles",
-            f"{payload['cycles']['count']} up to length {payload['cycles']['max_len']}"
-            + (" (truncated)" if payload["cycles"]["truncated"] else ""),
-        )
-    )
-    return _md_lines("classify", items)
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.bundle)
     graph = adjacency_graph(bundle.problem)
@@ -150,7 +155,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "max_len": max_len,
         },
     }
-    _emit(_render(payload, args.fmt, _md_classify), args.out)
+    _emit(_render(payload, args.fmt, args.command), args.out)
     return EXIT_OK
 
 
@@ -162,33 +167,13 @@ def _verdict_exit(verdict: Verdict) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _md_check(payload: dict[str, Any]) -> str:
-    items: list[tuple[str, Any]] = [
-        ("verdict", payload["status"]),
-        ("theorem", payload["theorem"] or "none"),
-    ]
-    cert = payload.get("certificate")
-    if cert:
-        items.append(("certificate", cert["type"]))
-        if "residual" in cert:
-            items.append(("certificate residual", cert["residual"]))
-    violation = payload.get("violation")
-    if violation:
-        items.append(("violation", violation["kind"]))
-        items.append(("violation actions", ", ".join(violation["actions"])))
-        items.append(("violation residual", violation["residual"]))
-    if payload.get("note"):
-        items.append(("note", payload["note"]))
-    return _md_lines("check", items)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     tol = ALIGN_RTOL if args.tol is None else args.tol
     bundle = load_bundle(args.bundle)
     if bundle.question is None:
         raise ElicitkitError("bundle has no question; nothing to check")
     verdict = decide_incentivizable(bundle, tol=tol)
-    _emit(_render(verdict.to_dict(), args.fmt, _md_check), args.out)
+    _emit(_render(verdict.to_dict(), args.fmt, args.command), args.out)
     return _verdict_exit(verdict)
 
 
@@ -199,7 +184,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         raise ElicitkitError("bundle has no question; nothing to synthesize")
     verdict = decide_incentivizable(bundle, tol=tol)
     if verdict.status != "incentivizable":
-        _emit(_render(verdict.to_dict(), args.fmt, _md_check), None)
+        _emit(_render(verdict.to_dict(), args.fmt, args.command), None)
         return _verdict_exit(verdict)
     method = synthesize(bundle, verdict, tol)
     _emit(dumps_method(method), args.out)
@@ -209,41 +194,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             "provenance": method.provenance,
             "theorem": verdict.theorem,
         }
-        _emit(
-            _render(
-                summary,
-                args.fmt,
-                lambda p: _md_lines("synthesize", list(p.items())),
-            ),
-            None,
-        )
+        _emit(_render(summary, args.fmt, args.command), None)
     return EXIT_OK
-
-
-def _witness_items(witness: dict[str, Any], belief: str, indent: str) -> list[tuple[str, Any]]:
-    """A witness's md rows: its belief under the key ``belief``, then the rest indented."""
-    return [
-        (belief, witness["belief"]),
-        (f"{indent}u-optimal", ", ".join(witness["u_optimal"])),
-        (f"{indent}v-optimal", ", ".join(witness["v_optimal"])),
-        (f"{indent}report gap", witness["report_gap"]),
-        (f"{indent}value gap", witness["value_gap"]),
-    ]
-
-
-def _md_verify(payload: dict[str, Any]) -> str:
-    items: list[tuple[str, Any]] = [
-        ("checked", payload["checked"]),
-        ("passes", payload["passes"]),
-        ("boundary-ambiguous", payload["boundary_ambiguous"]),
-        ("failures", len(payload["failures"])),
-        ("passed", payload["passed"]),
-    ]
-    for witness in payload["failures"][:20]:
-        items += _witness_items(witness, "failure belief", "  ")
-    if len(payload["failures"]) > 20:
-        items.append(("more failures", len(payload["failures"]) - 20))
-    return _md_lines("verify", items)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -251,15 +203,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.bundle)
     method = load_method(args.mechanism)
     report = verify_incentivizability(bundle, method, spec)
-    _emit(_render(report.to_dict(), args.fmt, _md_verify), args.out)
+    _emit(_render(report.to_dict(), args.fmt, args.command), args.out)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
-
-
-def _md_witness(payload: dict[str, Any]) -> str:
-    witness = payload["witness"]
-    if witness is None:
-        return _md_lines("witness", [("witness", "none")])
-    return _md_lines("witness", _witness_items(witness, "belief", ""))
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
@@ -268,7 +213,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     method = load_method(args.mechanism)
     witness = find_distortion_witness(bundle, method, spec)
     payload = {"witness": witness.to_dict() if witness is not None else None}
-    _emit(_render(payload, args.fmt, _md_witness), args.out)
+    _emit(_render(payload, args.fmt, args.command), args.out)
     return EXIT_OK if witness is not None else EXIT_NOT_FOUND
 
 

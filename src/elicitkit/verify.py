@@ -8,12 +8,13 @@ The sweep and the witness search scan one belief set in one order and
 judge each belief by one rule.  Everything is deterministic for fixed
 inputs: beliefs are generated in a fixed order from seeded generators
 and results are aggregated in that order, so reports and witnesses are
-bit-reproducible regardless of how the evaluation is batched
-internally.  Grids, face beliefs and face-step candidates are built as
-whole arrays, and grids of at most 2 MB are kept between calls.  A scan
-takes about a thousand beliefs at a time and lays each result out one
-action per row, so that every reduction over actions runs along the
-first axis.
+bit-reproducible.  A product's last bits can depend on how many rows it
+holds, so both checks scan the same blocks, cut into the same chunks: a
+belief that both scan gets the same bits in each.  Grids, face beliefs
+and face-step candidates are built as whole arrays, and grids of at most
+2 MB are kept between calls.  A scan takes about a thousand beliefs at a
+time and lays each result out one action per row, so that every
+reduction over actions runs along the first axis.
 """
 
 from __future__ import annotations
@@ -543,10 +544,10 @@ def _scans(
 ) -> Iterator[tuple[FloatArray, _ChunkScan]]:
     """Scan ``beliefs`` in order, about ``_CHUNK_ROWS`` at a time.
 
-    A one-row product takes BLAS's matrix-vector path, whose last bits
-    can differ from those of the same row in a larger product, so a last
-    lone row joins the chunk before it: each row's scan has the bits of
-    one scan of the whole array, unless that array is a single row.
+    A row's last bits can depend on the rows scanned with it: a one-row
+    product takes BLAS's matrix-vector path, and larger products are
+    blocked by their shape.  So a last lone row joins the chunk before
+    it, and a row's bits are fixed by ``beliefs`` and its place there.
     """
     total = beliefs.shape[0]
     start = 0
@@ -625,17 +626,18 @@ def verify_incentivizability(
     """
     x = _require_bound(bundle, method)
     problem = bundle.problem
-    beliefs = np.vstack(list(_beliefs(problem, spec, graph)))
-    passes = ambiguous = 0
+    checked = passes = ambiguous = 0
     failures: list[Witness] = []
-    for chunk, scan in _scans(problem, x, method, beliefs, spec):
-        fail, razor, _ = _judge(problem, chunk, scan, spec.tol)
-        ambiguous += int(razor.sum())
-        passes += int((~fail & ~razor).sum())
-        for row in np.flatnonzero(fail & ~razor):
-            failures.append(_row_witness(problem, scan, chunk, int(row)))
+    for block in _beliefs(problem, spec, graph):
+        checked += block.shape[0]
+        for chunk, scan in _scans(problem, x, method, block, spec):
+            fail, razor, _ = _judge(problem, chunk, scan, spec.tol)
+            ambiguous += int(razor.sum())
+            passes += int((~fail & ~razor).sum())
+            for row in np.flatnonzero(fail & ~razor):
+                failures.append(_row_witness(problem, scan, chunk, int(row)))
     return VerificationReport(
-        checked=beliefs.shape[0],
+        checked=checked,
         passes=passes,
         failures=tuple(failures),
         boundary_ambiguous=ambiguous,

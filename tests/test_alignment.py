@@ -608,6 +608,65 @@ def test_decide_pairwise_necessity_without_product_structure():
     assert verdict.violation.kind == "pairwise-misalignment"
 
 
+def test_decide_complete_graph_without_independent_payoffs():
+    # Four actions pairwise adjacent, but their payoff differences span only
+    # two dimensions: x + y + z = 0 and c is constant.  The complete-graph
+    # theorem does not apply, and pairwise necessity refutes instead.
+    utility = np.array([[4, 4, -8, 0], [4, -8, 4, 0], [-8, 4, 4, 0], [1, 1, 1, 1]], float)
+    problem = ek.DecisionProblem(("s0", "s1", "s2", "s3"), ("x", "y", "z", "c"), utility)
+    assert ek.classify_graph(ek.adjacency_graph(problem)).kind == "complete"
+    assert not alignment._complete_hypotheses(problem)
+    values = np.random.default_rng(0).uniform(size=utility.shape)
+    bundle = ek.ProblemBundle(problem=problem, question=ek.QuestionProfile(values=values))
+    verdict = ek.decide_incentivizable(bundle)
+    assert (verdict.status, verdict.theorem) == ("not_incentivizable", "pairwise-necessity")
+
+
+def _three_task_product(third: ek.DecisionProblem) -> tuple[ek.DecisionProblem, ek.ProductStructure]:
+    """Two binary tasks and ``third``: a 12-action product graph."""
+    binary = ek.make_quadratic_loss(1)
+    return ek.expand_product([binary, binary, third])
+
+
+def test_decide_product_with_a_task_graph_that_is_not_complete():
+    # M beats L and R wherever they tie, so the task graph is the path
+    # L - M - R, though its payoff differences are independent: the product
+    # theorem's hypotheses fail on a product-consistent graph.
+    task = ek.DecisionProblem(
+        ("t0", "t1", "t2"), ("L", "M", "R"), np.array([[1, 0, 0], [0.6, 0.5, 0.6], [0, 0, 1]])
+    )
+    assert ek.adjacency_graph(task).n_edges == 2
+    assert alignment._affinely_independent(task, 3)
+    assert not alignment._task_hypotheses(task)
+    problem, product = _three_task_product(task)
+    assert ek.classify_graph(ek.adjacency_graph(problem), product).kind == "product"
+    values = np.random.default_rng(1).uniform(size=problem.utility.shape)
+    bundle = ek.ProblemBundle(
+        problem=problem, question=ek.QuestionProfile(values=values), product=product
+    )
+    verdict = ek.decide_incentivizable(bundle)
+    assert (verdict.status, verdict.theorem) == ("not_incentivizable", "pairwise-necessity")
+
+
+@pytest.fixture(scope="module")
+def complete_task_product():
+    """A product whose third task is complete, and its graph, built before any stall."""
+    problem, product = _three_task_product(ek.make_state_matching([0.7, 1.0, 1.3]))
+    question = ek.build_question("improvement", problem, product, split=1)
+    bundle = ek.ProblemBundle(problem=problem, question=question, product=product)
+    return bundle, ek.adjacency_graph(problem)
+
+
+def test_a_task_graph_lp_that_does_not_finish_leaves_the_verdict_inconclusive(
+    complete_task_product, stalled_lps
+):
+    # The product graph is given, so the first LP is the third task's.
+    bundle, graph = complete_task_product
+    verdict = ek.decide_incentivizable(bundle, graph=graph)
+    assert verdict.status == "inconclusive"
+    assert re.fullmatch(r"the adjacency LP of .* did not finish: .*kIterationLimit", verdict.note)
+
+
 def test_decide_inconclusive_with_few_states():
     problem = ek.make_state_matching([0.7, 1.0, 1.3])
     values = ek.build_question("ex-post-optimality", problem).values.copy()

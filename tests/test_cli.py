@@ -235,8 +235,18 @@ def test_check_requires_a_question(tmp_path, ql4, capsys):
 def test_check_markdown(bundle_path, capsys):
     code, stdout, _ = run(capsys, "check", bundle_path, "--format", "md")
     assert code == 3
-    assert stdout.startswith("# elicitkit check")
-    assert "- verdict: not_incentivizable" in stdout
+    assert stdout == (
+        "# elicitkit check\n"
+        "\n"
+        "- status: not_incentivizable\n"
+        "- theorem: tree-characterization\n"
+        "- certificate: none\n"
+        "- violation.kind: pairwise-misalignment\n"
+        "- violation.actions: [0, 0.25]\n"
+        "- violation.residual: 0.4999999999999991\n"
+        "- violation.detail: adjacent pair admits no alignment coefficients\n"
+        "- note: \n"
+    )
 
 
 def test_check_product_refutation_in_both_formats(tmp_path, capsys):
@@ -366,14 +376,14 @@ def test_witness_not_found(aligned_path, tmp_path, capsys):
     assert json.loads(stdout)["witness"] is None
 
 
-def _md_failure(witness: dict) -> list[str]:
-    """A failure's md rows, from its JSON (which writes 0.0 as 0)."""
+def _md_failure(i: int, witness: dict) -> list[str]:
+    """Failure ``i``'s md rows, from its JSON (which writes 0.0 as 0)."""
     return [
-        f"- failure belief: {[float(v) for v in witness['belief']]}",
-        f"-   u-optimal: {', '.join(witness['u_optimal'])}",
-        f"-   v-optimal: {', '.join(witness['v_optimal'])}",
-        f"-   report gap: {float(witness['report_gap'])}",
-        f"-   value gap: {float(witness['value_gap'])}",
+        f"- failures[{i}].belief: [{', '.join(str(float(v)) for v in witness['belief'])}]",
+        f"- failures[{i}].u_optimal: [{', '.join(witness['u_optimal'])}]",
+        f"- failures[{i}].v_optimal: [{', '.join(witness['v_optimal'])}]",
+        f"- failures[{i}].report_gap: {float(witness['report_gap'])}",
+        f"- failures[{i}].value_gap: {float(witness['value_gap'])}",
     ]
 
 
@@ -388,24 +398,29 @@ def test_verify_markdown_lists_twenty_failures_then_the_rest(
     code, stdout, _ = run(capsys, *argv, "--format", "md")
     assert code == 3
     lines = stdout.splitlines()
-    assert lines[:7] == [
+    assert lines[:5] == [
         "# elicitkit verify",
         "",
         "- checked: 272",
         "- passes: 195",
-        "- boundary-ambiguous: 0",
-        "- failures: 77",
-        "- passed: False",
+        "- boundary_ambiguous: 0",
     ]
-    assert lines[7:12] == [
-        "- failure belief: [0.0, 0.0, 0.16666666666666666, 0.0, 0.8333333333333334]",
-        "-   u-optimal: 1",
-        "-   v-optimal: 0.75",
-        "-   report gap: 0.0",
-        "-   value gap: 0.13194444444444442",
+    assert lines[5:10] == [
+        "- failures[0].belief: [0.0, 0.0, 0.16666666666666666, 0.0, 0.8333333333333334]",
+        "- failures[0].u_optimal: [1]",
+        "- failures[0].v_optimal: [0.75]",
+        "- failures[0].report_gap: 0.0",
+        "- failures[0].value_gap: 0.13194444444444442",
     ]
-    assert lines[7:-1] == [line for witness in failures[:20] for line in _md_failure(witness)]
-    assert lines[-1] == "- more failures: 57"
+    assert lines[5:105] == [line for i in range(20) for line in _md_failure(i, failures[i])]
+    assert lines[105:] == [
+        "- more failures: 57",
+        "- spec.denominator: 6",
+        "- spec.samples: 50",
+        "- spec.seed: 0",
+        "- spec.tol: 1e-07",
+        "- passed: false",
+    ]
 
 
 def test_witness_markdown(bundle_path, aligned_path, within_bundle, tmp_path, capsys):
@@ -417,11 +432,11 @@ def test_witness_markdown(bundle_path, aligned_path, within_bundle, tmp_path, ca
     assert stdout == (
         "# elicitkit witness\n"
         "\n"
-        "- belief: [0.0, 0.0, 0.1, 0.0, 0.9]\n"
-        "- u-optimal: 1\n"
-        "- v-optimal: 0.75\n"
-        "- report gap: 0.0\n"
-        "- value gap: 0.057499999999999885\n"
+        "- witness.belief: [0.0, 0.0, 0.1, 0.0, 0.9]\n"
+        "- witness.u_optimal: [1]\n"
+        "- witness.v_optimal: [0.75]\n"
+        "- witness.report_gap: 0.0\n"
+        "- witness.value_gap: 0.057499999999999885\n"
     )
     mech = tmp_path / "mech.json"
     assert run(capsys, "synthesize", aligned_path, "--out", str(mech))[0] == 0
@@ -429,6 +444,101 @@ def test_witness_markdown(bundle_path, aligned_path, within_bundle, tmp_path, ca
     code, stdout, _ = run(capsys, "witness", aligned_path, str(mech), *flags)
     assert code == 5
     assert stdout == "# elicitkit witness\n\n- witness: none\n"
+
+
+def _leaf(value) -> str:
+    """A JSON scalar, or a markdown value, in one spelling: numbers as float reprs."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    try:
+        return repr(float(value))
+    except ValueError:
+        return value
+
+
+def _json_leaves(value, key=""):
+    """``(key, value)`` per scalar leaf or list of scalars, as markdown keys them."""
+    if isinstance(value, dict):
+        for field, item in value.items():
+            yield from _json_leaves(item, f"{key}.{field}" if key else field)
+    elif isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
+        for i, item in enumerate(value[:20]):
+            yield from _json_leaves(item, f"{key}[{i}]")
+        if len(value) > 20:
+            yield f"more {key}", _leaf(len(value) - 20)
+    elif isinstance(value, list):
+        yield key, [_leaf(item) for item in value]
+    else:
+        yield key, _leaf(value)
+
+
+def _md_leaves(text: str, command: str) -> dict:
+    title = f"# elicitkit {command}\n\n"
+    assert text.startswith(title)
+    leaves = {}
+    for row in text[len(title) :].splitlines():
+        assert row.startswith("- ")
+        key, _, value = row[2:].partition(": ")
+        assert key not in leaves
+        if value.startswith("["):
+            leaves[key] = [_leaf(item) for item in value[1:-1].split(", ")] if value != "[]" else []
+        else:
+            leaves[key] = _leaf(value)
+    return leaves
+
+
+@pytest.fixture()
+def md_cases(tmp_path, bundle_path, aligned_path, chained_bundle, mc32_bundle, within_bundle):
+    """``(name, argv, exit code, text in the JSON)`` for every payload kind."""
+
+    def saved(name, bundle):
+        path = str(tmp_path / name)
+        ek.save_bundle(bundle, path)
+        return path
+
+    chained = saved("chained.json", chained_bundle)
+    product = saved("product.json", mc32_bundle)
+    problem = ek.make_state_matching([0.7, 1.0, 1.3])
+    values = ek.build_question("ex-post-optimality", problem).values.copy()
+    values[0] = [1.0, 0.3, -0.2]
+    odd = saved("odd.json", ek.ProblemBundle(problem=problem, question=ek.QuestionProfile(values)))
+    naive = str(tmp_path / "naive.json")
+    ek.save_method(ek.make_naive_bdm(within_bundle.problem, within_bundle.question), naive)
+    mech = str(tmp_path / "mech.json")
+    sweep = ("--grid", "6", "--samples", "50")
+    return [
+        ("classify", ("classify", bundle_path), 0, '"kind":"tree"'),
+        ("classify product", ("classify", product), 0, '"product_consistent":true'),
+        ("check alignment", ("check", aligned_path), 0, '"type":"alignment"'),
+        ("check piecewise", ("check", chained), 0, '"type":"piecewise-alignment"'),
+        ("check weighted", ("check", product), 0, '"type":"weighted-alignment"'),
+        ("check violation", ("check", bundle_path), 3, '"violation":{"actions"'),
+        ("check note", ("check", odd), 4, '"note":"necessity'),
+        ("synthesize summary", ("synthesize", aligned_path, "--out", mech), 0, '"written"'),
+        ("synthesize refusal", ("synthesize", bundle_path), 3, '"status":"not_incentivizable"'),
+        ("verify passing", ("verify", aligned_path, mech, *sweep), 0, '"passed":true'),
+        ("verify failing", ("verify", bundle_path, naive, *sweep), 3, '"passed":false'),
+        ("witness found", ("witness", bundle_path, naive), 0, '"witness":{'),
+        ("witness none", ("witness", aligned_path, mech, *sweep), 5, '"witness":null'),
+    ]
+
+
+def test_markdown_carries_every_field_of_the_json(md_cases, capsys):
+    # One renderer for every command: a row per scalar leaf (a list of
+    # scalars is one leaf), keyed by its path, 20 items of a list of objects
+    # then a "more" row, null as none.
+    more = 0
+    for name, argv, exit_code, marker in md_cases:
+        code, text, _ = run(capsys, *argv)
+        assert code == exit_code, name
+        assert marker in text, name
+        code, md, _ = run(capsys, *argv, "--format", "md")
+        assert code == exit_code, name
+        assert _md_leaves(md, argv[0]) == dict(_json_leaves(json.loads(text))), name
+        more += "- more " in md
+    assert more == 1
 
 
 # ---------------------------------------------------------------------------

@@ -619,6 +619,20 @@ def test_classify_kinds():
     assert cube.product_consistent
     assert cube.kind == "product"
 
+    # five actions, nine edges: neither a tree nor complete, and no product
+    general = ek.classify_graph(ek.adjacency_graph(ek.make_cycle_rich_safe()))
+    assert general.kind == "general" and general.connected
+
+    # an action dominated everywhere has no edge
+    ql3 = ek.make_quadratic_loss(3)
+    dominated = ek.DecisionProblem(
+        ql3.states, (*ql3.actions, "worse"), np.vstack([ql3.utility, ql3.utility[0] - 1.0])
+    )
+    graph = ek.adjacency_graph(dominated)
+    assert ek.classify_graph(graph).kind == "disconnected"
+    with pytest.raises(ValueError, match="require a connected adjacency graph"):
+        ek.splitting_collection(graph)
+
 
 def _reference_product_consistent(graph, product):
     """The lifting loop: every within-task edge lifts across every completion."""
@@ -668,6 +682,25 @@ def test_product_consistency_matches_the_lifting_loop():
         assert geometry._product_consistent(graph, product) == want
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_an_edge_that_changes_two_tasks_is_not_product_consistent():
+    # Exact adjacency never makes such an edge.  Move one end of an edge of
+    # task 0 in task 1 as well: every lift of task 0 keeps its count, so
+    # only the one-task rule rejects the graph.
+    problem, product = ek.make_mc_test(3, 2)
+    graph = ek.adjacency_graph(problem)
+    assert geometry._product_consistent(graph, product)
+    coords = product.action_coord_array
+    m = next(m for m, (i, j) in enumerate(graph.pairs) if coords[i, 0] != coords[j, 0])
+    i, j = graph.pairs[m]
+    moved = coords[j].copy()
+    moved[1] = 1 - moved[1]
+    pairs = graph.pairs.copy()
+    pairs[m, 1] = next(h for h in range(len(coords)) if (coords[h] == moved).all())
+    bent = geometry.AdjacencyGraph(graph.actions, pairs, graph.slacks, graph.witnesses)
+    assert _reference_product_consistent(bent, product) is False
+    assert geometry._product_consistent(bent, product) is False
 
 
 def test_splitting_collection_covers_each_edge_once():
