@@ -135,20 +135,15 @@ def numerical_rank(matrix: object) -> int | np.ndarray:
 
 
 def nullspaces(stack: np.ndarray) -> list[FloatArray]:
-    """:func:`nullspace` of each matrix of a ``(count, rows, cols)`` stack, from one SVD call.
+    """Orthonormal bases (rows) of the right nullspaces of a ``(count, rows, cols)`` stack.
 
-    The SVD treats each matrix on its own, so each basis has the bits
-    :func:`nullspace` gives that matrix alone.  It is spanned by the
-    right singular vectors past the matrix's :func:`numerical_rank`.
+    One SVD call treats each matrix on its own, so each basis has the
+    bits one SVD of that matrix alone gives.  It is spanned by the right
+    singular vectors past the matrix's :func:`numerical_rank`.
     """
     _, s, vt = np.linalg.svd(stack, full_matrices=True)
     keep = _count_above_cutoff(s, stack)
     return [basis[rank:] for basis, rank in zip(vt, keep)]
-
-
-def nullspace(matrix: object) -> FloatArray:
-    """Orthonormal basis (rows) of the right nullspace of ``matrix``."""
-    return nullspaces(as_float_matrix(matrix)[None])[0]
 
 
 def scale_to_utility_gauge(utility: FloatArray) -> FloatArray:

@@ -15,8 +15,6 @@ import argparse
 import sys
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from ._numerics import LPFailure
 from .alignment import ALIGN_RTOL, Verdict, decide_incentivizable
 from .geometry import adjacency_graph, classify_graph, enumerate_cycles, splitting_collection
@@ -74,8 +72,6 @@ def _md_scalar(value: Any) -> str:
 
 def _md_rows(key: str, value: Any, rows: list[str]) -> None:
     """``value``'s markdown rows under ``key``: one per scalar or list of scalars."""
-    if isinstance(value, np.ndarray):  # read as its list, as canonical JSON does
-        value = value.tolist()
     if isinstance(value, dict):
         for field, item in value.items():
             _md_rows(f"{key}.{field}" if key else field, item, rows)

@@ -200,8 +200,8 @@ class AdjacencyGraph:
     @cached_property
     def edges(self) -> tuple[AdjacencyEdge, ...]:
         return tuple(
-            AdjacencyEdge(e["a"], e["b"], e["slack"], _stored_belief(e["witness"]))
-            for e in self.to_dict()["edges"]
+            AdjacencyEdge(self.actions[i], self.actions[j], s, _stored_belief(w))
+            for (i, j), s, w in zip(self.pairs.tolist(), self.slacks.tolist(), self.witnesses)
         )
 
     @cached_property
@@ -256,7 +256,7 @@ class AdjacencyGraph:
         return len(seen) == len(self.actions)
 
     def to_dict(self) -> dict:
-        edges = zip(self.pairs.tolist(), self.slacks.tolist(), self.witnesses)
+        edges = zip(self.pairs.tolist(), self.slacks.tolist(), self.witnesses.tolist())
         return {
             "nodes": list(self.actions),
             "edges": [

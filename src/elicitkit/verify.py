@@ -10,11 +10,12 @@ inputs: beliefs are generated in a fixed order from seeded generators
 and results are aggregated in that order, so reports and witnesses are
 bit-reproducible.  A product's last bits can depend on how many rows it
 holds, so both checks scan the same blocks, cut into the same chunks: a
-belief that both scan gets the same bits in each.  Grids, face beliefs
-and face-step candidates are built as whole arrays, and grids of at most
-2 MB are kept between calls.  A scan takes about a thousand beliefs at a
-time and lays each result out one action per row, so that every
-reduction over actions runs along the first axis.
+belief that both scan gets the same bits in each.  Grids and face
+beliefs are built as whole arrays, the face beliefs one step length at
+a time for every face, and grids of at most 2 MB are kept between
+calls.  A scan takes about a thousand beliefs at a time and lays each
+result out one action per row, so that every reduction over actions
+runs along the first axis.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._numerics import FloatArray, LPFailure, nullspaces
+from ._numerics import FloatArray, LPFailure
 from .alignment import ALIGN_RTOL, Verdict, decide_incentivizable
 from .geometry import (
     OPTIMAL_ACTIONS_RTOL,
@@ -97,7 +97,7 @@ class GridSpec:
 
     ``denominator`` controls the rational grid, ``samples`` the number
     of Dirichlet(1) draws and ``seed`` their stream; the face beliefs
-    draw from ``seed + 1`` on.  ``tol`` separates optimal from
+    draw one block from ``seed + 1``.  ``tol`` separates optimal from
     suboptimal actions and ``REPORT_FACTOR * tol`` bounds report
     mismatches, as :func:`verify_incentivizability` states.  The witness
     search refines from ``denominator`` up, for ``REFINE_ROUNDS`` rounds.
@@ -200,13 +200,14 @@ def boundary_beliefs(
     """Beliefs on the indifference face between two adjacent actions.
 
     Returns ``n`` rows, ``(0, n_states)`` for ``n = 0``.  The adjacency
-    witness comes first; further points perturb it inside the face's
-    tangent directions by the longest of the steps 1, 1/2, ..., 2**-39
-    that stays in the simplex and keeps both actions weakly optimal.  At
-    most ``50·n`` random directions are tried, one seeded stream drawn in
-    attempt order, and rows left over repeat the witness.  The sweep
-    computes the beliefs of every face of a graph in one pass, with the
-    same bits as this one face.  Non-adjacent pairs are rejected.
+    witness comes first.  Each further point starts from a Dirichlet(1)
+    draw of the stream ``seed``, moved along the line to one vertex of
+    the simplex until the two actions tie there: a point of the face.
+    The point is the witness moved towards it by the longest of the
+    steps 1, 1/2, ..., 2**-39 that keeps both actions weakly optimal,
+    or the witness itself when no step does.  The sweep computes the
+    beliefs of every face of a graph in one pass, with the same bits as
+    this one face.  Non-adjacent pairs are rejected.
     """
     if n < 0:
         raise ValueError(f"the number of beliefs must be nonnegative, got {n}")
@@ -222,111 +223,57 @@ def _face_beliefs(
 ) -> FloatArray:
     """``boundary_beliefs`` for every face at once.
 
-    Face ``f`` lies between the actions at indices ``pairs[f]`` and holds
-    the witness ``witnesses[f]``, as in an :class:`AdjacencyGraph`.  It
-    draws from the stream seeded ``seed + f``, and its ``n`` rows
-    follow those of face ``f - 1``.  Apart from each face's own draws,
-    every step is one array operation over all faces: one stacked SVD
-    gives the tangent bases, and each round draws for every face short
-    of points about as many directions as it should need (more when its
-    witness has zero coordinates, where most directions leave the
-    simplex), computes them one per row with
-    the products the face alone would use, and drops in one sign test
-    those negative, even after the shortest step, where the witness is
-    zero: they leave the simplex at every step.  The step search then
-    reads, for all remaining directions at once, each one's next step
-    inside the simplex.  A face keeps its first accepted directions in
-    attempt order, so the rows are those of one direction at a time.
+    Face ``f`` lies between the actions ``i, j`` at indices ``pairs[f]``
+    and holds the witness ``w = witnesses[f]``, as in an
+    :class:`AdjacencyGraph`; its ``n`` rows follow those of face
+    ``f - 1``.  Its ``n - 1`` further points read rows ``f·(n - 1)`` on
+    of one ``dirichlet_sample`` block.  A row ``r`` with ``d·r > 0``,
+    where ``d = u_i - u_j``, moves towards the vertex ``e_s`` of the
+    smallest ``d_s``, one with ``d·r < 0`` towards that of the largest,
+    to ``q = r + λ(e_s - r)`` with ``λ = d·r / (d·r - d_s)`` in (0, 1]:
+    ``q`` lies in the simplex on the tie plane ``d·p = 0``, and so does
+    every point between ``w`` and ``q``.  A row with ``d·r = 0`` is its
+    own ``q``.  Then, one step at a time, longest first, every point
+    still open tries ``w + t(q - w)``, clipped and normalized, and keeps
+    the first at which both actions lie within ``optimal_actions``'
+    band of the best expected payoff.
     """
     points = np.repeat(witnesses, n, axis=0)
     if n <= 1 or not len(pairs):
         return points
-    first, second = pairs[:, 0], pairs[:, 1]
+    owner = np.repeat(np.arange(len(pairs)), n - 1)
+    first, second = pairs[owner, 0], pairs[owner, 1]
     ties = problem.utility[first] - problem.utility[second]
-    bases = nullspaces(np.stack([np.ones_like(ties), ties], axis=1))
-    dims = np.array([basis.shape[0] for basis in bases])
-    # Without tangent directions every attempt repeats the witness.
-    caps = np.where(dims > 0, 50 * n, 0)
-    zero = witnesses <= 0.0
-    # Each zero coordinate of the witness about halves the share of
-    # directions that stay in the simplex.  A first round draws twice the
-    # number that share should need, and each later round twice as many.
-    boost = zero.sum(axis=1)
-    rngs = [np.random.Generator(np.random.PCG64(seed + f)) for f in range(len(pairs))]
-    attempts = np.zeros(len(pairs), dtype=np.int64)
-    found = np.zeros(len(pairs), dtype=np.int64)
-    for round_index in itertools.count():
-        drawing = np.flatnonzero((found < n - 1) & (attempts < caps))
-        if not drawing.size:
-            break
-        wanted = (n - 1 - found[drawing]) << np.minimum(boost[drawing] + round_index + 1, 10)
-        draws = np.minimum(wanted, caps[drawing] - attempts[drawing])
-        # At most _CHUNK_ROWS directions a round; later faces draw in later rounds.
-        draws = np.minimum(draws, np.maximum(_CHUNK_ROWS - (np.cumsum(draws) - draws), 0))
-        drawing, draws = drawing[draws > 0], draws[draws > 0]
-        attempts[drawing] += draws
-        # one product per direction, as coeffs[i] @ basis computes it
-        direction = np.concatenate([
-            np.matmul(rngs[f].normal(size=(m, dims[f]))[:, None, :], bases[f])[:, 0]
-            for f, m in zip(drawing.tolist(), draws.tolist())
-        ])
-        owner = np.repeat(drawing, draws)
-        # np.linalg.norm of each row, through the same dot product
-        norm = np.sqrt(np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0])
-        keep = norm != 0.0
-        owner, direction = owner[keep], direction[keep] / norm[keep, None]
-        stays = ~((direction * _FACE_STEPS[-1] < 0.0) & zero[owner]).any(axis=1)
-        owner, direction = owner[stays], direction[stays]
-        candidates = witnesses[owner, None, :] + _FACE_STEPS[:, None] * direction[:, None, :]
-        inside = candidates.min(axis=2) >= 0.0
-        ok, accepted = _first_on_face(problem, candidates, inside, first[owner], second[owner])
-        # Each face keeps its first accepted directions, in attempt order.
-        kept = np.flatnonzero(ok)
-        face = owner[kept]
-        rank = np.arange(kept.size) - np.searchsorted(face, face)
-        use = rank < n - 1 - found[face]
-        points[face[use] * n + 1 + found[face[use]] + rank[use]] = accepted[kept[use]]
-        found += np.bincount(face[use], minlength=len(pairs))
-    return points
-
-
-def _first_on_face(
-    problem: DecisionProblem,
-    candidates: FloatArray,
-    inside: np.ndarray,
-    first: np.ndarray,
-    second: np.ndarray,
-) -> tuple[np.ndarray, FloatArray]:
-    """Each direction's first candidate inside the simplex keeping its pair optimal.
-
-    ``candidates`` holds one row of steps per direction, longest first.
-    A candidate is clipped and normalized, and both actions must be
-    within ``optimal_actions``' band of the best expected payoff.
-    Returns which directions have such a step, and the clipped and
-    normalized candidate of each that has.
-    """
-    found = np.zeros(candidates.shape[0], dtype=bool)
-    accepted = np.empty(candidates[:, 0].shape)
-    step = inside.argmax(axis=1)
-    todo = np.flatnonzero(inside.any(axis=1))
-    later = np.arange(len(_FACE_STEPS))
-    while todo.size:
-        candidate = np.clip(candidates[todo, step[todo]], 0.0, None)
+    draws = dirichlet_sample(problem.n_states, owner.size, seed)
+    rows = np.arange(owner.size)
+    # one product per row, as draw @ tie computes it
+    level = np.matmul(draws[:, None, :], ties[:, :, None])[:, 0, 0]
+    vertex = np.where(level > 0.0, ties.argmin(axis=1), ties.argmax(axis=1))
+    share = np.zeros(owner.size)
+    np.divide(level, level - ties[rows, vertex], out=share, where=level != 0.0)
+    towards = -draws
+    towards[rows, vertex] += 1.0
+    start = witnesses[owner]
+    span = draws + share[:, None] * towards - start
+    open_rows = rows
+    for step in _FACE_STEPS:
+        candidate = np.clip(start[open_rows] + step * span[open_rows], 0.0, None)
         candidate /= candidate.sum(axis=1, keepdims=True)
         # one product per candidate, as utility @ candidate computes it
         values = np.matmul(problem.utility, candidate[:, :, None])[:, :, 0]
         best = values.max(axis=1)
         floor = best - _band(best, OPTIMAL_ACTIONS_RTOL)
-        rows = np.arange(todo.size)
-        ok = (values[rows, first[todo]] >= floor) & (values[rows, second[todo]] >= floor)
-        found[todo[ok]] = True
-        accepted[todo[ok]] = candidate[ok]
-        todo = todo[~ok]
-        remaining = inside[todo] & (later > step[todo, None])
-        more = remaining.any(axis=1)
-        todo = todo[more]
-        step[todo] = remaining[more].argmax(axis=1)
-    return found, accepted
+        index = np.arange(open_rows.size)
+        ok = (values[index, first[open_rows]] >= floor) & (
+            values[index, second[open_rows]] >= floor
+        )
+        done = open_rows[ok]
+        # draw f·(n - 1) + m places point f·n + 1 + m
+        points[done + owner[done] + 1] = candidate[ok]
+        open_rows = open_rows[~ok]
+        if not open_rows.size:
+            break
+    return points
 
 
 # ---------------------------------------------------------------------------

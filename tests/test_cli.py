@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,24 @@ def test_gen_without_out_prints_the_bundle(capsys):
     code, stdout, _ = run(capsys, "gen", "cycle-rich-safe")
     assert code == 0
     assert ek.loads_bundle(stdout).problem.n_actions == 5
+
+
+def test_python_dash_m_elicitkit_runs_the_cli(tmp_path, capsys):
+    # The package runs as a module, as the console script runs main: same
+    # output, same exit code and nothing on stderr.
+    src = str(Path(ek.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["gen", "quadratic-loss", "--n", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "elicitkit", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(capsys, *argv)[1]
 
 
 def test_gen_with_product_question(tmp_path, capsys):
@@ -402,7 +424,7 @@ def test_verify_markdown_lists_twenty_failures_then_the_rest(
         "# elicitkit verify",
         "",
         "- checked: 272",
-        "- passes: 195",
+        "- passes: 193",
         "- boundary_ambiguous: 0",
     ]
     assert lines[5:10] == [
@@ -414,7 +436,7 @@ def test_verify_markdown_lists_twenty_failures_then_the_rest(
     ]
     assert lines[5:105] == [line for i in range(20) for line in _md_failure(i, failures[i])]
     assert lines[105:] == [
-        "- more failures: 57",
+        "- more failures: 59",
         "- spec.denominator: 6",
         "- spec.samples: 50",
         "- spec.seed: 0",

@@ -131,6 +131,8 @@ def test_graph_to_dict_shape(ql4):
     first = data["edges"][0]
     assert sorted(first) == ["a", "b", "slack", "witness"]
     assert abs(sum(first["witness"]) - 1.0) < 1e-9
+    # plain lists, as every other payload holds
+    assert all(type(edge["witness"]) is list for edge in data["edges"])
 
 
 def test_induced_subgraph_keeps_the_real_edges():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import tracemalloc
@@ -16,7 +17,6 @@ import pytest
 import elicitkit as ek
 from conftest import decide_and_synthesize, foreign_graphs, random_validated_problems
 from elicitkit import geometry, verify
-from elicitkit._numerics import nullspace
 from elicitkit.verify import _box_grid, _face_beliefs
 
 
@@ -182,39 +182,35 @@ def _reference_box_grid(center, denominator, radius=2):
     return np.array(sorted(out), dtype=np.float64) / float(denominator)
 
 
-def _reference_face_beliefs(problem, a, b, witness, n, seed):
+def _reference_face_beliefs(problem, a, b, witness, draws):
+    """The witness, then one point per Dirichlet row, one row at a time.
+
+    The row moves along the line to one vertex of the simplex until ``a``
+    and ``b`` tie; the point is the witness stepped towards that end by
+    the longest halving step that keeps both in ``optimal_actions``, or
+    the witness itself.
+    """
+    tie = problem.utility_of(a) - problem.utility_of(b)
     points = [witness]
-    if n > 1:
-        rows = np.vstack(
-            [np.ones(problem.n_states), problem.utility_of(a) - problem.utility_of(b)]
-        )
-        directions = nullspace(rows)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        attempts = 0
-        while len(points) < n and attempts < 50 * n:
-            attempts += 1
-            if directions.shape[0] == 0:
-                points.append(witness)
-                continue
-            coeffs = rng.normal(size=directions.shape[0])
-            direction = coeffs @ directions
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                continue
-            direction /= norm
-            step = 1.0
-            for _ in range(40):
-                candidate = witness + step * direction
-                if candidate.min() >= 0.0:
-                    candidate = np.clip(candidate, 0.0, None)
-                    candidate /= candidate.sum()
-                    if {a, b} <= set(ek.optimal_actions(problem, candidate)):
-                        points.append(candidate)
-                        break
-                step /= 2.0
-        while len(points) < n:
-            points.append(witness)
-    return np.asarray(points[:n], dtype=np.float64)
+    for row in draws:
+        level = float(row @ tie)
+        end = row
+        if level != 0.0:
+            vertex = int(np.argmin(tie) if level > 0.0 else np.argmax(tie))
+            corner = np.zeros_like(row)
+            corner[vertex] = 1.0
+            end = row + level / (level - tie[vertex]) * (corner - row)
+        point = witness
+        step = 1.0
+        for _ in range(40):
+            candidate = np.clip(witness + step * (end - witness), 0.0, None)
+            candidate /= candidate.sum()
+            if {a, b} <= set(ek.optimal_actions(problem, candidate)):
+                point = candidate
+                break
+            step /= 2.0
+        points.append(point)
+    return np.array(points)
 
 
 def _assert_same_bits(got, want):
@@ -259,12 +255,14 @@ _FACE_PROBLEMS = [
             random_validated_problems(12, seed=21, max_states=7, max_actions=8)
         )
     ),
+    # two states: the face is one point inside the simplex
+    pytest.param(ek.make_state_matching([1.0, 2.0]), id="two-states"),
 ]
 
 
 def test_face_problems_have_witnesses_on_and_off_the_simplex_boundary():
-    # The screen rejects directions only where the witness has a zero
-    # coordinate, so the bitwise test below needs both kinds of witness.
+    # A witness with zero coordinates starts its segments on the simplex's
+    # boundary, one without inside it: the bitwise tests below need both.
     on_boundary = [
         bool((edge.witness.probs <= 0.0).any())
         for param in _FACE_PROBLEMS
@@ -283,15 +281,34 @@ def test_face_beliefs_match_the_step_halving_loop_bitwise(problem):
     for index, edge in enumerate(ek.adjacency_graph(problem).edges):
         for n in (1, 2, 3, 6, 20):
             witness = edge.witness.probs
+            draws = ek.dirichlet_sample(problem.n_states, n - 1, 5 + index)
             _assert_same_bits(
                 _face_beliefs(problem, *_face(problem, edge.a, edge.b, witness), n, 5 + index),
-                _reference_face_beliefs(problem, edge.a, edge.b, witness, n, 5 + index),
+                _reference_face_beliefs(problem, edge.a, edge.b, witness, draws),
             )
 
 
+def _assert_on_the_faces(problem, graph, points, n):
+    """Every row is a belief on its face's tie plane, with both actions optimal."""
+    assert points.shape == (graph.n_edges * n, problem.n_states)
+    assert points.min() >= 0.0
+    np.testing.assert_allclose(points.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    for edge, rows in zip(graph.edges, points.reshape(graph.n_edges, n, -1)):
+        tie = problem.utility_of(edge.a) - problem.utility_of(edge.b)
+        assert np.abs(rows @ tie).max() <= 1e-12 * (1.0 + np.abs(problem.utility).max())
+        for row in rows:
+            assert {edge.a, edge.b} <= set(ek.optimal_actions(problem, row))
+
+
+@pytest.mark.parametrize("problem", _FACE_PROBLEMS)
+def test_face_beliefs_lie_on_their_faces(problem):
+    graph = ek.adjacency_graph(problem)
+    points = _face_beliefs(problem, graph.pairs, graph.witnesses, 20, 4)
+    _assert_on_the_faces(problem, graph, points, 20)
+
+
 def _vertex_face_problem() -> ek.DecisionProblem:
-    # a and b tie only at the vertex s0, and the face's one tangent
-    # direction lowers s1 or s2 there: every attempt leaves the simplex.
+    # a and b tie only at the vertex s0: every point of the face is the witness.
     return ek.DecisionProblem(
         states=("s0", "s1", "s2"),
         actions=("a", "b", "c"),
@@ -299,17 +316,12 @@ def _vertex_face_problem() -> ek.DecisionProblem:
     )
 
 
-@pytest.mark.parametrize(
-    "problem, a, b",
-    [
-        pytest.param(_vertex_face_problem(), "a", "b", id="every-step-leaves"),
-        pytest.param(ek.make_state_matching([1.0, 2.0]), "1", "2", id="no-tangent-space"),
-    ],
-)
-def test_face_beliefs_repeat_the_witness_when_no_step_stays_on_the_face(problem, a, b):
-    witness = ek.adjacency_test(problem, a, b).witness.probs
-    got = _face_beliefs(problem, *_face(problem, a, b, witness), 5, 3)
-    _assert_same_bits(got, _reference_face_beliefs(problem, a, b, witness, 5, 3))
+def test_face_beliefs_repeat_the_witness_on_a_face_of_one_point():
+    problem = _vertex_face_problem()
+    witness = ek.adjacency_test(problem, "a", "b").witness.probs
+    got = _face_beliefs(problem, *_face(problem, "a", "b", witness), 5, 3)
+    draws = ek.dirichlet_sample(problem.n_states, 4, 3)
+    _assert_same_bits(got, _reference_face_beliefs(problem, "a", "b", witness, draws))
     _assert_same_bits(got, np.tile(witness, (5, 1)))
 
 
@@ -332,30 +344,63 @@ def test_graph_face_problems_have_several_edges_and_a_vertex_witness():
     )
 
 
+def _reference_graph_face_beliefs(problem, graph, n, seed):
+    """The reference face by face, face ``f`` reading draws ``f·(n - 1)`` on of one block."""
+    draws = ek.dirichlet_sample(problem.n_states, graph.n_edges * max(n - 1, 0), seed)
+    faces = [
+        _reference_face_beliefs(
+            problem, edge.a, edge.b, edge.witness.probs, draws[f * (n - 1) : (f + 1) * (n - 1)]
+        )
+        for f, edge in enumerate(graph.edges)
+    ]
+    return np.vstack(faces).reshape(-1, problem.n_states)
+
+
 @pytest.mark.parametrize("n", (1, 2, 3, 6, 20))
 def test_face_beliefs_of_a_whole_graph_match_the_loop_bitwise(n):
     for problem in _GRAPH_FACE_PROBLEMS:
         graph = ek.adjacency_graph(problem)
-        want = [
-            _reference_face_beliefs(problem, edge.a, edge.b, edge.witness.probs, n, 9 + index)
-            for index, edge in enumerate(graph.edges)
-        ]
         _assert_same_bits(
             _face_beliefs(problem, graph.pairs, graph.witnesses, n, 9),
-            np.vstack(want).reshape(-1, problem.n_states),
+            _reference_graph_face_beliefs(problem, graph, n, 9),
         )
 
 
-def test_face_beliefs_match_the_reference_over_several_batches():
-    # About a quarter of the directions stay in the simplex at this witness,
-    # (1/2, 1/2, 0, 0), so 2000 points take more than one batch of draws.
+def test_face_beliefs_match_the_reference_over_two_thousand_points():
+    # At this witness, (1/2, 1/2, 0, 0), both actions stay optimal on only
+    # part of the face: about half the points take the step 1, the rest 1/2
+    # or 1/4.
     problem = ek.make_star(4, 0.3)
     witness = ek.adjacency_test(problem, "theta0", "theta1").witness.probs
     got = _face_beliefs(problem, *_face(problem, "theta0", "theta1", witness), 2000, 11)
     assert got.shape == (2000, problem.n_states)
+    draws = ek.dirichlet_sample(problem.n_states, 1999, 11)
     _assert_same_bits(
-        got, _reference_face_beliefs(problem, "theta0", "theta1", witness, 2000, 11)
+        got, _reference_face_beliefs(problem, "theta0", "theta1", witness, draws)
     )
+
+
+def _wide_problem() -> ek.DecisionProblem:
+    """3 actions and 1,000 states of uniform random utility."""
+    rng = np.random.default_rng(0)
+    k = 1000
+    return ek.DecisionProblem(
+        states=tuple(f"s{i}" for i in range(k)),
+        actions=("a0", "a1", "a2"),
+        utility=rng.uniform(size=(3, k)),
+    )
+
+
+def test_face_beliefs_of_many_states_are_distinct_points_of_their_faces():
+    # Each of the 3 faces of the 1,000-state problem takes 3 points, none of
+    # them a repeat of its witness.
+    problem = _wide_problem()
+    graph = ek.adjacency_graph(problem)
+    got = _face_beliefs(problem, graph.pairs, graph.witnesses, 3, 1)
+    assert graph.n_edges == 3
+    assert len({row.tobytes() for row in got}) == 9
+    _assert_on_the_faces(problem, graph, got, 3)
+    _assert_same_bits(got, _reference_graph_face_beliefs(problem, graph, 3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +448,7 @@ def test_verify_flags_the_naive_control(within_bundle):
     report = ek.verify_incentivizability(within_bundle, control)
     assert not report.passed
     assert report.checked == 1513
-    assert len(report.failures) == 453
+    assert len(report.failures) == 455
 
 
 def test_witness_search_on_the_naive_control(within_bundle):
@@ -738,18 +783,40 @@ def _split_tie_bundles() -> list[ek.ProblemBundle]:
     ]
 
 
+def _three_way_near_tie(problem: ek.DecisionProblem) -> np.ndarray:
+    """A belief of ``state-matching(1.101, 1.681, 0.838, 1.571, 1.35)`` at
+    which actions 2 and 4 tie and 5 lies 0.8 utility cuts below them."""
+    gains = np.diag(problem.utility)
+    level = (1.0 - 0.15 - 0.08) / (1.0 / gains[[1, 3, 4]]).sum()
+    belief = np.array([0.15, level / gains[1], 0.08, level / gains[3], level / gains[4]])
+    shift = 0.8 * verify._band(level, 1e-7) / gains[4]
+    belief[[0, 4]] += shift, -shift
+    return belief
+
+
 @pytest.mark.parametrize(
-    "bundle, checked", zip(_split_tie_bundles(), (1531, 801)), ids=["state-matching", "random"]
+    "bundle, checked, built",
+    zip(
+        _split_tie_bundles(),
+        (1531, 801),
+        ([_three_way_near_tie(_split_tie_bundles()[0].problem)], []),
+    ),
+    ids=["state-matching", "random"],
 )
-def test_a_near_tie_split_by_the_two_scales_is_ambiguous(bundle, checked):
-    # One sweep belief of each is a three-way (two-way) near tie whose last
-    # action falls inside the utility cut and just outside the value cut,
-    # with neither deficit within a tenth of its cut: a tie, not a failure.
+def test_a_near_tie_split_by_the_two_scales_is_ambiguous(bundle, checked, built, monkeypatch):
+    # A three-way (two-way) near tie whose last action falls inside the
+    # utility cut and just outside the value cut, with neither deficit within
+    # a tenth of its cut: a tie, not a failure.  The random bundle's sweep
+    # holds one such belief; the state-matching one's is built here and
+    # scanned after the sweep's own beliefs, all of which pass.
     method = ek.synthesize(bundle, ek.decide_incentivizable(bundle))
+    sweep = verify._beliefs
+    extra = np.array(built).reshape(-1, bundle.problem.n_states)
+    monkeypatch.setattr(verify, "_beliefs", lambda *args: itertools.chain(sweep(*args), [extra]))
     report = ek.verify_incentivizability(bundle, method)
     assert (report.checked, report.passes, report.boundary_ambiguous) == (
-        checked,
-        checked - 1,
+        checked + len(built),
+        checked - 1 + len(built),
         1,
     )
     assert report.failures == ()
@@ -968,10 +1035,9 @@ def _reference_find_distortion_witness(bundle, method, spec=ek.GridSpec()):
 def _many_state_searches() -> list[tuple[ek.ProblemBundle, ek.ElicitationMethod]]:
     """12- and 40-state bundles whose searches reach the Dirichlet rounds:
     the naive control, the synthesized mechanism (no witness, all four
-    rounds), that mechanism with one action's payment raised a little (a
-    witness on an indifference face in the first pass, or none), and with
-    one action's payment raised in one state alone (a witness the first
-    pass misses and a round finds, or none)."""
+    rounds), and that mechanism with one action's payment raised a little,
+    or raised in one state alone (a witness on an indifference face in the
+    first pass, or none)."""
     cases = []
     for k, seed in ((12, 0), (12, 1), (40, 1), (40, 2)):
         rng = np.random.default_rng(seed)
@@ -991,6 +1057,28 @@ def _many_state_searches() -> list[tuple[ek.ProblemBundle, ek.ElicitationMethod]
                 cases.append((bundle, replace(method, c0=c0)))
         c0 = method.c0.copy()
         c0[1, 6] += 1e-4 * k
+        cases.append((bundle, replace(method, c0=c0)))
+    return cases
+
+
+def _off_face_searches() -> list[tuple[ek.ProblemBundle, ek.ElicitationMethod]]:
+    """The 12- and 40-state seed-1 bundles of :func:`_many_state_searches`
+    with a near copy of ``a1`` (of ``a0``), ``5e-7`` below it in utility:
+    never optimal, so on no face.  The copy is paid as its action plus
+    ``2**-15`` in state s9, so it is payment-optimal, and the witness lies,
+    only where s9 weighs enough: off every face, found by a round's first
+    (third) mixing weight."""
+    cases = []
+    for k, copied in ((12, 1), (40, 0)):
+        utility = np.random.default_rng(1).uniform(size=(4, k))
+        problem = ek.DecisionProblem(
+            states=tuple(f"s{i}" for i in range(k)),
+            actions=("a0", "a1", "a2", "a3", "copy"),
+            utility=np.vstack([utility, utility[copied] - 5e-7]),
+        )
+        bundle, method = _aligned_bundle(problem)
+        c0 = method.c0.copy()
+        c0[4, 9] += 2.0**-15
         cases.append((bundle, replace(method, c0=c0)))
     return cases
 
@@ -1020,7 +1108,10 @@ def test_witness_search_matches_the_row_by_row_reference_bitwise(monkeypatch):
         if verdict.status == "incentivizable":
             methods.append(ek.synthesize(bundle, verdict))
         cases += [(bundle, method, spec) for method in methods for spec in _SCAN_SPECS]
-    many = [(bundle, method, ek.GridSpec()) for bundle, method in _many_state_searches()]
+    many = [
+        (bundle, method, ek.GridSpec())
+        for bundle, method in _many_state_searches() + _off_face_searches()
+    ]
     scans = _spy(monkeypatch, "_scans")
     got = _searches(cases)
     # Each many-state search's 2,000-row Dirichlet blocks, three per round,
@@ -1034,8 +1125,9 @@ def test_witness_search_matches_the_row_by_row_reference_bitwise(monkeypatch):
     monkeypatch.setattr(verify, "find_distortion_witness", _reference_find_distortion_witness)
     assert got == _searches(cases + many)
     # The many-state searches end in every way: no witness after four rounds,
-    # a witness from the first pass, and one from a round's first and its
-    # third mixing weight, the third built in the buffer of the first two.
+    # a witness from the first pass, and, off every face, one from a round's
+    # first and its third mixing weight, the third built in the buffer of the
+    # first two.
     assert {"none", "coarse", 0, 2} <= ends
 
 
@@ -1064,15 +1156,8 @@ def test_witness_search_streams_its_refinement_rounds():
     # A 3-action, 1,000-state aligned mechanism has no witness, so all four
     # Dirichlet rounds run.  Stacking a round's 6,000 x 1,000 candidates whole
     # peaks at 156 MiB.  Each mixing weight built in one buffer, a round holds
-    # about 31 MiB, and the peak, 37 MiB, is the face beliefs' tangent bases.
-    rng = np.random.default_rng(0)
-    k = 1000
-    problem = ek.DecisionProblem(
-        states=tuple(f"s{i}" for i in range(k)),
-        actions=("a0", "a1", "a2"),
-        utility=rng.uniform(size=(3, k)),
-    )
-    bundle, method = _aligned_bundle(problem)
+    # about 31 MiB, which is the peak.
+    bundle, method = _aligned_bundle(_wide_problem())
     tracemalloc.start()
     try:
         witness = ek.find_distortion_witness(bundle, method)
