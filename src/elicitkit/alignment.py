@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -45,7 +45,7 @@ from ._numerics import (
     project_vec,
     question_gauge,
 )
-from .model import DecisionProblem, ProblemBundle, ProductStructure, QuestionProfile
+from .model import DecisionProblem, ProblemBundle, ProductStructure, QuestionProfile, Record
 from .geometry import (
     AdjacencyGraph,
     _problem_graph,
@@ -181,7 +181,7 @@ def pairwise_alignment(
 
 
 @dataclass(frozen=True)
-class AlignmentCertificate:
+class AlignmentCertificate(Record):
     """Affine representation of a question in terms of utility.
 
     Nontrivial form: ``X(a) = gamma(a) * (u(a) + d) + kappa(a)`` with
@@ -190,6 +190,8 @@ class AlignmentCertificate:
     mean-free; ``scope`` lists the actions the certificate covers, in
     the same order as ``gamma`` and ``kappa``.
     """
+
+    tag = "alignment"
 
     trivial: bool
     scope: tuple[str, ...]
@@ -203,17 +205,6 @@ class AlignmentCertificate:
 
     def kappa_of(self, action: str) -> float:
         return self.kappa[self.scope.index(action)]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "alignment",
-            "trivial": self.trivial,
-            "scope": list(self.scope),
-            "gamma": list(self.gamma),
-            "kappa": list(self.kappa),
-            "d": list(self.d),
-            "residual": self.residual,
-        }
 
 
 def reconstruct_question(problem: DecisionProblem, cert: AlignmentCertificate) -> FloatArray:
@@ -235,7 +226,7 @@ def _affine_rows(
 
 
 @dataclass(frozen=True)
-class WeightedAlignmentCertificate:
+class WeightedAlignmentCertificate(Record):
     """Task-weighted affine representation for product problems.
 
     ``X(a) = kappa(a) + v(a) * (d + sum_i tau_i * u_i(a_i))`` with every
@@ -244,6 +235,8 @@ class WeightedAlignmentCertificate:
     when the question's rows are constant or collinear.
     """
 
+    tag = "weighted-alignment"
+
     actions: tuple[str, ...]
     v: tuple[float, ...]
     kappa: tuple[float, ...]
@@ -251,31 +244,15 @@ class WeightedAlignmentCertificate:
     d: tuple[float, ...]
     residual: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "weighted-alignment",
-            "actions": list(self.actions),
-            "v": list(self.v),
-            "kappa": list(self.kappa),
-            "tau": list(self.tau),
-            "d": list(self.d),
-            "residual": self.residual,
-        }
-
 
 @dataclass(frozen=True)
-class PiecewiseCertificate:
+class PiecewiseCertificate(Record):
     """Per-part alignment certificates over a splitting collection."""
+
+    tag = "piecewise-alignment"
 
     parts: tuple[tuple[str, ...], ...]
     certificates: tuple[AlignmentCertificate, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "piecewise-alignment",
-            "parts": [list(p) for p in self.parts],
-            "certificates": [c.to_dict() for c in self.certificates],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +491,7 @@ def weighted_alignment(
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """Evidence that no certificate of the required form exists."""
 
     kind: str
@@ -522,31 +499,14 @@ class Violation:
     residual: float
     detail: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "actions": list(self.actions),
-            "residual": self.residual,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     status: str  # "incentivizable" | "not_incentivizable" | "inconclusive"
     theorem: str = ""
     certificate: AlignmentCertificate | PiecewiseCertificate | WeightedAlignmentCertificate | None = None
     violation: Violation | None = None
     note: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "theorem": self.theorem,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-            "violation": self.violation.to_dict() if self.violation else None,
-            "note": self.note,
-        }
 
 
 def _affinely_independent(problem: DecisionProblem, size: int) -> bool:

@@ -84,9 +84,6 @@ class Belief:
             raise ValueError("cannot normalize a nonpositive vector into a belief")
         return cls(arr / total)
 
-    def __len__(self) -> int:
-        return self.probs.size
-
 
 def _belief_array(belief: Belief | Iterable[float]) -> FloatArray:
     if isinstance(belief, Belief):

@@ -110,6 +110,35 @@ def canonical_dumps(obj: Any) -> str:
     return "".join(out)
 
 
+def _payload_value(value: Any) -> Any:
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        # Tuples of scalars (beliefs, certificate coefficients) are copied
+        # whole: a call per float costs several times the rest of a payload.
+        if value and isinstance(value[0], (Record, tuple)):
+            return [_payload_value(item) for item in value]
+        return list(value)
+    return value
+
+
+class Record:
+    """A result dataclass whose JSON payload is its fields, in declaration order.
+
+    Nested records become their payloads, tuples of records or of
+    tuples become lists of those, and tuples of scalars become lists.  A
+    class that sets ``tag`` leads its payload with ``"type": tag``.
+    """
+
+    tag: str | None = None
+
+    def to_dict(self) -> dict[str, Any]:
+        payload: dict[str, Any] = {} if self.tag is None else {"type": self.tag}
+        for name in self.__dataclass_fields__:  # type: ignore[attr-defined]
+            payload[name] = _payload_value(getattr(self, name))
+        return payload
+
+
 # ---------------------------------------------------------------------------
 # Data types
 
@@ -156,10 +185,6 @@ class DecisionProblem:
         return len(self.actions)
 
     @cached_property
-    def state_index(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.states)}
-
-    @cached_property
     def action_index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.actions)}
 
@@ -177,9 +202,6 @@ class QuestionProfile:
         matrix = as_float_matrix(self.values).copy()
         matrix.setflags(write=False)
         object.__setattr__(self, "values", matrix)
-
-    def row(self, action_index: int) -> FloatArray:
-        return self.values[action_index]
 
 
 @dataclass(frozen=True, eq=False)

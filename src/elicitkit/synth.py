@@ -154,10 +154,6 @@ class ElicitationMethod:
         return {s: i for i, s in enumerate(self.states)}
 
     @property
-    def n_actions(self) -> int:
-        return len(self.actions)
-
-    @property
     def n_states(self) -> int:
         return len(self.states)
 
@@ -447,9 +443,6 @@ def synth_product(
     hi = float(core.max())
     scale = max(hi - lo, 1.5 * float(np.max(np.abs(tau))), 1e-12)
     normalized = (core - lo) / scale
-    tau_scaled = tau / scale
-    if float(np.max(np.abs(tau_scaled))) >= 1.0:
-        raise SynthesisError("scaled task weights must stay below one in magnitude")
     return ElicitationMethod(
         actions=problem.actions,
         states=problem.states,

@@ -21,11 +21,10 @@ runs along the first axis.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .model import (
     DecisionProblem,
     ProblemBundle,
     QuestionProfile,
+    Record,
     TooLargeError,
 )
 from .synth import ElicitationMethod, synthesize
@@ -92,7 +92,7 @@ CONFIRM_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Belief-sweep configuration.
 
     ``denominator`` controls the rational grid, ``samples`` the number
@@ -115,9 +115,6 @@ class GridSpec:
             raise ValueError("sample counts must be nonnegative")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tolerances must be finite and positive, got {self.tol}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +307,7 @@ def value_of_information(
 
 
 @dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A belief at which the mechanism distorts the decision problem."""
 
     belief: tuple[float, ...]
@@ -319,36 +316,17 @@ class Witness:
     report_gap: float
     value_gap: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "belief": list(self.belief),
-            "u_optimal": list(self.u_optimal),
-            "v_optimal": list(self.v_optimal),
-            "report_gap": self.report_gap,
-            "value_gap": self.value_gap,
-        }
-
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of a belief sweep; ``passed`` means no failures at all."""
 
     checked: int
     passes: int
-    failures: tuple[Witness, ...]
     boundary_ambiguous: int
-    passed: bool
+    failures: tuple[Witness, ...]
     spec: GridSpec
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "checked": self.checked,
-            "passes": self.passes,
-            "boundary_ambiguous": self.boundary_ambiguous,
-            "failures": [w.to_dict() for w in self.failures],
-            "spec": self.spec.to_dict(),
-            "passed": self.passed,
-        }
+    passed: bool
 
 
 def _require_bound(bundle: ProblemBundle, method: ElicitationMethod) -> FloatArray:
@@ -748,19 +726,12 @@ def make_quadratic_control(
 
 
 @dataclass(frozen=True)
-class CrossCheckRecord:
+class CrossCheckRecord(Record):
     """Ties an algebraic verdict to a behavioral observation."""
 
     verdict: Verdict
     consistent: bool
     detail: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict.to_dict(),
-            "consistent": self.consistent,
-            "detail": self.detail,
-        }
 
 
 def oracle_cross_check(

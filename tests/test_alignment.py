@@ -47,6 +47,7 @@ def test_questions_equivalent_requires_nonzero_gamma():
     # a constant cannot be an affine image of a non-constant with gamma != 0,
     # and unrelated directions are not equivalent at all
     assert ek.questions_equivalent([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]) is None
+    assert ek.questions_equivalent([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]) is None
     assert ek.questions_equivalent([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) is None
     # the tolerance follows the spreads, not an offset or the values' size
     assert ek.questions_equivalent(np.array([0.0, 1.0, 0.0]) + 1e9, [1.0, 0.0, 0.0]) is None
@@ -431,6 +432,16 @@ def test_alignment_certificate_trivial_form():
     assert cert.trivial
     rebuilt = ek.reconstruct_question(problem, cert)
     np.testing.assert_allclose(rebuilt, question.values, atol=1e-9)
+
+
+def test_library_entry_points_reject_malformed_input(ql4):
+    with pytest.raises(ValueError, match="matching length"):
+        ek.questions_equivalent([1.0, 2.0], [1.0, 2.0, 3.0])
+    question = ek.build_question("expected-payoff", ql4)
+    with pytest.raises(ValueError, match="must not be empty"):
+        ek.alignment_on_set(ql4, question, actions=())
+    with pytest.raises(ValueError, match="no question"):
+        ek.decide_incentivizable(ek.ProblemBundle(problem=ql4))
 
 
 def test_alignment_on_set_returns_none_when_misaligned(within_bundle):

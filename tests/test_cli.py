@@ -111,6 +111,36 @@ def test_gen_with_product_question(tmp_path, capsys):
     assert ek.load_bundle(str(out)).product is not None
 
 
+@pytest.mark.parametrize("generator", ["state-matching", "close-guess"])
+def test_gen_takes_a_comma_separated_reward_list(capsys, generator):
+    code, stdout, _ = run(capsys, "gen", generator, "--r", "1, 2.5,,4,")
+    assert code == 0
+    np.testing.assert_array_equal(np.diag(ek.loads_bundle(stdout).problem.utility), [1, 2.5, 4])
+
+
+def test_gen_rejects_an_empty_reward_list(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "state-matching", "--r", " , "])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("reward list is empty")
+
+
+#: Generator arguments each generator refuses, and what it says.
+_OUT_OF_RANGE = {
+    "quadratic-loss --n 0": "need n >= 1 grid steps",
+    "star --theta 1 --s 0.5": "need at least two states",
+    "state-matching --r 1": "need at least two rewards",
+    "close-guess --r 1": "need at least two rewards",
+    "mc-test --i 1 --omega 2": "need at least two tasks",
+    "mc-test --i 2 --omega 1": "need at least two answers per task",
+}
+
+
+@pytest.mark.parametrize("argv", _OUT_OF_RANGE)
+def test_gen_rejects_a_generator_argument_out_of_range(capsys, argv):
+    assert_one_line_error(*run(capsys, "gen", *argv.split()), _OUT_OF_RANGE[argv])
+
+
 def test_gen_rejects_unknown_generator(capsys):
     code, _, stderr = run(capsys, "gen", "mystery")
     assert code == 2
@@ -249,9 +279,10 @@ def test_an_lp_that_does_not_finish_exits_inconclusive(bundle_path, capsys, stal
 def test_check_requires_a_question(tmp_path, ql4, capsys):
     path = tmp_path / "bare.json"
     ek.save_bundle(ek.ProblemBundle(problem=ql4), str(path))
-    code, _, stderr = run(capsys, "check", str(path))
-    assert code == 2
-    assert "no question" in stderr
+    for command in ("check", "synthesize"):
+        code, _, stderr = run(capsys, command, str(path))
+        assert code == 2
+        assert f"no question; nothing to {command}" in stderr
 
 
 def test_check_markdown(bundle_path, capsys):

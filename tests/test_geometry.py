@@ -33,6 +33,8 @@ def test_belief_validation():
         ek.Belief(probs=(-0.1, 1.1))
     with pytest.raises(ValueError):
         ek.Belief(probs=(0.5, float("nan")))
+    with pytest.raises(ValueError, match="must be a vector"):
+        ek.Belief(probs=np.eye(2) / 2.0)
 
 
 def test_belief_from_array_normalizes():

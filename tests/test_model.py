@@ -61,6 +61,11 @@ def test_canonical_dumps_rejects_non_string_keys():
         canonical_dumps({1: "x"})
 
 
+def test_canonical_dumps_rejects_unknown_types():
+    with pytest.raises(TypeError, match="cannot canonicalize set"):
+        canonical_dumps({"a": {1, 2}})
+
+
 def test_canonical_dumps_handles_numpy_arrays():
     text = canonical_dumps({"v": np.array([0.5, 0.25])})
     assert text == '{"v":[0.5,0.25]}\n'
@@ -365,6 +370,8 @@ def test_build_question_rejects_bad_inputs():
     joint, product = ek.make_mc_test(2, 2)
     with pytest.raises(ValueError):
         ek.build_question("improvement", joint, product, split=2)
+    with pytest.raises(ValueError, match="requires a product structure"):
+        ek.build_question("improvement", joint, split=1)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +445,25 @@ def test_bundle_round_trip_keeps_product_structure():
     assert reloaded.product is not None
     assert reloaded.product.n_tasks == 2
     assert ek.dumps_bundle(reloaded) == ek.dumps_bundle(bundle)
+
+
+def test_a_product_needs_two_tasks_and_stays_under_the_cap():
+    task = ek.make_quadratic_loss(1)
+    with pytest.raises(ValueError, match="at least two tasks"):
+        ek.expand_product([])
+    with pytest.raises(ValueError, match="at least two tasks"):
+        ek.ProductStructure(tasks=(task,), state_coords=((0,), (1,)), action_coords=((0,), (1,)))
+    with pytest.raises(ek.TooLargeError, match="cap 4096"):
+        ek.expand_product([ek.make_quadratic_loss(64)] * 2)  # 65 * 65 states
+
+
+def test_a_product_must_cover_the_problem():
+    problem, product = ek.make_mc_test(2, 2)
+    with pytest.raises(ValueError, match="state coordinates do not cover"):
+        ek.ProblemBundle(problem=ek.make_quadratic_loss(2), product=product)
+    fewer_actions = ek.DecisionProblem(problem.states, problem.actions[:3], problem.utility[:3])
+    with pytest.raises(ValueError, match="action coordinates do not cover"):
+        ek.ProblemBundle(problem=fewer_actions, product=product)
 
 
 @pytest.mark.parametrize("table", ["state_coords", "action_coords"])

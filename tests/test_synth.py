@@ -104,6 +104,13 @@ def test_synth_aligned_rejects_partial_scope(ql4):
         ek.synth_aligned(ql4, question, cert)
 
 
+def test_synthesis_refuses_a_question_of_another_shape(ql4):
+    question = ek.build_question("expected-payoff", ql4)
+    cert = ek.alignment_on_set(ql4, question)
+    with pytest.raises(ek.SynthesisError, match="does not match problem shape"):
+        ek.synth_aligned(ql4, ek.QuestionProfile(question.values[:, :4]), cert)
+
+
 def test_trivial_question_synthesizes_and_verifies():
     problem = ek.make_state_matching([1.0, 2.0])
     bundle = ek.ProblemBundle(
@@ -146,6 +153,23 @@ def test_piecewise_synthesis_checks_each_part_by_substitution(chained_bundle):
     bad = replace(verdict, certificate=replace(cert, certificates=certificates))
     with pytest.raises(ek.SynthesisError, match="does not reconstruct the question"):
         ek.synthesize(chained_bundle, bad)
+
+
+def test_piecewise_synthesis_refuses_malformed_part_lists(chained_bundle):
+    verdict = ek.decide_incentivizable(chained_bundle)
+    cert = verdict.certificate
+    assert len(cert.parts) == 3
+    for broken, message in (
+        (replace(cert, parts=cert.parts[:1], certificates=cert.certificates[:1]), "does not cover"),
+        (replace(cert, certificates=cert.certificates[:2]), "one certificate per part"),
+        # the first and last parts cover every action but share none
+        (
+            replace(cert, parts=cert.parts[::2], certificates=cert.certificates[::2]),
+            "not chainable",
+        ),
+    ):
+        with pytest.raises(ek.SynthesisError, match=message):
+            ek.synthesize(chained_bundle, replace(verdict, certificate=broken))
 
 
 def _probe_part_rows(problem, x, part, cert, gauge, offset, bound):
@@ -335,6 +359,24 @@ def test_product_mechanism_basics(mc32_bundle):
             assert abs(at_zero - expected_u) < 1e-12, action
 
 
+def test_product_synthesis_refuses_a_certificate_it_cannot_use(mc32_bundle):
+    verdict = ek.decide_incentivizable(mc32_bundle)
+    cert = verdict.certificate
+    problem, product, question = mc32_bundle.problem, mc32_bundle.product, mc32_bundle.question
+    reversed_actions = replace(cert, actions=cert.actions[::-1])
+    with pytest.raises(ek.SynthesisError, match="actions do not match"):
+        ek.synth_product(problem, product, question, reversed_actions)
+    shifted = replace(cert, kappa=tuple(k + 1.0 for k in cert.kappa))
+    with pytest.raises(ek.SynthesisError, match="residual above tolerance"):
+        ek.synth_product(problem, product, question, shifted)
+    with pytest.raises(ek.SynthesisError, match="requires a product structure"):
+        ek.synthesize(ek.ProblemBundle(problem=problem, question=question), verdict)
+    with pytest.raises(ek.SynthesisError, match="no question"):
+        ek.synthesize(ek.ProblemBundle(problem=problem, product=product), verdict)
+    with pytest.raises(ek.SynthesisError, match="no usable certificate"):
+        ek.synthesize(mc32_bundle, replace(verdict, certificate=None))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -380,6 +422,11 @@ def test_eval_method_rejects_unknown_labels(aligned_method):
         ek.eval_method(aligned_method, 0.0, "zzz", "0")
 
 
+def test_eval_method_rejects_a_non_finite_report():
+    with pytest.raises(ValueError, match="must be finite"):
+        ek.eval_method(tiny_method(), float("nan"), "x", "s")
+
+
 # ---------------------------------------------------------------------------
 # Lottery export
 
@@ -390,6 +437,11 @@ def test_lottery_form_normalization(aligned_method):
     assert lottery.normalized_question.min() >= 0.0
     assert lottery.normalized_question.max() <= 1.0
     assert "alpha * R" in lottery.advisory
+
+
+def test_lottery_form_rejects_values_outside_the_unit_interval():
+    with pytest.raises(ValueError, match="must lie in"):
+        ek.LotteryForm(normalized_question=np.array([[0.0, 1.5]]), alpha=0.5)
 
 
 def test_lottery_value_law():
@@ -436,6 +488,8 @@ def test_method_schema_is_enforced(aligned_method):
         ek.loads_method(ek.canonical_dumps(data))
     with pytest.raises(ek.MechanismFormatError):
         ek.loads_method("not json at all")
+    with pytest.raises(ek.MechanismFormatError, match="must be a JSON object"):
+        ek.loads_method("[1, 2]")
 
 
 def test_method_loader_rejects_non_finite_json_constants(aligned_method):

@@ -605,6 +605,16 @@ def test_naive_bdm_shape(within_bundle):
     )
 
 
+def test_naive_bdm_of_a_constant_question_pays_one_half_everywhere(ql4):
+    bundle = ek.ProblemBundle(problem=ql4, question=ek.QuestionProfile(np.full((5, 5), 3.0)))
+    control = ek.make_naive_bdm(ql4, bundle.question)
+    np.testing.assert_array_equal(control.c1, 0.5)
+    assert control.transform_report(ql4.actions[0], 3.0) == 0.5
+    # the same lottery at every action leaves the decision alone
+    spec = ek.GridSpec(denominator=4, samples=20)
+    assert ek.verify_incentivizability(bundle, control, spec).passed
+
+
 def test_quadratic_control_distorts_despite_truthfulness():
     problem = ek.make_state_matching([1.0, 2.0])
     question = ek.build_question("expected-payoff", problem)
@@ -690,6 +700,22 @@ def test_oracle_cross_check_consistency(within_bundle, mc32_bundle):
     record = ek.oracle_cross_check(mc32_bundle)
     assert record.consistent
     assert record.verdict.status == "incentivizable"
+
+
+def test_sweeps_and_the_oracle_refuse_a_bundle_they_cannot_check(ql4, aligned_method):
+    bare = ek.ProblemBundle(problem=ql4)
+    with pytest.raises(ValueError, match="no question to verify"):
+        ek.verify_incentivizability(bare, aligned_method)
+    with pytest.raises(ValueError, match="no question to cross-check"):
+        ek.oracle_cross_check(bare)
+    smaller = ek.make_quadratic_loss(3)
+    bundle = ek.ProblemBundle(problem=smaller, question=ek.build_question("regret", smaller))
+    with pytest.raises(ValueError, match="labels do not match"):
+        ek.find_distortion_witness(bundle, aligned_method)
+    large = ek.make_quadratic_loss(64)  # 65 * 65 = 4,225 cells
+    bundle = ek.ProblemBundle(problem=large, question=ek.build_question("regret", large))
+    with pytest.raises(ValueError, match="above the oracle guard"):
+        ek.oracle_cross_check(bundle)
 
 
 def test_verify_refuses_a_graph_of_another_problem(ql4, aligned_method):
