@@ -9,9 +9,11 @@ per-action affine transform, the payment is a concave quadratic
 in the internal report ``r``.  The optimal report is then the expected
 value of ``c1`` and the optimal payment has the closed form
 ``E[c0] + E[c1]**2 / 2``, which makes behavioral verification cheap and
-exact.  Three constructions are provided: one for globally aligned
-questions, one that stitches per-part mechanisms over a splitting
-collection, and one for task-weighted questions on product problems.
+exact.  Three constructions are provided, on two mechanisms: a stitch
+of gauge-scaled aligned parts over a splitting collection, whose
+one-part case serves globally aligned questions, and one for
+task-weighted questions on product problems.  Each first checks its
+certificate by substitution against the question.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def eval_method(
 
 
 # ---------------------------------------------------------------------------
-# Aligned construction
+# Aligned and piecewise constructions
 
 
 def _check_question(problem: DecisionProblem, question: QuestionProfile) -> FloatArray:
@@ -215,17 +217,116 @@ def _check_question(problem: DecisionProblem, question: QuestionProfile) -> Floa
     return x
 
 
-def _check_reconstructs(
-    problem: DecisionProblem, x: FloatArray, cert: AlignmentCertificate, tol: float
-) -> None:
-    """Raise ``SynthesisError`` unless the certificate reproduces the question on
-    its scope by substitution, within ``ARBITER_FACTOR`` times the verdict's ``eps``."""
-    scope = [problem.action_index[a] for a in cert.scope]
-    residual = float(np.max(np.abs(reconstruct_question(problem, cert) - x[scope])))
-    if residual > ARBITER_FACTOR * _eps(x, tol):
-        raise SynthesisError(
-            f"certificate does not reconstruct the question (residual {residual:.3e})"
+def _check_substitution(rebuilt: FloatArray, x: FloatArray, eps: float, message: str) -> None:
+    """Raise ``SynthesisError`` with ``message`` (formatted with the residual)
+    unless ``rebuilt`` reproduces ``x`` within ``ARBITER_FACTOR * eps``, the
+    rule ``_fit`` accepts a fit by.  A NaN residual fails."""
+    residual = float(np.abs(rebuilt - x).max())
+    if not residual <= ARBITER_FACTOR * eps:
+        raise SynthesisError(message.format(residual))
+
+
+def _part_rows(
+    problem: DecisionProblem, cert: AlignmentCertificate, gauge: float, bound: float
+) -> list[FloatArray]:
+    """``[c0, c1, slope, intercept]`` of one part's actions, in scope order.
+
+    The part pays ``gauge`` times the aligned payment with lower bound
+    ``bound``, in the internal report ``sqrt(gauge) * (r - kappa) / gamma``.
+    """
+    u = problem.utility[[problem.action_index[a] for a in cert.scope]]
+    d = np.asarray(cert.d)
+    root = float(np.sqrt(gauge))
+    gamma, kappa = np.asarray(cert.gamma), np.asarray(cert.kappa)
+    if cert.trivial:
+        c0, c1 = gauge * (u - bound * d), root * np.broadcast_to(d, u.shape)
+    else:
+        c0, c1 = gauge * (-bound * (u + d)), root * (u + d)
+    return [c0, c1, root / gamma, -(root * kappa) / gamma]
+
+
+def _constant(rows: list[FloatArray]) -> FloatArray:
+    """Each row's payment at raw report zero: its constant term in the raw report."""
+    c0, c1, _, intercept = rows
+    return c0 + c1 * intercept[:, None] - 0.5 * (intercept * intercept)[:, None]
+
+
+def _stitch(
+    problem: DecisionProblem,
+    question: QuestionProfile,
+    certs: tuple[AlignmentCertificate, ...],
+    tol: float,
+    provenance: str,
+    alpha: float,
+) -> ElicitationMethod:
+    """Stitch gauge-scaled aligned parts, one per certificate, into one mechanism.
+
+    Part ``k`` pays ``S_k`` times the aligned payment of its certificate,
+    with the lower bound ``L`` shared by every part, plus a state offset
+    ``t_k(theta)``.  Breadth-first traversal of the parts that share
+    actions fixes the order; the root part has ``S = 1`` and ``t = 0``.
+    A new part's gauge makes its payment at a shared action agree with
+    the part that reached it in ``r`` and ``r**2``, and its offset fixes
+    the constant term.  An action in several parts takes the first part's
+    row; ``stitch_discrepancy`` is the largest mismatch of the others.
+    """
+    x = _check_question(problem, question)
+    eps = _eps(x, tol)
+    scopes = [[problem.action_index[a] for a in c.scope] for c in certs]
+    for rows, c in zip(scopes, certs):
+        _check_substitution(
+            reconstruct_question(problem, c), x[rows], eps,
+            "certificate does not reconstruct the question (residual {:.3e})",
         )
+    # A strict lower bound on every part's report coordinate.
+    bound = min(
+        float((np.asarray(c.d) + (0.0 if c.trivial else problem.utility[rows])).min())
+        for rows, c in zip(scopes, certs)
+    ) - RANGE_MARGIN
+    gauges = {0: 1.0}
+    parts = {0: _part_rows(problem, certs[0], 1.0, bound)}
+    queue = [0]
+    while queue:
+        i = queue.pop(0)
+        for j, c in enumerate(certs):
+            shared = set(certs[i].scope) & set(c.scope)
+            if j in gauges or not shared:
+                continue
+            s = min(shared)
+            gauges[j] = gauges[i] * (c.gamma_of(s) / certs[i].gamma_of(s)) ** 2
+            parts[j] = _part_rows(problem, c, gauges[j], bound)
+            at_s = _constant(parts[i])[certs[i].scope.index(s)]
+            parts[j][0] += at_s - _constant(parts[j])[c.scope.index(s)]
+            queue.append(j)
+    if len(parts) < len(certs):
+        raise SynthesisError("parts not chainable via shared splitting actions")
+
+    # Every part's rows in traversal order; ``first`` holds each action's
+    # first row, and ``head`` that of each row's action.
+    rows = np.concatenate([scopes[j] for j in parts])
+    merged = [np.concatenate(f) for f in zip(*parts.values())]
+    c0, c1, slope, intercept = merged
+    first = np.unique(rows, return_index=True)[1]
+    head = first[rows]
+    quad, constant = slope * slope, _constant(merged)
+    scale = 1.0 + np.abs(x[rows]).max(axis=1)
+    discrepancy = max(
+        float((np.abs(quad - quad[head]) * scale).max()),
+        float(np.abs(constant - constant[head]).max()),
+    )
+    c1 = c1[first]
+    return ElicitationMethod(
+        actions=problem.actions,
+        states=problem.states,
+        report_range=(float(c1.min()) - RANGE_MARGIN, float(c1.max()) + RANGE_MARGIN),
+        c0=c0[first],
+        c1=c1,
+        slope=slope[first],
+        intercept=intercept[first],
+        provenance=provenance,
+        alpha=alpha,
+        stitch_discrepancy=discrepancy,
+    )
 
 
 def synth_aligned(
@@ -239,71 +340,19 @@ def synth_aligned(
 
     The internal report coordinate is ``u(a) + d`` per action (or ``d``
     alone for trivially aligned questions, in which case the utility
-    itself enters the constant coefficient).  The lower bound ``L``
-    sits strictly below every attainable coordinate value, which makes
-    the optimal payment strictly increasing in expected utility.
+    itself enters the constant coefficient), and the internal report is
+    ``(r - kappa(a)) / gamma(a)``.  The payment is
+
+        V(r', a, theta) = (u(a;theta) + d(theta)) (r' - L) - r'**2 / 2
+
+    (``d (r' - L) + u - r'**2 / 2`` when trivial), where the lower bound
+    ``L`` sits strictly below every attainable coordinate value, which
+    makes the optimal payment strictly increasing in expected utility.
+    It is the one-part case of :func:`synth_piecewise`'s stitch.
     """
     if set(cert.scope) != set(problem.actions):
         raise SynthesisError("certificate scope does not cover the full action set")
-    x = _check_question(problem, question)
-    d = np.asarray(cert.d, dtype=np.float64)
-    gamma = np.array([cert.gamma_of(a) for a in problem.actions])
-    kappa = np.array([cert.kappa_of(a) for a in problem.actions])
-    _check_reconstructs(problem, x, cert, tol)
-    if cert.trivial:
-        lo = float(d.min()) - RANGE_MARGIN
-        hi = float(d.max()) + RANGE_MARGIN
-        c1 = np.tile(d, (problem.n_actions, 1))
-        c0 = problem.utility - lo * d[None, :]
-    else:
-        coord = problem.utility + d[None, :]
-        lo = float(coord.min()) - RANGE_MARGIN
-        hi = float(coord.max()) + RANGE_MARGIN
-        c1 = coord
-        c0 = -lo * coord
-    return ElicitationMethod(
-        actions=problem.actions,
-        states=problem.states,
-        report_range=(lo, hi),
-        c0=c0,
-        c1=c1,
-        slope=1.0 / gamma,
-        intercept=-kappa / gamma,
-        provenance="aligned-bdm",
-        alpha=alpha,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Piecewise construction
-
-
-def _part_rows(
-    problem: DecisionProblem,
-    x: FloatArray,
-    part: tuple[str, ...],
-    cert: AlignmentCertificate,
-    gauge: float,
-    bound: float,
-) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
-    """Raw-report payment coefficients of one part's actions, in part order.
-
-    Returns the quadratic weights ``q = gauge / gamma(a)**2`` (the payment
-    is ``-q * r**2 / 2 + q * X(a) * r + const(theta)``), the constant rows
-    at offset zero, the internal ``c1`` rows, and the internal slopes.
-    """
-    rows = [problem.action_index[a] for a in part]
-    g = np.array([cert.gamma_of(a) for a in part])
-    k = np.array([cert.kappa_of(a) for a in part])[:, None]
-    xa = x[rows]
-    quad = gauge / (g * g)
-    const = (
-        quad[:, None] * (0.5 * k * k - xa * k)
-        - (gauge / g)[:, None] * (xa - k) * bound
-        + (gauge if cert.trivial else 0.0) * problem.utility[rows]
-    )
-    slope = float(np.sqrt(gauge)) / g
-    return quad, const, slope[:, None] * xa, slope
+    return _stitch(problem, question, (cert,), tol, "aligned-bdm", alpha)
 
 
 def synth_piecewise(
@@ -315,96 +364,22 @@ def synth_piecewise(
 ) -> ElicitationMethod:
     """Stitch per-part aligned mechanisms into one mechanism over A.
 
-    Each part carries the gauge-scaled payment
-
-        V_k(r, a, theta) = (S_k / gamma_k(a)**2) (X(a;theta) - r/2 - kappa_k(a)/2)(r - kappa_k(a))
-                           - (S_k / gamma_k(a)) (X(a;theta) - kappa_k(a)) L
-                           + [S_k u(a;theta) if the part is trivially aligned]
-                           + t_k(theta)
-
-    in the raw report ``r``.  The positive gauge ``S_k`` and the state
-    offset ``t_k`` of each part are chosen recursively so that the part
-    payments agree exactly, as functions of ``r`` and ``theta``, on
-    every shared splitting action.  Breadth-first traversal of the
-    part-intersection structure fixes the order; the root part gets
-    gauge 1 and offset 0.  Each part's certificate must reproduce the
-    question on its part, as in :func:`synth_aligned`.
+    Part ``k`` pays ``S_k`` times the aligned payment of its certificate
+    (see :func:`synth_aligned`), all parts with one lower bound ``L``,
+    plus a state offset ``t_k(theta)``, in the internal report
+    ``sqrt(S_k) * (r - kappa_k(a)) / gamma_k(a)``.  The positive gauge
+    ``S_k`` and the offset ``t_k`` of each part are chosen recursively so
+    that the part payments agree exactly, as functions of the raw report
+    ``r`` and ``theta``, on every shared splitting action.  Breadth-first
+    traversal of the part-intersection structure fixes the order; the
+    root part gets gauge 1 and offset 0.  Each part's certificate must
+    reproduce the question on its part, as in :func:`synth_aligned`.
     """
-    if set().union(*cert.parts) != set(problem.actions):
-        raise SynthesisError("piecewise certificate does not cover the action set")
-    x = _check_question(problem, question)
-    n_parts = len(cert.parts)
-    if n_parts != len(cert.certificates):
+    if len(cert.parts) != len(cert.certificates):
         raise SynthesisError("one certificate per part is required")
-    for part_cert in cert.certificates:
-        _check_reconstructs(problem, x, part_cert, tol)
-
-    # Global strict lower bound on every part's report coordinate.
-    index = problem.action_index
-    coords = (
-        np.asarray(pc.d) + (0.0 if pc.trivial else problem.utility[[index[a] for a in part]])
-        for part, pc in zip(cert.parts, cert.certificates)
-    )
-    bound = min(float(c.min()) for c in coords) - RANGE_MARGIN
-
-    part_sets = [frozenset(p) for p in cert.parts]
-    # Each reached part's gauge and rows, with its final offset, in
-    # breadth-first order.
-    gauges = {0: 1.0}
-    rows_of = {0: _part_rows(problem, x, cert.parts[0], cert.certificates[0], 1.0, bound)}
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        for j in range(n_parts):
-            shared = part_sets[i] & part_sets[j]
-            if j in gauges or not shared:
-                continue
-            s = min(shared)
-            gi = cert.certificates[i].gamma_of(s)
-            gj = cert.certificates[j].gamma_of(s)
-            gauges[j] = gauges[i] * (gj / gi) ** 2
-            rows_of[j] = _part_rows(
-                problem, x, cert.parts[j], cert.certificates[j], gauges[j], bound
-            )
-            # The gauge makes part j's payment row at the shared action agree
-            # with part i's in every power of r; the offset fixes the constant.
-            const_i, const_j = rows_of[i][1], rows_of[j][1]
-            const_j += const_i[cert.parts[i].index(s)] - const_j[cert.parts[j].index(s)]
-            queue.append(j)
-    if len(rows_of) < n_parts:
-        raise SynthesisError("parts not chainable via shared splitting actions")
-
-    c0 = np.zeros((problem.n_actions, problem.n_states))
-    c1 = np.zeros_like(c0)
-    slope = np.zeros(problem.n_actions)
-    quad_by_action: dict[int, float] = {}
-    discrepancy = 0.0
-    for j, rows in rows_of.items():
-        for label, quad, const, c1_row, m in zip(cert.parts[j], *rows):
-            ia = index[label]
-            if ia in quad_by_action:
-                scale = 1.0 + float(np.max(np.abs(x[ia])))
-                discrepancy = max(
-                    discrepancy,
-                    float(abs(quad - quad_by_action[ia]) * scale),
-                    float(np.max(np.abs(const - c0[ia]))),
-                )
-            else:
-                quad_by_action[ia], c0[ia], c1[ia], slope[ia] = quad, const, c1_row, m
-    lo = float(c1.min()) - RANGE_MARGIN
-    hi = float(c1.max()) + RANGE_MARGIN
-    return ElicitationMethod(
-        actions=problem.actions,
-        states=problem.states,
-        report_range=(lo, hi),
-        c0=c0,
-        c1=c1,
-        slope=slope,
-        intercept=np.zeros(problem.n_actions),
-        provenance="piecewise-bdm",
-        alpha=alpha,
-        stitch_discrepancy=discrepancy,
-    )
+    if set().union(*(c.scope for c in cert.certificates)) != set(problem.actions):
+        raise SynthesisError("piecewise certificate does not cover the action set")
+    return _stitch(problem, question, cert.certificates, tol, "piecewise-bdm", alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +409,9 @@ def synth_product(
     tables = np.stack(product.task_utility_tables(), axis=-1)
     v, kappa, tau, d = map(np.asarray, (cert.v, cert.kappa, cert.tau, cert.d))
     rebuilt, core = _affine_rows(v, kappa, tau, d, tables)
-    residual = float(np.max(np.abs(rebuilt - x)))
-    if residual > ARBITER_FACTOR * _eps(x, tol):
-        raise SynthesisError(
-            f"certificate residual above tolerance ({residual:.3e})"
-        )
+    _check_substitution(
+        rebuilt, x, _eps(x, tol), "certificate residual above tolerance ({:.3e})"
+    )
     lo = float(core.min())
     hi = float(core.max())
     scale = max(hi - lo, 1.5 * float(np.max(np.abs(tau))), 1e-12)

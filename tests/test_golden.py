@@ -4,6 +4,8 @@
 and ``<case>.md`` its markdown, rendered as the CLI renders a command's
 payload, under the case's title.  A change to how any result record
 serializes, its key order included, shows up here as a byte difference.
+``tests/golden/mechanism-<kind>.json`` holds the ``dumps_method`` bytes of
+an aligned, a trivially aligned and a product mechanism.
 """
 
 from __future__ import annotations
@@ -120,6 +122,32 @@ def test_payload_bytes_equal_the_recorded_ones(case):
     payload, title = CASES[case]()
     assert ek.canonical_dumps(payload) == _recorded(case, "json")
     assert _render(payload, "md", title) == _recorded(case, "md")
+
+
+def _trivially_aligned() -> ek.ProblemBundle:
+    """Every row an affine image of one state vector: a trivial certificate."""
+    gamma = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
+    kappa = np.array([0.1, 0.2, -0.3, 0.0, 0.7])
+    d = np.array([0.3, -0.1, 0.2, -0.4, 0.0])
+    values = gamma[:, None] * d + kappa[:, None]
+    return ek.ProblemBundle(
+        problem=ek.make_quadratic_loss(4), question=ek.QuestionProfile(values=values)
+    )
+
+
+MECHANISMS: dict[str, tuple[Callable[[], ek.ProblemBundle], str]] = {
+    "mechanism-aligned": (_aligned, "aligned-bdm"),
+    "mechanism-trivially-aligned": (_trivially_aligned, "aligned-bdm"),
+    "mechanism-product": (lambda: _mc_test("improvement", split=1), "product-bdm"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MECHANISMS))
+def test_mechanism_bytes_equal_the_recorded_ones(case):
+    build, provenance = MECHANISMS[case]
+    method = _synthesized(build())
+    assert method.provenance == provenance
+    assert ek.dumps_method(method) == _recorded(case, "json")
 
 
 def test_the_cases_cover_every_status_and_certificate():

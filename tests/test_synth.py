@@ -173,7 +173,13 @@ def test_piecewise_synthesis_refuses_malformed_part_lists(chained_bundle):
 
 
 def _probe_part_rows(problem, x, part, cert, gauge, offset, bound):
-    """One part's rows per action, each shifted by ``offset``."""
+    """One part's rows per action, each shifted by ``offset``, in the raw
+    report: intercept 0 and ``c1 = slope * X``.
+
+    Each row is ``(quad, constant, c0, c1, slope, intercept)``, ``quad`` and
+    ``constant`` being the payment's ``r**2`` weight and its constant term in
+    the raw report ``r``.
+    """
     rows = {}
     root = float(np.sqrt(gauge))
     for label in part:
@@ -188,11 +194,34 @@ def _probe_part_rows(problem, x, part, cert, gauge, offset, bound):
             + (gauge if cert.trivial else 0.0) * problem.utility[ia]
             + offset
         )
-        rows[label] = (quad, const, (root / g) * xa, root / g)
+        rows[label] = (quad, const, const, (root / g) * xa, root / g, 0.0)
     return rows
 
 
-def _probe_stitched(bundle, cert):
+def _probe_gauged_rows(problem, x, part, cert, gauge, offset, bound):
+    """One part's rows per action, as ``_probe_part_rows`` gives them, for
+    ``gauge`` times the aligned payment: internal report
+    ``sqrt(gauge) * (r - kappa) / gamma`` and ``c1 = sqrt(gauge) * (u + d)``,
+    or ``sqrt(gauge) * d`` for a trivial part."""
+    rows = {}
+    root = float(np.sqrt(gauge))
+    d = np.asarray(cert.d)
+    for label in part:
+        ia = problem.action_index[label]
+        g = cert.gamma_of(label)
+        k = cert.kappa_of(label)
+        u = problem.utility[ia]
+        if cert.trivial:
+            c0, c1 = gauge * (u - bound * d), root * d
+        else:
+            c0, c1 = gauge * (-bound * (u + d)), root * (u + d)
+        c0 = c0 + offset
+        m, b = root / g, -(root * k) / g
+        rows[label] = (m * m, c0 + c1 * b - 0.5 * (b * b), c0, c1, m, b)
+    return rows
+
+
+def _probe_stitched(bundle, cert, part_rows=_probe_part_rows):
     """The piecewise mechanism stitched part by part, each new part's offset
     solved from a one-action probe of its shared action at offset zero."""
     problem, x = bundle.problem, bundle.question.values
@@ -210,7 +239,7 @@ def _probe_stitched(bundle, cert):
     queue = [0]
     while queue:
         i = queue.pop(0)
-        rows_i = rows_of[i] = _probe_part_rows(
+        rows_i = rows_of[i] = part_rows(
             problem, x, cert.parts[i], cert.certificates[i], gauges[i], offsets[i], bound
         )
         for j in range(n_parts):
@@ -221,28 +250,30 @@ def _probe_stitched(bundle, cert):
             ratio = cert.certificates[j].gamma_of(s) / cert.certificates[i].gamma_of(s)
             gauges[j] = gauges[i] * ratio**2
             zero = np.zeros(problem.n_states)
-            probe = _probe_part_rows(problem, x, (s,), cert.certificates[j], gauges[j], zero, bound)
+            probe = part_rows(problem, x, (s,), cert.certificates[j], gauges[j], zero, bound)
             offsets[j] = rows_i[s][1] - probe[s][1]
             queue.append(j)
     assert all(g is not None for g in gauges)
     c0 = np.zeros(problem.utility.shape)
     c1 = np.zeros_like(c0)
     slope = np.zeros(problem.n_actions)
-    quad_by_action = {}
+    intercept = np.zeros(problem.n_actions)
+    first_rows = {}
     discrepancy = 0.0
     for rows in rows_of.values():
-        for label, (quad, const, c1_row, m) in rows.items():
+        for label, (quad, const, *row) in rows.items():
             ia = index[label]
-            if ia in quad_by_action:
+            if ia in first_rows:
                 scale = 1.0 + float(np.max(np.abs(x[ia])))
+                first_quad, first_const = first_rows[ia]
                 discrepancy = max(
                     discrepancy,
-                    abs(quad - quad_by_action[ia]) * scale,
-                    float(np.max(np.abs(const - c0[ia]))),
+                    abs(quad - first_quad) * scale,
+                    float(np.max(np.abs(const - first_const))),
                 )
             else:
-                quad_by_action[ia] = quad
-                c0[ia], c1[ia], slope[ia] = const, c1_row, m
+                first_rows[ia] = quad, const
+                c0[ia], c1[ia], slope[ia], intercept[ia] = row
     return ek.ElicitationMethod(
         actions=problem.actions,
         states=problem.states,
@@ -250,7 +281,7 @@ def _probe_stitched(bundle, cert):
         c0=c0,
         c1=c1,
         slope=slope,
-        intercept=np.zeros(problem.n_actions),
+        intercept=intercept,
         provenance="piecewise-bdm",
         alpha=bundle.alpha,
         stitch_discrepancy=discrepancy,
@@ -320,23 +351,59 @@ def _stitched_questions(
     return questions
 
 
-def test_piecewise_mechanisms_keep_the_bytes_of_probe_stitching():
-    # Each part's rows come once, at offset zero, and a new part's offset is
-    # read from rows already built: every byte of the mechanism stays.
+def _stitched_verdicts():
+    """The ``(bundle, verdict)`` of every seeded stitched question that
+    ``decide_incentivizable`` answers by piecewise alignment."""
     rng = np.random.default_rng(1)
-    stitched = 0
     for problem in _stitched_problems(rng):
         for question in _stitched_questions(problem, rng, 10):
             bundle = ek.ProblemBundle(
                 problem=problem, question=question, alpha=float(rng.uniform(0.2, 0.8))
             )
             verdict = ek.decide_incentivizable(bundle)
-            if verdict.theorem != "piecewise-alignment-sufficiency":
-                continue
-            stitched += 1
-            method = ek.synthesize(bundle, verdict)
-            want = _probe_stitched(bundle, verdict.certificate)
-            assert ek.dumps_method(method) == ek.dumps_method(want)
+            if verdict.theorem == "piecewise-alignment-sufficiency":
+                yield bundle, verdict
+
+
+def test_piecewise_mechanisms_keep_the_bytes_of_probe_stitching():
+    # Each part's rows come once, at offset zero, and a new part's offset is
+    # read from rows already built: every byte of the mechanism stays.
+    stitched = 0
+    for bundle, verdict in _stitched_verdicts():
+        stitched += 1
+        method = ek.synthesize(bundle, verdict)
+        want = _probe_stitched(bundle, verdict.certificate, _probe_gauged_rows)
+        assert ek.dumps_method(method) == ek.dumps_method(want)
+    assert stitched >= 200
+
+
+def _raw_payments(method, reports):
+    """``V[a, theta, r]``: the payment at each raw report, unclamped."""
+    internal = method.slope[:, None] * reports + method.intercept[:, None]
+    return (
+        method.c0[:, :, None]
+        + method.c1[:, :, None] * internal[:, None, :]
+        - 0.5 * (internal * internal)[:, None, :]
+    )
+
+
+def test_piecewise_payments_equal_the_raw_report_stitching():
+    # The gauge-scaled aligned parts change only the internal report
+    # coordinate: as a function of the raw report and the state, every
+    # payment is the one stitched in the raw report.
+    stitched = 0
+    for bundle, verdict in _stitched_verdicts():
+        stitched += 1
+        method = ek.synthesize(bundle, verdict)
+        reference = _probe_stitched(bundle, verdict.certificate)
+        x = bundle.question.values
+        reports = np.linspace(x.min() - 1.0, x.max() + 1.0, 9)
+        want = _raw_payments(reference, reports)
+        got = _raw_payments(method, reports)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert method.stitch_discrepancy <= 1e-12 * (1.0 + np.abs(want).max())
+        expected = method.slope[:, None] * x + method.intercept[:, None]
+        np.testing.assert_allclose(method.c1, expected, rtol=0, atol=1e-9 * (1.0 + np.abs(x).max()))
     assert stitched >= 200
 
 
@@ -375,6 +442,43 @@ def test_product_synthesis_refuses_a_certificate_it_cannot_use(mc32_bundle):
         ek.synthesize(ek.ProblemBundle(problem=problem, product=product), verdict)
     with pytest.raises(ek.SynthesisError, match="no usable certificate"):
         ek.synthesize(mc32_bundle, replace(verdict, certificate=None))
+
+
+def _nan_aligned(ql4, chained_bundle, mc32_bundle):
+    bundle = ek.ProblemBundle(problem=ql4, question=ek.build_question("expected-payoff", ql4))
+    cert = ek.decide_incentivizable(bundle).certificate
+    broken = replace(cert, kappa=(float("nan"), *cert.kappa[1:]))
+    return lambda: ek.synth_aligned(ql4, bundle.question, broken), "does not reconstruct"
+
+
+def _nan_piecewise(ql4, chained_bundle, mc32_bundle):
+    verdict = ek.decide_incentivizable(chained_bundle)
+    cert = verdict.certificate
+    part = cert.certificates[1]
+    broken = replace(part, gamma=(*part.gamma[:-1], float("nan")))
+    certificates = (cert.certificates[0], broken, *cert.certificates[2:])
+    bad = replace(verdict, certificate=replace(cert, certificates=certificates))
+    return lambda: ek.synthesize(chained_bundle, bad), "does not reconstruct"
+
+
+def _nan_product(ql4, chained_bundle, mc32_bundle):
+    problem, product, question = mc32_bundle.problem, mc32_bundle.product, mc32_bundle.question
+    cert = ek.decide_incentivizable(mc32_bundle).certificate
+    broken = replace(cert, v=(float("nan"), *cert.v[1:]))
+    return lambda: ek.synth_product(problem, product, question, broken), "above tolerance"
+
+
+@pytest.mark.parametrize(
+    "build", [_nan_aligned, _nan_piecewise, _nan_product], ids=["aligned", "piecewise", "product"]
+)
+def test_synthesis_refuses_a_nan_certificate_by_its_residual(
+    build, ql4, chained_bundle, mc32_bundle
+):
+    # A NaN residual compares false with every tolerance: the check must
+    # refuse it rather than let the NaN reach the mechanism's coefficients.
+    synthesize, message = build(ql4, chained_bundle, mc32_bundle)
+    with pytest.raises(ek.SynthesisError, match=f"{message}.*nan"):
+        synthesize()
 
 
 # ---------------------------------------------------------------------------
