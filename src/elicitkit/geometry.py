@@ -24,9 +24,9 @@ the spans of each subset, in stacked SVD calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -182,17 +182,34 @@ class AdjacencyGraph:
     """Undirected graph over the problem's actions, as read-only arrays.
 
     Edge ``m`` joins the actions at ``pairs[m]``, with LP slack ``slacks[m]``
-    and witness ``witnesses[m]``; ``edges`` is built on first use.
+    and witness ``witnesses[m]``; ``edges`` is built on first use.  The
+    pairs are known when the graph is built; ``solve`` gives the slacks and
+    witnesses, and runs once, the first time either is read.  It may solve
+    max-slack LPs then, so that read can raise :class:`LPFailure`.
     """
 
     actions: tuple[str, ...]
     pairs: np.ndarray
-    slacks: FloatArray
-    witnesses: FloatArray
+    n_states: int
+    solve: Callable[[], tuple[FloatArray, FloatArray]] = field(repr=False)
 
     def __post_init__(self) -> None:
-        for array in (self.pairs, self.slacks, self.witnesses):
+        self.pairs.setflags(write=False)
+
+    @cached_property
+    def _solved(self) -> tuple[FloatArray, FloatArray]:
+        slacks, witnesses = self.solve()
+        for array in (slacks, witnesses):
             array.setflags(write=False)
+        return slacks, witnesses
+
+    @property
+    def slacks(self) -> FloatArray:
+        return self._solved[0]
+
+    @property
+    def witnesses(self) -> FloatArray:
+        return self._solved[1]
 
     @cached_property
     def edges(self) -> tuple[AdjacencyEdge, ...]:
@@ -218,7 +235,10 @@ class AdjacencyGraph:
         return tuple(tuple(sorted(s)) for s in adj)
 
     def induced(self, actions: Sequence[str]) -> "AdjacencyGraph":
-        """The subgraph on ``actions`` (in that order, each once), keeping the original edges."""
+        """The subgraph on ``actions`` (in that order, each once), keeping the original edges.
+
+        Its slacks and witnesses are this graph's rows, solved on first read.
+        """
         members = tuple(actions)
         position = np.full(len(self.actions), -1)
         for p, a in enumerate(members):
@@ -229,7 +249,9 @@ class AdjacencyGraph:
             position[self.index[a]] = p
         pairs = position[self.pairs]
         rows = np.flatnonzero((pairs >= 0).all(axis=1))
-        return AdjacencyGraph(members, pairs[rows], self.slacks[rows], self.witnesses[rows])
+        return AdjacencyGraph(
+            members, pairs[rows], self.n_states, lambda: (self.slacks[rows], self.witnesses[rows])
+        )
 
     def has_edge(self, a: str, b: str) -> bool:
         i, j = self.index[a], self.index[b]
@@ -313,17 +335,43 @@ def _screened_pairs(utility: FloatArray) -> np.ndarray:
     through one array pass, in chunks of ``SCREEN_CHUNK_POINTS`` edge
     points.
     """
+    return _over_pairs(utility, _screen_chunk)
+
+
+def _certified_pairs(utility: FloatArray) -> np.ndarray:
+    """Which pairs ``(i, j)``, ``i < j``, are provably adjacent.
+
+    The screen's argument run the other way, on the same gauged
+    ``utility`` and in the same chunks.  A pair is certified when ``i``
+    beats every other action but ``j`` by ``SCREEN_MARGIN`` at some vertex
+    of its tie face ``{p in simplex : d . p = 0}``: a simplex corner where
+    ``d_s = 0``, or the point of a simplex edge where ``d`` changes sign.
+    The pair's LP optimum is then at least ``SCREEN_MARGIN``, far above
+    ``MIN_SLACK``.
+    """
+    return _over_pairs(utility, _certify_chunk)
+
+
+def _over_pairs(
+    utility: FloatArray, test: Callable[[FloatArray, np.ndarray, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``test(utility, i, j)`` over every pair in :func:`_pair_indices` order, chunk by chunk.
+
+    A chunk holds as many whole pairs of ``2 k^2`` slab edge points as fit
+    in ``SCREEN_CHUNK_POINTS``, and at least one.  When one pair's points
+    exceed ``SCREEN_MAX_POINTS``, no pair is tested and all are False.
+    """
     n, k = utility.shape
     first, second = _pair_indices(n)
-    screened = np.zeros(first.size, dtype=bool)
+    passed = np.zeros(first.size, dtype=bool)
     per_pair = 2 * k * k
     if per_pair > SCREEN_MAX_POINTS:
-        return screened
+        return passed
     step = max(1, SCREEN_CHUNK_POINTS // per_pair)
     for start in range(0, first.size, step):
         chunk = slice(start, start + step)
-        screened[chunk] = _screen_chunk(utility, first[chunk], second[chunk])
-    return screened
+        passed[chunk] = test(utility, first[chunk], second[chunk])
+    return passed
 
 
 def _screen_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -362,24 +410,72 @@ def _screen_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndarr
     return empty | (np.isfinite(worst) & (worst >= SCREEN_MARGIN))
 
 
+def _certify_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """:func:`_certified_pairs` for the pairs ``(i[m], j[m])``."""
+    d = utility[i] - utility[j]
+    ds, dt = d[:, :, None], d[:, None, :]
+    # Each tie face vertex once: lam * e_s + (1 - lam) * e_t with d_s > 0 > d_t,
+    # and the corners e_s with d_s = 0, taken as s = t and lam = 1.
+    corner = np.eye(d.shape[1], dtype=bool)
+    pair, s, t = np.nonzero((ds > 0.0) & (dt < 0.0) | corner & (ds == 0.0))
+    d_s, d_t = d[pair, s], d[pair, t]
+    with np.errstate(invalid="ignore"):  # 0 / 0 at a corner
+        lam = np.where(s == t, 1.0, d_t / (d_t - d_s))
+    # How far i beats each action at each vertex, gain_t + lam * (gain_s - gain_t),
+    # with gain_s = u_i[s] - u[:, s]: one row per vertex.
+    first = i[pair]
+    at_s = (utility[first, s] - utility[:, s]).T
+    lead = (utility[first, t] - utility[:, t]).T
+    at_s -= lead
+    at_s *= lam[:, None]
+    lead += at_s
+    points = np.arange(pair.size)
+    lead[points, i[pair]] = np.inf
+    lead[points, j[pair]] = np.inf
+    certified = np.zeros(i.size, dtype=bool)
+    certified[pair[lead.min(axis=1, initial=np.inf) >= SCREEN_MARGIN]] = True
+    return certified
+
+
 def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
     """Run the pairwise adjacency test over every action pair.
 
     The utility is divided by its utility gauge once.  One pass of
     :func:`_screened_pairs` over all pairs proves some of them
-    non-adjacent, and they are skipped.  Every other pair's LP, the one
-    :func:`adjacency_test` solves, goes to :func:`_pair_lps` in ``(i, j)``
-    order; the first that does not finish raises :class:`LPFailure`.  A
-    skipped pair's LP is infeasible or its optimum is at most
-    ``-SCREEN_MARGIN``, so it could never have been an edge, and the
-    edges, their order, slacks and witnesses are exactly those of testing
-    every pair.
+    non-adjacent, and they are skipped; one pass of
+    :func:`_certified_pairs` proves others adjacent.  Every other pair's
+    LP, the one :func:`adjacency_test` solves, goes to :func:`_pair_lps` in
+    ``(i, j)`` order; the first that does not finish raises
+    :class:`LPFailure`.  A screened pair's LP is infeasible or its optimum
+    is at most ``-SCREEN_MARGIN``, and a certified pair's is at least
+    ``SCREEN_MARGIN``, so the edges and their order are exactly those of
+    testing every pair.  The certified edges' LPs run later, as one
+    :func:`_pair_lps` call in ``(i, j)`` order, the first time the graph's
+    ``slacks``, ``witnesses``, ``edges`` or ``to_dict`` is read; their
+    slacks and witnesses are then those of testing every pair, and that
+    read raises :class:`LPFailure` if one of them does not finish.
     """
     scaled = scale_to_utility_gauge(problem.utility)
-    pairs = np.stack(_pair_indices(problem.n_actions), axis=1)[~_screened_pairs(scaled)]
-    slacks, rows = _pair_lps(scaled, pairs, problem.actions)
-    edge = slacks > MIN_SLACK  # an infeasible pair has slack -inf and no solution
-    return AdjacencyGraph(problem.actions, pairs[edge], slacks[edge], rows[edge])
+    pairs = np.stack(_pair_indices(problem.n_actions), axis=1)
+    certified = _certified_pairs(scaled)
+    tested = ~(_screened_pairs(scaled) | certified)
+    slacks, rows = _pair_lps(scaled, pairs[tested], problem.actions)
+    found = slacks > MIN_SLACK  # an infeasible pair has slack -inf and no solution
+    edge = certified.copy()
+    edge[tested] = found
+    deferred = certified[edge]
+    slacks, rows = slacks[found], rows[found]
+
+    def solve() -> tuple[FloatArray, FloatArray]:
+        edge_slacks = np.empty(deferred.size)
+        edge_rows = np.empty((deferred.size, problem.n_states))
+        edge_slacks[~deferred], edge_rows[~deferred] = slacks, rows
+        edge_slacks[deferred], edge_rows[deferred] = _pair_lps(
+            scaled, pairs[certified], problem.actions
+        )
+        return edge_slacks, edge_rows
+
+    return AdjacencyGraph(problem.actions, pairs[edge], problem.n_states, solve)
 
 
 def _problem_graph(problem: DecisionProblem, graph: AdjacencyGraph | None) -> AdjacencyGraph:
@@ -389,7 +485,7 @@ def _problem_graph(problem: DecisionProblem, graph: AdjacencyGraph | None) -> Ad
     """
     if graph is None:
         return adjacency_graph(problem)
-    if graph.actions != problem.actions or graph.witnesses.shape[1] != problem.n_states:
+    if graph.actions != problem.actions or graph.n_states != problem.n_states:
         raise ValueError("the graph given is another problem's: its actions or states differ")
     return graph
 

@@ -745,8 +745,11 @@ def oracle_cross_check(
     passes verification; negative verdicts must be demonstrable through
     a distortion witness against the naive lottery control.
     Inconclusive verdicts carry no behavioral obligation, and neither
-    does an incentivizable verdict whose sweep needs an adjacency graph
-    with an LP that did not finish: the record then names that LP.
+    does a verdict whose sweep or witness search needs an adjacency graph
+    with an LP that did not finish: the record then names that LP.  The
+    graph's certified edges solve their LPs only when the face beliefs
+    read its witnesses, so a verdict decided on the graph can still meet
+    such an LP there.
     """
     problem = bundle.problem
     if problem.n_actions * problem.n_states > ORACLE_CELL_CAP:
@@ -781,7 +784,12 @@ def oracle_cross_check(
         return CrossCheckRecord(verdict=verdict, consistent=report.passed, detail=detail)
     if verdict.status == "not_incentivizable":
         control = make_naive_bdm(problem, bundle.question, bundle.alpha)
-        witness = find_distortion_witness(bundle, control, spec, graph)
+        try:
+            witness = find_distortion_witness(bundle, control, spec, graph)
+        except LPFailure as exc:
+            return CrossCheckRecord(
+                verdict=verdict, consistent=True, detail=f"witness search inconclusive: {exc}"
+            )
         if witness is None:
             detail = "no distortion witness found for the naive control"
         else:

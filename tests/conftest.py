@@ -92,6 +92,18 @@ def within_bundle(ql4: ek.DecisionProblem) -> ek.ProblemBundle:
 
 
 @pytest.fixture(scope="session")
+def unsettled_bundle() -> ek.ProblemBundle:
+    """A bundle decided on its graph, three of whose pairs need their LPs to build.
+
+    Neither the non-adjacency screen nor an edge certificate settles the
+    close-guess pairs (1, 3), (2, 4) and (3, 5).
+    """
+    problem = ek.make_close_guess([0.7, 1.0, 1.3, 1.6, 1.2])
+    question = ek.build_question("within-x", problem, x=0.25)
+    return ek.ProblemBundle(problem=problem, question=question)
+
+
+@pytest.fixture(scope="session")
 def chained_bundle() -> ek.ProblemBundle:
     return build_chained_gauge_bundle()
 

@@ -582,8 +582,9 @@ def test_decide_product_routes(mc32_bundle):
 
 
 def test_repeated_task_object_is_tested_once(geometry_lps):
-    # mc-test uses one task object for all three tasks: 351 LPs for the
-    # global graph plus 3 for that task's graph, not 3 for each task
+    # mc-test uses one task object for all three tasks: 270 LPs for the
+    # global graph, whose 81 certified edges are never read, and none for
+    # that task's graph, whose 3 edges are all certified
     problem, product = ek.make_mc_test(3, 3)
     assert len(set(map(id, product.tasks))) == 1
     question = ek.build_question("improvement", problem, product, split=1)
@@ -591,7 +592,7 @@ def test_repeated_task_object_is_tested_once(geometry_lps):
     verdict = ek.decide_incentivizable(bundle)
     assert verdict.status == "incentivizable"
     assert verdict.theorem == "product-characterization"
-    assert len(geometry_lps) == 354
+    assert len(geometry_lps) == 270
 
 
 def test_decide_cycle_rich_necessity():
@@ -661,8 +662,11 @@ def test_decide_product_with_a_task_graph_that_is_not_complete():
 
 @pytest.fixture(scope="module")
 def complete_task_product():
-    """A product whose third task is complete, and its graph, built before any stall."""
-    problem, product = _three_task_product(ek.make_state_matching([0.7, 1.0, 1.3]))
+    """A product whose third task is complete, and its graph, built before any stall.
+
+    Three pairs of that task's graph are neither screened nor certified.
+    """
+    problem, product = _three_task_product(ek.make_close_guess([0.7, 1.0, 1.3, 1.6, 1.2]))
     question = ek.build_question("improvement", problem, product, split=1)
     bundle = ek.ProblemBundle(problem=problem, question=question, product=product)
     return bundle, ek.adjacency_graph(problem)
@@ -1091,17 +1095,33 @@ def test_decide_rejects_tolerances_that_are_not_finite_and_positive(within_bundl
 
 
 def test_a_graph_lp_that_does_not_finish_leaves_the_verdict_inconclusive(
-    within_bundle, stalled_lps
+    unsettled_bundle, stalled_lps
 ):
-    named = r"the adjacency LP of \([\d.]+, [\d.]+\) did not finish: .*kIterationLimit"
-    verdict = ek.decide_incentivizable(within_bundle)
+    named = r"the adjacency LP of \(1, 3\) did not finish: .*kIterationLimit"
+    verdict = ek.decide_incentivizable(unsettled_bundle)
     assert verdict.status == "inconclusive"
     assert re.fullmatch(named, verdict.note), verdict.note
-    record = ek.oracle_cross_check(within_bundle)
+    record = ek.oracle_cross_check(unsettled_bundle)
     assert record.verdict.to_dict() == verdict.to_dict()
     assert record.consistent
     with pytest.raises(ek.LPFailure, match=named):
-        ek.adjacency_graph(within_bundle.problem)
+        ek.adjacency_graph(unsettled_bundle.problem)
+
+
+def test_a_certified_graph_decides_under_a_stalled_solver(within_bundle, stalled_lps):
+    # Every pair of quadratic-loss(4) is screened or certified, so the
+    # verdict needs no LP; the oracle's witness search meets the deferred
+    # LPs only at the face beliefs, and records that search as inconclusive.
+    verdict = ek.decide_incentivizable(within_bundle)
+    assert (verdict.status, verdict.theorem) == ("not_incentivizable", "tree-characterization")
+    record = ek.oracle_cross_check(within_bundle, spec=ek.GridSpec(denominator=1, samples=0))
+    assert record.verdict.to_dict() == verdict.to_dict()
+    assert record.consistent
+    assert re.fullmatch(
+        r"witness search inconclusive: the adjacency LP of \(0, 0\.25\) did not finish: "
+        r".*kIterationLimit",
+        record.detail,
+    ), record.detail
 
 
 def test_decide_refuses_a_graph_of_another_problem(within_bundle, ql4):

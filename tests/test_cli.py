@@ -262,9 +262,18 @@ def test_check_inconclusive(tmp_path, capsys):
     assert json.loads(stdout)["status"] == "inconclusive"
 
 
+@pytest.fixture()
+def unsettled_path(tmp_path, unsettled_bundle) -> str:
+    path = tmp_path / "unsettled.json"
+    ek.save_bundle(unsettled_bundle, str(path))
+    return str(path)
+
+
 @pytest.mark.parametrize("command", ["classify", "check", "synthesize"])
-def test_an_lp_that_does_not_finish_exits_inconclusive(bundle_path, capsys, stalled_lps, command):
-    code, stdout, stderr = run(capsys, command, bundle_path)
+def test_an_lp_that_does_not_finish_exits_inconclusive(
+    unsettled_path, capsys, stalled_lps, command
+):
+    code, stdout, stderr = run(capsys, command, unsettled_path)
     assert code == 4
     if command == "classify":
         assert stdout == ""
@@ -274,6 +283,21 @@ def test_an_lp_that_does_not_finish_exits_inconclusive(bundle_path, capsys, stal
         assert json.loads(stdout)["status"] == "inconclusive"
     assert re.search(r"\([\d.]+, [\d.]+\) did not finish: .*kIterationLimit", stderr + stdout)
     assert "Traceback" not in stderr
+
+
+def test_a_certified_graph_checks_but_does_not_classify_under_a_stalled_solver(
+    bundle_path, capsys, stalled_lps
+):
+    # The verdict reads no certified edge's LP; classify prints the edges' slacks.
+    code, stdout, stderr = run(capsys, "check", bundle_path)
+    assert (code, stderr) == (3, "")
+    assert json.loads(stdout)["status"] == "not_incentivizable"
+    code, stdout, stderr = run(capsys, "classify", bundle_path)
+    assert (code, stdout) == (4, "")
+    assert re.fullmatch(
+        r"inconclusive: the adjacency LP of \(0, 0\.25\) did not finish: .*kIterationLimit\n",
+        stderr,
+    ), stderr
 
 
 def test_check_requires_a_question(tmp_path, ql4, capsys):

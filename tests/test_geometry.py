@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -171,6 +172,21 @@ def test_unknown_labels_are_rejected(ql4):
         ek.cycle_rich(ql4, ["0", "0.25", "0.5", "nope"], graph=graph)
 
 
+def test_a_graph_passed_in_solves_no_lp(geometry_lps):
+    # Checking that a graph is the problem's reads no slack or witness, so
+    # the certified edges' LPs stay unsolved.
+    problem = ek.make_cycle_rich_safe()
+    graph = ek.adjacency_graph(problem)
+    assert len(geometry_lps) == 3  # the pairs neither screened nor certified
+    values = problem.utility.copy()
+    values[0] = values[0] + np.array([0.3, 0.0, -0.1, 0.0])
+    bundle = ek.ProblemBundle(problem=problem, question=ek.QuestionProfile(values=values))
+    verdict = ek.decide_incentivizable(bundle, graph=graph)
+    assert verdict.theorem == "cycle-rich-necessity"
+    assert ek.cycle_rich(problem, problem.actions, graph=graph).rich is True
+    assert len(geometry_lps) == 3
+
+
 def test_cycle_rich_refuses_a_graph_of_another_problem(ql4):
     for graph in foreign_graphs(ql4):
         with pytest.raises(ValueError, match="another problem's"):
@@ -191,10 +207,11 @@ def _every_pair(problem):
 
 
 def _tested_pairs(problem, monkeypatch):
-    """``adjacency_graph(problem)`` and the pairs it tested, in solve order.
+    """``adjacency_graph(problem)``, the pairs it tested and those it deferred, in solve order.
 
     The graph's LPs are recorded as they are solved, as the
-    ``geometry_lps`` fixture records them.
+    ``geometry_lps`` fixture records them: first those solved to build
+    the graph, then those its first read of ``slacks`` solves.
     """
     tested = []
 
@@ -203,17 +220,23 @@ def _tested_pairs(problem, monkeypatch):
 
     with monkeypatch.context() as patch:
         record_graph_lps(patch, recording)
-        return geometry.adjacency_graph(problem), tested
+        graph = geometry.adjacency_graph(problem)
+        built = len(tested)
+        graph.slacks
+    return graph, tested[:built], tested[built:]
 
 
 def _screened_exactly(problem, monkeypatch):
-    """Check ``adjacency_graph`` against brute force; return the pairs it skipped.
+    """Check ``adjacency_graph`` against brute force; return the pairs it screened out.
 
     The graph must carry the same edges in the same order with the same
-    slack and witness bits, the pairs it tests must come in ``(i, j)``
-    order, and every skipped pair must be infeasible or at least half the
-    screen margin short of a tie.  Every tie the LPs return must also lie
-    in the screen's tie slab, which the screen's soundness assumes.
+    slack and witness bits, once its deferred LPs are read.  The pairs it
+    tests, and then those it defers, must each come in ``(i, j)`` order.
+    Every screened pair must be infeasible or at least half the screen
+    margin short of a tie, and every deferred pair must be one
+    ``_certified_pairs`` certifies, with slack above ``MIN_SLACK``.  Every
+    tie the LPs return must also lie in the screen's tie slab, which the
+    screen's soundness assumes.
     """
     reference = _every_pair(problem)
     scaled = geometry.scale_to_utility_gauge(problem.utility)
@@ -222,7 +245,7 @@ def _screened_exactly(problem, monkeypatch):
         if result.witness is not None:
             tie = (scaled[index[a]] - scaled[index[b]]) @ result.witness.probs
             assert abs(tie) <= geometry.SCREEN_TIE, (a, b, tie)
-    graph, tested = _tested_pairs(problem, monkeypatch)
+    graph, tested, deferred = _tested_pairs(problem, monkeypatch)
     want = [(a, b, r) for (a, b), r in reference.items() if r.adjacent]
     assert [(e.a, e.b, e.slack.hex(), e.witness.probs.tobytes()) for e in graph.edges] == [
         (a, b, r.slack.hex(), r.witness.probs.tobytes()) for a, b, r in want
@@ -236,7 +259,12 @@ def _screened_exactly(problem, monkeypatch):
     assert [s.hex() for s in graph.slacks.tolist()] == [e.slack.hex() for e in graph.edges]
     assert graph.witnesses.tobytes() == b"".join(e.witness.probs.tobytes() for e in graph.edges)
     assert tested == [pair for pair in reference if pair in tested]
-    skipped = [pair for pair in reference if pair not in tested]
+    certified = geometry._certified_pairs(scaled)
+    first, second = (ends[certified] for ends in geometry._pair_indices(problem.n_actions))
+    assert deferred == [(problem.actions[i], problem.actions[j]) for i, j in zip(first, second)]
+    for pair in deferred:
+        assert reference[pair].slack > _numerics.MIN_SLACK, (pair, reference[pair].slack)
+    skipped = [pair for pair in reference if pair not in tested and pair not in deferred]
     for pair in skipped:
         result = reference[pair]
         assert result.witness is None or result.slack <= -geometry.SCREEN_MARGIN / 2, (
@@ -247,17 +275,31 @@ def _screened_exactly(problem, monkeypatch):
 
 
 def test_a_stalled_graph_lp_raises_at_the_first_pair_it_tests(geometry_lps, stalled_lps):
-    problem = ek.make_quadratic_loss(4)
+    # The certificates settle every pair of theta0 before (theta0, theta1).
+    problem = ek.make_cycle_rich_safe()
     with pytest.raises(ek.LPFailure) as graph_failure:
         geometry.adjacency_graph(problem)
     assert geometry_lps == [(0, 1)]  # the re-solve is part of the one call
     with pytest.raises(ek.LPFailure) as pair_failure:
-        ek.adjacency_test(problem, "0", "0.25")
+        ek.adjacency_test(problem, "theta0", "theta1")
     assert str(graph_failure.value) == str(pair_failure.value)
     assert re.fullmatch(
-        r"the adjacency LP of \(0, 0\.25\) did not finish: .*kIterationLimit",
+        r"the adjacency LP of \(theta0, theta1\) did not finish: .*kIterationLimit",
         str(graph_failure.value),
     )
+
+
+def test_a_stalled_deferred_lp_raises_when_the_graph_is_read(geometry_lps, stalled_lps):
+    # Every pair of quadratic-loss(4) is screened or certified: the graph
+    # builds with no LP, and its first read solves the certified edges' LPs.
+    problem = ek.make_quadratic_loss(4)
+    graph = geometry.adjacency_graph(problem)
+    assert geometry_lps == [] and graph.n_edges == 4
+    with pytest.raises(ek.LPFailure, match=r"^the adjacency LP of \(0, 0\.25\) did not finish: "):
+        graph.slacks
+    assert geometry_lps == [(0, 1)]
+    with pytest.raises(ek.LPFailure, match=r"\(0, 0\.25\)"):
+        graph.to_dict()
 
 
 _NAMED_SCREEN_PROBLEMS = [
@@ -272,8 +314,13 @@ _NAMED_SCREEN_PROBLEMS = [
 
 
 def test_adjacency_screen_is_exact_on_the_named_problems(monkeypatch):
+    certified = 0
     for problem in _NAMED_SCREEN_PROBLEMS:
         _screened_exactly(problem, monkeypatch)
+        certified += geometry._certified_pairs(
+            geometry.scale_to_utility_gauge(problem.utility)
+        ).sum()
+    assert certified > 0
 
 
 _SCREEN_KINDS = ("integer", "decimal", "duplicate", "offset", "dominated", "shift")
@@ -327,6 +374,40 @@ def test_adjacency_screen_is_exact_on_random_problems(monkeypatch):
         skipped += len(pruned)
     assert skipped > 0
     assert shifted > 0
+
+
+def _certificate_problem(rng):
+    """A random problem with duplicated, dominated and per-state-offset rows."""
+    n_states = int(rng.integers(2, 8))
+    n_actions = int(rng.integers(3, 9))
+    shape = (n_actions, n_states)
+    if rng.random() < 0.5:
+        utility = rng.integers(-3, 4, size=shape).astype(np.float64)
+    else:
+        utility = np.round(rng.uniform(-1.0, 1.0, size=shape), 1)
+    row, other, third = rng.choice(n_actions, size=3, replace=False)
+    utility[row] = utility[other]
+    utility[third] = utility[other] - np.round(rng.uniform(0.0, 0.5, size=n_states), 1)
+    utility += np.round(rng.uniform(-5.0, 5.0, size=n_states), 1)  # per-state offsets
+    return ek.DecisionProblem(
+        states=tuple(f"s{i}" for i in range(n_states)),
+        actions=tuple(f"a{i}" for i in range(n_actions)),
+        utility=utility,
+    )
+
+
+def test_adjacency_certificates_are_sound_on_random_problems(monkeypatch):
+    # Ties between duplicated rows and offsets in every state: each
+    # certified pair's LP is an edge, and the graph keeps today's bits.
+    rng = np.random.default_rng(2025)
+    certified = 0
+    for _ in range(300):
+        problem = _certificate_problem(rng)
+        _screened_exactly(problem, monkeypatch)
+        certified += geometry._certified_pairs(
+            geometry.scale_to_utility_gauge(problem.utility)
+        ).sum()
+    assert certified > 500
 
 
 def test_lps_that_presolve_leaves_unfinished_are_solved_again(monkeypatch):
@@ -472,7 +553,7 @@ def test_the_first_program_failing_the_check_is_named(monkeypatch):
     # both inside one stack: the stack names the program of the second
     # read, as solving the programs one at a time does.
     problem = ek.make_mc_test(3, 2)[0]
-    _, tested = _tested_pairs(problem, monkeypatch)
+    _, tested, _ = _tested_pairs(problem, monkeypatch)
     solver = _numerics._solver()
 
     def failure(run):
@@ -579,30 +660,41 @@ def test_adjacency_screen_skips_problems_with_many_states(geometry_lps):
         held = tracemalloc.get_traced_memory()[0]
         screened = geometry._screened_pairs(scaled)
         screen_peak = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        certified = geometry._certified_pairs(scaled)
+        certificate_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert len(geometry_lps) == 3
+    assert len(geometry_lps) == 3  # none certified, so every pair's LP runs at build
     assert peak < 8 * n_states**2 / 100, peak
-    # the screen itself allocates only its answer: the LPs fill the peak above
-    assert screened.tolist() == [False, False, False]
+    # the screen and the certificates allocate only their answers: the LPs
+    # fill the peak above
+    assert screened.tolist() == certified.tolist() == [False, False, False]
     assert screen_peak < 4096, screen_peak
+    assert certificate_peak < 4096, certificate_peak
 
 
 @pytest.mark.parametrize(
-    "problem, lps",
+    "problem, built, read",
     [
-        (ek.make_quadratic_loss(4), 4),
-        (ek.make_quadratic_loss(15), 15),
-        (ek.make_quadratic_loss(40), 40),
-        (ek.make_star(7, 0.7), 7),
+        (ek.make_quadratic_loss(4), 0, 4),
+        (ek.make_quadratic_loss(15), 0, 15),
+        (ek.make_quadratic_loss(40), 0, 40),
+        (ek.make_star(7, 0.7), 0, 7),
         # Cross-task pairs of a product are left to product-aware adjacency.
-        (ek.make_mc_test(3, 3)[0], 351),
+        (ek.make_mc_test(3, 3)[0], 270, 81),
     ],
     ids=["quadratic-loss-4", "quadratic-loss-15", "quadratic-loss-40", "star-7", "mc-test-3-3"],
 )
-def test_adjacency_graph_lp_counts(problem, lps, geometry_lps):
-    geometry.adjacency_graph(problem)
-    assert len(geometry_lps) == lps
+def test_adjacency_graph_lp_counts(problem, built, read, geometry_lps):
+    # Certified edges solve their LPs on the first read, and only then.
+    graph = geometry.adjacency_graph(problem)
+    assert len(geometry_lps) == built
+    ek.classify_graph(graph)
+    assert len(geometry_lps) == built
+    graph.witnesses
+    graph.edges
+    assert len(geometry_lps) == built + read
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +794,44 @@ def test_an_edge_that_changes_two_tasks_is_not_product_consistent():
     moved[1] = 1 - moved[1]
     pairs = graph.pairs.copy()
     pairs[m, 1] = next(h for h in range(len(coords)) if (coords[h] == moved).all())
-    bent = geometry.AdjacencyGraph(graph.actions, pairs, graph.slacks, graph.witnesses)
+    bent = dataclasses.replace(graph, pairs=pairs)
     assert _reference_product_consistent(bent, product) is False
     assert geometry._product_consistent(bent, product) is False
+
+
+def _random_product(rng):
+    """Two or three small integer tasks, some with a dominated or a duplicated action."""
+    tasks = []
+    for _ in range(int(rng.integers(2, 4))):
+        n_states, n_actions = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        utility = rng.integers(-3, 4, size=(n_actions, n_states)).astype(float)
+        if n_actions > 2 and rng.random() < 0.5:
+            utility[-1] = utility[0] - 1.0  # dominated
+        if n_actions > 2 and rng.random() < 0.5:
+            utility[1] = utility[0]  # duplicated
+        tasks.append(ek.DecisionProblem(
+            states=tuple(f"s{i}" for i in range(n_states)),
+            actions=tuple(f"a{i}" for i in range(n_actions)),
+            utility=utility,
+        ))
+    return ek.expand_product(tasks)
+
+
+def test_no_edge_changes_two_tasks():
+    # Utility is additive over tasks: where two actions that differ in two
+    # or more tasks tie, swapping one of those coordinates gives an action
+    # at least as good, so no such pair is ever an edge.
+    rng = np.random.default_rng(48)
+    products = [ek.make_mc_test(i, w) for i, w in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))]
+    products += [_random_product(rng) for _ in range(40)]
+    edges = 0
+    for problem, product in products:
+        graph = ek.adjacency_graph(problem)
+        coords = product.action_coord_array
+        differs = (coords[graph.pairs[:, 0]] != coords[graph.pairs[:, 1]]).sum(axis=1)
+        assert (differs == 1).all(), problem.actions
+        edges += graph.n_edges
+    assert edges > 0
 
 
 def test_splitting_collection_covers_each_edge_once():
