@@ -10,14 +10,22 @@ the cycle-based necessity test.
 Building the graph divides the utility by its gauge once and solves
 one max-slack LP on that matrix per action pair, in bounded stacks that
 are built and read in one array pass each, except for pairs a
-cheap certificate proves non-adjacent: either no belief comes close to
-tying the two actions, or a single third action beats the first of them
-by a fixed margin near every tie.  Such a pair's LP could only have
-confirmed the non-edge, so the graph is the one the LPs alone would
-give, bit for bit.  One array pass screens all pairs of a graph; its
-working set is bounded, and problems with too many states for it skip
-it.  Every adjacency LP goes through one pair routine, whose witnesses
-are the rows the LP layer normalized; the graph stores them as arrays.
+cheap certificate settles.  A pair is proved non-adjacent when no
+belief comes close to tying the two actions, or a single third action
+beats the first of them by a fixed margin near every tie; such a
+pair's LP could only have confirmed the non-edge, and it never runs.
+A pair is proved adjacent when, at some vertex of its tie face, the
+first action beats every other by that margin; its LP, which only
+measures the edge's slack and witness, runs when the graph's slacks,
+witnesses, edges or dictionary are first read, and that read raises
+:class:`LPFailure` if it does not finish.  So the graph is the one the
+LPs alone would give, bit for bit, while its shape, all that verdicts,
+classification, splitting and cycles read, costs no LP for a certified
+edge.  One array pass screens all pairs of a graph and one certifies
+them; their working sets are bounded, and problems with too many states
+for them skip both.  Every adjacency LP goes through one pair routine,
+whose witnesses are the rows the LP layer normalized; the graph stores
+them as arrays.
 The cycle-richness test checks the independence of all its cycles, and
 the spans of each subset, in stacked SVD calls.
 """
@@ -430,7 +438,7 @@ def _certify_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndar
     at_s *= lam[:, None]
     lead += at_s
     points = np.arange(pair.size)
-    lead[points, i[pair]] = np.inf
+    lead[points, first] = np.inf
     lead[points, j[pair]] = np.inf
     certified = np.zeros(i.size, dtype=bool)
     certified[pair[lead.min(axis=1, initial=np.inf) >= SCREEN_MARGIN]] = True
