@@ -22,10 +22,10 @@ witnesses, edges or dictionary are first read, and that read raises
 LPs alone would give, bit for bit, while its shape, all that verdicts,
 classification, splitting and cycles read, costs no LP for a certified
 edge.  One array pass screens all pairs of a graph and one certifies
-them; their working sets are bounded, and problems with too many states
-for them skip both.  Every adjacency LP goes through one pair routine,
-whose witnesses are the rows the LP layer normalized; the graph stores
-them as arrays.
+those it leaves; their working sets are bounded by the points each pair
+needs, and a problem whose pairs need too many skips that pass.  Every
+adjacency LP goes through one pair routine, whose witnesses are the rows
+the LP layer normalized; the graph stores them as arrays.
 The cycle-richness test checks the independence of all its cycles, and
 the spans of each subset, in stacked SVD calls.
 """
@@ -191,24 +191,27 @@ class AdjacencyGraph:
 
     Edge ``m`` joins the actions at ``pairs[m]``, with LP slack ``slacks[m]``
     and witness ``witnesses[m]``; ``edges`` is built on first use.  The
-    pairs are known when the graph is built; ``solve`` gives the slacks and
-    witnesses, and runs once, the first time either is read.  It may solve
-    max-slack LPs then, so that read can raise :class:`LPFailure`.
+    pairs are known when the graph is built; the private ``_solve`` gives the
+    slacks and witnesses, the first time either is read, and is then
+    dropped.  It may solve max-slack LPs, so that read can raise
+    :class:`LPFailure`, and a later read tries again.
     """
 
     actions: tuple[str, ...]
     pairs: np.ndarray
     n_states: int
-    solve: Callable[[], tuple[FloatArray, FloatArray]] = field(repr=False)
+    _solve: Callable[[], tuple[FloatArray, FloatArray]] | None = field(repr=False)
 
     def __post_init__(self) -> None:
         self.pairs.setflags(write=False)
 
     @cached_property
     def _solved(self) -> tuple[FloatArray, FloatArray]:
-        slacks, witnesses = self.solve()
+        assert self._solve is not None
+        slacks, witnesses = self._solve()
         for array in (slacks, witnesses):
             array.setflags(write=False)
+        object.__setattr__(self, "_solve", None)  # the rows are held once, here
         return slacks, witnesses
 
     @property
@@ -343,41 +346,48 @@ def _screened_pairs(utility: FloatArray) -> np.ndarray:
     through one array pass, in chunks of ``SCREEN_CHUNK_POINTS`` edge
     points.
     """
-    return _over_pairs(utility, _screen_chunk)
+    k = utility.shape[1]
+    return _over_pairs(utility, _screen_chunk, 2 * k * k)
 
 
-def _certified_pairs(utility: FloatArray) -> np.ndarray:
-    """Which pairs ``(i, j)``, ``i < j``, are provably adjacent.
+def _certified_pairs(utility: FloatArray, among: np.ndarray | None = None) -> np.ndarray:
+    """Which pairs ``(i, j)``, ``i < j``, are provably adjacent, of those ``among`` marks.
 
-    The screen's argument run the other way, on the same gauged
-    ``utility`` and in the same chunks.  A pair is certified when ``i``
-    beats every other action but ``j`` by ``SCREEN_MARGIN`` at some vertex
-    of its tie face ``{p in simplex : d . p = 0}``: a simplex corner where
-    ``d_s = 0``, or the point of a simplex edge where ``d`` changes sign.
-    The pair's LP optimum is then at least ``SCREEN_MARGIN``, far above
-    ``MIN_SLACK``.
+    All pairs are tried without ``among``.  The screen's argument run the
+    other way, on the same gauged ``utility`` and in the same kind of
+    chunks.  A pair is certified when ``i`` beats every other action but
+    ``j`` by ``SCREEN_MARGIN`` at some vertex of its tie face
+    ``{p in simplex : d . p = 0}``: a simplex corner where ``d_s = 0``, or
+    the point of a simplex edge where ``d`` changes sign.  The pair's LP
+    optimum is then at least ``SCREEN_MARGIN``, far above ``MIN_SLACK``.
+    A pair's tie face has at most ``k^2 / 4 + k`` vertices, each scored
+    against all ``n`` actions, so that many floats are its points.
     """
-    return _over_pairs(utility, _certify_chunk)
+    n, k = utility.shape
+    return _over_pairs(utility, _certify_chunk, (k * k // 4 + k) * n, among)
 
 
 def _over_pairs(
-    utility: FloatArray, test: Callable[[FloatArray, np.ndarray, np.ndarray], np.ndarray]
+    utility: FloatArray,
+    test: Callable[[FloatArray, np.ndarray, np.ndarray], np.ndarray],
+    per_pair: int,
+    among: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``test(utility, i, j)`` over every pair in :func:`_pair_indices` order, chunk by chunk.
+    """``test(utility, i, j)`` over the pairs ``among`` marks, in :func:`_pair_indices` order.
 
-    A chunk holds as many whole pairs of ``2 k^2`` slab edge points as fit
-    in ``SCREEN_CHUNK_POINTS``, and at least one.  When one pair's points
+    ``among`` is a mask over all pairs, and all are tested without it.  A
+    chunk holds as many whole pairs of ``per_pair`` points as fit in
+    ``SCREEN_CHUNK_POINTS``, and at least one.  When one pair's points
     exceed ``SCREEN_MAX_POINTS``, no pair is tested and all are False.
     """
-    n, k = utility.shape
-    first, second = _pair_indices(n)
+    first, second = _pair_indices(utility.shape[0])
     passed = np.zeros(first.size, dtype=bool)
-    per_pair = 2 * k * k
     if per_pair > SCREEN_MAX_POINTS:
         return passed
+    index = np.arange(first.size) if among is None else np.flatnonzero(among)
     step = max(1, SCREEN_CHUNK_POINTS // per_pair)
-    for start in range(0, first.size, step):
-        chunk = slice(start, start + step)
+    for start in range(0, index.size, step):
+        chunk = index[start : start + step]
         passed[chunk] = test(utility, first[chunk], second[chunk])
     return passed
 
@@ -448,13 +458,13 @@ def _certify_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndar
 def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
     """Run the pairwise adjacency test over every action pair.
 
-    The utility is divided by its utility gauge once.  One pass of
+    The utility is divided by its utility gauge.  One pass of
     :func:`_screened_pairs` over all pairs proves some of them
     non-adjacent, and they are skipped; one pass of
-    :func:`_certified_pairs` proves others adjacent.  Every other pair's
-    LP, the one :func:`adjacency_test` solves, goes to :func:`_pair_lps` in
-    ``(i, j)`` order; the first that does not finish raises
-    :class:`LPFailure`.  A screened pair's LP is infeasible or its optimum
+    :func:`_certified_pairs` over the rest proves others adjacent.  Every
+    other pair's LP, the one :func:`adjacency_test` solves, goes to
+    :func:`_pair_lps` in ``(i, j)`` order; the first that does not finish
+    raises :class:`LPFailure`.  A screened pair's LP is infeasible or its optimum
     is at most ``-SCREEN_MARGIN``, and a certified pair's is at least
     ``SCREEN_MARGIN``, so the edges and their order are exactly those of
     testing every pair.  The certified edges' LPs run later, as one
@@ -465,21 +475,23 @@ def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
     """
     scaled = scale_to_utility_gauge(problem.utility)
     pairs = np.stack(_pair_indices(problem.n_actions), axis=1)
-    certified = _certified_pairs(scaled)
-    tested = ~(_screened_pairs(scaled) | certified)
+    screened = _screened_pairs(scaled)
+    certified = _certified_pairs(scaled, ~screened)
+    tested = ~(screened | certified)
     slacks, rows = _pair_lps(scaled, pairs[tested], problem.actions)
     found = slacks > MIN_SLACK  # an infeasible pair has slack -inf and no solution
     edge = certified.copy()
     edge[tested] = found
-    deferred = certified[edge]
+    deferred, later = certified[edge], pairs[certified]
     slacks, rows = slacks[found], rows[found]
 
     def solve() -> tuple[FloatArray, FloatArray]:
+        # Only what the deferred LPs need is held; the gauge is divided again.
         edge_slacks = np.empty(deferred.size)
         edge_rows = np.empty((deferred.size, problem.n_states))
         edge_slacks[~deferred], edge_rows[~deferred] = slacks, rows
         edge_slacks[deferred], edge_rows[deferred] = _pair_lps(
-            scaled, pairs[certified], problem.actions
+            scale_to_utility_gauge(problem.utility), later, problem.actions
         )
         return edge_slacks, edge_rows
 

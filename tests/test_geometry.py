@@ -436,6 +436,19 @@ def test_adjacency_screen_chunks_give_the_same_pairs(monkeypatch):
         monkeypatch.setattr(geometry, "SCREEN_MAX_POINTS", per_pair - 1)
         assert not geometry._screened_pairs(scaled).any()
         monkeypatch.undo()
+        # The certificates, sized by tie face vertices times actions, over
+        # all pairs or only those the screen leaves.
+        k = problem.n_states
+        per_pair = (k * k // 4 + k) * problem.n_actions
+        certified = geometry._certified_pairs(scaled)
+        assert not (certified & whole).any()
+        for pairs_per_chunk in (1, 2, 3):
+            monkeypatch.setattr(geometry, "SCREEN_CHUNK_POINTS", pairs_per_chunk * per_pair)
+            np.testing.assert_array_equal(geometry._certified_pairs(scaled), certified)
+            np.testing.assert_array_equal(geometry._certified_pairs(scaled, ~whole), certified)
+        monkeypatch.setattr(geometry, "SCREEN_MAX_POINTS", per_pair - 1)
+        assert not geometry._certified_pairs(scaled).any()
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +685,31 @@ def test_adjacency_screen_skips_problems_with_many_states(geometry_lps):
     assert screened.tolist() == certified.tolist() == [False, False, False]
     assert screen_peak < 4096, screen_peak
     assert certificate_peak < 4096, certificate_peak
+
+
+def test_adjacency_certificates_bound_their_memory():
+    # 80 actions and 24 states: a pair's tie face has up to 168 vertices,
+    # each scored against all 80 actions.  Chunks of SCREEN_CHUNK_POINTS
+    # such floats keep each working array near 256 KB and the pass near
+    # 0.7 MB; chunks sized by states alone peaked at 8 MB.
+    utility = np.random.default_rng(5).uniform(-1.0, 1.0, size=(80, 24))
+    scaled = geometry.scale_to_utility_gauge(utility)
+    # quadratic-loss(200): one pair's vertices would take 10,200 * 201
+    # floats, above SCREEN_MAX_POINTS, so no pair is certified.
+    guess = geometry.scale_to_utility_gauge(ek.make_quadratic_loss(200).utility)
+    tracemalloc.start()
+    try:
+        certified = geometry._certified_pairs(scaled)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        skipped = geometry._certified_pairs(guess)
+        skipped_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certified.sum() > 0
+    assert peak < 1_500_000, peak
+    assert skipped.size == 201 * 200 // 2 and not skipped.any()
+    assert skipped_peak < 24 * skipped.size, skipped_peak  # the pair indices and the answer
 
 
 @pytest.mark.parametrize(
