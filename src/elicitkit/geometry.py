@@ -32,6 +32,7 @@ the spans of each subset, in stacked SVD calls.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -577,69 +578,48 @@ class SplittingCollection:
 def splitting_collection(graph: AdjacencyGraph) -> SplittingCollection:
     """Decompose a connected adjacency graph into biconnected blocks.
 
-    Each edge lands in exactly one block and neighboring blocks share a
-    single cut vertex, which is exactly the overlap structure that the
-    piecewise construction stitches along.
+    One depth-first search from action 0 finds them.  Each edge lands in
+    exactly one block and neighboring blocks share a single cut vertex,
+    which is exactly the overlap structure that the piecewise construction
+    stitches along; the cut vertices are the actions in two or more blocks.
     """
     if not graph.is_connected:
         raise ValueError("splitting collections require a connected adjacency graph")
-    n = len(graph.actions)
     adj = graph.neighbor_indices
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
+    disc = [0] + [-1] * (len(adj) - 1)
+    low = disc.copy()
+    timer = 1
     edge_stack: list[tuple[int, int]] = []
     blocks: list[set[int]] = []
-    cuts: set[int] = set()
-    timer = 0
-
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while work:
-            v, ptr = work[-1]
-            if ptr < len(adj[v]):
-                work[-1] = (v, ptr + 1)
-                w = adj[v][ptr]
-                if disc[w] == -1:
-                    parent[w] = v
-                    if v == root:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    edge_stack.append((v, w))
-                    work.append((w, 0))
-                elif w != parent[v] and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            else:
-                work.pop()
-                if not work:
-                    continue
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    block: set[int] = set()
-                    while edge_stack:
-                        x, y = edge_stack.pop()
-                        block.add(x)
-                        block.add(y)
-                        if (x, y) == (u, v):
-                            break
-                    if block:
-                        blocks.append(block)
-                    if u != root or root_children > 1:
-                        cuts.add(u)
-
-    parts = tuple(
-        tuple(graph.actions[i] for i in sorted(block)) for block in blocks
+    # Each frame: a vertex, its parent in the search, its untried neighbors.
+    stack = [(0, -1, iter(adj[0]))] if adj else []
+    while stack:
+        v, parent, untried = stack[-1]
+        for w in untried:
+            if disc[w] < 0:
+                disc[w] = low[w] = timer
+                timer += 1
+                edge_stack.append((v, w))
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and disc[w] < disc[v]:
+                edge_stack.append((v, w))
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if parent < 0:
+                break
+            low[parent] = min(low[parent], low[v])
+            if low[v] >= disc[parent]:
+                # The tree edge into v and every edge pushed after it form a block.
+                first = edge_stack.index((parent, v))
+                blocks.append({x for edge in edge_stack[first:] for x in edge})
+                del edge_stack[first:]
+    held = Counter(v for block in blocks for v in block)
+    return SplittingCollection(
+        parts=tuple(tuple(graph.actions[i] for i in sorted(block)) for block in blocks),
+        cut_vertices=tuple(graph.actions[i] for i in sorted(held) if held[i] > 1),
     )
-    cut_labels = tuple(graph.actions[i] for i in sorted(cuts))
-    return SplittingCollection(parts=parts, cut_vertices=cut_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -660,17 +640,14 @@ def enumerate_cycles(
     """Enumerate simple cycles up to ``max_len`` vertices, canonically.
 
     Each cycle is reported once, starting from its smallest vertex index
-    with the smaller of its two neighbors second.  Enumeration stops
-    (and the result is flagged truncated) once ``cap`` cycles are found.
+    with the smaller of its two neighbors second.  The search returns as
+    soon as ``cap`` cycles are found, with the result flagged truncated.
     """
     n = len(graph.actions)
     limit = max_len if max_len is not None else n
     adj = graph.neighbor_indices
     cycles: list[tuple[str, ...]] = []
-    truncated = False
     for start in range(n):
-        if truncated:
-            break
         path = [start]
         on_path = [False] * n
         on_path[start] = True
@@ -678,28 +655,21 @@ def enumerate_cycles(
         # start vertex stays visible so the closing edge can be taken
         iters = [iter([w for w in adj[start] if w >= start])]
         while iters:
-            found = None
             for w in iters[-1]:
-                if w == start and len(path) >= 3:
-                    if path[1] < path[-1]:
+                if w == start:
+                    if len(path) >= 3 and path[1] < path[-1]:
                         cycles.append(tuple(graph.actions[i] for i in path))
                         if len(cycles) >= cap:
-                            truncated = True
-                    continue
-                if w > start and not on_path[w] and len(path) < limit:
-                    found = w
+                            return CycleSet(cycles=tuple(cycles), truncated=True)
+                elif not on_path[w] and len(path) < limit:
+                    path.append(w)
+                    on_path[w] = True
+                    iters.append(iter([x for x in adj[w] if x >= start]))
                     break
-            if truncated:
-                break
-            if found is None:
-                dead = path.pop()
-                on_path[dead] = False
-                iters.pop()
             else:
-                path.append(found)
-                on_path[found] = True
-                iters.append(iter([w for w in adj[found] if w >= start]))
-    return CycleSet(cycles=tuple(cycles), truncated=truncated)
+                on_path[path.pop()] = False
+                iters.pop()
+    return CycleSet(cycles=tuple(cycles), truncated=False)
 
 
 def _cycle_deltas(problem: DecisionProblem, cycle: Sequence[str]) -> FloatArray:

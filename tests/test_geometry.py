@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import re
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import elicitkit as ek
-from conftest import foreign_graphs, record_graph_lps
+from conftest import foreign_graphs, random_validated_problems, record_graph_lps
 from elicitkit import _numerics, geometry
 
 
@@ -321,6 +324,47 @@ def test_adjacency_screen_is_exact_on_the_named_problems(monkeypatch):
             geometry.scale_to_utility_gauge(problem.utility)
         ).sum()
     assert certified > 0
+
+
+def _exact_tie(u, a, b, witness):
+    """The witness of edge ``(a, b)`` moved onto the exact tie, over ``Fraction``.
+
+    ``u`` is the utility as rows of ``Fraction``.  The witness is normalized,
+    then mixed with the simplex corner ``e_s`` whose ``d_s`` is largest
+    against the sign of ``d . p`` (``d = u_a - u_b``), just far enough that
+    ``d . p' = 0``.
+    """
+    p = [Fraction(v) for v in witness.tolist()]
+    p = [q / sum(p) for q in p]
+    d = [x - y for x, y in zip(u[a], u[b])]
+    tie = sum(x * q for x, q in zip(d, p))
+    if tie:
+        s = max((s for s, x in enumerate(d) if x * tie < 0), key=lambda s: abs(d[s]))
+        weight = tie / (tie - d[s])
+        p = [(1 - weight) * q for q in p]
+        p[s] += weight
+    assert sum(p) == 1 and min(p) >= 0
+    assert sum(x * q for x, q in zip(d, p)) == 0
+    return p
+
+
+def test_every_edge_witness_moves_to_an_exact_tie_with_a_strict_lead():
+    # The certified edges' witnesses come from the LPs their first read solves.
+    problems = _NAMED_SCREEN_PROBLEMS + random_validated_problems(60, seed=91)
+    edges = certified = 0
+    for problem in problems:
+        graph = ek.adjacency_graph(problem)
+        certified += geometry._certified_pairs(
+            geometry.scale_to_utility_gauge(problem.utility)
+        ).sum()
+        u = [[Fraction(v) for v in row] for row in problem.utility.tolist()]
+        for (a, b), witness in zip(graph.pairs.tolist(), graph.witnesses):
+            p = _exact_tie(u, a, b, witness)
+            for c in set(range(problem.n_actions)) - {a, b}:
+                lead = sum((x - y) * q for x, y, q in zip(u[a], u[c], p))
+                assert lead > 0, (problem.actions[a], problem.actions[b], problem.actions[c])
+            edges += 1
+    assert edges >= 300 and certified >= 100
 
 
 _SCREEN_KINDS = ("integer", "decimal", "duplicate", "offset", "dominated", "shift")
@@ -930,6 +974,139 @@ def test_enumerate_cycles_canonical_form():
         indices = [graph.index[v] for v in cycle]
         assert indices[0] == min(indices)
         assert indices[1] < indices[-1]  # orientation is fixed, no mirror twins
+
+
+# ---------------------------------------------------------------------------
+# Blocks and cycles against brute force
+
+
+def _glued_blocks(rng, n):
+    """Edges of bridges, cycles and cliques, each hung from one earlier vertex."""
+    edges = set()
+    size = 1
+    while size < n:
+        new = list(range(size, min(n, size + int(rng.integers(1, 4)))))
+        ring = [int(rng.integers(size)), *new]
+        kind = int(rng.integers(3)) if len(ring) > 2 else 0
+        if kind == 0:  # a path of bridges
+            edges.update(zip(ring, ring[1:]))
+        elif kind == 1:  # a cycle through the anchor
+            edges.update(zip(ring, ring[1:] + ring[:1]))
+        else:  # a clique with the anchor
+            edges.update((a, b) for k, a in enumerate(ring) for b in ring[k + 1 :])
+        size = new[-1] + 1
+    return edges
+
+
+def _edge_list_graph(rng):
+    """A graph of 2-9 actions from a random edge list, its labels shuffled.
+
+    Half are blocks glued at cut vertices (sometimes with one chord more),
+    half are random edges, which may leave the graph disconnected.
+    """
+    n = int(rng.integers(2, 10))
+    every = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if rng.random() < 0.5:
+        edges = _glued_blocks(rng, n)
+        if rng.random() < 0.3:
+            edges.add(every[int(rng.integers(len(every)))])
+    else:
+        density = rng.uniform(0.15, 0.75)
+        edges = {pair for pair in every if rng.random() < density}
+    relabel = rng.permutation(n)
+    pairs = sorted({tuple(sorted(int(relabel[v]) for v in edge)) for edge in edges})
+    actions = tuple(f"a{i}" for i in range(n))
+    return geometry.AdjacencyGraph(actions, np.array(pairs, dtype=np.int64).reshape(-1, 2), 2, None)
+
+
+@functools.cache
+def _vertex_orders(start, n, k):
+    """Closed walks ``start, v_1, ..., v_k, start`` over distinct ``v_i > start``, ``v_1 < v_k``."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(start + 1, n), k))
+    middle = np.fromiter(flat, dtype=np.int64).reshape(-1, k)
+    middle = middle[middle[:, 0] < middle[:, -1]]
+    ends = np.full((len(middle), 1), start)
+    return np.hstack([ends, middle, ends])
+
+
+def _brute_cycles(adjacent):
+    """Every simple cycle, by trying each vertex order: as index tuples that
+    start at their smallest vertex with the smaller neighbor second, sorted."""
+    n = len(adjacent)
+    found = []
+    for start in range(n):
+        for k in range(2, n - start):
+            loop = _vertex_orders(start, n, k)
+            closed = adjacent[loop[:, :-1], loop[:, 1:]].all(axis=1)
+            found += map(tuple, loop[closed, :-1].tolist())
+    return sorted(found)
+
+
+def _brute_blocks(pairs, cycles):
+    """Vertex sets of the classes of edges equal or on a common simple cycle."""
+    block = {edge: {edge} for edge in map(frozenset, pairs)}
+    for cycle in cycles:
+        merged = set().union(*(block[frozenset(e)] for e in zip(cycle, cycle[1:] + cycle[:1])))
+        for edge in merged:
+            block[edge] = merged
+    return {frozenset().union(*edges) for edges in map(frozenset, block.values())}
+
+
+def _brute_cut_vertices(n, pairs):
+    """The vertices whose removal leaves the other vertices disconnected."""
+    cuts = []
+    for v in range(n):
+        rest = [(a, b) for a, b in pairs if v not in (a, b)]
+        seen = {min(set(range(n)) - {v})}
+        while grown := {b for a, b in rest + [e[::-1] for e in rest] if a in seen} - seen:
+            seen |= grown
+        if len(seen) < n - 1:
+            cuts.append(v)
+    return cuts
+
+
+def _reference_graphs():
+    rng = np.random.default_rng(77)
+    graphs = [_edge_list_graph(rng) for _ in range(360)]
+    graphs += [
+        ek.adjacency_graph(problem)
+        for problem in random_validated_problems(40, seed=78, max_states=5, max_actions=9)
+    ]
+    return graphs
+
+
+def test_splitting_and_cycles_match_brute_force():
+    line = ek.adjacency_graph(ek.make_quadratic_loss(2))
+    for members in ((), ("0",)):
+        assert ek.splitting_collection(line.induced(members)) == ek.SplittingCollection((), ())
+    checked = {"connected": 0, "cut": 0, "multi-block": 0, "truncated": 0}
+    for graph in _reference_graphs():
+        n = len(graph.actions)
+        pairs = graph.pairs.tolist()
+        adjacent = np.zeros((n, n), dtype=bool)
+        adjacent[tuple(graph.pairs.T)] = adjacent[tuple(graph.pairs.T[::-1])] = True
+        cycles = _brute_cycles(adjacent)
+        labelled = [tuple(graph.actions[i] for i in cycle) for cycle in cycles]
+        for max_len in (None, 3, 5):
+            want = tuple(c for c in labelled if max_len is None or len(c) <= max_len)
+            assert ek.enumerate_cycles(graph, max_len=max_len) == ek.CycleSet(want, False)
+            for cap in {1, (len(want) + 1) // 2, len(want)} if want else ():
+                got = ek.enumerate_cycles(graph, max_len=max_len, cap=cap)
+                assert got == ek.CycleSet(want[:cap], True), (pairs, max_len, cap)
+                checked["truncated"] += 1
+        if not graph.is_connected:
+            continue
+        collection = ek.splitting_collection(graph)
+        parts = {frozenset(graph.index[a] for a in part) for part in collection.parts}
+        assert len(parts) == len(collection.parts)
+        assert parts == _brute_blocks(pairs, cycles), pairs
+        cuts = [graph.index[a] for a in collection.cut_vertices]
+        assert cuts == _brute_cut_vertices(n, pairs), pairs
+        checked["connected"] += 1
+        checked["cut"] += bool(cuts)
+        checked["multi-block"] += len(parts) > 1 and any(len(p) > 2 for p in parts)
+    assert checked["connected"] >= 300 and checked["cut"] >= 100
+    assert checked["multi-block"] >= 50 and checked["truncated"] >= 500
 
 
 # ---------------------------------------------------------------------------

@@ -367,3 +367,60 @@ def test_a_large_task_shift_keeps_the_product_certificate(shift):
     status, theorem, edges = _product_outcome(shifted)
     assert len(edges) == 12
     assert (status, theorem) == ("incentivizable", "product-characterization")
+
+
+# ---------------------------------------------------------------------------
+# Noise below the tolerance: relative Gaussian noise on the utility and the
+# question may leave a verdict borderline, never turn it into the other answer
+
+NOISE_LEVELS = (1e-3 * ek.ALIGN_RTOL, 1e-13)
+DECISIVE = {"incentivizable", "not_incentivizable"}
+
+
+def _noisy(rng, values, sigma):
+    return values * (1.0 + sigma * rng.standard_normal(values.shape))
+
+
+def _assert_no_decisive_flip(pairs):
+    """No (status before, status after noise) pair swaps the two decisive statuses.
+
+    A move to ``inconclusive`` is allowed (a weakly dominated action whose
+    only edge sits at a simplex corner can lose that edge to any noise), but
+    for at most a tenth of the bundles, so the test cannot pass by deciding
+    nothing.
+    """
+    moved = 0
+    for before, after in pairs:
+        assert {before, after} != DECISIVE, (before, after)
+        moved += before in DECISIVE and after == "inconclusive"
+    assert moved <= len(pairs) // 10
+
+
+@pytest.mark.parametrize("sigma", NOISE_LEVELS)
+def test_noise_below_tolerance_flips_no_flat_verdict(sigma):
+    rng = np.random.default_rng(31)
+    pairs = []
+    for bundle in BUNDLES:
+        noisy = _rebuilt(
+            bundle,
+            utility=_noisy(rng, bundle.problem.utility, sigma),
+            question=_noisy(rng, bundle.question.values, sigma),
+        )
+        pairs.append((_outcome(bundle)[0], _outcome(noisy)[0]))
+    _assert_no_decisive_flip(pairs)
+
+
+@pytest.mark.parametrize("sigma", NOISE_LEVELS)
+def test_noise_below_tolerance_flips_no_product_verdict(product_outcomes, sigma):
+    # the noise goes on each task's utility, expanded again, so the bundle stays a product
+    rng = np.random.default_rng(32)
+    pairs = []
+    for bundle, (status, _, _) in zip(PRODUCT_BUNDLES, product_outcomes):
+        tasks = [
+            ek.DecisionProblem(task.states, task.actions, _noisy(rng, task.utility, sigma))
+            for task in bundle.product.tasks
+        ]
+        question = _noisy(rng, bundle.question.values, sigma)
+        noisy = _product_rebuilt(bundle, tasks=tasks, question=question)
+        pairs.append((status, ek.decide_incentivizable(noisy).status))
+    _assert_no_decisive_flip(pairs)
