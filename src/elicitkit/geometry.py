@@ -612,9 +612,10 @@ def splitting_collection(graph: AdjacencyGraph) -> SplittingCollection:
             low[parent] = min(low[parent], low[v])
             if low[v] >= disc[parent]:
                 # The tree edge into v and every edge pushed after it form a block.
-                first = edge_stack.index((parent, v))
-                blocks.append({x for edge in edge_stack[first:] for x in edge})
-                del edge_stack[first:]
+                block = {parent, v}
+                while (edge := edge_stack.pop()) != (parent, v):
+                    block.update(edge)
+                blocks.append(block)
     held = Counter(v for block in blocks for v in block)
     return SplittingCollection(
         parts=tuple(tuple(graph.actions[i] for i in sorted(block)) for block in blocks),
