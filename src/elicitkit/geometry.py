@@ -21,12 +21,14 @@ witnesses, edges or dictionary are first read, and that read raises
 :class:`LPFailure` if it does not finish.  So the graph is the one the
 LPs alone would give, bit for bit, while its shape, all that verdicts,
 classification, splitting and cycles read, costs no LP for a certified
-edge.  One array pass screens all pairs of a graph and one certifies
-those it leaves; their working sets are bounded by the points each pair
-needs, and a problem whose pairs need too many skips that pass.  Every
-adjacency LP goes through one pair routine, whose witnesses are the rows
-the LP layer normalized; the graph stores them as arrays.
-The cycle-richness test checks the independence of all its cycles, and
+edge.  Nor do its face anchors, where the sweep's face beliefs start:
+a certified edge's is the best vertex of its tie face, found from the
+same vertex enumeration on first read.  One array pass screens all
+pairs of a graph and one certifies those it leaves; their working sets
+are bounded by the points each pair needs, and a problem whose pairs
+need too many skips that pass.  Every adjacency LP goes through one
+pair routine, whose witnesses are the rows the LP layer normalized; the
+graph stores them as arrays.  The cycle-richness test checks the independence of all its cycles, and
 the spans of each subset, in stacked SVD calls.
 """
 
@@ -191,17 +193,22 @@ class AdjacencyGraph:
     """Undirected graph over the problem's actions, as read-only arrays.
 
     Edge ``m`` joins the actions at ``pairs[m]``, with LP slack ``slacks[m]``
-    and witness ``witnesses[m]``; ``edges`` is built on first use.  The
-    pairs are known when the graph is built; the private ``_solve`` gives the
-    slacks and witnesses, the first time either is read, and is then
-    dropped.  It may solve max-slack LPs, so that read can raise
-    :class:`LPFailure`, and a later read tries again.
+    and witness ``witnesses[m]``; ``edges`` is built on first use.  Its
+    face anchor ``anchors[m]``, a belief where exactly that pair is optimal,
+    is the witness of an edge whose LP ran when the graph was built, and
+    the best vertex of its tie face for an edge the certificate settled
+    (:func:`_face_anchors`).  The pairs are known when the graph is built;
+    the private ``_solve`` gives the slacks and witnesses, and ``_anchor``
+    the anchors, the first time they are read, and each is then dropped.
+    ``_solve`` may solve max-slack LPs, so that read can raise
+    :class:`LPFailure`, and a later read tries again; ``_anchor`` solves none.
     """
 
     actions: tuple[str, ...]
     pairs: np.ndarray
     n_states: int
     _solve: Callable[[], tuple[FloatArray, FloatArray]] | None = field(repr=False)
+    _anchor: Callable[[], FloatArray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.pairs.setflags(write=False)
@@ -222,6 +229,14 @@ class AdjacencyGraph:
     @property
     def witnesses(self) -> FloatArray:
         return self._solved[1]
+
+    @cached_property
+    def anchors(self) -> FloatArray:
+        assert self._anchor is not None
+        anchors = self._anchor()
+        anchors.setflags(write=False)
+        object.__setattr__(self, "_anchor", None)
+        return anchors
 
     @cached_property
     def edges(self) -> tuple[AdjacencyEdge, ...]:
@@ -249,7 +264,7 @@ class AdjacencyGraph:
     def induced(self, actions: Sequence[str]) -> "AdjacencyGraph":
         """The subgraph on ``actions`` (in that order, each once), keeping the original edges.
 
-        Its slacks and witnesses are this graph's rows, solved on first read.
+        Its slacks, witnesses and anchors are this graph's rows, found on first read.
         """
         members = tuple(actions)
         position = np.full(len(self.actions), -1)
@@ -262,7 +277,11 @@ class AdjacencyGraph:
         pairs = position[self.pairs]
         rows = np.flatnonzero((pairs >= 0).all(axis=1))
         return AdjacencyGraph(
-            members, pairs[rows], self.n_states, lambda: (self.slacks[rows], self.witnesses[rows])
+            members,
+            pairs[rows],
+            self.n_states,
+            lambda: (self.slacks[rows], self.witnesses[rows]),
+            lambda: self.anchors[rows],
         )
 
     def has_edge(self, a: str, b: str) -> bool:
@@ -361,11 +380,22 @@ def _certified_pairs(utility: FloatArray, among: np.ndarray | None = None) -> np
     ``{p in simplex : d . p = 0}``: a simplex corner where ``d_s = 0``, or
     the point of a simplex edge where ``d`` changes sign.  The pair's LP
     optimum is then at least ``SCREEN_MARGIN``, far above ``MIN_SLACK``.
-    A pair's tie face has at most ``k^2 / 4 + k`` vertices, each scored
-    against all ``n`` actions, so that many floats are its points.
     """
+    return _over_pairs(utility, _certify_chunk, _tie_face_points(utility), among)
+
+
+def _tie_face_points(utility: FloatArray) -> int:
+    """Floats one pair's tie face takes: at most ``k^2 / 4 + k`` vertices,
+    each scored against all ``n`` actions of ``utility``."""
     n, k = utility.shape
-    return _over_pairs(utility, _certify_chunk, (k * k // 4 + k) * n, among)
+    return (k * k // 4 + k) * n
+
+
+def _chunks(index: np.ndarray, per_pair: int) -> list[np.ndarray]:
+    """``index`` cut into chunks of as many whole pairs of ``per_pair`` points
+    as fit in ``SCREEN_CHUNK_POINTS``, and at least one."""
+    step = max(1, SCREEN_CHUNK_POINTS // per_pair)
+    return [index[start : start + step] for start in range(0, index.size, step)]
 
 
 def _over_pairs(
@@ -376,19 +406,16 @@ def _over_pairs(
 ) -> np.ndarray:
     """``test(utility, i, j)`` over the pairs ``among`` marks, in :func:`_pair_indices` order.
 
-    ``among`` is a mask over all pairs, and all are tested without it.  A
-    chunk holds as many whole pairs of ``per_pair`` points as fit in
-    ``SCREEN_CHUNK_POINTS``, and at least one.  When one pair's points
-    exceed ``SCREEN_MAX_POINTS``, no pair is tested and all are False.
+    ``among`` is a mask over all pairs, and all are tested without it.  The
+    pairs go in :func:`_chunks` of ``per_pair`` points.  When one pair's
+    points exceed ``SCREEN_MAX_POINTS``, no pair is tested and all are False.
     """
     first, second = _pair_indices(utility.shape[0])
     passed = np.zeros(first.size, dtype=bool)
     if per_pair > SCREEN_MAX_POINTS:
         return passed
     index = np.arange(first.size) if among is None else np.flatnonzero(among)
-    step = max(1, SCREEN_CHUNK_POINTS // per_pair)
-    for start in range(0, index.size, step):
-        chunk = index[start : start + step]
+    for chunk in _chunks(index, per_pair):
         passed[chunk] = test(utility, first[chunk], second[chunk])
     return passed
 
@@ -429,8 +456,17 @@ def _screen_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndarr
     return empty | (np.isfinite(worst) & (worst >= SCREEN_MARGIN))
 
 
-def _certify_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """:func:`_certified_pairs` for the pairs ``(i[m], j[m])``."""
+def _tie_vertices(
+    utility: FloatArray, i: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, FloatArray, FloatArray]:
+    """Every vertex of the tie faces of the pairs ``(i[m], j[m])``, and ``i``'s lead there.
+
+    Returns ``(pair, s, t, lam, lead)``: vertex ``v`` of pair ``pair[v]`` is
+    ``lam[v] * e_s + (1 - lam[v]) * e_t`` at ``s[v], t[v]``, and there ``i``
+    beats every action but ``i`` and ``j`` by at least ``lead[v]``, ``inf``
+    when there is none.  A pair's vertices come together, in ``(s, t)``
+    order, pairs in order.
+    """
     d = utility[i] - utility[j]
     ds, dt = d[:, :, None], d[:, None, :]
     # Each tie face vertex once: lam * e_s + (1 - lam) * e_t with d_s > 0 > d_t,
@@ -451,9 +487,53 @@ def _certify_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndar
     points = np.arange(pair.size)
     lead[points, first] = np.inf
     lead[points, j[pair]] = np.inf
+    return pair, s, t, lam, lead.min(axis=1, initial=np.inf)
+
+
+def _certify_chunk(utility: FloatArray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """:func:`_certified_pairs` for the pairs ``(i[m], j[m])``."""
+    pair, *_, lead = _tie_vertices(utility, i, j)
     certified = np.zeros(i.size, dtype=bool)
-    certified[pair[lead.min(axis=1, initial=np.inf) >= SCREEN_MARGIN]] = True
+    certified[pair[lead >= SCREEN_MARGIN]] = True
     return certified
+
+
+def _face_anchors(utility: FloatArray, pairs: np.ndarray) -> FloatArray:
+    """The anchor of each certified pair ``pairs[m]``, one row each, on the gauged ``utility``.
+
+    It is the vertex of the pair's tie face where the first action's
+    smallest lead over the other actions is largest, the max-slack LP's
+    own objective taken over the vertices :func:`_certify_chunk` scores;
+    the first such vertex, in their order.  The pairs go in the same
+    chunks as the certificate's.
+    """
+    anchors = np.zeros((len(pairs), utility.shape[1]))
+    for chunk in _chunks(np.arange(len(pairs)), _tie_face_points(utility)):
+        pair, s, t, lam, lead = _tie_vertices(utility, pairs[chunk, 0], pairs[chunk, 1])
+        order = np.lexsort((-lead, pair))
+        best = order[np.unique(pair[order], return_index=True)[1]]
+        # t first, so a corner, s == t with lam = 1, keeps its 1
+        anchors[chunk, t[best]] = 1.0 - lam[best]
+        anchors[chunk, s[best]] = lam[best]
+    return anchors
+
+
+def _pair_anchor(problem: DecisionProblem, a: str, b: str) -> FloatArray | None:
+    """The anchor :attr:`AdjacencyGraph.anchors` gives edge ``(a, b)``, or None for a non-edge.
+
+    A pair the edge certificate settles takes its vertex, with no LP; any
+    other pair takes the witness of :func:`adjacency_test`.
+    """
+    scaled = scale_to_utility_gauge(problem.utility)
+    pair = np.array([[problem.action_index[a], problem.action_index[b]]])
+    if (
+        pair[0, 0] != pair[0, 1]
+        and _tie_face_points(scaled) <= SCREEN_MAX_POINTS
+        and _certify_chunk(scaled, pair[:, 0], pair[:, 1])[0]
+    ):
+        return _face_anchors(scaled, pair)[0]
+    result = adjacency_test(problem, a, b)
+    return result.witness.probs if result.adjacent else None
 
 
 def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
@@ -472,7 +552,9 @@ def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
     :func:`_pair_lps` call in ``(i, j)`` order, the first time the graph's
     ``slacks``, ``witnesses``, ``edges`` or ``to_dict`` is read; their
     slacks and witnesses are then those of testing every pair, and that
-    read raises :class:`LPFailure` if one of them does not finish.
+    read raises :class:`LPFailure` if one of them does not finish.  Their
+    face anchors, the vertices :func:`_face_anchors` picks, are found when
+    ``anchors`` is first read; the other edges' anchors are their witnesses.
     """
     scaled = scale_to_utility_gauge(problem.utility)
     pairs = np.stack(_pair_indices(problem.n_actions), axis=1)
@@ -496,7 +578,13 @@ def adjacency_graph(problem: DecisionProblem) -> AdjacencyGraph:
         )
         return edge_slacks, edge_rows
 
-    return AdjacencyGraph(problem.actions, pairs[edge], problem.n_states, solve)
+    def anchor() -> FloatArray:
+        anchors = np.empty((deferred.size, problem.n_states))
+        anchors[~deferred] = rows
+        anchors[deferred] = _face_anchors(scale_to_utility_gauge(problem.utility), later)
+        return anchors
+
+    return AdjacencyGraph(problem.actions, pairs[edge], problem.n_states, solve, anchor)
 
 
 def _problem_graph(problem: DecisionProblem, graph: AdjacencyGraph | None) -> AdjacencyGraph:

@@ -36,9 +36,9 @@ from .geometry import (
     Belief,
     _band,
     _belief_array,
+    _pair_anchor,
     _problem_graph,
     adjacency_graph,
-    adjacency_test,
 )
 from .model import (
     DecisionProblem,
@@ -196,32 +196,35 @@ def boundary_beliefs(
 ) -> FloatArray:
     """Beliefs on the indifference face between two adjacent actions.
 
-    Returns ``n`` rows, ``(0, n_states)`` for ``n = 0``.  The adjacency
-    witness comes first.  Each further point starts from a Dirichlet(1)
-    draw of the stream ``seed``, moved along the line to one vertex of
-    the simplex until the two actions tie there: a point of the face.
-    The point is the witness moved towards it by the longest of the
-    steps 1, 1/2, ..., 2**-39 that keeps both actions weakly optimal,
-    or the witness itself when no step does.  The sweep computes the
-    beliefs of every face of a graph in one pass, with the same bits as
-    this one face.  Non-adjacent pairs are rejected.
+    Returns ``n`` rows, ``(0, n_states)`` for ``n = 0``.  The face anchor
+    comes first, the one the adjacency graph gives the edge: the best
+    vertex of the tie face when the edge certificate settles the pair,
+    with no LP, and otherwise the witness of :func:`adjacency_test`.
+    Each further point starts from a Dirichlet(1) draw of the stream
+    ``seed``, moved along the line to one vertex of the simplex until the
+    two actions tie there: a point of the face.  The point is the anchor
+    moved towards it by the longest of the steps 1, 1/2, ..., 2**-39 that
+    keeps both actions weakly optimal, or the anchor itself when no step
+    does.  The sweep computes the beliefs of every face of a graph in one
+    pass, with the same bits as this one face.  Non-adjacent pairs are
+    rejected.
     """
     if n < 0:
         raise ValueError(f"the number of beliefs must be nonnegative, got {n}")
-    result = adjacency_test(problem, a, b)
-    if not result.adjacent or result.witness is None:
+    anchor = _pair_anchor(problem, a, b)
+    if anchor is None:
         raise ValueError(f"actions {a!r} and {b!r} are not adjacent")
     pair = np.array([[problem.action_index[a], problem.action_index[b]]])
-    return _face_beliefs(problem, pair, result.witness.probs[None], n, seed)
+    return _face_beliefs(problem, pair, anchor[None], n, seed)
 
 
 def _face_beliefs(
-    problem: DecisionProblem, pairs: np.ndarray, witnesses: FloatArray, n: int, seed: int
+    problem: DecisionProblem, pairs: np.ndarray, anchors: FloatArray, n: int, seed: int
 ) -> FloatArray:
     """``boundary_beliefs`` for every face at once.
 
     Face ``f`` lies between the actions ``i, j`` at indices ``pairs[f]``
-    and holds the witness ``w = witnesses[f]``, as in an
+    and holds the anchor ``w = anchors[f]``, as in an
     :class:`AdjacencyGraph`; its ``n`` rows follow those of face
     ``f - 1``.  Its ``n - 1`` further points read rows ``f·(n - 1)`` on
     of one ``dirichlet_sample`` block.  A row ``r`` with ``d·r > 0``,
@@ -235,7 +238,7 @@ def _face_beliefs(
     the first at which both actions lie within ``optimal_actions``'
     band of the best expected payoff.
     """
-    points = np.repeat(witnesses, n, axis=0)
+    points = np.repeat(anchors, n, axis=0)
     if n <= 1 or not len(pairs):
         return points
     owner = np.repeat(np.arange(len(pairs)), n - 1)
@@ -250,7 +253,7 @@ def _face_beliefs(
     np.divide(level, level - ties[rows, vertex], out=share, where=level != 0.0)
     towards = -draws
     towards[rows, vertex] += 1.0
-    start = witnesses[owner]
+    start = anchors[owner]
     span = draws + share[:, None] * towards - start
     open_rows = rows
     for step in _FACE_STEPS:
@@ -527,7 +530,7 @@ def _beliefs(
     if problem.n_actions <= BOUNDARY_MAX_ACTIONS:
         graph = _problem_graph(problem, graph)
         seed = spec.seed + 1
-        yield _face_beliefs(problem, graph.pairs, graph.witnesses, BOUNDARY_PER_EDGE, seed)
+        yield _face_beliefs(problem, graph.pairs, graph.anchors, BOUNDARY_PER_EDGE, seed)
 
 
 def verify_incentivizability(
@@ -745,11 +748,10 @@ def oracle_cross_check(
     passes verification; negative verdicts must be demonstrable through
     a distortion witness against the naive lottery control.
     Inconclusive verdicts carry no behavioral obligation, and neither
-    does a verdict whose sweep or witness search needs an adjacency graph
-    with an LP that did not finish: the record then names that LP.  The
-    graph's certified edges solve their LPs only when the face beliefs
-    read its witnesses, so a verdict decided on the graph can still meet
-    such an LP there.
+    does a verdict whose sweep needs an adjacency graph with an LP that
+    did not finish: the record then names that LP.  Only a verdict of
+    global alignment, decided without the graph, can meet one there: the
+    face beliefs of a built graph start from its anchors and solve no LP.
     """
     problem = bundle.problem
     if problem.n_actions * problem.n_states > ORACLE_CELL_CAP:
@@ -784,12 +786,7 @@ def oracle_cross_check(
         return CrossCheckRecord(verdict=verdict, consistent=report.passed, detail=detail)
     if verdict.status == "not_incentivizable":
         control = make_naive_bdm(problem, bundle.question, bundle.alpha)
-        try:
-            witness = find_distortion_witness(bundle, control, spec, graph)
-        except LPFailure as exc:
-            return CrossCheckRecord(
-                verdict=verdict, consistent=True, detail=f"witness search inconclusive: {exc}"
-            )
+        witness = find_distortion_witness(bundle, control, spec, graph)
         if witness is None:
             detail = "no distortion witness found for the naive control"
         else:

@@ -159,6 +159,11 @@ def test_induced_subgraph_keeps_the_real_edges():
     assert all(full[e.a, e.b] == (e.slack.hex(), e.witness.probs.tobytes()) for e in sub.edges)
     for edge in sub.edges:
         assert set(ek.optimal_actions(problem, edge.witness.probs)) == {edge.a, edge.b}
+    # and its face anchors
+    anchors = {(e.a, e.b): anchor.tobytes() for e, anchor in zip(graph.edges, graph.anchors)}
+    for edge, anchor in zip(sub.edges, sub.anchors):
+        assert anchors[edge.a, edge.b] == anchor.tobytes()
+        assert set(ek.optimal_actions(problem, anchor)) == {edge.a, edge.b}
     assert not sub.has_edge("theta0", "theta1")
     assert sub.neighbors("safe") == ("theta1", "theta0", "theta3")
 
@@ -327,9 +332,9 @@ def test_adjacency_screen_is_exact_on_the_named_problems(monkeypatch):
 
 
 def _exact_tie(u, a, b, witness):
-    """The witness of edge ``(a, b)`` moved onto the exact tie, over ``Fraction``.
+    """A witness or face anchor of edge ``(a, b)`` moved onto the exact tie, over ``Fraction``.
 
-    ``u`` is the utility as rows of ``Fraction``.  The witness is normalized,
+    ``u`` is the utility as rows of ``Fraction``.  The belief is normalized,
     then mixed with the simplex corner ``e_s`` whose ``d_s`` is largest
     against the sign of ``d . p`` (``d = u_a - u_b``), just far enough that
     ``d . p' = 0``.
@@ -349,22 +354,25 @@ def _exact_tie(u, a, b, witness):
 
 
 def test_every_edge_witness_moves_to_an_exact_tie_with_a_strict_lead():
-    # The certified edges' witnesses come from the LPs their first read solves.
+    # The certified edges' witnesses come from the LPs their first read
+    # solves, and their face anchors from the vertices of their tie faces.
     problems = _NAMED_SCREEN_PROBLEMS + random_validated_problems(60, seed=91)
-    edges = certified = 0
+    edges = certified = moved = 0
     for problem in problems:
         graph = ek.adjacency_graph(problem)
         certified += geometry._certified_pairs(
             geometry.scale_to_utility_gauge(problem.utility)
         ).sum()
         u = [[Fraction(v) for v in row] for row in problem.utility.tolist()]
-        for (a, b), witness in zip(graph.pairs.tolist(), graph.witnesses):
-            p = _exact_tie(u, a, b, witness)
-            for c in set(range(problem.n_actions)) - {a, b}:
-                lead = sum((x - y) * q for x, y, q in zip(u[a], u[c], p))
-                assert lead > 0, (problem.actions[a], problem.actions[b], problem.actions[c])
+        for (a, b), *beliefs in zip(graph.pairs.tolist(), graph.witnesses, graph.anchors):
+            for belief in beliefs:
+                p = _exact_tie(u, a, b, belief)
+                for c in set(range(problem.n_actions)) - {a, b}:
+                    lead = sum((x - y) * q for x, y, q in zip(u[a], u[c], p))
+                    assert lead > 0, (problem.actions[a], problem.actions[b], problem.actions[c])
             edges += 1
-    assert edges >= 300 and certified >= 100
+            moved += beliefs[0].tobytes() != beliefs[1].tobytes()
+    assert edges >= 300 and certified >= 100 and moved >= 100
 
 
 _SCREEN_KINDS = ("integer", "decimal", "duplicate", "offset", "dominated", "shift")

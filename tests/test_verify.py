@@ -16,7 +16,7 @@ import pytest
 
 import elicitkit as ek
 from conftest import decide_and_synthesize, foreign_graphs, random_validated_problems
-from elicitkit import geometry, verify
+from elicitkit import alignment, geometry, verify
 from elicitkit.verify import _box_grid, _face_beliefs
 
 
@@ -120,6 +120,32 @@ def test_boundary_beliefs_sit_on_the_indifference_face(ql4):
         assert {"0", "0.25"} <= set(ek.optimal_actions(ql4, ek.Belief(p)))
     with pytest.raises(ValueError):
         ek.boundary_beliefs(ql4, "0", "1", 4, seed=0)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        ek.make_quadratic_loss(4),
+        ek.make_star(7, 0.7),
+        ek.make_mc_test(3, 2)[0],
+        # pairs (1, 3), (2, 4) and (3, 5) are edges only their LPs settle
+        ek.make_close_guess([0.7, 1.0, 1.3, 1.6, 1.2]),
+    ],
+    ids=["quadratic-loss-4", "star-7", "mc-test-3-2", "close-guess"],
+)
+def test_boundary_beliefs_start_from_the_anchor_of_the_sweep(problem):
+    # One face's beliefs are the sweep's for that face, computed alone,
+    # starting from the same anchor: a certified edge's vertex, or the
+    # witness of an edge whose LP ran.
+    graph = ek.adjacency_graph(problem)
+    sweep = _face_beliefs(problem, graph.pairs, graph.anchors, 3, 1)
+    for f, (i, j) in enumerate(graph.pairs.tolist()):
+        got = ek.boundary_beliefs(problem, problem.actions[i], problem.actions[j], 3, 1)
+        _assert_same_bits(got, _face_beliefs(problem, graph.pairs[[f]], graph.anchors[[f]], 3, 1))
+        _assert_same_bits(got[0], sweep[3 * f])
+    # an action's tie face with itself is the whole simplex, and no face
+    with pytest.raises(ValueError, match="two distinct actions"):
+        ek.boundary_beliefs(problem, problem.actions[0], problem.actions[0], 3, 1)
 
 
 def test_boundary_beliefs_count_is_checked(ql4):
@@ -261,30 +287,37 @@ _FACE_PROBLEMS = [
 
 
 def test_face_problems_have_witnesses_on_and_off_the_simplex_boundary():
-    # A witness with zero coordinates starts its segments on the simplex's
+    # An anchor with zero coordinates starts its segments on the simplex's
     # boundary, one without inside it: the bitwise tests below need both.
     on_boundary = [
-        bool((edge.witness.probs <= 0.0).any())
+        bool((anchor <= 0.0).any())
         for param in _FACE_PROBLEMS
-        for edge in ek.adjacency_graph(param.values[0]).edges
+        for anchor in ek.adjacency_graph(param.values[0]).anchors
     ]
     assert any(on_boundary) and not all(on_boundary)
 
 
-def _face(problem, a, b, witness):
-    """The index and witness arrays ``_face_beliefs`` takes for one face."""
-    return np.array([[problem.action_index[a], problem.action_index[b]]]), witness[None]
+def _face(problem, a, b, anchor):
+    """The index and anchor arrays ``_face_beliefs`` takes for one face."""
+    return np.array([[problem.action_index[a], problem.action_index[b]]]), anchor[None]
+
+
+def _graph_faces(graph):
+    """Each edge of ``graph`` as its two actions and its face anchor."""
+    return [
+        (graph.actions[i], graph.actions[j], anchor)
+        for (i, j), anchor in zip(graph.pairs.tolist(), graph.anchors)
+    ]
 
 
 @pytest.mark.parametrize("problem", _FACE_PROBLEMS)
 def test_face_beliefs_match_the_step_halving_loop_bitwise(problem):
-    for index, edge in enumerate(ek.adjacency_graph(problem).edges):
+    for index, (a, b, anchor) in enumerate(_graph_faces(ek.adjacency_graph(problem))):
         for n in (1, 2, 3, 6, 20):
-            witness = edge.witness.probs
             draws = ek.dirichlet_sample(problem.n_states, n - 1, 5 + index)
             _assert_same_bits(
-                _face_beliefs(problem, *_face(problem, edge.a, edge.b, witness), n, 5 + index),
-                _reference_face_beliefs(problem, edge.a, edge.b, witness, draws),
+                _face_beliefs(problem, *_face(problem, a, b, anchor), n, 5 + index),
+                _reference_face_beliefs(problem, a, b, anchor, draws),
             )
 
 
@@ -303,7 +336,7 @@ def _assert_on_the_faces(problem, graph, points, n):
 @pytest.mark.parametrize("problem", _FACE_PROBLEMS)
 def test_face_beliefs_lie_on_their_faces(problem):
     graph = ek.adjacency_graph(problem)
-    points = _face_beliefs(problem, graph.pairs, graph.witnesses, 20, 4)
+    points = _face_beliefs(problem, graph.pairs, graph.anchors, 20, 4)
     _assert_on_the_faces(problem, graph, points, 20)
 
 
@@ -318,11 +351,11 @@ def _vertex_face_problem() -> ek.DecisionProblem:
 
 def test_face_beliefs_repeat_the_witness_on_a_face_of_one_point():
     problem = _vertex_face_problem()
-    witness = ek.adjacency_test(problem, "a", "b").witness.probs
-    got = _face_beliefs(problem, *_face(problem, "a", "b", witness), 5, 3)
+    anchor = geometry._pair_anchor(problem, "a", "b")
+    got = _face_beliefs(problem, *_face(problem, "a", "b", anchor), 5, 3)
     draws = ek.dirichlet_sample(problem.n_states, 4, 3)
-    _assert_same_bits(got, _reference_face_beliefs(problem, "a", "b", witness, draws))
-    _assert_same_bits(got, np.tile(witness, (5, 1)))
+    _assert_same_bits(got, _reference_face_beliefs(problem, "a", "b", anchor, draws))
+    _assert_same_bits(got, np.tile([1.0, 0.0, 0.0], (5, 1)))
 
 
 _GRAPH_FACE_PROBLEMS = [
@@ -336,11 +369,9 @@ _GRAPH_FACE_PROBLEMS = [
 
 def test_graph_face_problems_have_several_edges_and_a_vertex_witness():
     graphs = [ek.adjacency_graph(problem) for problem in _GRAPH_FACE_PROBLEMS]
-    assert all(len(graph.edges) > 1 for graph in graphs)
+    assert all(graph.n_edges > 1 for graph in graphs)
     assert any(
-        (edge.witness.probs <= 0.0).sum() == edge.witness.probs.size - 1
-        for graph in graphs
-        for edge in graph.edges
+        (anchor <= 0.0).sum() == anchor.size - 1 for graph in graphs for anchor in graph.anchors
     )
 
 
@@ -348,10 +379,8 @@ def _reference_graph_face_beliefs(problem, graph, n, seed):
     """The reference face by face, face ``f`` reading draws ``f·(n - 1)`` on of one block."""
     draws = ek.dirichlet_sample(problem.n_states, graph.n_edges * max(n - 1, 0), seed)
     faces = [
-        _reference_face_beliefs(
-            problem, edge.a, edge.b, edge.witness.probs, draws[f * (n - 1) : (f + 1) * (n - 1)]
-        )
-        for f, edge in enumerate(graph.edges)
+        _reference_face_beliefs(problem, a, b, anchor, draws[f * (n - 1) : (f + 1) * (n - 1)])
+        for f, (a, b, anchor) in enumerate(_graph_faces(graph))
     ]
     return np.vstack(faces).reshape(-1, problem.n_states)
 
@@ -361,22 +390,23 @@ def test_face_beliefs_of_a_whole_graph_match_the_loop_bitwise(n):
     for problem in _GRAPH_FACE_PROBLEMS:
         graph = ek.adjacency_graph(problem)
         _assert_same_bits(
-            _face_beliefs(problem, graph.pairs, graph.witnesses, n, 9),
+            _face_beliefs(problem, graph.pairs, graph.anchors, n, 9),
             _reference_graph_face_beliefs(problem, graph, n, 9),
         )
 
 
 def test_face_beliefs_match_the_reference_over_two_thousand_points():
-    # At this witness, (1/2, 1/2, 0, 0), both actions stay optimal on only
+    # At this anchor, (1/2, 1/2, 0, 0), both actions stay optimal on only
     # part of the face: about half the points take the step 1, the rest 1/2
     # or 1/4.
     problem = ek.make_star(4, 0.3)
-    witness = ek.adjacency_test(problem, "theta0", "theta1").witness.probs
-    got = _face_beliefs(problem, *_face(problem, "theta0", "theta1", witness), 2000, 11)
+    anchor = geometry._pair_anchor(problem, "theta0", "theta1")
+    assert anchor.tolist() == [0.5, 0.5, 0.0, 0.0]
+    got = _face_beliefs(problem, *_face(problem, "theta0", "theta1", anchor), 2000, 11)
     assert got.shape == (2000, problem.n_states)
     draws = ek.dirichlet_sample(problem.n_states, 1999, 11)
     _assert_same_bits(
-        got, _reference_face_beliefs(problem, "theta0", "theta1", witness, draws)
+        got, _reference_face_beliefs(problem, "theta0", "theta1", anchor, draws)
     )
 
 
@@ -396,7 +426,7 @@ def test_face_beliefs_of_many_states_are_distinct_points_of_their_faces():
     # them a repeat of its witness.
     problem = _wide_problem()
     graph = ek.adjacency_graph(problem)
-    got = _face_beliefs(problem, graph.pairs, graph.witnesses, 3, 1)
+    got = _face_beliefs(problem, graph.pairs, graph.anchors, 3, 1)
     assert graph.n_edges == 3
     assert len({row.tobytes() for row in got}) == 9
     _assert_on_the_faces(problem, graph, got, 3)
@@ -737,14 +767,15 @@ def test_oracle_cross_check_hands_its_graph_to_the_search(within_bundle, monkeyp
 
 def test_oracle_cross_check_builds_one_graph(geometry_lps):
     # decide_incentivizable and the boundary sweep share one graph: its
-    # 120 LPs are solved once, not twice, and the record does not change.
+    # 88 LPs are solved once, not twice, and the record does not change.
     # The sweep checks the 136 beliefs of the 16-state pairwise grid, 500
-    # draws and 3 beliefs on each of the 32 faces.
+    # draws and 3 beliefs on each of the 32 faces, all of them certified
+    # edges whose anchors need no LP.
     problem, product = ek.make_mc_test(4, 2)
     question = ek.build_question("improvement", problem, product, split=2)
     bundle = ek.ProblemBundle(problem=problem, question=question, product=product)
     record = ek.oracle_cross_check(bundle)
-    assert len(geometry_lps) == 120
+    assert len(geometry_lps) == 88
     assert record.consistent
     assert record.detail == (
         "synthesized product-bdm: 732/732 beliefs pass, 0 ambiguous, 0 failures"
@@ -753,12 +784,42 @@ def test_oracle_cross_check_builds_one_graph(geometry_lps):
     assert ek.canonical_dumps(record.verdict.to_dict()) == ek.canonical_dumps(alone.to_dict())
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        ek.make_quadratic_loss(4),
+        ek.make_quadratic_loss(15),
+        ek.make_quadratic_loss(40),
+        ek.make_star(7, 0.7),
+        ek.make_mc_test(3, 3)[0],
+    ],
+    ids=["quadratic-loss-4", "quadratic-loss-15", "quadratic-loss-40", "star-7", "mc-test-3-3"],
+)
+def test_the_sweep_and_the_search_solve_no_lp_on_a_built_graph(problem, geometry_lps):
+    # The face beliefs start from the graph's anchors, which need no LP;
+    # the synthesized mechanism has no witness, so the search scans them all.
+    bundle, method = _aligned_bundle(problem)
+    graph = ek.adjacency_graph(problem)
+    built = len(geometry_lps)
+    assert ek.verify_incentivizability(bundle, method, graph=graph).passed
+    assert ek.find_distortion_witness(bundle, method, graph=graph) is None
+    assert len(geometry_lps) == built
+
+
 def test_deciding_and_cross_checking_build_no_belief(
-    monkeypatch, geometry_lps, chained_bundle, within_bundle
+    monkeypatch, chained_bundle, within_bundle
 ):
-    # The graph keeps its witnesses as one array, and the verdict and the
-    # face beliefs read that array: no Belief is built on either path.
+    # The graph keeps its witnesses and anchors as arrays, and the verdict
+    # and the face beliefs read those: no Belief is built on either path.
     # A Belief is built by its __init__ or around a stored witness row.
+    graphs = []
+    for module in (alignment, verify):
+
+        def spy(problem, real=module.adjacency_graph):
+            graphs.append(problem)
+            return real(problem)
+
+        monkeypatch.setattr(module, "adjacency_graph", spy)
     built = []
     real_init = ek.Belief.__init__
     real_stored = geometry._stored_belief
@@ -777,7 +838,8 @@ def test_deciding_and_cross_checking_build_no_belief(
         verdict = ek.decide_incentivizable(bundle)
         assert verdict.theorem != "global-alignment-sufficiency"
         assert ek.oracle_cross_check(bundle).consistent
-    assert geometry_lps  # both paths built the graph
+    # both paths built the graph
+    assert graphs == [chained_bundle.problem] * 2 + [within_bundle.problem] * 2
     assert built == []
     graph = ek.adjacency_graph(within_bundle.problem)
     assert built == []
@@ -1025,7 +1087,7 @@ def _reference_find_distortion_witness(bundle, method, spec=ek.GridSpec()):
     graph = ek.adjacency_graph(problem)
     if graph.n_edges:
         seed = spec.seed + 1
-        blocks.append(_face_beliefs(problem, graph.pairs, graph.witnesses, 3, seed))
+        blocks.append(_face_beliefs(problem, graph.pairs, graph.anchors, 3, seed))
     center, gap = None, -np.inf
     for beliefs in blocks:
         witness, new_center, new_gap = _reference_scan_for_witness(
